@@ -51,6 +51,7 @@ from .graphs import (
     canonical_degree,
     chain_graph,
     e8_graph,
+    find_isomorphism,
     graph_from_dict,
     graph_to_dict,
     intersection_matrix,
@@ -58,9 +59,11 @@ from .graphs import (
     is_negative_definite,
     load_graph,
     save_graph,
+    solve_exact,
     star_graph,
     valency,
     validate_graph,
+    vertex_orbits,
 )
 from .divisors import (
     ConstraintVector,

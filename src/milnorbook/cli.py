@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 
 from . import __version__
 from .contact import (
-    DEFAULT_ETA_FRACTION,
     check_spsh,
     eval_forms,
     find_adaptation_constant,

@@ -2,15 +2,17 @@
 
 The existence theorem needs an effective divisor D = sum(m_i E_i) != 0 with
 D . E_i <= -(v_i + 2 g_i) at every vertex.  We return the canonical choice:
-the componentwise-least feasible divisor, computed by increment descent and
-cross-checked by an independent exhaustive search.  Everything here is exact
-integer or rational arithmetic; no floating point.
+the componentwise-least feasible divisor, computed by Laufer's computation
+sequence warm-started at the exact rational lower bound I^-1 c, and
+cross-checked by an independent exhaustive search.  Automorphism invariance
+is decided from the vertex orbits.  Everything here is exact integer or
+rational arithmetic; no floating point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -28,12 +30,12 @@ from .errors import (
 )
 from .graphs import (
     Divisor,
-    IntersectionMatrix,
     PlumbingGraph,
-    automorphism_group,
     intersection_matrix,
     is_milnor_fillable,
+    solve_exact,
     valency,
+    vertex_orbits,
 )
 
 __all__ = [
@@ -48,9 +50,9 @@ __all__ = [
     "check_theorem_conditions",
 ]
 
-# Descent on a definite lattice terminates; the cap is defense in depth
-# against non-definite inputs that slip past the precondition check.
-DESCENT_CAP = 10**6
+# The repair phase after the warm start terminates on a definite lattice;
+# the cap bounds the repair steps, as defense in depth.
+REPAIR_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -110,32 +112,37 @@ def minimal_divisor(
     g: PlumbingGraph,
     *,
     selection: Callable[[Sequence[int]], int] | None = None,
-    cap: int = DESCENT_CAP,
+    cap: int = REPAIR_CAP,
 ) -> Divisor:
     """Componentwise-least effective D != 0 with D . E_i <= c_i for all i.
 
-    Increment descent: start at the all-ones divisor and, while some vertex
-    violates its constraint, raise that vertex's multiplicity by one.  The
-    all-ones start is sound because every feasible divisor has m_i >= 1:
-    for r >= 2 each c_i <= -1 while m_i = 0 would give D . E_i >= 0, and for
-    r = 1 effectivity plus D != 0 forces m >= 1.  Each increment is forced
-    (any feasible divisor dominating the current one must exceed it at the
-    violated vertex, because off-diagonal intersection numbers are >= 0), so
-    the iterate stays a lower bound of the feasible set and the first
-    feasible iterate is the least element.
+    One exact elimination decides definiteness and solves I x* = c.  The
+    negative of I is inverse-positive (a definite matrix with non-negative
+    off-diagonal entries), so every feasible divisor m, having I m <= c,
+    dominates x*; it also has m_i >= 1: for r >= 2 each c_i <= -1 while
+    m_i = 0 would give D . E_i >= 0, and for r = 1 effectivity plus D != 0
+    forces m >= 1.  The descent therefore starts at max(1, ceil(x*_i)) and
+    repairs: while some vertex violates its constraint, it raises that
+    vertex's multiplicity by one (Laufer's computation sequence).  Each
+    increment is forced (any feasible divisor dominating the current one
+    must exceed it at the violated vertex, because off-diagonal
+    intersection numbers are >= 0), so the iterate stays a lower bound of
+    the feasible set and the first feasible iterate is the least element.
+    ``cap`` bounds the number of repair steps.
 
     ``selection`` picks the vertex to bump among the violated ones; the
     default takes the lowest index.  The result does not depend on this
     choice (a tested property).
     """
-    if not is_milnor_fillable(g):
-        raise NotNegativeDefinite("descent requires a negative definite graph")
     matrix = intersection_matrix(g)
     c = constraint_vector(g).bounds
+    lower = solve_exact(matrix, c, require_negative_definite=True)
+    if lower is None:
+        raise NotNegativeDefinite("descent requires a negative definite graph")
     r = g.vertex_count
-    m = [1] * r
+    m = [max(1, math.ceil(x)) for x in lower]
     products = list(matrix.apply(m))
-    total = r
+    repairs = 0
     while True:
         violated = [i for i in range(r) if products[i] > c[i]]
         if not violated:
@@ -143,12 +150,13 @@ def minimal_divisor(
         i = violated[0] if selection is None else selection(violated)
         if i not in violated:
             raise InputError("selection returned a non-violated vertex")
-        m[i] += 1
-        total += 1
-        if total > cap:
+        if repairs == cap:
             raise IterationCapExceeded(
-                f"descent exceeded {cap} increments; input cannot be definite"
+                f"descent needed more than {cap} repair steps above the "
+                "rational lower bound"
             )
+        m[i] += 1
+        repairs += 1
         for j in range(r):
             products[j] += matrix.entries[j][i]
 
@@ -158,6 +166,10 @@ def minimal_divisor(
 # coordinate.  Both paths scan the same lattice points.
 _FAST_ROWS = 2_000_000
 _ABSURD_ROWS = 5_000_000_000
+# A streamed block holds (bound + 1)^(r - 2) rows, and about 2 r int64
+# arrays of that length sit beside it.  The cap admits r <= 6 at bound 40
+# (41^4 rows); E7 at bound 40 would need 41^5 rows, several GB.
+_BLOCK_ROWS = 10_000_000
 
 
 @lru_cache(maxsize=8)
@@ -241,13 +253,19 @@ def oracle_minimal_divisor(g: PlumbingGraph, bound: int) -> Divisor:
     total_rows = (bound + 1) ** last
     if total_rows > _ABSURD_ROWS:
         raise InputError(f"box [0, {bound}]^{r} is too large to enumerate")
+    streamed = last >= 2 and total_rows > _FAST_ROWS
+    if streamed and (bound + 1) ** (last - 1) > _BLOCK_ROWS:
+        raise InputError(
+            f"box [0, {bound}]^{r} is too large to enumerate: its blocks of "
+            f"{(bound + 1) ** (last - 1)} rows exceed {_BLOCK_ROWS}"
+        )
     matrix = intersection_matrix(g)
     rows = matrix.entries
     c = constraint_vector(g).bounds
 
     found = False
     mins = [bound + 1] * r
-    if last < 2 or total_rows <= _FAST_ROWS:
+    if not streamed:
         prefix = _prefix_grid(last, bound)
         bases = _prefix_products(rows, bound)
         prefix_mins, last_min = _interval_scan(rows, c, bound, prefix, bases, 0)
@@ -308,25 +326,6 @@ def binding_multiplicities(g: PlumbingGraph, d: Divisor) -> MultiplicityVector:
     return MultiplicityVector(tuple(-p for p in products))
 
 
-def _solve_exact(matrix: IntersectionMatrix, rhs: Sequence[int]) -> list[Fraction]:
-    """Solve I x = rhs over the rationals by elimination with pivoting."""
-    r = matrix.size
-    a = [[Fraction(matrix.entries[i][j]) for j in range(r)] + [Fraction(rhs[i])]
-         for i in range(r)]
-    for col in range(r):
-        pivot_row = next((i for i in range(col, r) if a[i][col] != 0), None)
-        if pivot_row is None:
-            raise InputError("intersection form is degenerate")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        pivot = a[col][col]
-        for i in range(r):
-            if i != col and a[i][col] != 0:
-                factor = a[i][col] / pivot
-                for j in range(col, r + 1):
-                    a[i][j] -= factor * a[col][j]
-    return [a[i][r] / a[i][i] for i in range(r)]
-
-
 def divisor_from_multiplicities(g: PlumbingGraph, n: MultiplicityVector) -> Divisor:
     """Exact inverse of the multiplicity map: solve I . m = -n.
 
@@ -339,7 +338,7 @@ def divisor_from_multiplicities(g: PlumbingGraph, n: MultiplicityVector) -> Divi
             f"multiplicity vector of length {len(n)} against "
             f"{g.vertex_count} vertices"
         )
-    solution = _solve_exact(intersection_matrix(g), [-k for k in n.counts])
+    solution = solve_exact(intersection_matrix(g), [-k for k in n.counts])
     for i, value in enumerate(solution):
         if value.denominator != 1:
             raise NonIntegralSolution(i, value)
@@ -354,7 +353,9 @@ def check_theorem_conditions(g: PlumbingGraph, d: Divisor) -> DivisorReport:
 
     Violations are reported, never thrown: slack may be negative, the zero
     divisor is flagged (conditions vacuously fail), and automorphism
-    invariance is checked against the full weighted automorphism group.
+    invariance holds when the divisor is constant on every vertex orbit of
+    the weighted automorphism group, which is the same as being fixed by
+    every automorphism.
     """
     if len(d) != g.vertex_count:
         raise DimensionMismatch(
@@ -365,8 +366,9 @@ def check_theorem_conditions(g: PlumbingGraph, d: Divisor) -> DivisorReport:
     products = matrix.apply(d.multiplicities)
     slack = tuple(c[i] - products[i] for i in range(g.vertex_count))
     counts = MultiplicityVector(tuple(-p for p in products))
+    orbits = vertex_orbits(g)
     aut_invariant = all(
-        sigma.fixes_vector(d.multiplicities) for sigma in automorphism_group(g)
+        m == d.multiplicities[orbits[i]] for i, m in enumerate(d.multiplicities)
     )
     positive = all(k >= 1 for k in counts.counts)
     return DivisorReport(

@@ -73,7 +73,7 @@ class NotMilnorFillable(NegativeVerdict):
 
 
 class IterationCapExceeded(InternalInvariantError):
-    """Divisor descent hit its safety cap; definite inputs terminate."""
+    """The divisor descent's repair phase hit its safety cap."""
 
 
 class BoundTooSmall(InputError):

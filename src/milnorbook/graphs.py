@@ -1,5 +1,5 @@
 """Plumbing graphs: weighted multigraphs, intersection forms, exact
-definiteness, adjunction degrees, and weighted automorphisms.
+definiteness and solves, adjunction degrees, and weighted automorphisms.
 
 A plumbing graph is a finite connected multigraph whose vertices carry a
 genus g_i >= 0 and an integer Euler weight e_i.  Loops are forbidden: the
@@ -7,16 +7,21 @@ curves a good resolution glues along are smooth, so a component never meets
 itself, while two distinct components may meet several times (multi-edges).
 The intersection form I has diagonal e_i and off-diagonal entries the edge
 multiplicities; its negative definiteness is the fillability criterion and
-is decided in exact integer arithmetic, never floating point.
+is decided in exact integer arithmetic, never floating point, by the one
+fraction-free elimination that also solves I x = rhs.  Automorphisms,
+vertex orbits and isomorphisms all come from one backtracking search,
+pruned by the equitable partition of the weighted graph.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
+    DimensionMismatch,
     Disconnected,
     InputError,
     LoopEdge,
@@ -32,10 +37,13 @@ __all__ = [
     "validate_graph",
     "intersection_matrix",
     "is_negative_definite",
+    "solve_exact",
     "is_milnor_fillable",
     "valency",
     "canonical_degree",
     "automorphism_group",
+    "vertex_orbits",
+    "find_isomorphism",
     "graph_from_dict",
     "graph_to_dict",
     "load_graph",
@@ -207,23 +215,50 @@ class VertexPermutation:
         return all(values[self.images[i]] == values[i] for i in range(len(values)))
 
 
+def _integer(value, what: str) -> int:
+    """``value`` itself when it is an integer; booleans, floats and strings
+    are rejected, never coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _items(value, what: str) -> list:
+    """The entries of a list-like value; strings and mappings are not lists."""
+    if isinstance(value, (str, bytes, Mapping)):
+        raise InputError(f"{what} must be a list, got {value!r}")
+    try:
+        return list(value)
+    except TypeError:
+        raise InputError(f"{what} must be a list, got {value!r}") from None
+
+
 def validate_graph(vertices: Iterable, edges: Iterable) -> PlumbingGraph:
     """Build a PlumbingGraph from raw vertex/edge lists.
 
     Vertices may be (id, genus, euler) triples or mappings with those keys;
     ids must be exactly 0..r-1 in any order.  Edges are 2-element sequences
-    of vertex ids; duplicates encode multi-edges.
+    of vertex ids; duplicates encode multi-edges.  Every id, genus, Euler
+    weight and edge end must be an ``int`` (not a ``bool``); anything else
+    raises :class:`InputError`.
     """
     triples = []
-    for entry in vertices:
+    for entry in _items(vertices, "vertices"):
         if isinstance(entry, Mapping):
             try:
-                triples.append((int(entry["id"]), int(entry["genus"]), int(entry["euler"])))
+                fields = (entry["id"], entry["genus"], entry["euler"])
             except KeyError as missing:
                 raise InputError(f"vertex record lacks key {missing}") from None
         else:
-            vid, g, e = entry
-            triples.append((int(vid), int(g), int(e)))
+            fields = _items(entry, "vertex entry")
+            if len(fields) != 3:
+                raise InputError(f"vertex entry {entry!r} is not [id, genus, euler]")
+        triples.append(
+            tuple(
+                _integer(value, f"vertex {name}")
+                for value, name in zip(fields, ("id", "genus", "euler"))
+            )
+        )
     ids = sorted(t[0] for t in triples)
     r = len(triples)
     if ids != list(range(r)):
@@ -237,11 +272,11 @@ def validate_graph(vertices: Iterable, edges: Iterable) -> PlumbingGraph:
         genus[vid] = g
         euler[vid] = e
     pairs = []
-    for edge in edges:
-        seq = list(edge)
+    for edge in _items(edges, "edges"):
+        seq = _items(edge, "edge")
         if len(seq) != 2:
             raise InputError(f"edge {seq} is not a pair")
-        pairs.append((int(seq[0]), int(seq[1])))
+        pairs.append((_integer(seq[0], "edge end"), _integer(seq[1], "edge end")))
     return PlumbingGraph(tuple(genus), tuple(euler), tuple(pairs))
 
 
@@ -257,9 +292,9 @@ def intersection_matrix(g: PlumbingGraph) -> IntersectionMatrix:
     return IntersectionMatrix(tuple(tuple(row) for row in rows))
 
 
-def _as_rows(m) -> list[list[int]]:
+def _as_rows(m) -> Sequence[Sequence[int]]:
     if isinstance(m, IntersectionMatrix):
-        return [list(row) for row in m.entries]
+        return m.entries
     rows = [[int(x) for x in row] for row in m]
     r = len(rows)
     for row in rows:
@@ -272,28 +307,108 @@ def _as_rows(m) -> list[list[int]]:
     return rows
 
 
+def _eliminate(entries, rhs, negative_definite):
+    """Fraction-free (Bareiss) elimination of a symmetric integer matrix.
+
+    Rows are eliminated in index order, so the k-th pivot is the (k+1)-st
+    leading principal minor p_k.  A row whose entry in the pivot column is
+    zero is skipped: its Bareiss update would only rescale it by
+    p_k / p_{k-1}, and these factors telescope, so the row keeps the step
+    it was last touched at and is brought up to date, by one exact
+    division, when it is next touched.  On a tree-like form each step then
+    updates only the rows of the pivot's later neighbours instead of the
+    whole trailing block.
+
+    With ``negative_definite`` the elimination stops, returning None, at
+    the first pivot whose sign is not (-1)^(k+1); otherwise a zero leading
+    minor is passed by exchanging rows, and a singular matrix raises
+    :class:`InputError`.  With ``rhs`` the augmented column is carried
+    along and ``(numerators, denominator)`` of the exact solution of
+    ``entries . x = rhs`` is returned (Cramer: every ``x_i * det`` is an
+    integer, so back substitution divides exactly).  Without ``rhs`` the
+    pivots are returned.
+    """
+    r = len(entries)
+    if rhs is None:
+        a = [list(row) for row in entries]
+        width = r
+    else:
+        a = [list(row) + [b] for row, b in zip(entries, rhs)]
+        width = r + 1
+    touched = [0] * r  # step whose Bareiss entries row i holds
+    pivots = [1]  # pivots[k + 1] = p_k, with p_{-1} = 1
+    for k in range(r):
+        if a[k][k] == 0:
+            if negative_definite:
+                return None
+            swap = next((i for i in range(k + 1, r) if a[i][k]), None)
+            if swap is None:
+                raise InputError("intersection form is degenerate")
+            a[k], a[swap] = a[swap], a[k]
+            touched[k], touched[swap] = touched[swap], touched[k]
+        row = a[k]
+        t = touched[k]
+        if t < k:
+            up, down = pivots[k], pivots[t]
+            for j in range(k, width):
+                row[j] = row[j] * up // down
+        p = row[k]
+        if negative_definite and (p < 0) != (k % 2 == 0):
+            return None
+        pivots.append(p)
+        for i in range(k + 1, r):
+            target = a[i]
+            f = target[k]
+            if f:
+                down = pivots[touched[i]]
+                for j in range(k + 1, width):
+                    target[j] = (target[j] * p - f * row[j]) // down
+                touched[i] = k + 1
+    if rhs is None:
+        return pivots[1:]
+    det = pivots[r]
+    y = [0] * r
+    for k in range(r - 1, -1, -1):
+        row = a[k]
+        total = det * row[r]
+        for j in range(k + 1, r):
+            if row[j]:
+                total -= row[j] * y[j]
+        y[k] = total // row[k]
+    return y, det
+
+
 def is_negative_definite(m) -> bool:
     """Exact test: the k-th leading principal minor has sign (-1)^k.
 
-    Fraction-free (Bareiss) elimination over the integers; after step k the
-    next pivot equals the (k+1)-st leading principal minor, so the sign
-    pattern is read off the pivots.  A zero pivot is a zero minor, which
-    already refutes definiteness, so elimination never needs to continue
-    past one.
+    The minors are the pivots of the sparse fraction-free elimination
+    shared with :func:`solve_exact`; a zero or wrongly signed pivot refutes
+    definiteness, so elimination never continues past one.
     """
-    a = _as_rows(m)
-    r = len(a)
-    prev = 1
-    for k in range(r):
-        pivot = a[k][k]  # (k+1)-st leading principal minor
-        wanted_negative = k % 2 == 0
-        if pivot == 0 or (pivot < 0) != wanted_negative:
-            return False
-        for i in range(k + 1, r):
-            for j in range(k + 1, r):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-        prev = pivot
-    return True
+    return _eliminate(_as_rows(m), None, True) is not None
+
+
+def solve_exact(
+    m, rhs: Sequence[int], *, require_negative_definite: bool = False
+) -> tuple[Fraction, ...] | None:
+    """Exact rational solution of ``m . x = rhs``.
+
+    Uses the same elimination as :func:`is_negative_definite`.  With
+    ``require_negative_definite`` the answer is None unless ``m`` is
+    negative definite, so one elimination decides definiteness and solves;
+    otherwise rows are exchanged past zero leading minors and a singular
+    ``m`` raises :class:`InputError`.
+    """
+    rows = _as_rows(m)
+    if len(rhs) != len(rows):
+        raise DimensionMismatch(
+            f"right-hand side of length {len(rhs)} against {len(rows)} rows"
+        )
+    solved = _eliminate(rows, rhs, require_negative_definite)
+    if solved is None:
+        return None
+    numerators, det = solved
+    return tuple(Fraction(y, det) for y in numerators)
 
 
 def is_milnor_fillable(g: PlumbingGraph) -> bool:
@@ -318,49 +433,234 @@ def canonical_degree(g: PlumbingGraph, i: int) -> int:
     return 2 * g.genus[i] - 2 - g.euler[i]
 
 
+def _adjacency(g: PlumbingGraph) -> list[dict[int, int]]:
+    """adjacency[i][j] = number of edges between i and j."""
+    adjacency: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
+    for (a, b), k in g.edge_multiplicities().items():
+        adjacency[a][b] = k
+        adjacency[b][a] = k
+    return adjacency
+
+
+def _equitable_cells(adjacency: Sequence[Mapping[int, int]], labels) -> list[int]:
+    """Cell of each vertex in the coarsest equitable refinement of the
+    partition by ``labels`` (McKay, Practical graph isomorphism, 1981).
+
+    In an equitable partition any two vertices of one cell have the same
+    number of edges, counted with multiplicity, into every cell.  The cells
+    are split one splitter cell at a time; a split cell that is not waiting
+    to be used as a splitter queues all its parts but the largest
+    (Hopcroft), so each vertex joins a splitter O(log r) times.
+    Isomorphisms map every vertex into its own cell, so the cells prune the
+    search without losing any solution.
+    """
+    groups: dict = {}
+    for v, label in enumerate(labels):
+        groups.setdefault(label, []).append(v)
+    cells = [set(groups[label]) for label in sorted(groups)]
+    cell_of = [0] * len(adjacency)
+    for c, members in enumerate(cells):
+        for v in members:
+            cell_of[v] = c
+    pending = list(range(len(cells)))
+    queued = [True] * len(cells)
+    while pending:
+        w = pending.pop()
+        queued[w] = False
+        count: dict[int, int] = {}
+        for u in cells[w]:
+            for v, k in adjacency[u].items():
+                count[v] = count.get(v, 0) + k
+        hit: dict[int, list[int]] = {}
+        for v in count:
+            hit.setdefault(cell_of[v], []).append(v)
+        for c, members in hit.items():
+            by_count: dict[int, list[int]] = {}
+            for v in members:
+                by_count.setdefault(count[v], []).append(v)
+            parts = [by_count[n] for n in sorted(by_count)]
+            if len(members) == len(cells[c]):
+                # every member has an edge into w; the first part keeps c
+                parts.pop(0)
+            split = [] if queued[c] else [c]
+            for part in parts:
+                cells[c].difference_update(part)
+                cells.append(set(part))
+                queued.append(False)
+                for v in part:
+                    cell_of[v] = len(cells) - 1
+                split.append(len(cells) - 1)
+            if not queued[c]:
+                split.remove(max(split, key=lambda d: len(cells[d])))
+            for d in split:
+                queued[d] = True
+                pending.append(d)
+    return cell_of
+
+
+def _search_order(adjacency: Sequence[Mapping[int, int]], start: int) -> list[int]:
+    """Breadth-first order from ``start``: every later vertex has an
+    earlier neighbour, whose image restricts its own."""
+    order = [start]
+    seen = {start}
+    for v in order:
+        for w in sorted(adjacency[v]):
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    return order
+
+
+def _isomorphisms(adj_a, adj_b, candidates, order):
+    """Backtracking search for vertex bijections a -> b that carry every
+    edge multiplicity, with vertex v mapped into ``candidates[v]``.
+
+    Vertices are assigned in ``order``; each image must match the edges
+    from v to every vertex assigned before it, in both graphs.  Yields each
+    solution as a fresh list of images, lazily, so a caller that needs one
+    stops the search at the first.
+    """
+    images = [-1] * len(adj_a)
+    preimages = [-1] * len(adj_b)
+
+    def consistent(v: int, w: int) -> bool:
+        for u, k in adj_a[v].items():
+            x = images[u]
+            if x >= 0 and adj_b[w].get(x) != k:
+                return False
+        for x, k in adj_b[w].items():
+            u = preimages[x]
+            if u >= 0 and adj_a[v].get(u) != k:
+                return False
+        return True
+
+    depth = 0
+    choices = [iter(candidates[order[0]])]
+    while choices:
+        v = order[depth]
+        if images[v] >= 0:
+            preimages[images[v]] = -1
+            images[v] = -1
+        for w in choices[depth]:
+            if preimages[w] < 0 and consistent(v, w):
+                images[v] = w
+                preimages[w] = v
+                break
+        else:
+            choices.pop()
+            depth -= 1
+            continue
+        if depth + 1 == len(order):
+            yield list(images)
+        else:
+            depth += 1
+            choices.append(iter(candidates[order[depth]]))
+
+
+def find_isomorphism(
+    a: PlumbingGraph, b: PlumbingGraph, labels_a: Sequence, labels_b: Sequence
+) -> VertexPermutation | None:
+    """A vertex bijection a -> b preserving genus, Euler weight, edge
+    multiplicities and the extra per-vertex labels, or None.
+
+    Both graphs are refined together, as one disjoint union, so that their
+    cells correspond; differing cell sizes refute isomorphism before any
+    search.
+    """
+    r = a.vertex_count
+    if b.vertex_count != r:
+        return None
+    adj_a, adj_b = _adjacency(a), _adjacency(b)
+    union = adj_a + [{x + r: k for x, k in adj.items()} for adj in adj_b]
+    labels = [
+        (g.genus[i], g.euler[i], extra[i])
+        for g, extra in ((a, labels_a), (b, labels_b))
+        for i in range(r)
+    ]
+    cells = _equitable_cells(union, labels)
+    members: dict[int, list[int]] = {}
+    for x in range(r):
+        members.setdefault(cells[x + r], []).append(x)
+    if sorted(cells[:r]) != sorted(cells[r:]):
+        return None
+    candidates = [members[cells[v]] for v in range(r)]
+    found = next(_isomorphisms(adj_a, adj_b, candidates, _search_order(adj_a, 0)), None)
+    return None if found is None else VertexPermutation(tuple(found))
+
+
 def automorphism_group(g: PlumbingGraph) -> list[VertexPermutation]:
     """All vertex permutations preserving weights and edge multiplicities.
 
-    Backtracking over images, pruned by the (genus, euler, valency) class
-    of each vertex; desk-scale graphs keep the search tiny.  The result is
-    sorted by image tuple, starts with the identity, and is a group (closure
-    is asserted in the test suite, not here).
+    Enumerates the whole group with the shared backtracking search, so its
+    cost grows with the group order (k! for k equal legs of a star); the
+    package decides invariance from :func:`vertex_orbits` instead.  The
+    result is sorted by image tuple, starts with the identity, and is a
+    group (closure is asserted in the test suite, not here).
     """
-    r = g.vertex_count
-    mult = g.edge_multiplicities()
-
-    def pair_mult(a: int, b: int) -> int:
-        return mult.get((min(a, b), max(a, b)), 0)
-
-    signature = [(g.genus[i], g.euler[i], valency(g, i)) for i in range(r)]
-    candidates = [
-        [j for j in range(r) if signature[j] == signature[i]] for i in range(r)
+    adjacency = _adjacency(g)
+    candidates = _cell_members(g, adjacency)
+    found = [
+        VertexPermutation(tuple(images))
+        for images in _isomorphisms(
+            adjacency, adjacency, candidates, _search_order(adjacency, 0)
+        )
     ]
-    found: list[VertexPermutation] = []
-    images = [-1] * r
-    used = [False] * r
-
-    def extend(i: int):
-        if i == r:
-            found.append(VertexPermutation(tuple(images)))
-            return
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            if any(
-                images[k] >= 0 and pair_mult(i, k) != pair_mult(j, images[k])
-                for k in range(i)
-            ):
-                continue
-            images[i] = j
-            used[j] = True
-            extend(i + 1)
-            images[i] = -1
-            used[j] = False
-
-    extend(0)
     found.sort(key=lambda p: p.images)
     return found
+
+
+def _cell_members(g: PlumbingGraph, adjacency) -> list[list[int]]:
+    """For each vertex, the sorted members of its equitable cell."""
+    cells = _equitable_cells(
+        adjacency, [(g.genus[i], g.euler[i]) for i in range(g.vertex_count)]
+    )
+    members: dict[int, list[int]] = {}
+    for v, c in enumerate(cells):
+        members.setdefault(c, []).append(v)
+    return [members[c] for c in cells]
+
+
+def vertex_orbits(g: PlumbingGraph) -> tuple[int, ...]:
+    """Orbit of every vertex under the weighted automorphism group, named
+    by the orbit's least vertex.
+
+    The orbits are found without listing the group: for each pair (i, j)
+    of one equitable cell not yet known to share an orbit, the shared
+    backtracking search looks for a single automorphism taking i to j and
+    stops at the first; every automorphism found merges v with its image
+    for all v in a union-find.  Pairs in one cell but different orbits cost
+    a failed search; on trees there are none, because colour refinement
+    already separates the orbits of a tree.
+    """
+    adjacency = _adjacency(g)
+    candidates = _cell_members(g, adjacency)
+    root = list(range(g.vertex_count))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for i in range(g.vertex_count):
+        for j in candidates[i]:
+            if j <= i or find(i) == find(j):
+                continue
+            pinned = list(candidates)
+            pinned[i] = [j]
+            images = next(
+                _isomorphisms(
+                    adjacency, adjacency, pinned, _search_order(adjacency, i)
+                ),
+                None,
+            )
+            if images is None:
+                continue
+            for v, w in enumerate(images):
+                a, b = find(v), find(w)
+                if a != b:
+                    root[max(a, b)] = min(a, b)
+    return tuple(find(v) for v in range(g.vertex_count))
 
 
 # serialization -------------------------------------------------------------
@@ -394,8 +694,10 @@ def load_graph(path) -> PlumbingGraph:
             doc = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read graph file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"graph file is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError("graph file nests too deeply to parse") from None
     return graph_from_dict(doc)
 
 

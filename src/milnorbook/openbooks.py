@@ -4,21 +4,29 @@ Arrowheads attached to a vertex record binding components: n_i generic
 fibers of the circle bundle over that vertex.  The pipeline turns a
 fillable plumbing graph into its canonical decorated graph by way of the
 minimal divisor, and certifies the properties that make the decorated data
-a complete invariant (all n_i >= 1, automorphism invariance).
+a complete invariant (all n_i >= 1, automorphism invariance, decided from
+vertex orbits).  Decorated graphs are compared with the package's one
+backtracking isomorphism search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AllZero, DimensionMismatch, InputError, NotMilnorFillable
+from .errors import (
+    AllZero,
+    DimensionMismatch,
+    InputError,
+    NotMilnorFillable,
+    NotNegativeDefinite,
+)
 from .divisors import (
     MultiplicityVector,
     binding_multiplicities,
     check_theorem_conditions,
     minimal_divisor,
 )
-from .graphs import Divisor, PlumbingGraph, is_milnor_fillable, valency
+from .graphs import Divisor, PlumbingGraph, find_isomorphism, valency
 
 __all__ = [
     "DecoratedLinkGraph",
@@ -129,13 +137,15 @@ def ubiquitous_open_book(g: PlumbingGraph) -> OpenBookReport:
     The resulting arrowhead counts are always strictly positive, which is
     the hypothesis under which the decorated graph determines the open book
     up to isomorphism; that fact is recorded as commentary, not computed.
+    Fillability is decided by the descent's own elimination.
     """
-    if not is_milnor_fillable(g):
+    try:
+        divisor = minimal_divisor(g)
+    except NotNegativeDefinite:
         raise NotMilnorFillable(
             "the intersection form is not negative definite; "
             "no Milnor filling exists"
-        )
-    divisor = minimal_divisor(g)
+        ) from None
     counts = binding_multiplicities(g, divisor)
     certificates = check_theorem_conditions(g, divisor)
     decorated = decorate(g, counts)
@@ -163,47 +173,5 @@ def ubiquitous_open_book(g: PlumbingGraph) -> OpenBookReport:
 
 def decorated_isomorphic(a: DecoratedLinkGraph, b: DecoratedLinkGraph) -> bool:
     """Existence of a vertex bijection preserving genus, Euler weight,
-    edge multiplicities, and arrowhead counts.  Exhaustive backtracking
-    with signature pruning; desk-scale inputs only."""
-    ga, gb = a.base, b.base
-    r = ga.vertex_count
-    if gb.vertex_count != r or sorted(a.arrowheads) != sorted(b.arrowheads):
-        return False
-
-    def signature(g: PlumbingGraph, arrows, i: int):
-        return (g.genus[i], g.euler[i], valency(g, i), arrows[i])
-
-    sig_a = [signature(ga, a.arrowheads, i) for i in range(r)]
-    sig_b = [signature(gb, b.arrowheads, i) for i in range(r)]
-    if sorted(sig_a) != sorted(sig_b):
-        return False
-    mult_a = ga.edge_multiplicities()
-    mult_b = gb.edge_multiplicities()
-
-    def pair_mult(mult, x: int, y: int) -> int:
-        return mult.get((min(x, y), max(x, y)), 0)
-
-    images = [-1] * r
-    used = [False] * r
-
-    def extend(i: int) -> bool:
-        if i == r:
-            return True
-        for j in range(r):
-            if used[j] or sig_b[j] != sig_a[i]:
-                continue
-            if any(
-                images[k] >= 0
-                and pair_mult(mult_a, i, k) != pair_mult(mult_b, j, images[k])
-                for k in range(i)
-            ):
-                continue
-            images[i] = j
-            used[j] = True
-            if extend(i + 1):
-                return True
-            images[i] = -1
-            used[j] = False
-        return False
-
-    return extend(0)
+    edge multiplicities, and arrowhead counts."""
+    return find_isomorphism(a.base, b.base, a.arrowheads, b.arrowheads) is not None

@@ -61,7 +61,6 @@ class SamplerConfig:
     newton_tolerance: float = 1e-12
     damping: float = 0.5
     max_iterations: int = 50
-    min_convergence_rate: float = 0.10
     level_tolerance: float = 1e-10
     residual_tolerance: float = 1e-10
 
@@ -305,7 +304,7 @@ def _sample_chart(
         raise SamplingFailed(
             f"only {len(accepted)} of {count} requested samples converged "
             f"after {attempts} draws (rate below "
-            f"{config.min_convergence_rate:.0%})"
+            f"{1 / _ATTEMPTS_PER_SAMPLE:.0%})"
         )
     return accepted
 
@@ -408,7 +407,7 @@ def _sample_hypersurface(
         raise SamplingFailed(
             f"only {len(accepted)} of {count} requested samples converged "
             f"after {attempts} draws (rate below "
-            f"{config.min_convergence_rate:.0%})"
+            f"{1 / _ATTEMPTS_PER_SAMPLE:.0%})"
         )
     return accepted
 
@@ -427,8 +426,8 @@ def sample_points(
     on ``(Re h, Im h, rho - epsilon)`` for hypersurfaces) and rejected if it
     does not converge to the configured tolerances.  Raises
     :class:`SamplingFailed` when fewer than ``count`` draws are accepted
-    within the attempt budget (a conversion rate below
-    ``config.min_convergence_rate``), or when ``epsilon`` is not positive.
+    within the attempt budget of ten draws per requested sample (a
+    conversion rate below 10%), or when ``epsilon`` is not positive.
     """
     if config is None:
         config = SamplerConfig()

@@ -1,12 +1,17 @@
 """Command-line behavior: exit codes, report shape, determinism."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from milnorbook import cli
 from milnorbook.errors import InternalInvariantError
-from milnorbook.graphs import chain_graph, save_graph
+from milnorbook.graphs import PlumbingGraph, chain_graph, save_graph
 
 
 @pytest.fixture
@@ -107,6 +112,106 @@ class TestExitCodes:
         )
         assert code == 1
         assert "eta" in err
+
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [{"id": 0, "genus": 0, "euler": -1.7}],
+            [[0, 0]],
+            "abc",
+            5,
+        ],
+    )
+    def test_malformed_graph_exits_one(self, capsys, tmp_path, vertices):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"vertices": vertices, "edges": []}))
+        code, out, err = run(capsys, "divisor", str(path), "--oracle")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("input error:")
+
+    def test_oracle_box_too_large_exits_one(self, capsys, tmp_path):
+        """E7 at the default bound would stream blocks of 41^5 rows."""
+        e7 = PlumbingGraph(
+            (0,) * 7, (-2,) * 7, tuple((i, i + 1) for i in range(5)) + ((2, 6),)
+        )
+        path = tmp_path / "e7.json"
+        save_graph(e7, path)
+        code, out, err = run(capsys, "divisor", str(path), "--oracle")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("input error: box [0, 40]^7 is too large")
+
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-4, 3)
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=3)
+)
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=10,
+)
+VERTEX = (
+    JSON
+    | st.lists(st.integers(-4, 3) | SCALARS, max_size=4)
+    | st.fixed_dictionaries(
+        {key: st.integers(-4, 3) | SCALARS for key in ("id", "genus", "euler")}
+    )
+)
+EDGE = JSON | st.lists(st.integers(0, 4) | SCALARS, min_size=2, max_size=2)
+
+
+@st.composite
+def near_graphs(draw):
+    """A valid small tree document, with at most one value replaced."""
+    r = draw(st.integers(1, 4))
+    vertices = [
+        [i, draw(st.integers(0, 2)), draw(st.integers(-4, 1))] for i in range(r)
+    ]
+    edges = [[draw(st.integers(0, i - 1)), i] for i in range(1, r)]
+    if draw(st.booleans()):
+        rows = vertices + edges
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(SCALARS)
+    return {"vertices": vertices, "edges": edges}
+
+
+DOCUMENTS = (
+    JSON
+    | st.fixed_dictionaries(
+        {
+            "vertices": JSON | st.lists(VERTEX, max_size=5),
+            "edges": JSON | st.lists(EDGE, max_size=6),
+        }
+    )
+    | near_graphs()
+)
+
+
+@given(st.sampled_from(["check", "divisor"]), DOCUMENTS)
+@settings(max_examples=200)
+def test_any_json_document_maps_to_an_exit_code(command, document):
+    """Whatever JSON a graph file holds, main returns a code in 0..4 and no
+    exception escapes it."""
+    handle, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(handle, "w") as stream:
+            json.dump(document, stream)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main([command, path])
+    finally:
+        os.unlink(path)
+    assert code in range(5)
+    if code == 1:
+        assert err.getvalue().startswith("input error:")
 
 
 class TestReports:

@@ -46,6 +46,8 @@ def small_nd_graphs():
 
 
 D4 = star_graph(-2, [-2, -2, -2])
+# Warm-started at ceil(I^-1 c) = (8, 15, 20), the descent repairs four times.
+FOUR_REPAIRS = PlumbingGraph((1, 1, 0), (-3, -3, -2), ((0, 2), (1, 2), (1, 2)))
 
 
 # Frozen examples -------------------------------------------------------------
@@ -102,13 +104,35 @@ class TestDescent:
             minimal_divisor(chain_graph([0]))
 
     def test_iteration_cap(self):
-        with pytest.raises(IterationCapExceeded):
-            minimal_divisor(D4, cap=3)
+        """The cap bounds repair steps above the rational lower bound, which
+        this graph needs four of (D4 needs none)."""
+        assert minimal_divisor(FOUR_REPAIRS, cap=4).multiplicities == (9, 16, 22)
+        with pytest.raises(IterationCapExceeded, match="more than 3 repair"):
+            minimal_divisor(FOUR_REPAIRS, cap=3)
+
+    def test_long_chain_returns_its_divisor(self):
+        """A_185's least divisor has mass about 10^6.  It is
+        m_i = (i + 1)(185 - i) - 1: second differences of -2 inside and -1
+        at the ends give I m = c exactly, so m is feasible and every
+        feasible divisor dominates it."""
+        g = chain_graph([-2] * 185)
+        d = minimal_divisor(g)
+        assert d.multiplicities == tuple((i + 1) * (185 - i) - 1 for i in range(185))
+        assert check_theorem_conditions(g, d).inequality_slack == (0,) * 185
+
+    def test_huge_genus_vertex_returns_its_divisor(self):
+        """m = ceil(2g / |e|) with g = 10^6, e = -1, reached with no repair."""
+        g = PlumbingGraph((10**6,), (-1,), ())
+        assert minimal_divisor(g, cap=0).multiplicities == (2_000_000,)
 
     def test_selection_must_pick_violated_vertex(self):
         with pytest.raises(InputError, match="non-violated"):
-            minimal_divisor(D4, selection=lambda violated: 1 - violated[0]
-                            if violated[0] == 1 else 1)
+            minimal_divisor(
+                FOUR_REPAIRS,
+                selection=lambda violated: next(
+                    i for i in range(3) if i not in violated
+                ),
+            )
 
     @given(small_nd_graphs(), st.integers(0, 2**32 - 1))
     @settings(max_examples=50)
@@ -178,6 +202,18 @@ class TestOracle:
         expected = oracle_minimal_divisor(D4, 12).multiplicities
         monkeypatch.setattr(divisors, "_FAST_ROWS", 10)
         assert oracle_minimal_divisor(D4, 12).multiplicities == expected
+
+    def test_streamed_block_size_is_capped(self, monkeypatch):
+        """A streamed block of (bound + 1)^(r - 2) rows above the cap is
+        refused before it is allocated; at the cap it runs."""
+        import milnorbook.divisors as divisors
+
+        monkeypatch.setattr(divisors, "_FAST_ROWS", 10)
+        monkeypatch.setattr(divisors, "_BLOCK_ROWS", 13**2 - 1)
+        with pytest.raises(InputError, match=r"box \[0, 12\]\^4"):
+            oracle_minimal_divisor(D4, 12)
+        monkeypatch.setattr(divisors, "_BLOCK_ROWS", 13**2)
+        assert oracle_minimal_divisor(D4, 12).multiplicities == (9, 5, 5, 5)
 
     @given(small_nd_graphs())
     @settings(max_examples=40)
@@ -265,6 +301,14 @@ class TestMultiplicities:
     def test_report_detects_asymmetric_divisor(self):
         report = check_theorem_conditions(D4, Divisor((9, 5, 5, 6)))
         assert not report.aut_invariant
+
+    def test_inverse_pivots_past_a_zero_leading_minor(self):
+        """I = [[0, 1], [1, -1]] is nonsingular although its first leading
+        minor vanishes; the solve exchanges rows instead of failing."""
+        g = chain_graph([0, -1])
+        assert divisor_from_multiplicities(
+            g, MultiplicityVector((-2, -1))
+        ).multiplicities == (3, 2)
 
     def test_report_to_dict_shape(self):
         report = check_theorem_conditions(D4, minimal_divisor(D4))

@@ -21,9 +21,11 @@ from milnorbook import (
     is_negative_definite,
     load_graph,
     save_graph,
+    solve_exact,
     star_graph,
     valency,
     validate_graph,
+    vertex_orbits,
 )
 from milnorbook.errors import (
     Disconnected,
@@ -33,7 +35,7 @@ from milnorbook.errors import (
     NonContiguousIds,
 )
 
-from oracles import principal_minor_signs_definite
+from oracles import principal_minor_signs_definite, rational_least_point
 
 
 @st.composite
@@ -118,6 +120,30 @@ class TestValidation:
         with pytest.raises(InputError, match="not a pair"):
             validate_graph([(0, 0, -2)], [[0]])
 
+    @pytest.mark.parametrize(
+        "vertices, edges",
+        [
+            ([{"id": 0, "genus": 0, "euler": -1.7}], []),  # not read as -1
+            ([{"id": 0, "genus": 0, "euler": -2.0}], []),
+            ([{"id": 0, "genus": True, "euler": -2}], []),
+            ([{"id": "0", "genus": 0, "euler": -2}], []),
+            ([(0, 0, -2), (1, 0, -2)], [(0, 1.0)]),
+            ([(0, 0, -2), (1, 0, -2)], [(0, False)]),
+            ([(0, 0)], []),  # vertex lists have exactly three entries
+            ([(0, 0, -2, 7)], []),
+            ([None], []),
+            ("abc", []),
+            (5, []),
+            ([(0, 0, -2)], 5),
+            ([(0, 0, -2)], ["ab"]),
+        ],
+    )
+    def test_validate_graph_rejects_non_integers_and_bad_shapes(
+        self, vertices, edges
+    ):
+        with pytest.raises(InputError):
+            validate_graph(vertices, edges)
+
     def test_divisor_rejects_negative_multiplicity(self):
         with pytest.raises(InputError):
             Divisor((1, -1))
@@ -187,6 +213,36 @@ class TestIntersectionForm:
         sigma = data.draw(permutations_of(g.vertex_count))
         assert is_milnor_fillable(g) == is_milnor_fillable(g.relabel(sigma))
 
+    @given(plumbing_graphs())
+    def test_solve_exact_matches_rational_oracle(self, g):
+        """The shared elimination solves I x = c exactly, pivoting past zero
+        leading minors; the oracle's Gauss-Jordan fails only when I is
+        singular, and then so must the solve."""
+        m = intersection_matrix(g)
+        c = [-(valency(g, i) + 2 * g.genus[i]) for i in range(g.vertex_count)]
+        try:
+            expected = rational_least_point(g)
+        except StopIteration:
+            with pytest.raises(InputError, match="degenerate"):
+                solve_exact(m, c)
+            return
+        assert solve_exact(m, c) == expected
+        definite = solve_exact(m, c, require_negative_definite=True)
+        assert definite == (expected if is_negative_definite(m) else None)
+
+    def test_solve_exact_pivots_past_a_zero_leading_minor(self):
+        assert solve_exact([[0, 1], [1, 0]], [2, 3]) == (3, 2)
+        assert solve_exact([[0, 1], [1, 0]], [2, 3],
+                           require_negative_definite=True) is None
+        with pytest.raises(InputError, match="degenerate"):
+            solve_exact([[-1, 1], [1, -1]], [1, 1])
+
+    def test_long_chain_definiteness(self):
+        """A_300 is definite and A_299 ending in a 0 weight is not; both
+        need every pivot."""
+        assert is_milnor_fillable(chain_graph([-2] * 300))
+        assert not is_milnor_fillable(chain_graph([-2] * 299 + [0]))
+
 
 # Vertex quantities -----------------------------------------------------------
 
@@ -250,6 +306,29 @@ class TestAutomorphisms:
             assert relabeled.genus == g.genus
             assert relabeled.euler == g.euler
             assert relabeled.edges == g.edges
+
+    @given(plumbing_graphs())
+    def test_orbits_match_the_group(self, g):
+        group = automorphism_group(g)
+        assert vertex_orbits(g) == tuple(
+            min(sigma(i) for sigma in group) for i in range(g.vertex_count)
+        )
+
+    @given(plumbing_graphs(), st.data())
+    def test_orbits_are_relabeling_equivariant(self, g, data):
+        sigma = data.draw(permutations_of(g.vertex_count))
+        orbits = vertex_orbits(g)
+        relabeled = vertex_orbits(g.relabel(sigma))
+        for i in range(g.vertex_count):
+            for j in range(g.vertex_count):
+                assert (orbits[i] == orbits[j]) == (
+                    relabeled[sigma[i]] == relabeled[sigma[j]]
+                )
+
+    def test_orbits_of_a_twelve_leg_star(self):
+        """12! automorphisms, found as two orbits without listing them."""
+        g = star_graph(-13, [-2] * 12)
+        assert vertex_orbits(g) == (0,) + (1,) * 12
 
     def test_fixes_vector(self):
         sigma = VertexPermutation((1, 0, 2))

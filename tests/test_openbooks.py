@@ -100,6 +100,23 @@ class TestPipeline:
             "slack": 0,
         }
 
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_twelve_equal_legs_are_invariant(self, length):
+        """The star's 12! automorphisms are never listed: invariance is
+        read off its vertex orbits."""
+        edges = []
+        for leg in range(12):
+            previous = 0
+            for step in range(length):
+                vertex = 1 + leg * length + step
+                edges.append((previous, vertex))
+                previous = vertex
+        r = 1 + 12 * length
+        g = PlumbingGraph((0,) * r, (-13,) + (-2,) * (r - 1), tuple(edges))
+        report = ubiquitous_open_book(g)
+        assert report.aut_invariant is True
+        assert len(set(report.divisor.multiplicities)) == 1 + length
+
     @given(st.sampled_from([g for g in nd_suite() if g.vertex_count <= 3]))
     @settings(max_examples=60)
     def test_arrowheads_always_positive(self, g):
