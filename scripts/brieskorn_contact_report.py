@@ -17,18 +17,15 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from milnorbook import (
     Hypersurface,
     SmoothChart,
     check_spsh,
     e8_graph,
-    eval_forms,
     fd_omega_deviation,
     find_adaptation_constant,
-    level_tangent_basis,
     parse_polynomial,
+    reeb_contract_deviations,
     rescaled_reeb_identity,
     sample_points,
     ubiquitous_open_book,
@@ -75,15 +72,8 @@ def main(argv=None) -> int:
           f"max |rho - epsilon| = {max(levels):.2e}, "
           f"max |h| = {max(residuals):.2e}")
 
-    worst_alpha = worst_omega = worst_fd = 0.0
-    for p in samples:
-        forms = eval_forms(surface, p)
-        reeb_real = np.concatenate([forms.reeb.real, forms.reeb.imag])
-        worst_alpha = max(worst_alpha, abs(float(forms.alpha @ reeb_real) - 1.0))
-        level = level_tangent_basis(surface, p)
-        worst_omega = max(worst_omega,
-                          float(np.abs(reeb_real @ forms.omega @ level).max()))
-        worst_fd = max(worst_fd, fd_omega_deviation(surface, p))
+    worst_alpha, worst_omega = reeb_contract_deviations(surface, samples)
+    worst_fd = max(fd_omega_deviation(surface, p) for p in samples)
     print(f"Reeb normalization: max |alpha(R) - 1| = {worst_alpha:.2e}, "
           f"max |omega(R, v)| = {worst_omega:.2e}")
     print(f"finite-difference two-form deviation: max {worst_fd:.2e}")

@@ -106,6 +106,7 @@ from .contact import (
     lambda_cone_check,
     level_tangent_basis,
     openbook_criterion_check,
+    reeb_contract_deviations,
     reeb_field,
     rescaled_reeb_identity,
     xi_projection,

@@ -17,6 +17,7 @@ carry no timestamps).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -24,11 +25,10 @@ import sys
 from . import __version__
 from .contact import (
     check_spsh,
-    eval_forms,
     find_adaptation_constant,
     lambda_cone_check,
-    level_tangent_basis,
     openbook_criterion_check,
+    reeb_contract_deviations,
     rescaled_reeb_identity,
 )
 from .divisors import check_theorem_conditions, minimal_divisor, oracle_minimal_divisor
@@ -43,8 +43,6 @@ from .graphs import is_milnor_fillable, load_graph
 from .openbooks import ubiquitous_open_book
 from .polynomials import parse_map, parse_polynomial
 from .varieties import Hypersurface, SmoothChart, sample_points
-
-import numpy as np
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -126,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_c.add_argument(
         "subcheck",
-        choices=("spsh", "reeb", "identity", "adapt", "cone", "criterion"),
+        choices=tuple(_CONTACT_SUBCHECKS),
         help="which verification to run",
     )
     p_c.add_argument(
@@ -181,12 +179,6 @@ def _build_variety(args):
     if args.map is not None:
         return SmoothChart(dim, parse_map(args.map, dim)), dim
     return SmoothChart.identity(dim), dim
-
-
-def _require_f(args, n_vars):
-    if args.f is None:
-        raise InputError(f"contact {args.subcheck} requires --f")
-    return parse_polynomial(args.f, n_vars)
 
 
 def _cmd_check(args):
@@ -263,8 +255,163 @@ def _cmd_openbook(args):
     return config, result, lines, EXIT_OK
 
 
-def _contact_config(args, variety, n_vars):
-    return {
+def _contact_spsh(args, variety, f):
+    samples = sample_points(variety, args.epsilon, args.samples, args.seed)
+    minimum = check_spsh(variety, samples, trials=SPSH_TRIALS, seed=args.seed)
+    passed = minimum > 0.0
+    result = {
+        "min_levi_quotient": minimum,
+        "samples": len(samples),
+        "trials": SPSH_TRIALS,
+        "pass": passed,
+    }
+    lines = [
+        f"min Levi quotient over {len(samples)} samples x {SPSH_TRIALS} "
+        f"directions: {minimum!r}",
+        f"strictly plurisubharmonic on the sample set: {passed}",
+    ]
+    return result, lines
+
+
+def _contact_reeb(args, variety, f):
+    samples = sample_points(variety, args.epsilon, args.samples, args.seed)
+    alpha_tol = (
+        ALPHA_TOL_HYPERSURFACE if isinstance(variety, Hypersurface) else ALPHA_TOL_CHART
+    )
+    max_alpha, max_omega = reeb_contract_deviations(variety, samples)
+    passed = max_alpha <= alpha_tol and max_omega <= OMEGA_TOL
+    result = {
+        "max_alpha_deviation": max_alpha,
+        "alpha_tolerance": alpha_tol,
+        "max_omega_pairing": max_omega,
+        "omega_tolerance": OMEGA_TOL,
+        "samples": len(samples),
+        "pass": passed,
+    }
+    lines = [
+        f"max |alpha(R) - 1| over {len(samples)} samples: {max_alpha!r} "
+        f"(tolerance {alpha_tol!r})",
+        f"max |omega(R, v)| over level-tangent directions: {max_omega!r} "
+        f"(tolerance {OMEGA_TOL!r})",
+        f"Reeb contract satisfied: {passed}",
+    ]
+    return result, lines
+
+
+def _contact_identity(args, variety, f):
+    samples = sample_points(variety, args.epsilon, args.samples, args.seed)
+    residuals = []
+    skipped = 0
+    for p in samples:
+        try:
+            residuals.append(rescaled_reeb_identity(variety, f, args.c, p))
+        except OnBinding:
+            skipped += 1
+    if not residuals:
+        raise NumericalFinding("every sample landed on the binding")
+    tolerance = IDENTITY_TOL_UNSCALED if args.c == 0.0 else IDENTITY_TOL
+    worst = max(residuals)
+    passed = worst <= tolerance
+    result = {
+        "max_residual": worst,
+        "tolerance": tolerance,
+        "evaluated": len(residuals),
+        "skipped_on_binding": skipped,
+        "pass": passed,
+    }
+    lines = [
+        f"max rescaled-Reeb identity residual over {len(residuals)} "
+        f"samples (c={args.c!r}): {worst!r} (tolerance {tolerance!r})",
+        f"identity satisfied: {passed}",
+    ]
+    return result, lines
+
+
+def _contact_adapt(args, variety, f):
+    report = find_adaptation_constant(
+        variety, f, args.epsilon, args.eta, args.mesh, args.seed
+    )
+    result = report.to_dict()
+    result["pass"] = report.verified
+    lines = [
+        f"adaptation constant c = {report.c!r} (m = {report.m!r}, "
+        f"k = {report.k!r})",
+        f"retained {report.retained} of {report.mesh} mesh points "
+        f"(eta = {report.eta!r})",
+        f"min d theta(R) = {report.min_dtheta_reeb!r}",
+        f"min d theta(R_c) = {report.min_dtheta_rescaled!r}",
+        f"verified d theta(R_c) > 0 everywhere: {report.verified}",
+    ]
+    return result, lines
+
+
+def _contact_cone(args, variety, f):
+    samples = sample_points(variety, args.epsilon, args.samples, args.seed)
+    report = lambda_cone_check(
+        variety, f, samples, proportionality_tol=CONE_PROPORTIONALITY_TOL
+    )
+    result = report.to_dict()
+    result["pass"] = report.all_positive is not False
+    lines = [
+        f"qualifying samples: {report.qualifying} of {report.total} "
+        f"(proportionality tolerance {report.proportionality_tol!r}, "
+        f"{report.skipped_on_binding} skipped on the binding)",
+    ]
+    if report.qualifying:
+        lines.append(f"min Re lambda = {report.min_re_lambda!r}")
+        lines.append(f"max |arg lambda| = {report.max_abs_arg_lambda!r}")
+        lines.append(f"all qualifying lambda in the right half plane: "
+                     f"{report.all_positive}")
+    else:
+        lines.append(report.note)
+    return result, lines
+
+
+def _vacuous_or(vacuous: bool, value) -> str:
+    return "vacuous (no mesh points)" if vacuous else repr(value)
+
+
+def _contact_criterion(args, variety, f):
+    report = openbook_criterion_check(
+        variety, f, args.epsilon, args.eta, args.mesh, args.seed
+    )
+    failed = (
+        not report.first_vacuous
+        and (report.min_dtheta_norm is None or report.min_dtheta_norm <= 0.0)
+    ) or (
+        not report.second_vacuous
+        and (report.min_df_norm is None or report.min_df_norm <= 0.0)
+    )
+    result = report.to_dict()
+    result["pass"] = not failed
+    lines = [
+        f"mesh {report.mesh} at epsilon {report.epsilon!r}, eta {report.eta!r}",
+        "min ||d theta|level|| on {|f| >= eta}: "
+        + _vacuous_or(report.first_vacuous, report.min_dtheta_norm)
+        + f" ({report.outside_count} points)",
+        "min ||d f|level|| on {|f| <= eta}: "
+        + _vacuous_or(report.second_vacuous, report.min_df_norm)
+        + f" ({report.inside_count} points)",
+        f"open-book transversality certified on the mesh: {not failed}",
+    ]
+    return result, lines
+
+
+# Subcheck -> (handler, whether it needs --f).  A handler returns its result,
+# whose "pass" flag sets the exit code, and its text lines.
+_CONTACT_SUBCHECKS = {
+    "spsh": (_contact_spsh, False),
+    "reeb": (_contact_reeb, False),
+    "identity": (_contact_identity, True),
+    "adapt": (_contact_adapt, True),
+    "cone": (_contact_cone, True),
+    "criterion": (_contact_criterion, True),
+}
+
+
+def _cmd_contact(args):
+    variety, n_vars = _build_variety(args)
+    config = {
         "subcheck": args.subcheck,
         "variety": repr(variety),
         "coordinates": n_vars,
@@ -276,174 +423,14 @@ def _contact_config(args, variety, n_vars):
         "mesh": args.mesh,
         "seed": args.seed,
     }
-
-
-def _cmd_contact(args):
-    variety, n_vars = _build_variety(args)
-    config = _contact_config(args, variety, n_vars)
-    sub = args.subcheck
-
-    if sub == "spsh":
-        samples = sample_points(variety, args.epsilon, args.samples, args.seed)
-        minimum = check_spsh(variety, samples, trials=SPSH_TRIALS, seed=args.seed)
-        passed = minimum > 0.0
-        result = {
-            "min_levi_quotient": minimum,
-            "samples": len(samples),
-            "trials": SPSH_TRIALS,
-            "pass": passed,
-        }
-        lines = [
-            f"min Levi quotient over {len(samples)} samples x {SPSH_TRIALS} "
-            f"directions: {minimum!r}",
-            f"strictly plurisubharmonic on the sample set: {passed}",
-        ]
-        return config, result, lines, EXIT_OK if passed else EXIT_FINDING
-
-    if sub == "reeb":
-        samples = sample_points(variety, args.epsilon, args.samples, args.seed)
-        alpha_tol = (
-            ALPHA_TOL_HYPERSURFACE
-            if isinstance(variety, Hypersurface)
-            else ALPHA_TOL_CHART
-        )
-        max_alpha = 0.0
-        max_omega = 0.0
-        for p in samples:
-            forms = eval_forms(variety, p)
-            reeb_real = np.concatenate([forms.reeb.real, forms.reeb.imag])
-            max_alpha = max(max_alpha, abs(float(forms.alpha @ reeb_real) - 1.0))
-            level = level_tangent_basis(variety, p)
-            pairings = np.abs(reeb_real @ forms.omega @ level)
-            max_omega = max(max_omega, float(pairings.max()))
-        passed = max_alpha <= alpha_tol and max_omega <= OMEGA_TOL
-        result = {
-            "max_alpha_deviation": max_alpha,
-            "alpha_tolerance": alpha_tol,
-            "max_omega_pairing": max_omega,
-            "omega_tolerance": OMEGA_TOL,
-            "samples": len(samples),
-            "pass": passed,
-        }
-        lines = [
-            f"max |alpha(R) - 1| over {len(samples)} samples: {max_alpha!r} "
-            f"(tolerance {alpha_tol!r})",
-            f"max |omega(R, v)| over level-tangent directions: {max_omega!r} "
-            f"(tolerance {OMEGA_TOL!r})",
-            f"Reeb contract satisfied: {passed}",
-        ]
-        return config, result, lines, EXIT_OK if passed else EXIT_FINDING
-
-    if sub == "identity":
-        f = _require_f(args, n_vars)
-        samples = sample_points(variety, args.epsilon, args.samples, args.seed)
-        residuals = []
-        skipped = 0
-        for p in samples:
-            try:
-                residuals.append(rescaled_reeb_identity(variety, f, args.c, p))
-            except OnBinding:
-                skipped += 1
-        if not residuals:
-            raise NumericalFinding("every sample landed on the binding")
-        tolerance = IDENTITY_TOL_UNSCALED if args.c == 0.0 else IDENTITY_TOL
-        worst = max(residuals)
-        passed = worst <= tolerance
-        result = {
-            "max_residual": worst,
-            "tolerance": tolerance,
-            "evaluated": len(residuals),
-            "skipped_on_binding": skipped,
-            "pass": passed,
-        }
-        lines = [
-            f"max rescaled-Reeb identity residual over {len(residuals)} "
-            f"samples (c={args.c!r}): {worst!r} (tolerance {tolerance!r})",
-            f"identity satisfied: {passed}",
-        ]
-        return config, result, lines, EXIT_OK if passed else EXIT_FINDING
-
-    if sub == "adapt":
-        f = _require_f(args, n_vars)
-        report = find_adaptation_constant(
-            variety, f, args.epsilon, args.eta, args.mesh, args.seed
-        )
-        result = report.to_dict()
-        result["pass"] = report.verified
-        lines = [
-            f"adaptation constant c = {report.c!r} (m = {report.m!r}, "
-            f"k = {report.k!r})",
-            f"retained {report.retained} of {report.mesh} mesh points "
-            f"(eta = {report.eta!r})",
-            f"min d theta(R) = {report.min_dtheta_reeb!r}",
-            f"min d theta(R_c) = {report.min_dtheta_rescaled!r}",
-            f"verified d theta(R_c) > 0 everywhere: {report.verified}",
-        ]
-        return config, result, lines, EXIT_OK if report.verified else EXIT_FINDING
-
-    if sub == "cone":
-        f = _require_f(args, n_vars)
-        samples = sample_points(variety, args.epsilon, args.samples, args.seed)
-        report = lambda_cone_check(
-            variety, f, samples, proportionality_tol=CONE_PROPORTIONALITY_TOL
-        )
-        failed = report.all_positive is False
-        result = report.to_dict()
-        result["pass"] = not failed
-        lines = [
-            f"qualifying samples: {report.qualifying} of {report.total} "
-            f"(proportionality tolerance {report.proportionality_tol!r}, "
-            f"{report.skipped_on_binding} skipped on the binding)",
-        ]
-        if report.qualifying:
-            lines.append(f"min Re lambda = {report.min_re_lambda!r}")
-            lines.append(f"max |arg lambda| = {report.max_abs_arg_lambda!r}")
-            lines.append(f"all qualifying lambda in the right half plane: "
-                         f"{report.all_positive}")
-        else:
-            lines.append(report.note)
-        return config, result, lines, EXIT_FINDING if failed else EXIT_OK
-
-    if sub == "criterion":
-        f = _require_f(args, n_vars)
-        report = openbook_criterion_check(
-            variety, f, args.epsilon, args.eta, args.mesh, args.seed
-        )
-        failed = (
-            not report.first_vacuous
-            and (report.min_dtheta_norm is None or report.min_dtheta_norm <= 0.0)
-        ) or (
-            not report.second_vacuous
-            and (report.min_df_norm is None or report.min_df_norm <= 0.0)
-        )
-        result = report.to_dict()
-        result["pass"] = not failed
-        lines = [
-            f"mesh {report.mesh} at epsilon {report.epsilon!r}, "
-            f"eta {report.eta!r}",
-            (
-                "min ||d theta|level|| on {|f| >= eta}: "
-                + (
-                    "vacuous (no mesh points)"
-                    if report.first_vacuous
-                    else repr(report.min_dtheta_norm)
-                )
-                + f" ({report.outside_count} points)"
-            ),
-            (
-                "min ||d f|level|| on {|f| <= eta}: "
-                + (
-                    "vacuous (no mesh points)"
-                    if report.second_vacuous
-                    else repr(report.min_df_norm)
-                )
-                + f" ({report.inside_count} points)"
-            ),
-            f"open-book transversality certified on the mesh: {not failed}",
-        ]
-        return config, result, lines, EXIT_FINDING if failed else EXIT_OK
-
-    raise InputError(f"unknown contact subcheck {sub!r}")
+    handler, needs_f = _CONTACT_SUBCHECKS[args.subcheck]
+    f = None
+    if needs_f:  # read before the handler samples
+        if args.f is None:
+            raise InputError(f"contact {args.subcheck} requires --f")
+        f = parse_polynomial(args.f, n_vars)
+    result, lines = handler(args, variety, f)
+    return config, result, lines, EXIT_OK if result["pass"] else EXIT_FINDING
 
 
 _HANDLERS = {
@@ -474,9 +461,14 @@ def _emit(command, config, result, lines, fmt, stream):
             stream.write(line + "\n")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first :func:`main` call and reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config, result, lines, code = _HANDLERS[args.command](args)
     except InputError as exc:

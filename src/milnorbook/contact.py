@@ -27,12 +27,18 @@ an adaptation constant ``c`` making ``d theta(R_c) > 0`` on a mesh; the
 near-proportionality cone condition for ``lambda`` with ``grad theta =
 i lambda grad rho``; and the two open-book transversality minima for the
 argument map of a holomorphic function ``f``.
+
+Every check reads one record per point, built in stages that are each
+computed once: tangent (``H``, ``d rho``, the condition of ``H`` from the
+singular values of ``A_T``), Reeb (``grad rho``, ``R``) and, for ``theta =
+arg f``, theta (``f(p)``, ``df``, ``grad theta``, ``pr_xi grad theta``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +58,7 @@ __all__ = [
     "FormsAtPoint",
     "eval_forms",
     "level_tangent_basis",
+    "reeb_contract_deviations",
     "fd_omega_deviation",
     "check_spsh",
     "holomorphic_gradient",
@@ -115,19 +122,40 @@ class FormsAtPoint:
         return self.hermitian_h.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class _PointData:
-    """Shared pointwise intermediates for the operations below."""
+class _PointData(NamedTuple):
+    """Tangent stage: ``H``, the d(rho) row ``ell`` and ``cond(H)``, which is the
+    squared condition of ``A_T`` (infinite when ``A_T`` has fewer rows)."""
 
-    a_t: np.ndarray
     hermitian: np.ndarray
-    values: np.ndarray
     ell: np.ndarray
     ell_scale: float
+    condition: float
+
+
+class _ReebData(NamedTuple):
+    """Reeb stage: ``grad rho``, its squared h-norm and ``R``."""
+
+    tangent: _PointData
+    gradient: np.ndarray
+    norm_sq: float
+    reeb: np.ndarray
+
+
+class _ThetaData(NamedTuple):
+    """Theta stage; ``norm_sq`` and ``transverse_sq`` are squared h-norms."""
+
+    rho: _ReebData
+    value: complex
+    row: np.ndarray
+    grad_theta: np.ndarray
+    projected: np.ndarray
+    dtheta_reeb: float
+    norm_sq: float
+    transverse_sq: float
 
 
 def _tangent_data(v, p: PointSample) -> _PointData:
-    """Common pointwise data: ``A_T``, ``H``, component values, d(rho) row.
+    """Tangent stage of the point record, from one SVD of ``A_T``.
 
     Raises :class:`DegenerateTangent` when ``A_T`` loses rank, i.e. the
     component map fails to be an immersion at the point.
@@ -146,7 +174,9 @@ def _tangent_data(v, p: PointSample) -> _PointData:
     # and alpha(w) = Im(ell . w); it equals h(grad rho, .).
     ell = 2.0 * (values.conj() @ a_t)
     ell_scale = 2.0 * float(np.linalg.norm(values)) * float(singular[0])
-    return _PointData(a_t, hermitian, values, ell, ell_scale)
+    wide = a_t.shape[0] < a_t.shape[1]
+    condition = math.inf if wide else float(singular[0] / singular[-1]) ** 2
+    return _PointData(hermitian, ell, ell_scale, condition)
 
 
 def _re_covector(ell: np.ndarray) -> np.ndarray:
@@ -168,22 +198,52 @@ def _real_blocks(hermitian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return metric, omega
 
 
-def _solve_hermitian(hermitian: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    if np.linalg.cond(hermitian) > _CONDITION_CEILING:
+def _solve_hermitian(data: _PointData, rhs: np.ndarray) -> np.ndarray:
+    if data.condition > _CONDITION_CEILING:
         raise SingularMetric(
             "the hermitian form is numerically singular at this point"
         )
-    return np.linalg.solve(hermitian, rhs)
+    return np.linalg.solve(data.hermitian, rhs)
 
 
-def _grad_rho(data: _PointData) -> tuple[np.ndarray, float]:
+def _reeb_data(data: _PointData) -> _ReebData:
+    """Reeb stage; raises :class:`ZeroGradient` or :class:`SingularMetric`."""
     if np.linalg.norm(data.ell) <= _ZERO_TOLERANCE * max(data.ell_scale, 1e-300):
         raise ZeroGradient("the potential has vanishing gradient at this point")
-    gradient = _solve_hermitian(data.hermitian, data.ell.conj())
+    gradient = _solve_hermitian(data, data.ell.conj())
     norm_sq = float(np.real(data.ell @ gradient))
     if not (norm_sq > 0.0):
         raise ZeroGradient("the potential has vanishing gradient at this point")
-    return gradient, norm_sq
+    return _ReebData(data, gradient, norm_sq, 1j * gradient / norm_sq)
+
+
+def _theta_data(
+    data: _PointData, f: Polynomial, f_gradient, p: PointSample, value: complex
+) -> _ThetaData:
+    """Reeb and theta stages at a point where ``f(p) = value`` is not zero."""
+    rho = _reeb_data(data)
+    hermitian = data.hermitian
+    row = _function_row(f, f_gradient, p.point, p.tangent_basis)
+    grad_theta = theta_gradient(hermitian, row, value)
+    projected = _project_away_gradient(grad_theta, rho)
+    return _ThetaData(
+        rho, value, row, grad_theta, projected,
+        dtheta_reeb=theta_differential(row, value, rho.reeb),
+        norm_sq=_h_norm_sq(hermitian, grad_theta),
+        transverse_sq=_h_norm_sq(hermitian, projected),
+    )
+
+
+def _on_binding(f: Polynomial, value: complex, p: PointSample) -> bool:
+    """Whether ``f(p) = value`` is numerically zero on the level of ``p``."""
+    scale_f = max(f.magnitude_bound(math.sqrt(p.rho_value)), 1e-300)
+    return abs(value) <= _ZERO_TOLERANCE * scale_f
+
+
+def _level_basis(data: _PointData) -> np.ndarray:
+    """Euclidean-orthonormal real basis of ``ker d(rho)``, ``2m x (2m-1)``."""
+    _, _, vh = np.linalg.svd(_re_covector(data.ell).reshape(1, -1))
+    return vh[1:].T
 
 
 def eval_forms(v, p: PointSample) -> FormsAtPoint:
@@ -196,16 +256,15 @@ def eval_forms(v, p: PointSample) -> FormsAtPoint:
     """
     data = _tangent_data(v, p)
     metric, omega = _real_blocks(data.hermitian)
-    gradient, norm_sq = _grad_rho(data)
-    reeb = 1j * gradient / norm_sq
+    rho = _reeb_data(data)
     return FormsAtPoint(
         alpha=_im_covector(data.ell),
         omega=omega,
         metric_g=metric,
         hermitian_h=data.hermitian,
-        grad_rho=gradient,
-        reeb=reeb,
-        grad_rho_norm_sq=norm_sq,
+        grad_rho=rho.gradient,
+        reeb=rho.reeb,
+        grad_rho_norm_sq=rho.norm_sq,
     )
 
 
@@ -220,12 +279,28 @@ def level_tangent_basis(v, p: PointSample) -> np.ndarray:
     set inside the variety's tangent space (dimension ``2m - 1``).
     """
     data = _tangent_data(v, p)
-    row = _re_covector(data.ell).reshape(1, -1)
-    norm = np.linalg.norm(row)
-    if norm == 0.0:
+    if np.linalg.norm(data.ell) == 0.0:
         raise ZeroGradient("the potential has vanishing gradient at this point")
-    _, _, vh = np.linalg.svd(row)
-    return vh[1:].T
+    return _level_basis(data)
+
+
+def reeb_contract_deviations(v, samples: list[PointSample]) -> tuple[float, float]:
+    """Worst deviations from the Reeb contract over ``samples``.
+
+    Returns ``max |alpha(R) - 1|`` and the largest ``|omega(R, w)|`` over
+    the euclidean-orthonormal level-tangent basis vectors ``w``; both are
+    zero for the exact Reeb field.  Raises as :func:`eval_forms` does.
+    """
+    max_alpha = 0.0
+    max_omega = 0.0
+    for p in samples:
+        data = _tangent_data(v, p)
+        _, omega = _real_blocks(data.hermitian)
+        reeb_real = _real_coords(_reeb_data(data).reeb)
+        max_alpha = max(max_alpha, abs(float(_im_covector(data.ell) @ reeb_real) - 1.0))
+        pairings = np.abs(reeb_real @ omega @ _level_basis(data))
+        max_omega = max(max_omega, float(pairings.max()))
+    return max_alpha, max_omega
 
 
 def _alpha_at(v, point: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -306,9 +381,8 @@ def holomorphic_gradient(v, p: PointSample, phi: Polynomial) -> np.ndarray:
     Raises :class:`SingularMetric` when the hermitian form cannot be
     inverted at the point.
     """
-    hermitian = _tangent_data(v, p).hermitian
     row = _function_row(phi, phi.gradient(), p.point, p.tangent_basis)
-    return _solve_hermitian(hermitian, row.conj())
+    return _solve_hermitian(_tangent_data(v, p), row.conj())
 
 
 def gradient_identity_residuals(
@@ -322,13 +396,13 @@ def gradient_identity_residuals(
     the closed forms ``2 phi grad(phi)`` and ``i grad(phi) / conj(phi)``.
     Requires ``phi(p) != 0``; raises :class:`OnBinding` otherwise.
     """
-    hermitian = _tangent_data(v, p).hermitian
+    data = _tangent_data(v, p)
     value = phi.evaluate(p.point)
-    scale_f = max(phi.magnitude_bound(math.sqrt(p.rho_value)), 1e-300)
-    if abs(value) <= _ZERO_TOLERANCE * scale_f:
+    if _on_binding(phi, value, p):
         raise OnBinding("the function vanishes at this point")
-    gradient = holomorphic_gradient(v, p, phi)
-    m = hermitian.shape[0]
+    row = _function_row(phi, phi.gradient(), p.point, p.tangent_basis)
+    gradient = _solve_hermitian(data, row.conj())
+    m = data.hermitian.shape[0]
     ambient = np.concatenate([p.tangent_basis, 1j * p.tangent_basis], axis=1)
     step = step_scale * float(np.linalg.norm(p.point))
 
@@ -346,7 +420,7 @@ def gradient_identity_residuals(
     def gradient_from_real_covector(row: np.ndarray) -> np.ndarray:
         # Invert r = [Re L, -Im L] and solve h(grad, .) = L.
         functional = row[:m] - 1j * row[m:]
-        return _solve_hermitian(hermitian, functional.conj())
+        return _solve_hermitian(data, functional.conj())
 
     fd_abs_sq = gradient_from_real_covector(abs_sq_row)
     fd_arg = gradient_from_real_covector(arg_row)
@@ -371,11 +445,9 @@ def reeb_field(v, p: PointSample) -> np.ndarray:
     return eval_forms(v, p).reeb
 
 
-def _project_away_gradient(
-    w: np.ndarray, hermitian: np.ndarray, gradient: np.ndarray, norm_sq: float
-) -> np.ndarray:
-    coefficient = (gradient.conj() @ hermitian @ w) / norm_sq
-    return w - coefficient * gradient
+def _project_away_gradient(w: np.ndarray, rho: _ReebData) -> np.ndarray:
+    coefficient = (rho.gradient.conj() @ rho.tangent.hermitian @ w) / rho.norm_sq
+    return w - coefficient * rho.gradient
 
 
 def xi_projection(v, p: PointSample, w: np.ndarray) -> np.ndarray:
@@ -386,11 +458,8 @@ def xi_projection(v, p: PointSample, w: np.ndarray) -> np.ndarray:
     times it project to zero.  Raises :class:`ZeroGradient` when the
     potential gradient vanishes.
     """
-    data = _tangent_data(v, p)
-    gradient, norm_sq = _grad_rho(data)
-    return _project_away_gradient(
-        np.asarray(w, dtype=complex), data.hermitian, gradient, norm_sq
-    )
+    rho = _reeb_data(_tangent_data(v, p))
+    return _project_away_gradient(np.asarray(w, dtype=complex), rho)
 
 
 def theta_differential(f_row: np.ndarray, f_value: complex, w: np.ndarray) -> float:
@@ -401,8 +470,8 @@ def theta_differential(f_row: np.ndarray, f_value: complex, w: np.ndarray) -> fl
 def theta_gradient(
     hermitian: np.ndarray, f_row: np.ndarray, f_value: complex
 ) -> np.ndarray:
-    """``grad theta = i grad(f) / conj(f)`` for ``theta = arg f``."""
-    grad_f = _solve_hermitian(hermitian, f_row.conj())
+    """``grad theta = i grad(f) / conj(f)``; ``H`` is taken as well conditioned."""
+    grad_f = np.linalg.solve(hermitian, f_row.conj())
     return 1j * grad_f / np.conj(f_value)
 
 
@@ -422,26 +491,15 @@ def rescaled_reeb_identity(
     ``f(p)`` is numerically zero.
     """
     data = _tangent_data(v, p)
-    hermitian = data.hermitian
     value = f.evaluate(p.point)
-    scale_f = max(f.magnitude_bound(math.sqrt(p.rho_value)), 1e-300)
-    if abs(value) <= _ZERO_TOLERANCE * scale_f:
+    if _on_binding(f, value, p):
         raise OnBinding("the function vanishes at this point")
-    gradient, norm_sq = _grad_rho(data)
-    reeb = 1j * gradient / norm_sq
-    row = _function_row(f, f.gradient(), p.point, p.tangent_basis)
-    grad_theta = theta_gradient(hermitian, row, value)
+    theta = _theta_data(data, f, f.gradient(), p, value)
     weight = float(c) * float(abs(value) ** 2)
-    correction = _project_away_gradient(
-        2.0 * weight * grad_theta, hermitian, gradient, norm_sq
-    )
-    rescaled = math.exp(weight) * (reeb + correction)
-    lhs = theta_differential(row, value, rescaled)
-    projected = _project_away_gradient(grad_theta, hermitian, gradient, norm_sq)
-    rhs = math.exp(weight) * (
-        theta_differential(row, value, reeb)
-        + 2.0 * weight * _h_norm_sq(hermitian, projected)
-    )
+    correction = _project_away_gradient(2.0 * weight * theta.grad_theta, theta.rho)
+    rescaled = math.exp(weight) * (theta.rho.reeb + correction)
+    lhs = theta_differential(theta.row, value, rescaled)
+    rhs = math.exp(weight) * (theta.dtheta_reeb + 2.0 * weight * theta.transverse_sq)
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
@@ -512,36 +570,23 @@ def find_adaptation_constant(
         )
     f_gradient = f.gradient()
 
-    retained: list[tuple[PointSample, complex, float]] = []
+    # d theta(pr_xi(2 grad theta)) does not depend on c, so each retained
+    # point keeps scalars only and the records are dropped as they go.
+    retained = []
     for p, value, size_sq in zip(samples, values, sizes_sq):
         if size_sq >= eta:
-            retained.append((p, complex(value), float(size_sq)))
-
-    dtheta_reeb = np.empty(len(retained))
-    transverse_sq = np.empty(len(retained))
-    point_data = []
-    for index, (p, value, size_sq) in enumerate(retained):
-        data = _tangent_data(v, p)
-        hermitian = data.hermitian
-        gradient, norm_sq = _grad_rho(data)
-        reeb = 1j * gradient / norm_sq
-        row = _function_row(f, f_gradient, p.point, p.tangent_basis)
-        grad_theta = theta_gradient(hermitian, row, value)
-        projected = _project_away_gradient(grad_theta, hermitian, gradient, norm_sq)
-        dtheta_reeb[index] = theta_differential(row, value, reeb)
-        transverse_sq[index] = _h_norm_sq(hermitian, projected)
-        point_data.append((hermitian, gradient, norm_sq, reeb, row, value, size_sq))
+            theta = _theta_data(_tangent_data(v, p), f, f_gradient, p, complex(value))
+            retained.append((
+                theta.dtheta_reeb, theta.transverse_sq, theta.norm_sq,
+                theta_differential(theta.row, theta.value, 2.0 * theta.projected),
+            ))
+    dtheta_reeb, transverse_sq, theta_norms_sq, transverse_terms = np.array(retained).T
+    retained_sizes_sq = sizes_sq[sizes_sq >= eta]
 
     min_dtheta = float(np.min(dtheta_reeb))
     m = max(0.0, -min_dtheta)
     stalled = dtheta_reeb <= 0.0
     if np.any(stalled):
-        theta_norms_sq = np.array(
-            [
-                _h_norm_sq(data[0], theta_gradient(data[0], data[4], data[5]))
-                for data in point_data
-            ]
-        )
         ratios = np.sqrt(
             transverse_sq[stalled] / np.maximum(theta_norms_sq[stalled], 1e-300)
         )
@@ -551,26 +596,19 @@ def find_adaptation_constant(
                 "component of grad theta; no rescaling can fix it at this "
                 "level value"
             )
-        stalled_sizes = np.array(
-            [point_data[i][6] for i in np.flatnonzero(stalled)]
-        )
-        k = float(np.min(stalled_sizes * transverse_sq[stalled]))
+        k = float(np.min(retained_sizes_sq[stalled] * transverse_sq[stalled]))
     else:
         k = math.inf
     c = 0.0 if m == 0.0 else m / k
 
     min_rescaled = math.inf
-    for (hermitian, gradient, norm_sq, reeb, row, value, size_sq) in point_data:
+    for base, transverse_term, size_sq in zip(
+        dtheta_reeb.tolist(), transverse_terms.tolist(), retained_sizes_sq.tolist()
+    ):
         weight = c * size_sq
-        grad_theta = theta_gradient(hermitian, row, value)
-        correction = _project_away_gradient(
-            2.0 * grad_theta, hermitian, gradient, norm_sq
-        )
         # d theta of the rescaled field, with the positive factor exp(weight)
         # pulled out so an aggressive constant cannot overflow: the factor
         # never changes the sign being verified.
-        transverse_term = theta_differential(row, value, correction)
-        base = theta_differential(row, value, reeb)
         if transverse_term > 0.0:
             base += weight * transverse_term
         if weight > _EXP_CAP:
@@ -641,25 +679,22 @@ def lambda_cone_check(
     max_arg: float | None = None
     for p in samples:
         value = f.evaluate(p.point)
-        scale_f = max(f.magnitude_bound(math.sqrt(p.rho_value)), 1e-300)
-        if abs(value) <= _ZERO_TOLERANCE * scale_f:
+        if _on_binding(f, value, p):
             skipped += 1
             continue
-        data = _tangent_data(v, p)
-        hermitian = data.hermitian
-        gradient, norm_sq = _grad_rho(data)
-        row = _function_row(f, f_gradient, p.point, p.tangent_basis)
-        grad_theta = theta_gradient(hermitian, row, value)
-        theta_norm = math.sqrt(max(_h_norm_sq(hermitian, grad_theta), 0.0))
+        theta = _theta_data(_tangent_data(v, p), f, f_gradient, p, value)
+        theta_norm = math.sqrt(max(theta.norm_sq, 0.0))
         if theta_norm == 0.0:
             skipped += 1
             continue
-        projected = _project_away_gradient(grad_theta, hermitian, gradient, norm_sq)
-        transverse = math.sqrt(max(_h_norm_sq(hermitian, projected), 0.0))
+        transverse = math.sqrt(max(theta.transverse_sq, 0.0))
         if transverse / theta_norm > proportionality_tol:
             continue
         qualifying += 1
-        lam = complex(grad_theta.conj() @ hermitian @ (1j * gradient)) / norm_sq
+        rho = theta.rho
+        lam = complex(
+            theta.grad_theta.conj() @ rho.tangent.hermitian @ (1j * rho.gradient)
+        ) / rho.norm_sq
         re_lambda = lam.real
         arg_lambda = abs(float(np.angle(lam)))
         min_re = re_lambda if min_re is None else min(min_re, re_lambda)
@@ -728,9 +763,9 @@ def openbook_criterion_check(
     if mesh < 1:
         raise InvalidMesh(f"mesh size must be positive, got {mesh}")
     samples = sample_points(v, epsilon, mesh, seed, config=config)
+    values = [f.evaluate(p.point) for p in samples]
     if eta is None:
-        sizes_sq = [abs(f.evaluate(p.point)) ** 2 for p in samples]
-        eta = DEFAULT_ETA_FRACTION * max(sizes_sq)
+        eta = DEFAULT_ETA_FRACTION * max(abs(value) ** 2 for value in values)
     if not (eta > 0.0):
         raise InputError(f"eta must be positive, got {eta!r}")
     f_gradient = f.gradient()
@@ -738,18 +773,13 @@ def openbook_criterion_check(
     min_df: float | None = None
     outside = 0
     inside = 0
-    for p in samples:
-        value = f.evaluate(p.point)
+    for p, value in zip(samples, values):
         size = abs(value)
-        data = _tangent_data(v, p)
-        row_rho = _re_covector(data.ell).reshape(1, -1)
-        _, _, vh = np.linalg.svd(row_rho)
-        level_basis = vh[1:].T  # 2m x (2m-1), euclidean-orthonormal
+        level_basis = _level_basis(_tangent_data(v, p))
         row_f = _function_row(f, f_gradient, p.point, p.tangent_basis)
         if size >= eta:
             outside += 1
-            scale_f = max(f.magnitude_bound(math.sqrt(p.rho_value)), 1e-300)
-            if size <= _ZERO_TOLERANCE * scale_f:
+            if _on_binding(f, value, p):
                 min_dtheta = 0.0
             else:
                 theta_row = _im_covector(row_f / value)

@@ -15,10 +15,11 @@ evaluated in :mod:`milnorbook.contact`:
   coordinates themselves (so ``rho`` is the squared ambient norm) and the
   tangent space at a point is the kernel of ``dh``.
 
-:func:`sample_points` draws random ambient directions and solves for points
-on the level set: a one-dimensional radial root-find for charts, and a
-damped Gauss–Newton iteration on ``(Re h, Im h, rho - epsilon)`` for
-hypersurfaces.  Sampling is bitwise deterministic for a fixed seed.
+:func:`sample_points` runs one accept loop over random ambient directions;
+the model's step solves each draw onto the level set or rejects it, by a
+one-dimensional radial root-find for charts and a damped Gauss–Newton
+iteration on ``(Re h, Im h, rho - epsilon)`` for hypersurfaces.  Sampling
+is bitwise deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -268,45 +269,26 @@ def _solve_radial(profile: np.ndarray, epsilon: float, config: SamplerConfig):
     return t
 
 
-def _sample_chart(
-    chart: SmoothChart,
-    epsilon: float,
-    count: int,
-    rng: np.random.Generator,
-    config: SamplerConfig,
-) -> list[PointSample]:
-    accepted: list[PointSample] = []
-    attempts = 0
-    budget = max(_ATTEMPTS_PER_SAMPLE * count, 50)
-    while len(accepted) < count and attempts < budget:
-        attempts += 1
-        raw = rng.standard_normal(chart.dim) + 1j * rng.standard_normal(chart.dim)
-        norm = np.linalg.norm(raw)
-        if norm == 0.0:
-            continue
+def _chart_solver(chart: SmoothChart, epsilon: float, config: SamplerConfig):
+    """Per-draw step for charts: the radial root along the drawn direction."""
+
+    def solve(raw: np.ndarray, norm: float) -> PointSample | None:
         direction = raw / norm
         profile = _radial_profile(chart, direction)
         t = _solve_radial(profile, epsilon, config)
         if t is None:
-            continue
+            return None
         point = t * direction
         rho_value = chart.rho(point)
         if abs(rho_value - epsilon) > config.level_tolerance * epsilon:
-            continue
-        accepted.append(
-            PointSample(
-                point=point,
-                tangent_basis=chart.tangent_basis(point),
-                rho_value=rho_value,
-            )
+            return None
+        return PointSample(
+            point=point,
+            tangent_basis=chart.tangent_basis(point),
+            rho_value=rho_value,
         )
-    if len(accepted) < count:
-        raise SamplingFailed(
-            f"only {len(accepted)} of {count} requested samples converged "
-            f"after {attempts} draws (rate below "
-            f"{1 / _ATTEMPTS_PER_SAMPLE:.0%})"
-        )
-    return accepted
+
+    return solve
 
 
 def _real_system(
@@ -339,25 +321,13 @@ def _scaled_residual(residual: np.ndarray, epsilon: float, h_scale: float) -> fl
     return max(h_size / h_scale, abs(residual[2]) / epsilon)
 
 
-def _sample_hypersurface(
-    surface: Hypersurface,
-    epsilon: float,
-    count: int,
-    rng: np.random.Generator,
-    config: SamplerConfig,
-) -> list[PointSample]:
+def _hypersurface_solver(surface: Hypersurface, epsilon: float, config: SamplerConfig):
+    """Per-draw step for hypersurfaces: damped Gauss–Newton from the draw."""
     n = surface.ambient_dim
     h_scale = surface.defining_scale(epsilon)
     gradient_floor = 1e-8 * h_scale / math.sqrt(epsilon)
-    accepted: list[PointSample] = []
-    attempts = 0
-    budget = max(_ATTEMPTS_PER_SAMPLE * count, 50)
-    while len(accepted) < count and attempts < budget:
-        attempts += 1
-        raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        norm = np.linalg.norm(raw)
-        if norm == 0.0:
-            continue
+
+    def solve(raw: np.ndarray, norm: float) -> PointSample | None:
         z = math.sqrt(epsilon) * raw / norm
         best_z = None
         best_scaled = math.inf
@@ -385,31 +355,24 @@ def _sample_hypersurface(
             if not moved:
                 break
         if best_z is None:
-            continue
+            return None
         z = best_z
         residual, _ = _real_system(surface, epsilon, z)
         h_size = math.hypot(residual[0], residual[1])
         if h_size > config.residual_tolerance * h_scale:
-            continue
+            return None
         if abs(residual[2]) > config.level_tolerance * epsilon:
-            continue
+            return None
         gradient = surface.defining_gradient(z)
         if np.linalg.norm(gradient) < gradient_floor:
-            continue
-        accepted.append(
-            PointSample(
-                point=z,
-                tangent_basis=surface.tangent_basis(z),
-                rho_value=float(np.sum(np.abs(z) ** 2)),
-            )
+            return None
+        return PointSample(
+            point=z,
+            tangent_basis=surface.tangent_basis(z),
+            rho_value=float(np.sum(np.abs(z) ** 2)),
         )
-    if len(accepted) < count:
-        raise SamplingFailed(
-            f"only {len(accepted)} of {count} requested samples converged "
-            f"after {attempts} draws (rate below "
-            f"{1 / _ATTEMPTS_PER_SAMPLE:.0%})"
-        )
-    return accepted
+
+    return solve
 
 
 def sample_points(
@@ -435,9 +398,30 @@ def sample_points(
         raise SamplingFailed(f"level value must be positive, got {epsilon!r}")
     if count < 1:
         raise InputError("sample count must be at least 1")
-    rng = np.random.default_rng(seed)
     if isinstance(v, SmoothChart):
-        return _sample_chart(v, epsilon, count, rng, config)
-    if isinstance(v, Hypersurface):
-        return _sample_hypersurface(v, epsilon, count, rng, config)
-    raise InputError(f"unsupported variety model: {type(v).__name__}")
+        solve = _chart_solver(v, epsilon, config)
+    elif isinstance(v, Hypersurface):
+        solve = _hypersurface_solver(v, epsilon, config)
+    else:
+        raise InputError(f"unsupported variety model: {type(v).__name__}")
+    n = v.ambient_dim
+    rng = np.random.default_rng(seed)
+    accepted: list[PointSample] = []
+    attempts = 0
+    budget = max(_ATTEMPTS_PER_SAMPLE * count, 50)
+    while len(accepted) < count and attempts < budget:
+        attempts += 1
+        raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        norm = np.linalg.norm(raw)
+        if norm == 0.0:
+            continue
+        sample = solve(raw, norm)
+        if sample is not None:
+            accepted.append(sample)
+    if len(accepted) < count:
+        raise SamplingFailed(
+            f"only {len(accepted)} of {count} requested samples converged "
+            f"after {attempts} draws (rate below "
+            f"{1 / _ATTEMPTS_PER_SAMPLE:.0%})"
+        )
+    return accepted

@@ -64,6 +64,23 @@ class TestExitCodes:
             cli.main(["no-such-command"])
         assert info.value.code == 1
 
+    def test_parser_is_built_once(self, capsys, a3_file, monkeypatch):
+        build_parser = cli.build_parser
+        built = []
+
+        def counting_build_parser():
+            built.append(True)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        try:
+            assert run(capsys, "check", a3_file)[0] == 0
+            assert run(capsys, "check", a3_file)[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
     def test_internal_invariant_exits_three(self, capsys, a3_file, monkeypatch):
         def explode(args):
             raise InternalInvariantError("forced for the test")
@@ -289,11 +306,22 @@ class TestReports:
 
 
 class TestDeterminism:
-    def test_structured_reports_are_byte_identical(self, capsys):
-        argv = [
-            "contact", "spsh", "--ambient", "2", "--samples", "50",
-            "--seed", "3", "--format", "structured",
-        ]
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spsh", "--ambient", "2", "--samples", "50"],
+            ["reeb", "--hypersurface", "z0^2 + z1^3 + z2^5", "--samples", "50"],
+            ["identity", "--ambient", "2", "--f", "z0^2 + z1^3", "--c", "10",
+             "--samples", "50"],
+            # d theta(R) < 0 at some points, so c > 0 and the search runs.
+            ["adapt", "--ambient", "2", "--f", "z0 + 1000*z1^3", "--mesh", "200"],
+            ["cone", "--ambient", "1", "--f", "z0", "--samples", "100"],
+            ["criterion", "--ambient", "2", "--f", "z0^2 + z1^3", "--mesh", "200"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_structured_reports_are_byte_identical(self, capsys, args):
+        argv = ["contact", *args, "--seed", "3", "--format", "structured"]
         code_a, out_a, _ = run(capsys, *argv)
         code_b, out_b, _ = run(capsys, *argv)
         assert code_a == code_b == 0

@@ -18,6 +18,7 @@ from milnorbook import (
     level_tangent_basis,
     openbook_criterion_check,
     parse_polynomial,
+    reeb_contract_deviations,
     reeb_field,
     rescaled_reeb_identity,
     sample_points,
@@ -87,6 +88,11 @@ class TestHandChecks:
         assert check_spsh(PLANE, samples, trials=20, seed=0) == pytest.approx(
             4.0, abs=1e-12
         )
+
+    def test_reeb_contract_deviations_vanish(self):
+        max_alpha, max_omega = reeb_contract_deviations(LINE, [sample_at([1.0])])
+        assert max_alpha < 1e-15
+        assert max_omega < 1e-15
 
     def test_rotation_speed_of_coordinate_argument(self):
         # theta = arg(z0) rotates at 1/(2 rho) along the Reeb flow.
@@ -191,16 +197,34 @@ class TestFindings:
         with pytest.raises(ZeroGradient):
             eval_forms(chart, sample_at([1.0]))
 
-    def test_singular_metric_reported(self):
+    @pytest.mark.parametrize(
+        "ratio, singular", [(3e-7, True), (3e-6, False)], ids=["3e-7", "3e-6"]
+    )
+    def test_singular_metric_reported(self, ratio, singular):
+        # cond(H) is the squared singular-value ratio of A_T: about 1.1e13
+        # and 1.1e11 here, on either side of the 1e12 ceiling.
         squashed = SmoothChart(
             2,
             (
                 Polynomial.variable(2, 0),
-                Polynomial.from_terms(2, {(0, 1): 3e-7}),
+                Polynomial.from_terms(2, {(0, 1): ratio}),
             ),
         )
+        p = sample_at([0.1, 0.1])
+        if singular:
+            with pytest.raises(SingularMetric):
+                eval_forms(squashed, p)
+            # The Levi quotient never solves with H, so it still answers.
+            assert check_spsh(squashed, [p], trials=5) > 0.0
+        else:
+            eval_forms(squashed, p)
+
+    def test_singular_metric_on_a_wide_chart(self):
+        # One component on C^2: A_T is 1 x 2 and H has rank one, although
+        # A_T's only singular value passes the rank test.
+        wide = SmoothChart(2, (Polynomial.variable(2, 0),))
         with pytest.raises(SingularMetric):
-            eval_forms(squashed, sample_at([0.1, 0.1]))
+            eval_forms(wide, sample_at([0.1, 0.0]))
 
     def test_on_binding_reported(self):
         f = parse_polynomial("z0", 2)

@@ -5,6 +5,7 @@ import pytest
 
 from milnorbook import (
     Hypersurface,
+    Polynomial,
     SamplerConfig,
     SmoothChart,
     parse_polynomial,
@@ -122,10 +123,27 @@ class TestHypersurfaceSampling:
         for p in sample_points(surface, 0.04, 50, seed=5):
             assert abs(surface.defining_value(p.point)) <= 1e-10
 
-    def test_unreachable_tolerance_fails_loudly(self):
-        config = SamplerConfig(max_iterations=1, newton_tolerance=1e-30)
-        with pytest.raises(SamplingFailed):
-            sample_points(BRIESKORN, 0.01, 20, seed=0, config=config)
+    @pytest.mark.parametrize(
+        "variety, count, config, draws",
+        [
+            (
+                BRIESKORN,
+                20,
+                SamplerConfig(max_iterations=1, newton_tolerance=1e-30),
+                200,
+            ),
+            # The zero map never reaches the level, so no draw converges.
+            (SmoothChart(1, (Polynomial.constant(1, 0.0),)), 3, None, 50),
+        ],
+        ids=["hypersurface", "chart"],
+    )
+    def test_unreachable_tolerance_fails_loudly(self, variety, count, config, draws):
+        with pytest.raises(SamplingFailed) as info:
+            sample_points(variety, 0.01, count, seed=0, config=config)
+        assert str(info.value) == (
+            f"only 0 of {count} requested samples converged after {draws} "
+            "draws (rate below 10%)"
+        )
 
 
 class TestInputValidation:
