@@ -386,10 +386,10 @@ def _contact_criterion(args, variety, f):
     result["pass"] = not failed
     lines = [
         f"mesh {report.mesh} at epsilon {report.epsilon!r}, eta {report.eta!r}",
-        "min ||d theta|level|| on {|f| >= eta}: "
+        "min ||d theta|level|| on {|f|^2 >= eta}: "
         + _vacuous_or(report.first_vacuous, report.min_dtheta_norm)
         + f" ({report.outside_count} points)",
-        "min ||d f|level|| on {|f| <= eta}: "
+        "min ||d f|level|| on {|f|^2 <= eta}: "
         + _vacuous_or(report.second_vacuous, report.min_df_norm)
         + f" ({report.inside_count} points)",
         f"open-book transversality certified on the mesh: {not failed}",

@@ -324,8 +324,9 @@ def fd_omega_deviation(v, p: PointSample, step_scale: float = _FD_STEP) -> float
     against the pointwise formula; returns
     ``max |difference| / max |omega|``.
     """
-    forms = eval_forms(v, p)
-    m = forms.tangent_dim
+    hermitian = _tangent_data(v, p).hermitian
+    _, omega = _real_blocks(hermitian)
+    m = hermitian.shape[0]
     # Ambient extensions of the real basis {T_j, i T_j}.
     ambient = np.concatenate([p.tangent_basis, 1j * p.tangent_basis], axis=1)
     step = step_scale * float(np.linalg.norm(p.point))
@@ -337,10 +338,10 @@ def fd_omega_deviation(v, p: PointSample, step_scale: float = _FD_STEP) -> float
         minus = _alpha_at(v, p.point - step * ambient[:, i], ambient)
         derivative[i] = (plus - minus) / (2.0 * step)
     fd_omega = derivative - derivative.T
-    scale = float(np.max(np.abs(forms.omega)))
+    scale = float(np.max(np.abs(omega)))
     if scale == 0.0:
         return float(np.max(np.abs(fd_omega)))
-    return float(np.max(np.abs(fd_omega - forms.omega)) / scale)
+    return float(np.max(np.abs(fd_omega - omega)) / scale)
 
 
 def check_spsh(v, samples: list[PointSample], trials: int, seed: int = 0) -> float:
@@ -753,8 +754,8 @@ def openbook_criterion_check(
 
     Over ``mesh`` sampled level points: the euclidean dual norm of
     ``d theta`` restricted to the level tangent space is minimized over
-    ``{|f| >= eta}``, and the operator norm of ``df`` restricted to the
-    level tangent space over ``{|f| <= eta}``.  Both minima positive
+    ``{|f|^2 >= eta}``, and the operator norm of ``df`` restricted to the
+    level tangent space over ``{|f|^2 <= eta}``.  Both minima positive
     certifies the argument map is a fibration away from the binding and
     the binding locus is cut out transversally, on the sample set.  A
     region the mesh never touches makes that check vacuous, which the
@@ -764,8 +765,9 @@ def openbook_criterion_check(
         raise InvalidMesh(f"mesh size must be positive, got {mesh}")
     samples = sample_points(v, epsilon, mesh, seed, config=config)
     values = [f.evaluate(p.point) for p in samples]
+    sizes = [abs(value) ** 2 for value in values]
     if eta is None:
-        eta = DEFAULT_ETA_FRACTION * max(abs(value) ** 2 for value in values)
+        eta = DEFAULT_ETA_FRACTION * max(sizes)
     if not (eta > 0.0):
         raise InputError(f"eta must be positive, got {eta!r}")
     f_gradient = f.gradient()
@@ -773,8 +775,7 @@ def openbook_criterion_check(
     min_df: float | None = None
     outside = 0
     inside = 0
-    for p, value in zip(samples, values):
-        size = abs(value)
+    for p, value, size in zip(samples, values, sizes):
         level_basis = _level_basis(_tangent_data(v, p))
         row_f = _function_row(f, f_gradient, p.point, p.tangent_basis)
         if size >= eta:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,7 +33,6 @@ from .graphs import (
     intersection_matrix,
     is_milnor_fillable,
     solve_exact,
-    valency,
     vertex_orbits,
 )
 
@@ -103,9 +101,11 @@ def constraint_vector(g: PlumbingGraph) -> ConstraintVector:
     rewritten through adjunction: E . E_i = e_i + v_i and K . E_i =
     2 g_i - 2 - e_i, so the Euler weights cancel.
     """
-    return ConstraintVector(
-        tuple(-(valency(g, i) + 2 * g.genus[i]) for i in range(g.vertex_count))
-    )
+    ends = [0] * g.vertex_count
+    for a, b in g.edges:
+        ends[a] += 1
+        ends[b] += 1
+    return ConstraintVector(tuple(-(v + 2 * k) for v, k in zip(ends, g.genus)))
 
 
 def minimal_divisor(
@@ -161,88 +161,53 @@ def minimal_divisor(
             products[j] += matrix.entries[j][i]
 
 
-# Prefix grids at or below this row count are materialized whole and their
-# matrix products memoized; larger boxes stream in blocks of fixed leading
-# coordinate.  Both paths scan the same lattice points.
-_FAST_ROWS = 2_000_000
+# Boxes with more prefixes than this would take too long to scan.
 _ABSURD_ROWS = 5_000_000_000
-# A streamed block holds (bound + 1)^(r - 2) rows, and about 2 r int64
-# arrays of that length sit beside it.  The cap admits r <= 6 at bound 40
-# (41^4 rows); E7 at bound 40 would need 41^5 rows, several GB.
-_BLOCK_ROWS = 10_000_000
+# The grid of coordinates 1..r-2 holds (bound + 1)^(r - 2) rows, and about
+# 2 r int64 arrays of that length sit beside it (the grid, its slack rows,
+# the interval bounds).  The cap admits r <= 6 at bound 40 (41^4 rows); E7
+# at bound 40 would need 41^5 rows, several GB.
+_BLOCK_ROWS = 10**7
+# Runs of coordinate 0 are scanned against the grid about this many rows
+# at a time (at least one value per run), in buffers allocated once per
+# call and reused in place.  Arrays allocated afresh for every block, or
+# blocks of 2^15 rows and more, had their pages faulted in again on every
+# call: at bound 40 that cost more than the scan itself.
+_SCAN_ROWS = 2**14
 
 
-@lru_cache(maxsize=8)
-def _prefix_grid(dims: int, bound: int) -> np.ndarray:
-    """All vectors in [0, bound]^dims as rows, lexicographic, int64."""
-    if dims == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    axes = np.indices((bound + 1,) * dims, dtype=np.int64)
-    grid = axes.reshape(dims, -1).T
-    grid.setflags(write=False)
-    return grid
-
-
-@lru_cache(maxsize=16)
-def _prefix_products(entries: tuple, bound: int) -> tuple[np.ndarray, ...]:
-    """Row products prefix . rows[i, :r-1], shared across genus variants
-    (the intersection matrix does not see genus)."""
-    rows = np.array(entries, dtype=np.int64)
-    prefix = _prefix_grid(len(entries) - 1, bound)
-    out = []
-    for i in range(len(entries)):
-        product = prefix @ rows[i, : len(entries) - 1]
-        product.setflags(write=False)
-        out.append(product)
-    return tuple(out)
-
-
-def _interval_scan(rows, c, bound, prefix, bases, origin_row):
-    """Feasible-interval pass over one block of prefixes.
-
-    Returns (mins over the block or None, minimal feasible last coordinate
-    or None).  ``origin_row`` indexes the all-zero divisor within the block,
-    or is None when the block cannot contain it.
-    """
-    r = len(rows)
-    last = r - 1
-    lo = np.zeros(len(prefix), dtype=np.int64)
-    hi = np.full(len(prefix), bound, dtype=np.int64)
-    mask = np.ones(len(prefix), dtype=bool)
-    for i in range(r):
-        coeff = int(rows[i][last])
-        if i == last:
-            # e_last * x <= c_i - base with e_last < 0: lower bound on x.
-            e_abs = -coeff
-            np.maximum(lo, (bases[i] - c[i] + e_abs - 1) // e_abs, out=lo)
-        elif coeff == 0:
-            mask &= bases[i] <= c[i]
-        else:
-            np.minimum(hi, (c[i] - bases[i]) // coeff, out=hi)
-    # Excluding the zero divisor only affects the all-zero prefix row.
-    if origin_row is not None:
-        lo[origin_row] = max(lo[origin_row], 1)
-    mask &= lo <= hi
-    if not mask.any():
-        return None, None
-    big = bound + 1
-    prefix_mins = [
-        int(np.where(mask, prefix[:, j], big).min()) for j in range(last)
-    ]
-    return prefix_mins, int(np.where(mask, lo, big).min())
+def _narrow(coeff, part, lo, hi, ok):
+    """Narrow, in place, the interval [lo, hi] of the last coordinate x and
+    the mask ``ok`` by one constraint ``coeff * x <= part``; ``part`` is
+    overwritten.  Only the last vertex's own row has ``coeff < 0``, a lower
+    bound; a row through an edge to it bounds x from above; any other row
+    holds or fails."""
+    if coeff == 0:
+        ok &= part >= 0
+        return
+    np.floor_divide(part, abs(coeff), out=part)
+    if coeff < 0:
+        np.negative(part, out=part)
+        np.maximum(lo, part, out=lo)
+    else:
+        np.minimum(hi, part, out=hi)
 
 
 def oracle_minimal_divisor(g: PlumbingGraph, bound: int) -> Divisor:
     """Exhaustive search over 0 <= m_i <= bound, independent of the descent.
 
-    Scans every lattice point of the box: the first r-1 coordinates are
-    enumerated outright, and for each such prefix the admissible values of
-    the last coordinate form an interval computed directly from the
-    constraint rows (the last diagonal entry is negative, so its row bounds
-    the coordinate from below; rows through an edge to the last vertex bound
-    it from above).  Returns the componentwise minimum of the feasible set
-    and verifies that this minimum is itself feasible, which is the lattice
-    min-closure property the descent's canonicity rests on.
+    Scans every lattice point of the box.  The coordinates 1..r-2 form a
+    grid built once per call, with each constraint row's part on it; the
+    values of coordinate 0 run against that grid in blocks of about
+    ``_SCAN_ROWS`` rows.  For each prefix the admissible values of the last
+    coordinate form an interval computed directly from the constraint rows
+    (the last diagonal entry is negative, so its row bounds the coordinate
+    from below; rows through an edge to the last vertex bound it from
+    above).  Returns the componentwise minimum of the feasible set and
+    verifies that this minimum is itself feasible, which is the lattice
+    min-closure property the descent's canonicity rests on.  Memory is
+    bounded by the grid, whatever the bound; boxes whose grid exceeds
+    ``_BLOCK_ROWS`` rows are refused before anything is allocated.
     """
     if bound < 1:
         raise InputError("search bound must be at least 1")
@@ -250,52 +215,67 @@ def oracle_minimal_divisor(g: PlumbingGraph, bound: int) -> Divisor:
         raise NotNegativeDefinite("oracle requires a negative definite graph")
     r = g.vertex_count
     last = r - 1
-    total_rows = (bound + 1) ** last
-    if total_rows > _ABSURD_ROWS:
+    if (bound + 1) ** last > _ABSURD_ROWS:
         raise InputError(f"box [0, {bound}]^{r} is too large to enumerate")
-    streamed = last >= 2 and total_rows > _FAST_ROWS
-    if streamed and (bound + 1) ** (last - 1) > _BLOCK_ROWS:
+    dims = max(last - 1, 0)
+    grid_rows = (bound + 1) ** dims
+    if grid_rows > _BLOCK_ROWS:
         raise InputError(
             f"box [0, {bound}]^{r} is too large to enumerate: its blocks of "
-            f"{(bound + 1) ** (last - 1)} rows exceed {_BLOCK_ROWS}"
+            f"{grid_rows} rows exceed {_BLOCK_ROWS}"
         )
     matrix = intersection_matrix(g)
-    rows = matrix.entries
     c = constraint_vector(g).bounds
+    rows = np.array(matrix.entries, dtype=np.int64)
+    grid = np.indices((bound + 1,) * dims, dtype=np.int64).reshape(dims, grid_rows)
+    slack = np.array(c, dtype=np.int64)[:, None] - rows[:, 1:last] @ grid
+    # A single vertex has no coordinate 0 apart from its last one: one run
+    # with a zero coefficient stands in for it.
+    lead = rows[:, 0] if last else np.zeros(1, dtype=np.int64)
+    span = bound + 1 if last else 1
+    # Rows that do not see coordinate 0 narrow the interval once, on the grid.
+    fixed_lo = np.zeros(grid_rows, dtype=np.int64)
+    fixed_hi = np.full(grid_rows, bound, dtype=np.int64)
+    fixed_ok = np.ones(grid_rows, dtype=bool)
+    for i in np.flatnonzero(lead == 0):
+        _narrow(rows[i, last], slack[i].copy(), fixed_lo, fixed_hi, fixed_ok)
+    varying = np.flatnonzero(lead)
+    step = max(1, _SCAN_ROWS // grid_rows)
+    # One set of block buffers per call: every block reuses them in place.
+    shape = (min(step, span), grid_rows)
+    lo_buf, hi_buf, part_buf = (np.empty(shape, dtype=np.int64) for _ in range(3))
+    ok_buf = np.empty(shape, dtype=bool)
 
-    found = False
-    mins = [bound + 1] * r
-    if not streamed:
-        prefix = _prefix_grid(last, bound)
-        bases = _prefix_products(rows, bound)
-        prefix_mins, last_min = _interval_scan(rows, c, bound, prefix, bases, 0)
-        if prefix_mins is not None:
-            found = True
-            mins = prefix_mins + [last_min]
-    else:
-        # Stream blocks of fixed leading coordinate; only the inner
-        # sub-products are shared, the leading term is a scalar shift.
-        np_rows = np.array(rows, dtype=np.int64)
-        sub = _prefix_grid(last - 1, bound)
-        sub_bases = [sub @ np_rows[i, 1:last] for i in range(r)]
-        block = np.empty((len(sub), last), dtype=np.int64)
-        block[:, 1:] = sub
-        for a in range(bound + 1):
-            block[:, 0] = a
-            bases = [sub_bases[i] + a * int(np_rows[i, 0]) for i in range(r)]
-            origin = 0 if a == 0 else None
-            prefix_mins, last_min = _interval_scan(
-                rows, c, bound, block, bases, origin
-            )
-            if prefix_mins is None:
-                continue
-            found = True
-            for j in range(last):
-                mins[j] = min(mins[j], prefix_mins[j])
-            mins[last] = min(mins[last], last_min)
-    if not found:
+    lead_min = None
+    last_min = bound + 1
+    seen = np.zeros(grid_rows, dtype=bool)
+    for start in range(0, span, step):
+        values = np.arange(start, min(start + step, span), dtype=np.int64)
+        n = len(values)
+        lo, hi, ok, part = lo_buf[:n], hi_buf[:n], ok_buf[:n], part_buf[:n]
+        np.copyto(lo, fixed_lo)
+        np.copyto(hi, fixed_hi)
+        np.copyto(ok, fixed_ok)
+        for i in varying:
+            np.subtract(slack[i], values[:, None] * lead[i], out=part)
+            _narrow(rows[i, last], part, lo, hi, ok)
+        if start == 0:
+            # The zero divisor is the first row of the first block.
+            lo[0, 0] = max(lo[0, 0], 1)
+        ok &= lo <= hi
+        hits = ok.any(axis=1)
+        if not hits.any():
+            continue
+        if lead_min is None:
+            lead_min = start + int(np.argmax(hits))
+        seen |= ok.any(axis=0)
+        part.fill(bound + 1)
+        np.copyto(part, lo, where=ok)
+        last_min = min(last_min, int(part.min()))
+    if lead_min is None:
         raise BoundTooSmall(f"no feasible divisor with all m_i <= {bound}")
-    result = Divisor(tuple(mins))
+    grid_mins = grid[:, seen].min(axis=1).tolist()
+    result = Divisor(tuple(([lead_min] if last else []) + grid_mins + [last_min]))
 
     products = matrix.apply(result.multiplicities)
     feasible = not result.is_zero and all(

@@ -295,7 +295,7 @@ def intersection_matrix(g: PlumbingGraph) -> IntersectionMatrix:
 def _as_rows(m) -> Sequence[Sequence[int]]:
     if isinstance(m, IntersectionMatrix):
         return m.entries
-    rows = [[int(x) for x in row] for row in m]
+    rows = [[_integer(x, "matrix entry") for x in row] for row in m]
     r = len(rows)
     for row in rows:
         if len(row) != r:
@@ -383,7 +383,8 @@ def is_negative_definite(m) -> bool:
 
     The minors are the pivots of the sparse fraction-free elimination
     shared with :func:`solve_exact`; a zero or wrongly signed pivot refutes
-    definiteness, so elimination never continues past one.
+    definiteness, so elimination never continues past one.  Entries must
+    be ``int``; floats, strings and bools raise :class:`InputError`.
     """
     return _eliminate(_as_rows(m), None, True) is not None
 
@@ -397,9 +398,11 @@ def solve_exact(
     ``require_negative_definite`` the answer is None unless ``m`` is
     negative definite, so one elimination decides definiteness and solves;
     otherwise rows are exchanged past zero leading minors and a singular
-    ``m`` raises :class:`InputError`.
+    ``m`` raises :class:`InputError`, as does any entry of ``m`` or ``rhs``
+    that is not an ``int``.
     """
     rows = _as_rows(m)
+    rhs = [_integer(b, "right-hand side entry") for b in rhs]
     if len(rhs) != len(rows):
         raise DimensionMismatch(
             f"right-hand side of length {len(rhs)} against {len(rows)} rows"

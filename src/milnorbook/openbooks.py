@@ -22,7 +22,6 @@ from .errors import (
 )
 from .divisors import (
     MultiplicityVector,
-    binding_multiplicities,
     check_theorem_conditions,
     minimal_divisor,
 )
@@ -146,8 +145,8 @@ def ubiquitous_open_book(g: PlumbingGraph) -> OpenBookReport:
             "the intersection form is not negative definite; "
             "no Milnor filling exists"
         ) from None
-    counts = binding_multiplicities(g, divisor)
     certificates = check_theorem_conditions(g, divisor)
+    counts = certificates.multiplicities
     decorated = decorate(g, counts)
     per_vertex = tuple(
         (

@@ -319,11 +319,23 @@ class TestLambdaCone:
 class TestOpenBookCriterion:
     def test_coordinate_function_is_transverse(self):
         f = parse_polynomial("z0", 2)
-        report = openbook_criterion_check(PLANE, f, 0.01, 0.05, 300, seed=0)
+        report = openbook_criterion_check(PLANE, f, 0.01, 0.0025, 300, seed=0)
         assert not report.first_vacuous and not report.second_vacuous
         assert report.outside_count + report.inside_count >= 300
         assert report.min_dtheta_norm > 0.0
         assert report.min_df_norm > 0.0
+
+    @pytest.mark.parametrize("eta", [0.0025, None])
+    def test_cutoff_is_on_the_squared_modulus(self, eta):
+        """eta cuts |f|^2, as its default (a fraction of max |f|^2) does."""
+        f = parse_polynomial("z0", 2)
+        report = openbook_criterion_check(PLANE, f, 0.01, eta, 300, seed=0)
+        sizes = [
+            abs(f.evaluate(p.point)) ** 2
+            for p in sample_points(PLANE, 0.01, 300, 0)
+        ]
+        assert report.outside_count == sum(s >= report.eta for s in sizes)
+        assert report.inside_count == sum(s <= report.eta for s in sizes)
 
     def test_constant_function_fails_transversality(self):
         f = Polynomial.constant(2, 1.0)

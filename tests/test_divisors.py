@@ -1,11 +1,14 @@
 """Minimal divisors: descent, exhaustive oracle, certificates, inverses."""
 
+import tracemalloc
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import milnorbook.divisors as divisors
 from milnorbook import (
     Divisor,
     MultiplicityVector,
@@ -182,38 +185,45 @@ class TestOracle:
         with pytest.raises(BoundTooSmall):
             oracle_minimal_divisor(D4, 8)
 
-    @given(small_nd_graphs(), st.integers(2, 6))
+    @pytest.mark.parametrize(
+        "scan_rows", [divisors._SCAN_ROWS, 7, 1], ids=["default", "7", "1"]
+    )
+    @given(g=small_nd_graphs(), bound=st.integers(2, 6))
     @settings(max_examples=40)
-    def test_interval_scan_matches_naive_grid(self, g, bound):
+    def test_interval_scan_matches_naive_grid(self, scan_rows, g, bound):
         """The interval-collapse search agrees point for point with a
-        nested-loop scan of the same box, including infeasibility."""
+        nested-loop scan of the same box, including infeasibility, whatever
+        the number of rows scanned per block."""
         naive = brute_force_minimal_divisor(g, bound)
-        if naive is None:
-            with pytest.raises(BoundTooSmall):
-                oracle_minimal_divisor(g, bound)
-        else:
-            assert oracle_minimal_divisor(g, bound).multiplicities == naive
-
-    def test_streaming_path_matches_fast_path(self, monkeypatch):
-        """Force the block-streaming branch and compare against the
-        in-memory branch on the same problem."""
-        import milnorbook.divisors as divisors
-
-        expected = oracle_minimal_divisor(D4, 12).multiplicities
-        monkeypatch.setattr(divisors, "_FAST_ROWS", 10)
-        assert oracle_minimal_divisor(D4, 12).multiplicities == expected
+        with patch.object(divisors, "_SCAN_ROWS", scan_rows):
+            if naive is None:
+                with pytest.raises(BoundTooSmall):
+                    oracle_minimal_divisor(g, bound)
+            else:
+                assert oracle_minimal_divisor(g, bound).multiplicities == naive
 
     def test_streamed_block_size_is_capped(self, monkeypatch):
         """A streamed block of (bound + 1)^(r - 2) rows above the cap is
         refused before it is allocated; at the cap it runs."""
         import milnorbook.divisors as divisors
 
-        monkeypatch.setattr(divisors, "_FAST_ROWS", 10)
         monkeypatch.setattr(divisors, "_BLOCK_ROWS", 13**2 - 1)
         with pytest.raises(InputError, match=r"box \[0, 12\]\^4"):
             oracle_minimal_divisor(D4, 12)
         monkeypatch.setattr(divisors, "_BLOCK_ROWS", 13**2)
         assert oracle_minimal_divisor(D4, 12).multiplicities == (9, 5, 5, 5)
+
+    def test_memory_does_not_grow_with_the_bound(self):
+        """The values of coordinate 0 are scanned in blocks, so a two-vertex
+        box of 10^6 values per coordinate needs no array of that length."""
+        tracemalloc.start()
+        try:
+            d = oracle_minimal_divisor(chain_graph([-2, -2]), 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d.multiplicities == (1, 1)
+        assert peak < 4 * 2**20
 
     @given(small_nd_graphs())
     @settings(max_examples=40)

@@ -237,6 +237,21 @@ class TestIntersectionForm:
         with pytest.raises(InputError, match="degenerate"):
             solve_exact([[-1, 1], [1, -1]], [1, 1])
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: is_negative_definite([[-1.7]]),
+            lambda: is_negative_definite([["-2"]]),
+            lambda: is_negative_definite([[True]]),
+            lambda: solve_exact([[-2.9, 1], [1, -2]], [1, 1]),
+            lambda: solve_exact([[-2]], [1.5]),
+        ],
+        ids=["float-entry", "string-entry", "bool-entry", "float-solve", "float-rhs"],
+    )
+    def test_non_integer_input_is_rejected(self, call):
+        with pytest.raises(InputError, match="must be an integer"):
+            call()
+
     def test_long_chain_definiteness(self):
         """A_300 is definite and A_299 ending in a 0 weight is not; both
         need every pivot."""
