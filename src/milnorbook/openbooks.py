@@ -23,9 +23,10 @@ from .errors import (
 from .divisors import (
     MultiplicityVector,
     check_theorem_conditions,
+    constraint_vector,
     minimal_divisor,
 )
-from .graphs import Divisor, PlumbingGraph, find_isomorphism, valency
+from .graphs import Divisor, PlumbingGraph, find_isomorphism
 
 __all__ = [
     "DecoratedLinkGraph",
@@ -148,9 +149,11 @@ def ubiquitous_open_book(g: PlumbingGraph) -> OpenBookReport:
     certificates = check_theorem_conditions(g, divisor)
     counts = certificates.multiplicities
     decorated = decorate(g, counts)
+    # Valencies v_i = -c_i - 2 g_i, from one pass over the edges.
+    bounds = constraint_vector(g).bounds
     per_vertex = tuple(
         (
-            valency(g, i),
+            -bounds[i] - 2 * g.genus[i],
             g.genus[i],
             g.euler[i],
             divisor.multiplicities[i],

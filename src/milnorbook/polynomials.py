@@ -18,8 +18,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-import numpy as np
-
 from .errors import PolynomialSyntaxError, UnknownVariable
 
 __all__ = ["Polynomial", "parse_polynomial"]
@@ -98,17 +96,6 @@ class Polynomial:
                     term *= complex(z) ** e
             value += term
         return value
-
-    def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation at an array of points, shape (k, n_vars)."""
-        values = np.zeros(len(points), dtype=np.complex128)
-        for exponents, coeff in self.terms:
-            term = np.full(len(points), coeff, dtype=np.complex128)
-            for j, e in enumerate(exponents):
-                if e:
-                    term *= points[:, j] ** e
-            values += term
-        return values
 
     def derivative(self, var: int) -> "Polynomial":
         if not 0 <= var < self.n_vars:

@@ -15,11 +15,15 @@ evaluated in :mod:`milnorbook.contact`:
   coordinates themselves (so ``rho`` is the squared ambient norm) and the
   tangent space at a point is the kernel of ``dh``.
 
-:func:`sample_points` runs one accept loop over random ambient directions;
-the model's step solves each draw onto the level set or rejects it, by a
-one-dimensional radial root-find for charts and a damped Gauss–Newton
-iteration on ``(Re h, Im h, rho - epsilon)`` for hypersurfaces.  Sampling
-is bitwise deterministic for a fixed seed.
+:func:`sample_points` runs one accept loop over blocks of random ambient
+directions; the model's step takes a block and solves each draw onto the
+level set or rejects it.  For charts the step builds the radial profiles
+of the whole block and finds their roots together (bracket doubling,
+bisection and Newton polishing as array Horner loops); for hypersurfaces
+it runs a damped Gauss–Newton iteration on ``(Re h, Im h, rho - epsilon)``
+from each draw in turn.  Sampling is bitwise deterministic for a fixed
+seed, and independent of the block size: the block solve reproduces the
+one-draw-at-a-time scalar solve bit for bit.
 """
 
 from __future__ import annotations
@@ -43,6 +47,10 @@ __all__ = [
 # Maximum times the radial bracket is doubled before a direction is
 # declared degenerate (the potential never reaches the target level).
 _MAX_DOUBLINGS = 300
+
+# Draws solved together by one step of the accept loop.  The cap keeps the
+# sampler's memory independent of the requested count.
+_DRAWS_PER_BLOCK = 2**12
 
 # Attempt budget: accepting `count` samples out of at most 10 * count
 # draws is exactly the 10% minimum convergence rate.
@@ -210,73 +218,99 @@ class PointSample:
     rho_value: float
 
 
-def _radial_profile(chart: SmoothChart, direction: np.ndarray) -> np.ndarray:
-    """Real coefficients of ``t -> rho(t * direction)`` as a 1-D polynomial.
+def _radial_profiles(chart: SmoothChart, directions: np.ndarray) -> np.ndarray:
+    """Real coefficients of ``t -> rho(t * d)`` for each row ``d``, as rows.
 
     For each component ``phi_k``, grouping terms by total degree gives a
     one-variable complex polynomial ``b(t)``; then ``|b(t)|^2`` has real
     coefficients equal to the autocorrelation of the coefficient vector,
     and ``rho`` along the ray is the sum over components.
+
+    The monomials are formed for the whole block in real arithmetic, powers
+    by ``np.power``: this reproduces the scalar complex products bit for bit,
+    where complex array products and ``array ** 2`` differ from them in the
+    last bit for a large share of entries.
     """
     max_degree = max(poly.total_degree for poly in chart.components)
-    profile = np.zeros(2 * max_degree + 1)
+    profiles = np.zeros((len(directions), 2 * max_degree + 1))
+    powers: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     for poly in chart.components:
-        coeffs = np.zeros(max_degree + 1, dtype=complex)
+        coeffs = np.zeros((len(directions), max_degree + 1), dtype=complex)
         for exponents, coefficient in poly.terms:
-            value = coefficient
-            for base, power in zip(direction, exponents):
+            re, im = coefficient.real, coefficient.imag
+            for j, power in enumerate(exponents):
                 if power:
-                    value *= base**power
-            coeffs[sum(exponents)] += value
-        squared = np.convolve(coeffs, np.conj(coeffs)).real
-        profile[: squared.size] += squared
-    return profile
+                    if (j, power) not in powers:
+                        base = np.power(directions[:, j], power)
+                        powers[j, power] = (base.real.copy(), base.imag.copy())
+                    base_re, base_im = powers[j, power]
+                    re, im = re * base_re - im * base_im, re * base_im + im * base_re
+            degree = sum(exponents)
+            coeffs.real[:, degree] += re
+            coeffs.imag[:, degree] += im
+        for profile, row in zip(profiles, coeffs):
+            profile += np.convolve(row, np.conj(row)).real
+    return profiles
 
 
-def _solve_radial(profile: np.ndarray, epsilon: float, config: SamplerConfig):
-    """Smallest ``t > 0`` with ``profile(t) = epsilon``, or None."""
+def _radial_roots(
+    profiles: np.ndarray, epsilon: float, config: SamplerConfig
+) -> np.ndarray:
+    """Smallest ``t > 0`` with ``profile(t) = epsilon`` per row, NaN if none.
 
-    def value(t: float) -> float:
-        return float(np.polynomial.polynomial.polyval(t, profile))
-
-    high = 1.0
+    Bracket doubling, 80 bisections and at most 8 Newton steps, with the
+    stopping rules applied row by row; values come from ``polyval`` on
+    columns of coefficients, the same Horner steps as for one profile.
+    """
+    # Looked up here: NumPy imports its polynomial package on first use.
+    polyval = np.polynomial.polynomial.polyval
+    polyder = np.polynomial.polynomial.polyder
+    coefficients = profiles.T
+    high = np.ones(len(profiles))
+    bracketed = np.zeros(len(profiles), dtype=bool)
+    live = np.arange(len(profiles))
     for _ in range(_MAX_DOUBLINGS):
-        v = value(high)
-        if not (v < epsilon):  # NaN from overflow counts as "past the level"
+        values = polyval(high[live], coefficients[:, live], tensor=False)
+        past = ~(values < epsilon)  # NaN from overflow counts as "past the level"
+        bracketed[live[past]] = True
+        live = live[~past]
+        if not live.size:
             break
-        high *= 2.0
-    else:
-        return None
-    low = 0.0
+        high[live] *= 2.0
+    roots = np.full(len(profiles), np.nan)
+    rows = np.flatnonzero(bracketed)
+    if not rows.size:
+        return roots
+    coefficients = coefficients[:, rows]
+    low, high = np.zeros(rows.size), high[rows]
     for _ in range(80):
         mid = 0.5 * (low + high)
-        if value(mid) < epsilon:
-            low = mid
-        else:
-            high = mid
+        below = polyval(mid, coefficients, tensor=False) < epsilon
+        low = np.where(below, mid, low)
+        high = np.where(below, high, mid)
     t = 0.5 * (low + high)
-    derivative = np.polynomial.polynomial.polyder(profile)
+    derivative = polyder(coefficients)
+    tolerance = 0.5 * config.newton_tolerance * epsilon
+    live = np.arange(rows.size)
     for _ in range(8):
-        residual = value(t) - epsilon
-        if abs(residual) <= 0.5 * config.newton_tolerance * epsilon:
+        residual = polyval(t[live], coefficients[:, live], tensor=False) - epsilon
+        slope = polyval(t[live], derivative[:, live], tensor=False)
+        moving = (
+            ~(np.abs(residual) <= tolerance) & (slope != 0.0) & np.isfinite(slope)
+        )
+        live = live[moving]
+        if not live.size:
             break
-        slope = float(np.polynomial.polynomial.polyval(t, derivative))
-        if slope == 0.0 or not math.isfinite(slope):
-            break
-        t -= residual / slope
-    if t <= 0.0 or not math.isfinite(t):
-        return None
-    return t
+        t[live] -= residual[moving] / slope[moving]
+    roots[rows] = np.where((t > 0.0) & np.isfinite(t), t, np.nan)
+    return roots
 
 
-def _chart_solver(chart: SmoothChart, epsilon: float, config: SamplerConfig):
-    """Per-draw step for charts: the radial root along the drawn direction."""
+def _chart_step(chart: SmoothChart, epsilon: float, config: SamplerConfig):
+    """Block step for charts: the radial root along each drawn direction."""
 
-    def solve(raw: np.ndarray, norm: float) -> PointSample | None:
-        direction = raw / norm
-        profile = _radial_profile(chart, direction)
-        t = _solve_radial(profile, epsilon, config)
-        if t is None:
+    def solve(t: float, direction: np.ndarray) -> PointSample | None:
+        if np.isnan(t):
             return None
         point = t * direction
         rho_value = chart.rho(point)
@@ -288,7 +322,12 @@ def _chart_solver(chart: SmoothChart, epsilon: float, config: SamplerConfig):
             rho_value=rho_value,
         )
 
-    return solve
+    def step(raw: np.ndarray, norms: np.ndarray) -> list[PointSample | None]:
+        directions = raw / norms[:, None]
+        roots = _radial_roots(_radial_profiles(chart, directions), epsilon, config)
+        return [solve(t, direction) for t, direction in zip(roots, directions)]
+
+    return step
 
 
 def _real_system(
@@ -321,8 +360,8 @@ def _scaled_residual(residual: np.ndarray, epsilon: float, h_scale: float) -> fl
     return max(h_size / h_scale, abs(residual[2]) / epsilon)
 
 
-def _hypersurface_solver(surface: Hypersurface, epsilon: float, config: SamplerConfig):
-    """Per-draw step for hypersurfaces: damped Gauss–Newton from the draw."""
+def _hypersurface_step(surface: Hypersurface, epsilon: float, config: SamplerConfig):
+    """Block step for hypersurfaces: damped Gauss–Newton from each draw."""
     n = surface.ambient_dim
     h_scale = surface.defining_scale(epsilon)
     gradient_floor = 1e-8 * h_scale / math.sqrt(epsilon)
@@ -372,7 +411,10 @@ def _hypersurface_solver(surface: Hypersurface, epsilon: float, config: SamplerC
             rho_value=float(np.sum(np.abs(z) ** 2)),
         )
 
-    return solve
+    def step(raw: np.ndarray, norms: np.ndarray) -> list[PointSample | None]:
+        return [solve(row, norm) for row, norm in zip(raw, norms)]
+
+    return step
 
 
 def sample_points(
@@ -384,10 +426,14 @@ def sample_points(
 ) -> list[PointSample]:
     """Draw ``count`` deterministic samples on the level set ``rho = epsilon``.
 
-    Random ambient directions are drawn from ``seed``; each draw is solved
-    onto the level set (a radial root-find for charts, damped Gauss–Newton
-    on ``(Re h, Im h, rho - epsilon)`` for hypersurfaces) and rejected if it
-    does not converge to the configured tolerances.  Raises
+    Random ambient directions are drawn from ``seed``, in blocks of at most
+    ``_DRAWS_PER_BLOCK`` and never more than the samples still wanted, so
+    the draws and the accepted samples are those of a loop over single
+    draws.  Each draw is solved onto the level set (a radial root-find for
+    charts, done for the whole block at once; damped Gauss–Newton on
+    ``(Re h, Im h, rho - epsilon)`` for hypersurfaces, draw by draw) and
+    rejected if it does not converge to the configured tolerances.  Draws
+    are accepted in draw order; zero draws are skipped.  Raises
     :class:`SamplingFailed` when fewer than ``count`` draws are accepted
     within the attempt budget of ten draws per requested sample (a
     conversion rate below 10%), or when ``epsilon`` is not positive.
@@ -399,9 +445,9 @@ def sample_points(
     if count < 1:
         raise InputError("sample count must be at least 1")
     if isinstance(v, SmoothChart):
-        solve = _chart_solver(v, epsilon, config)
+        step = _chart_step(v, epsilon, config)
     elif isinstance(v, Hypersurface):
-        solve = _hypersurface_solver(v, epsilon, config)
+        step = _hypersurface_step(v, epsilon, config)
     else:
         raise InputError(f"unsupported variety model: {type(v).__name__}")
     n = v.ambient_dim
@@ -410,14 +456,17 @@ def sample_points(
     attempts = 0
     budget = max(_ATTEMPTS_PER_SAMPLE * count, 50)
     while len(accepted) < count and attempts < budget:
-        attempts += 1
-        raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        norm = np.linalg.norm(raw)
-        if norm == 0.0:
-            continue
-        sample = solve(raw, norm)
-        if sample is not None:
-            accepted.append(sample)
+        # A block never holds more draws than samples still wanted, so the
+        # loop stops at the same draw as a loop over single draws would.
+        block = min(count - len(accepted), budget - attempts, _DRAWS_PER_BLOCK)
+        attempts += block
+        draws = rng.standard_normal((block, 2, n))
+        raw = draws[:, 0] + 1j * draws[:, 1]
+        norms = np.array([np.linalg.norm(row) for row in raw])
+        drawn = norms != 0.0
+        accepted.extend(
+            sample for sample in step(raw[drawn], norms[drawn]) if sample is not None
+        )
     if len(accepted) < count:
         raise SamplingFailed(
             f"only {len(accepted)} of {count} requested samples converged "

@@ -8,14 +8,21 @@ box point by point (the package descends or collapses intervals), and the
 rational bound solves the linear system exactly (the package never forms
 an inverse).  Agreement between such different routes is the evidence the
 acceptance battery rests on.
+
+The chart-sampler reference is the exception: it solves one draw at a
+time with scalar arithmetic, and the package's block solve must reproduce
+it bit for bit, not merely agree with it.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import ceil
+
+import numpy as np
 
 from milnorbook import (
     PlumbingGraph,
@@ -25,6 +32,12 @@ from milnorbook import (
     iter_suite,
 )
 from milnorbook.suites import iter_edge_euler_classes
+from milnorbook.varieties import (
+    _ATTEMPTS_PER_SAMPLE,
+    _MAX_DOUBLINGS,
+    SamplerConfig,
+    SmoothChart,
+)
 
 
 def principal_minor_signs_definite(rows) -> bool:
@@ -175,3 +188,93 @@ def random_weighted_graph(rng, max_vertices=6, euler_range=(-5, 3), max_mult=3):
         mult[pair] = min(mult.get(pair, 0) + 1, max_mult)
     flat = tuple(pair for pair, k in mult.items() for _ in range(k))
     return PlumbingGraph((0,) * r, euler, flat)
+
+
+def _radial_profile(chart: SmoothChart, direction: np.ndarray) -> np.ndarray:
+    """Real coefficients of ``t -> rho(t * direction)`` as a 1-D polynomial.
+
+    For each component ``phi_k``, grouping terms by total degree gives a
+    one-variable complex polynomial ``b(t)``; then ``|b(t)|^2`` has real
+    coefficients equal to the autocorrelation of the coefficient vector,
+    and ``rho`` along the ray is the sum over components.
+    """
+    max_degree = max(poly.total_degree for poly in chart.components)
+    profile = np.zeros(2 * max_degree + 1)
+    for poly in chart.components:
+        coeffs = np.zeros(max_degree + 1, dtype=complex)
+        for exponents, coefficient in poly.terms:
+            value = coefficient
+            for base, power in zip(direction, exponents):
+                if power:
+                    value *= base**power
+            coeffs[sum(exponents)] += value
+        squared = np.convolve(coeffs, np.conj(coeffs)).real
+        profile[: squared.size] += squared
+    return profile
+
+
+def _solve_radial(profile: np.ndarray, epsilon: float, config: SamplerConfig):
+    """Smallest ``t > 0`` with ``profile(t) = epsilon``, or None."""
+
+    def value(t: float) -> float:
+        return float(np.polynomial.polynomial.polyval(t, profile))
+
+    high = 1.0
+    for _ in range(_MAX_DOUBLINGS):
+        v = value(high)
+        if not (v < epsilon):  # NaN from overflow counts as "past the level"
+            break
+        high *= 2.0
+    else:
+        return None
+    low = 0.0
+    for _ in range(80):
+        mid = 0.5 * (low + high)
+        if value(mid) < epsilon:
+            low = mid
+        else:
+            high = mid
+    t = 0.5 * (low + high)
+    derivative = np.polynomial.polynomial.polyder(profile)
+    for _ in range(8):
+        residual = value(t) - epsilon
+        if abs(residual) <= 0.5 * config.newton_tolerance * epsilon:
+            break
+        slope = float(np.polynomial.polynomial.polyval(t, derivative))
+        if slope == 0.0 or not math.isfinite(slope):
+            break
+        t -= residual / slope
+    if t <= 0.0 or not math.isfinite(t):
+        return None
+    return t
+
+
+def per_draw_chart_samples(chart: SmoothChart, epsilon: float, count: int, seed: int):
+    """``(point, rho_value)`` of the chart sampler run one draw at a time.
+
+    Each draw is two ``standard_normal(n)`` calls, real part first, solved
+    by the scalar radial profile and bisection above; the budget and the
+    level test are the package's.
+    """
+    config = SamplerConfig()
+    n = chart.ambient_dim
+    rng = np.random.default_rng(seed)
+    accepted = []
+    attempts = 0
+    budget = max(_ATTEMPTS_PER_SAMPLE * count, 50)
+    while len(accepted) < count and attempts < budget:
+        attempts += 1
+        raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        norm = np.linalg.norm(raw)
+        if norm == 0.0:
+            continue
+        direction = raw / norm
+        t = _solve_radial(_radial_profile(chart, direction), epsilon, config)
+        if t is None:
+            continue
+        point = t * direction
+        rho_value = chart.rho(point)
+        if abs(rho_value - epsilon) > config.level_tolerance * epsilon:
+            continue
+        accepted.append((point, rho_value))
+    return accepted

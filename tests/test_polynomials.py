@@ -94,13 +94,6 @@ class TestCalculus:
         assert grad[1] == parse_polynomial("3 z1^2", 3)
         assert grad[2] == parse_polynomial("5 z2^4", 3)
 
-    def test_evaluate_batch_matches_scalar(self):
-        poly = parse_polynomial("(2+1i) z0^2 z1 - z1", 2)
-        points = np.array([[1 + 1j, 2.0], [0.5, -1j], [0, 0]])
-        batch = poly.evaluate_batch(points)
-        singles = [poly.evaluate(p) for p in points]
-        assert np.allclose(batch, singles)
-
     def test_magnitude_bound_is_a_bound(self):
         poly = parse_polynomial("z0^2 - 2 z0 + (0+3i)", 1)
         radius = 1.5

@@ -1,8 +1,11 @@
 """Level-set sampling on charts and hypersurfaces."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
+import milnorbook.varieties as varieties
 from milnorbook import (
     Hypersurface,
     Polynomial,
@@ -12,8 +15,22 @@ from milnorbook import (
     sample_points,
 )
 from milnorbook.errors import InputError, SamplingFailed
+from milnorbook.polynomials import parse_map
+from oracles import _radial_profile, per_draw_chart_samples
 
 BRIESKORN = Hypersurface(parse_polynomial("z0^2 + z1^3 + z2^5", 3))
+
+# Identity charts of C^1..C^3, the two maps of the benchmark's chart jobs,
+# and a map of degree 5 with complex coefficients.
+REFERENCE_CHARTS = {f"C{dim}": SmoothChart.identity(dim) for dim in (1, 2, 3)}
+REFERENCE_CHARTS.update(
+    (text, SmoothChart(2, parse_map(text, 2)))
+    for text in (
+        "z0,z1,z0*z1",
+        "z0,z1,z0^2 + z1^3",
+        "z0 + (0.3+1.7i)*z0^2*z1^2, z1 - (2.5-0.5i)*z1^4 + z0^3",
+    )
+)
 
 
 class TestModels:
@@ -94,6 +111,42 @@ class TestChartSampling:
             assert np.array_equal(p.point, q.point)
         c = sample_points(chart, 0.01, 25, seed=8)
         assert not np.array_equal(a[0].point, c[0].point)
+
+
+class TestBlockSolve:
+    """The chart sampler solves blocks of draws at once; it must return
+    exactly the bits of the per-draw scalar solve in ``tests/oracles.py``."""
+
+    @pytest.mark.parametrize(
+        "block", [varieties._DRAWS_PER_BLOCK, 7, 1], ids=["default", "7", "1"]
+    )
+    @pytest.mark.parametrize("epsilon", [1e-6, 0.01, 1.0])
+    def test_samples_match_per_draw_reference(self, block, epsilon):
+        for seed, chart in enumerate(REFERENCE_CHARTS.values()):
+            reference = per_draw_chart_samples(chart, epsilon, 60, seed)
+            with patch.object(varieties, "_DRAWS_PER_BLOCK", block):
+                samples = sample_points(chart, epsilon, 60, seed)
+            assert len(samples) == len(reference)
+            for sample, (point, rho_value) in zip(samples, reference):
+                assert sample.point.tobytes() == point.tobytes()
+                assert np.float64(sample.rho_value).tobytes() == (
+                    np.float64(rho_value).tobytes()
+                )
+
+    @pytest.mark.parametrize("name", REFERENCE_CHARTS)
+    def test_profiles_match_per_draw_reference(self, name):
+        """Bit for bit, so a profile built from complex array products or
+        ``array ** k`` (both round differently from the scalar products)
+        fails here even where the root-find happens to absorb the drift."""
+        chart = REFERENCE_CHARTS[name]
+        rng = np.random.default_rng(0)
+        raw = rng.standard_normal((200, chart.dim)) + 1j * rng.standard_normal(
+            (200, chart.dim)
+        )
+        directions = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        profiles = varieties._radial_profiles(chart, directions)
+        for profile, direction in zip(profiles, directions):
+            assert profile.tobytes() == _radial_profile(chart, direction).tobytes()
 
 
 class TestHypersurfaceSampling:
