@@ -44,10 +44,8 @@ from .errors import (
 )
 from .graphs import (
     Divisor,
-    IntersectionMatrix,
     PlumbingGraph,
     VertexPermutation,
-    automorphism_group,
     canonical_degree,
     chain_graph,
     e8_graph,
@@ -88,7 +86,6 @@ from .suites import SuiteSpec, iter_suite, labeled_connected_count
 from .varieties import (
     Hypersurface,
     PointSample,
-    SamplerConfig,
     SmoothChart,
     sample_points,
 )

@@ -52,7 +52,7 @@ from .errors import (
     ZeroGradient,
 )
 from .polynomials import Polynomial
-from .varieties import PointSample, SamplerConfig, sample_points
+from .varieties import PointSample, sample_points
 
 __all__ = [
     "FormsAtPoint",
@@ -541,7 +541,6 @@ def find_adaptation_constant(
     eta: float | None,
     mesh: int,
     seed: int,
-    config: SamplerConfig | None = None,
 ) -> AdaptationReport:
     """Search for ``c >= 0`` with ``d theta(R_c) > 0`` away from the binding.
 
@@ -557,7 +556,7 @@ def find_adaptation_constant(
     """
     if mesh < 1:
         raise InvalidMesh(f"mesh size must be positive, got {mesh}")
-    samples = sample_points(v, epsilon, mesh, seed, config=config)
+    samples = sample_points(v, epsilon, mesh, seed)
     values = np.array([f.evaluate(p.point) for p in samples])
     sizes_sq = np.abs(values) ** 2
     max_size_sq = float(np.max(sizes_sq))
@@ -748,7 +747,6 @@ def openbook_criterion_check(
     eta: float | None,
     mesh: int,
     seed: int = 0,
-    config: SamplerConfig | None = None,
 ) -> OpenBookCriterionReport:
     """Mesh minima of the two transversality norms behind the open book.
 
@@ -763,7 +761,7 @@ def openbook_criterion_check(
     """
     if mesh < 1:
         raise InvalidMesh(f"mesh size must be positive, got {mesh}")
-    samples = sample_points(v, epsilon, mesh, seed, config=config)
+    samples = sample_points(v, epsilon, mesh, seed)
     values = [f.evaluate(p.point) for p in samples]
     sizes = [abs(value) ** 2 for value in values]
     if eta is None:

@@ -4,9 +4,11 @@ The existence theorem needs an effective divisor D = sum(m_i E_i) != 0 with
 D . E_i <= -(v_i + 2 g_i) at every vertex.  We return the canonical choice:
 the componentwise-least feasible divisor, computed by Laufer's computation
 sequence warm-started at the exact rational lower bound I^-1 c, and
-cross-checked by an independent exhaustive search.  Automorphism invariance
-is decided from the vertex orbits.  Everything here is exact integer or
-rational arithmetic; no floating point.
+cross-checked by an independent exhaustive search.  The validated graph is
+the form: products D . E_i are read off its adjacency, and the exact
+elimination takes the graph itself.  Automorphism invariance is decided
+from the vertex orbits.  Everything here is exact integer or rational
+arithmetic; no floating point.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import (
 from .graphs import (
     Divisor,
     PlumbingGraph,
+    _form_product,
     intersection_matrix,
     is_milnor_fillable,
     solve_exact,
@@ -101,11 +104,12 @@ def constraint_vector(g: PlumbingGraph) -> ConstraintVector:
     rewritten through adjunction: E . E_i = e_i + v_i and K . E_i =
     2 g_i - 2 - e_i, so the Euler weights cancel.
     """
-    ends = [0] * g.vertex_count
-    for a, b in g.edges:
-        ends[a] += 1
-        ends[b] += 1
-    return ConstraintVector(tuple(-(v + 2 * k) for v, k in zip(ends, g.genus)))
+    return ConstraintVector(
+        tuple(
+            -(sum(neighbours.values()) + 2 * k)
+            for neighbours, k in zip(g.adjacency, g.genus)
+        )
+    )
 
 
 def minimal_divisor(
@@ -134,14 +138,13 @@ def minimal_divisor(
     default takes the lowest index.  The result does not depend on this
     choice (a tested property).
     """
-    matrix = intersection_matrix(g)
     c = constraint_vector(g).bounds
-    lower = solve_exact(matrix, c, require_negative_definite=True)
+    lower = solve_exact(g, c, require_negative_definite=True)
     if lower is None:
         raise NotNegativeDefinite("descent requires a negative definite graph")
     r = g.vertex_count
     m = [max(1, math.ceil(x)) for x in lower]
-    products = list(matrix.apply(m))
+    products = _form_product(g, m)
     repairs = 0
     while True:
         violated = [i for i in range(r) if products[i] > c[i]]
@@ -157,23 +160,34 @@ def minimal_divisor(
             )
         m[i] += 1
         repairs += 1
-        for j in range(r):
-            products[j] += matrix.entries[j][i]
+        products[i] += g.euler[i]
+        for j, k in g.adjacency[i].items():
+            products[j] += k
 
 
 # Boxes with more prefixes than this would take too long to scan.
 _ABSURD_ROWS = 5_000_000_000
-# The grid of coordinates 1..r-2 holds (bound + 1)^(r - 2) rows, and about
-# 2 r int64 arrays of that length sit beside it (the grid, its slack rows,
-# the interval bounds).  The cap admits r <= 6 at bound 40 (41^4 rows); E7
-# at bound 40 would need 41^5 rows, several GB.
-_BLOCK_ROWS = 10**7
+# Byte budget for the arrays of one call, checked against _grid_bytes
+# before anything is allocated.  It admits r = 6 at bound 40 (41^4 grid
+# rows, about 373 MB) and refuses r = 7 at bound 24 (25^5 rows, 1.45 GB).
+_GRID_BYTES = 2**29
 # Runs of coordinate 0 are scanned against the grid about this many rows
 # at a time (at least one value per run), in buffers allocated once per
 # call and reused in place.  Arrays allocated afresh for every block, or
 # blocks of 2^15 rows and more, had their pages faulted in again on every
 # call: at bound 40 that cost more than the scan itself.
 _SCAN_ROWS = 2**14
+
+
+def _grid_bytes(r: int, grid_rows: int) -> int:
+    """Bytes the oracle holds for a grid of ``grid_rows`` rows on r vertices.
+
+    The grid of coordinates 1..r-2 and one slack row per vertex take 16 r
+    bytes per grid row, the interval bounds and masks beside them a few
+    dozen more.  16 r + 36 bounds the ``tracemalloc`` peaks per grid row
+    from above: 99, 108, 124, 140 and 156 bytes for r = 4..8.
+    """
+    return grid_rows * (16 * r + 36)
 
 
 def _narrow(coeff, part, lo, hi, ok):
@@ -206,8 +220,9 @@ def oracle_minimal_divisor(g: PlumbingGraph, bound: int) -> Divisor:
     above).  Returns the componentwise minimum of the feasible set and
     verifies that this minimum is itself feasible, which is the lattice
     min-closure property the descent's canonicity rests on.  Memory is
-    bounded by the grid, whatever the bound; boxes whose grid exceeds
-    ``_BLOCK_ROWS`` rows are refused before anything is allocated.
+    bounded by the grid, whatever the bound; boxes whose arrays would take
+    more than ``_GRID_BYTES`` bytes are refused before anything is
+    allocated.
     """
     if bound < 1:
         raise InputError("search bound must be at least 1")
@@ -219,16 +234,18 @@ def oracle_minimal_divisor(g: PlumbingGraph, bound: int) -> Divisor:
         raise InputError(f"box [0, {bound}]^{r} is too large to enumerate")
     dims = max(last - 1, 0)
     grid_rows = (bound + 1) ** dims
-    if grid_rows > _BLOCK_ROWS:
+    need = _grid_bytes(r, grid_rows)
+    if need > _GRID_BYTES:
         raise InputError(
-            f"box [0, {bound}]^{r} is too large to enumerate: its blocks of "
-            f"{grid_rows} rows exceed {_BLOCK_ROWS}"
+            f"box [0, {bound}]^{r} is too large to enumerate: its grid of "
+            f"{grid_rows} rows needs about {need} bytes, above the budget of "
+            f"{_GRID_BYTES}"
         )
-    matrix = intersection_matrix(g)
     c = constraint_vector(g).bounds
-    rows = np.array(matrix.entries, dtype=np.int64)
+    rows = np.array(intersection_matrix(g), dtype=np.int64)
     grid = np.indices((bound + 1,) * dims, dtype=np.int64).reshape(dims, grid_rows)
-    slack = np.array(c, dtype=np.int64)[:, None] - rows[:, 1:last] @ grid
+    slack = rows[:, 1:last] @ grid
+    np.subtract(np.array(c, dtype=np.int64)[:, None], slack, out=slack)
     # A single vertex has no coordinate 0 apart from its last one: one run
     # with a zero coefficient stands in for it.
     lead = rows[:, 0] if last else np.zeros(1, dtype=np.int64)
@@ -277,7 +294,7 @@ def oracle_minimal_divisor(g: PlumbingGraph, bound: int) -> Divisor:
     grid_mins = grid[:, seen].min(axis=1).tolist()
     result = Divisor(tuple(([lead_min] if last else []) + grid_mins + [last_min]))
 
-    products = matrix.apply(result.multiplicities)
+    products = _form_product(g, result.multiplicities)
     feasible = not result.is_zero and all(
         products[i] <= c[i] for i in range(r)
     )
@@ -302,7 +319,7 @@ def binding_multiplicities(g: PlumbingGraph, d: Divisor) -> MultiplicityVector:
         )
     if d.is_zero:
         raise InputError("binding multiplicities need a non-zero divisor")
-    products = intersection_matrix(g).apply(d.multiplicities)
+    products = _form_product(g, d.multiplicities)
     return MultiplicityVector(tuple(-p for p in products))
 
 
@@ -318,7 +335,7 @@ def divisor_from_multiplicities(g: PlumbingGraph, n: MultiplicityVector) -> Divi
             f"multiplicity vector of length {len(n)} against "
             f"{g.vertex_count} vertices"
         )
-    solution = solve_exact(intersection_matrix(g), [-k for k in n.counts])
+    solution = solve_exact(g, [-k for k in n.counts])
     for i, value in enumerate(solution):
         if value.denominator != 1:
             raise NonIntegralSolution(i, value)
@@ -341,9 +358,8 @@ def check_theorem_conditions(g: PlumbingGraph, d: Divisor) -> DivisorReport:
         raise DimensionMismatch(
             f"divisor of length {len(d)} against {g.vertex_count} vertices"
         )
-    matrix = intersection_matrix(g)
     c = constraint_vector(g).bounds
-    products = matrix.apply(d.multiplicities)
+    products = _form_product(g, d.multiplicities)
     slack = tuple(c[i] - products[i] for i in range(g.vertex_count))
     counts = MultiplicityVector(tuple(-p for p in products))
     orbits = vertex_orbits(g)

@@ -6,17 +6,19 @@ genus g_i >= 0 and an integer Euler weight e_i.  Loops are forbidden: the
 curves a good resolution glues along are smooth, so a component never meets
 itself, while two distinct components may meet several times (multi-edges).
 The intersection form I has diagonal e_i and off-diagonal entries the edge
-multiplicities; its negative definiteness is the fillability criterion and
-is decided in exact integer arithmetic, never floating point, by the one
-fraction-free elimination that also solves I x = rhs.  Automorphisms,
-vertex orbits and isomorphisms all come from one backtracking search,
-pruned by the equitable partition of the weighted graph.
+multiplicities, so the graph carries its own form: its adjacency, built
+once on construction, gives every product I . m sparsely and the dense rows
+when an elimination needs them.  Negative definiteness of I is the
+fillability criterion and is decided in exact integer arithmetic, never
+floating point, by the one fraction-free elimination that also solves
+I x = rhs.  Vertex orbits and isomorphisms come from one backtracking
+search, pruned by the equitable partition of the weighted graph.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -31,7 +33,6 @@ from .errors import (
 
 __all__ = [
     "PlumbingGraph",
-    "IntersectionMatrix",
     "Divisor",
     "VertexPermutation",
     "validate_graph",
@@ -41,7 +42,6 @@ __all__ = [
     "is_milnor_fillable",
     "valency",
     "canonical_degree",
-    "automorphism_group",
     "vertex_orbits",
     "find_isomorphism",
     "graph_from_dict",
@@ -61,11 +61,17 @@ class PlumbingGraph:
     ``edges`` stores each unordered pair as (min, max); a pair repeated k
     times is an edge of multiplicity k.  Instances are validated on
     construction, so every reachable value satisfies the type invariants.
+    ``adjacency[i]`` maps each neighbour j of i to the multiplicity k_ij;
+    it is derived from ``edges`` once, takes no part in equality or
+    hashing, and must not be modified.
     """
 
     genus: tuple[int, ...]
     euler: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
+    adjacency: tuple[dict[int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         r = len(self.genus)
@@ -81,37 +87,40 @@ class PlumbingGraph:
             if not (0 <= a < r and 0 <= b < r):
                 raise NonContiguousIds(f"edge [{a}, {b}] references an unknown vertex")
             normalized.append((min(a, b), max(a, b)))
-        object.__setattr__(self, "edges", tuple(sorted(normalized)))
+        edges = tuple(sorted(normalized))
+        object.__setattr__(self, "edges", edges)
         if r == 0:
             raise InputError("a plumbing graph needs at least one vertex")
+        adjacency: list[dict[int, int]] = [{} for _ in range(r)]
+        for a, b in edges:
+            adjacency[a][b] = adjacency[a].get(b, 0) + 1
+            adjacency[b][a] = adjacency[a][b]
+        object.__setattr__(self, "adjacency", tuple(adjacency))
         self._check_connected()
 
     def _check_connected(self):
-        r = len(self.genus)
         seen = {0}
         frontier = [0]
-        adjacency = {i: set() for i in range(r)}
-        for a, b in self.edges:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
         while frontier:
             v = frontier.pop()
-            for w in adjacency[v]:
+            for w in self.adjacency[v]:
                 if w not in seen:
                     seen.add(w)
                     frontier.append(w)
-        if len(seen) != r:
-            raise Disconnected(min(set(range(r)) - seen))
+        if len(seen) != self.vertex_count:
+            raise Disconnected(min(set(range(self.vertex_count)) - seen))
 
     @property
     def vertex_count(self) -> int:
         return len(self.genus)
 
     def edge_multiplicities(self) -> dict[tuple[int, int], int]:
-        mult: dict[tuple[int, int], int] = {}
-        for pair in self.edges:
-            mult[pair] = mult.get(pair, 0) + 1
-        return mult
+        return {
+            (a, b): k
+            for a, neighbours in enumerate(self.adjacency)
+            for b, k in neighbours.items()
+            if a < b
+        }
 
     def relabel(self, images: Sequence[int]) -> "PlumbingGraph":
         """Push the graph forward along vertex map i -> images[i]."""
@@ -123,44 +132,6 @@ class PlumbingGraph:
             euler[images[i]] = self.euler[i]
         edges = tuple((images[a], images[b]) for a, b in self.edges)
         return PlumbingGraph(tuple(genus), tuple(euler), edges)
-
-
-@dataclass(frozen=True)
-class IntersectionMatrix:
-    """Symmetric integer matrix: diagonal e_i, off-diagonal edge counts."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        r = len(self.entries)
-        for row in self.entries:
-            if len(row) != r:
-                raise InputError("intersection matrix must be square")
-        for i in range(r):
-            for j in range(i + 1, r):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise InputError("intersection matrix must be symmetric")
-                if self.entries[i][j] < 0:
-                    raise InputError("off-diagonal intersection numbers are counts")
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
-    def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
-        """Exact integer product I . vector."""
-        if len(vector) != self.size:
-            from .errors import DimensionMismatch
-
-            raise DimensionMismatch(
-                f"vector of length {len(vector)} against {self.size} vertices"
-            )
-        return tuple(
-            sum(row[j] * vector[j] for j in range(self.size)) for row in self.entries
-        )
 
 
 @dataclass(frozen=True)
@@ -280,21 +251,36 @@ def validate_graph(vertices: Iterable, edges: Iterable) -> PlumbingGraph:
     return PlumbingGraph(tuple(genus), tuple(euler), tuple(pairs))
 
 
-def intersection_matrix(g: PlumbingGraph) -> IntersectionMatrix:
-    """I(Gamma): diagonal Euler weights, off-diagonal edge multiplicities."""
-    r = g.vertex_count
-    rows = [[0] * r for _ in range(r)]
-    for i in range(r):
-        rows[i][i] = g.euler[i]
-    for (a, b), k in g.edge_multiplicities().items():
-        rows[a][b] = k
-        rows[b][a] = k
-    return IntersectionMatrix(tuple(tuple(row) for row in rows))
+def intersection_matrix(g: PlumbingGraph) -> tuple[tuple[int, ...], ...]:
+    """Dense rows of I(Gamma): diagonal Euler weights, off-diagonal edge
+    multiplicities."""
+    rows = []
+    for i, neighbours in enumerate(g.adjacency):
+        row = [0] * g.vertex_count
+        row[i] = g.euler[i]
+        for j, k in neighbours.items():
+            row[j] = k
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _form_product(g: PlumbingGraph, m: Sequence[int]) -> list[int]:
+    """Exact (I . m)_i = e_i m_i + sum_j k_ij m_j, read off the adjacency."""
+    if len(m) != g.vertex_count:
+        raise DimensionMismatch(
+            f"vector of length {len(m)} against {g.vertex_count} vertices"
+        )
+    return [
+        e * x + sum(k * m[j] for j, k in neighbours.items())
+        for e, x, neighbours in zip(g.euler, m, g.adjacency)
+    ]
 
 
 def _as_rows(m) -> Sequence[Sequence[int]]:
-    if isinstance(m, IntersectionMatrix):
-        return m.entries
+    """Rows of a form: a validated graph's as they are, raw rows checked to
+    be integer, square and symmetric."""
+    if isinstance(m, PlumbingGraph):
+        return intersection_matrix(m)
     rows = [[_integer(x, "matrix entry") for x in row] for row in m]
     r = len(rows)
     for row in rows:
@@ -381,10 +367,12 @@ def _eliminate(entries, rhs, negative_definite):
 def is_negative_definite(m) -> bool:
     """Exact test: the k-th leading principal minor has sign (-1)^k.
 
-    The minors are the pivots of the sparse fraction-free elimination
-    shared with :func:`solve_exact`; a zero or wrongly signed pivot refutes
-    definiteness, so elimination never continues past one.  Entries must
-    be ``int``; floats, strings and bools raise :class:`InputError`.
+    ``m`` is a :class:`PlumbingGraph`, whose form is taken as it is, or
+    raw rows.  The minors are the pivots of the sparse fraction-free
+    elimination shared with :func:`solve_exact`; a zero or wrongly signed
+    pivot refutes definiteness, so elimination never continues past one.
+    Raw entries must be ``int``; floats, strings and bools raise
+    :class:`InputError`, as do rows that are not square and symmetric.
     """
     return _eliminate(_as_rows(m), None, True) is not None
 
@@ -392,7 +380,8 @@ def is_negative_definite(m) -> bool:
 def solve_exact(
     m, rhs: Sequence[int], *, require_negative_definite: bool = False
 ) -> tuple[Fraction, ...] | None:
-    """Exact rational solution of ``m . x = rhs``.
+    """Exact rational solution of ``m . x = rhs``, for a graph's form or raw
+    rows as in :func:`is_negative_definite`.
 
     Uses the same elimination as :func:`is_negative_definite`.  With
     ``require_negative_definite`` the answer is None unless ``m`` is
@@ -419,14 +408,14 @@ def is_milnor_fillable(g: PlumbingGraph) -> bool:
 
     Connectivity, the other hypothesis, is enforced by the graph type.
     """
-    return is_negative_definite(intersection_matrix(g))
+    return is_negative_definite(g)
 
 
 def valency(g: PlumbingGraph, i: int) -> int:
     """v_i = E_i . (E - E_i): edge-ends at vertex i, counting multiplicity."""
     if not 0 <= i < g.vertex_count:
         raise InputError(f"no vertex {i}")
-    return sum((a == i) + (b == i) for a, b in g.edges)
+    return sum(g.adjacency[i].values())
 
 
 def canonical_degree(g: PlumbingGraph, i: int) -> int:
@@ -434,15 +423,6 @@ def canonical_degree(g: PlumbingGraph, i: int) -> int:
     if not 0 <= i < g.vertex_count:
         raise InputError(f"no vertex {i}")
     return 2 * g.genus[i] - 2 - g.euler[i]
-
-
-def _adjacency(g: PlumbingGraph) -> list[dict[int, int]]:
-    """adjacency[i][j] = number of edges between i and j."""
-    adjacency: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
-    for (a, b), k in g.edge_multiplicities().items():
-        adjacency[a][b] = k
-        adjacency[b][a] = k
-    return adjacency
 
 
 def _equitable_cells(adjacency: Sequence[Mapping[int, int]], labels) -> list[int]:
@@ -573,8 +553,8 @@ def find_isomorphism(
     r = a.vertex_count
     if b.vertex_count != r:
         return None
-    adj_a, adj_b = _adjacency(a), _adjacency(b)
-    union = adj_a + [{x + r: k for x, k in adj.items()} for adj in adj_b]
+    adj_a, adj_b = a.adjacency, b.adjacency
+    union = list(adj_a) + [{x + r: k for x, k in adj.items()} for adj in adj_b]
     labels = [
         (g.genus[i], g.euler[i], extra[i])
         for g, extra in ((a, labels_a), (b, labels_b))
@@ -591,31 +571,10 @@ def find_isomorphism(
     return None if found is None else VertexPermutation(tuple(found))
 
 
-def automorphism_group(g: PlumbingGraph) -> list[VertexPermutation]:
-    """All vertex permutations preserving weights and edge multiplicities.
-
-    Enumerates the whole group with the shared backtracking search, so its
-    cost grows with the group order (k! for k equal legs of a star); the
-    package decides invariance from :func:`vertex_orbits` instead.  The
-    result is sorted by image tuple, starts with the identity, and is a
-    group (closure is asserted in the test suite, not here).
-    """
-    adjacency = _adjacency(g)
-    candidates = _cell_members(g, adjacency)
-    found = [
-        VertexPermutation(tuple(images))
-        for images in _isomorphisms(
-            adjacency, adjacency, candidates, _search_order(adjacency, 0)
-        )
-    ]
-    found.sort(key=lambda p: p.images)
-    return found
-
-
-def _cell_members(g: PlumbingGraph, adjacency) -> list[list[int]]:
+def _cell_members(g: PlumbingGraph) -> list[list[int]]:
     """For each vertex, the sorted members of its equitable cell."""
     cells = _equitable_cells(
-        adjacency, [(g.genus[i], g.euler[i]) for i in range(g.vertex_count)]
+        g.adjacency, [(g.genus[i], g.euler[i]) for i in range(g.vertex_count)]
     )
     members: dict[int, list[int]] = {}
     for v, c in enumerate(cells):
@@ -635,8 +594,8 @@ def vertex_orbits(g: PlumbingGraph) -> tuple[int, ...]:
     a failed search; on trees there are none, because colour refinement
     already separates the orbits of a tree.
     """
-    adjacency = _adjacency(g)
-    candidates = _cell_members(g, adjacency)
+    adjacency = g.adjacency
+    candidates = _cell_members(g)
     root = list(range(g.vertex_count))
 
     def find(v: int) -> int:

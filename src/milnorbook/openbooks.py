@@ -149,7 +149,7 @@ def ubiquitous_open_book(g: PlumbingGraph) -> OpenBookReport:
     certificates = check_theorem_conditions(g, divisor)
     counts = certificates.multiplicities
     decorated = decorate(g, counts)
-    # Valencies v_i = -c_i - 2 g_i, from one pass over the edges.
+    # Valencies v_i = -c_i - 2 g_i, read off the constraint vector.
     bounds = constraint_vector(g).bounds
     per_vertex = tuple(
         (

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Iterator, Sequence
 
-from .graphs import PlumbingGraph, intersection_matrix, is_negative_definite
+from .graphs import PlumbingGraph, is_negative_definite
 
 __all__ = ["SuiteSpec", "iter_suite", "labeled_connected_count"]
 
@@ -116,7 +116,7 @@ def iter_suite(
         for edges, euler, residual in iter_edge_euler_classes(r, spec):
             if negative_definite_only:
                 probe = PlumbingGraph((0,) * r, euler, edges)
-                if not is_negative_definite(intersection_matrix(probe)):
+                if not is_negative_definite(probe):
                     continue
             for genus in product(spec.genus_values, repeat=r):
                 if any(_permuted_weights(genus, s) < genus for s in residual):

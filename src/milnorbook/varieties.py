@@ -37,7 +37,6 @@ from .errors import InputError, SamplingFailed
 from .polynomials import Polynomial
 
 __all__ = [
-    "SamplerConfig",
     "SmoothChart",
     "Hypersurface",
     "PointSample",
@@ -56,22 +55,27 @@ _DRAWS_PER_BLOCK = 2**12
 # draws is exactly the 10% minimum convergence rate.
 _ATTEMPTS_PER_SAMPLE = 10
 
+# The contract the rest of the package assumes: accepted samples satisfy
+# |rho - epsilon| <= _LEVEL_TOLERANCE * epsilon and, for hypersurfaces,
+# |h| <= _RESIDUAL_TOLERANCE * scale, where scale bounds |h| on the sphere
+# of radius sqrt(epsilon).
+_LEVEL_TOLERANCE = 1e-10
+_RESIDUAL_TOLERANCE = 1e-10
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Numerical knobs for :func:`sample_points`.
+# Scaled residual at which Newton polishing of a radial root, and the
+# Gauss–Newton iteration of a hypersurface draw, stop.
+_NEWTON_TOLERANCE = 1e-12
 
-    The defaults are the contract the rest of the package assumes:
-    accepted samples satisfy ``|rho - epsilon| <= level_tolerance * epsilon``
-    and, for hypersurfaces, ``|h| <= residual_tolerance * scale`` where
-    ``scale`` bounds ``|h|`` on the sphere of radius ``sqrt(epsilon)``.
-    """
+# Gauss–Newton iterations per hypersurface draw, and the factor each
+# rejected step is shrunk by.
+_MAX_ITERATIONS = 50
+_DAMPING = 0.5
 
-    newton_tolerance: float = 1e-12
-    damping: float = 0.5
-    max_iterations: int = 50
-    level_tolerance: float = 1e-10
-    residual_tolerance: float = 1e-10
+
+def _read_only_identity(dim: int) -> np.ndarray:
+    identity = np.eye(dim, dtype=complex)
+    identity.flags.writeable = False
+    return identity
 
 
 def _require_vanishing_at_origin(poly: Polynomial, label: str) -> None:
@@ -110,6 +114,7 @@ class SmoothChart:
         self.dim = dim
         self.components = components
         self._jacobian_rows = tuple(poly.gradient() for poly in components)
+        self._identity = _read_only_identity(dim)
 
     @classmethod
     def identity(cls, dim: int) -> "SmoothChart":
@@ -139,7 +144,8 @@ class SmoothChart:
         return float(np.sum(np.abs(values) ** 2))
 
     def tangent_basis(self, point: np.ndarray) -> np.ndarray:
-        return np.eye(self.dim, dtype=complex)
+        """The identity basis of the domain: one read-only array per chart."""
+        return self._identity
 
     def __repr__(self) -> str:
         body = ", ".join(str(p) for p in self.components)
@@ -165,6 +171,7 @@ class Hypersurface:
         _require_vanishing_at_origin(defining, "the defining polynomial")
         self.defining = defining
         self._gradient = defining.gradient()
+        self._identity = _read_only_identity(defining.n_vars)
 
     @property
     def ambient_dim(self) -> int:
@@ -178,7 +185,8 @@ class Hypersurface:
         return np.asarray(point, dtype=complex)
 
     def phi_jacobian(self, point: np.ndarray) -> np.ndarray:
-        return np.eye(self.ambient_dim, dtype=complex)
+        """The identity: one read-only array per hypersurface."""
+        return self._identity
 
     def rho(self, point: np.ndarray) -> float:
         return float(np.sum(np.abs(np.asarray(point)) ** 2))
@@ -253,9 +261,7 @@ def _radial_profiles(chart: SmoothChart, directions: np.ndarray) -> np.ndarray:
     return profiles
 
 
-def _radial_roots(
-    profiles: np.ndarray, epsilon: float, config: SamplerConfig
-) -> np.ndarray:
+def _radial_roots(profiles: np.ndarray, epsilon: float) -> np.ndarray:
     """Smallest ``t > 0`` with ``profile(t) = epsilon`` per row, NaN if none.
 
     Bracket doubling, 80 bisections and at most 8 Newton steps, with the
@@ -290,7 +296,7 @@ def _radial_roots(
         high = np.where(below, high, mid)
     t = 0.5 * (low + high)
     derivative = polyder(coefficients)
-    tolerance = 0.5 * config.newton_tolerance * epsilon
+    tolerance = 0.5 * _NEWTON_TOLERANCE * epsilon
     live = np.arange(rows.size)
     for _ in range(8):
         residual = polyval(t[live], coefficients[:, live], tensor=False) - epsilon
@@ -306,7 +312,7 @@ def _radial_roots(
     return roots
 
 
-def _chart_step(chart: SmoothChart, epsilon: float, config: SamplerConfig):
+def _chart_step(chart: SmoothChart, epsilon: float):
     """Block step for charts: the radial root along each drawn direction."""
 
     def solve(t: float, direction: np.ndarray) -> PointSample | None:
@@ -314,7 +320,7 @@ def _chart_step(chart: SmoothChart, epsilon: float, config: SamplerConfig):
             return None
         point = t * direction
         rho_value = chart.rho(point)
-        if abs(rho_value - epsilon) > config.level_tolerance * epsilon:
+        if abs(rho_value - epsilon) > _LEVEL_TOLERANCE * epsilon:
             return None
         return PointSample(
             point=point,
@@ -324,7 +330,7 @@ def _chart_step(chart: SmoothChart, epsilon: float, config: SamplerConfig):
 
     def step(raw: np.ndarray, norms: np.ndarray) -> list[PointSample | None]:
         directions = raw / norms[:, None]
-        roots = _radial_roots(_radial_profiles(chart, directions), epsilon, config)
+        roots = _radial_roots(_radial_profiles(chart, directions), epsilon)
         return [solve(t, direction) for t, direction in zip(roots, directions)]
 
     return step
@@ -360,7 +366,7 @@ def _scaled_residual(residual: np.ndarray, epsilon: float, h_scale: float) -> fl
     return max(h_size / h_scale, abs(residual[2]) / epsilon)
 
 
-def _hypersurface_step(surface: Hypersurface, epsilon: float, config: SamplerConfig):
+def _hypersurface_step(surface: Hypersurface, epsilon: float):
     """Block step for hypersurfaces: damped Gauss–Newton from each draw."""
     n = surface.ambient_dim
     h_scale = surface.defining_scale(epsilon)
@@ -370,13 +376,13 @@ def _hypersurface_step(surface: Hypersurface, epsilon: float, config: SamplerCon
         z = math.sqrt(epsilon) * raw / norm
         best_z = None
         best_scaled = math.inf
-        for _ in range(config.max_iterations):
+        for _ in range(_MAX_ITERATIONS):
             residual, jacobian = _real_system(surface, epsilon, z)
             scaled = _scaled_residual(residual, epsilon, h_scale)
             if scaled < best_scaled:
                 best_scaled = scaled
                 best_z = z
-            if scaled <= config.newton_tolerance:
+            if scaled <= _NEWTON_TOLERANCE:
                 break
             step, *_ = np.linalg.lstsq(jacobian, -residual, rcond=None)
             delta = step[:n] + 1j * step[n:]
@@ -390,7 +396,7 @@ def _hypersurface_step(surface: Hypersurface, epsilon: float, config: SamplerCon
                     z = candidate
                     moved = True
                     break
-                factor *= config.damping
+                factor *= _DAMPING
             if not moved:
                 break
         if best_z is None:
@@ -398,9 +404,9 @@ def _hypersurface_step(surface: Hypersurface, epsilon: float, config: SamplerCon
         z = best_z
         residual, _ = _real_system(surface, epsilon, z)
         h_size = math.hypot(residual[0], residual[1])
-        if h_size > config.residual_tolerance * h_scale:
+        if h_size > _RESIDUAL_TOLERANCE * h_scale:
             return None
-        if abs(residual[2]) > config.level_tolerance * epsilon:
+        if abs(residual[2]) > _LEVEL_TOLERANCE * epsilon:
             return None
         gradient = surface.defining_gradient(z)
         if np.linalg.norm(gradient) < gradient_floor:
@@ -417,13 +423,7 @@ def _hypersurface_step(surface: Hypersurface, epsilon: float, config: SamplerCon
     return step
 
 
-def sample_points(
-    v,
-    epsilon: float,
-    count: int,
-    seed: int,
-    config: SamplerConfig | None = None,
-) -> list[PointSample]:
+def sample_points(v, epsilon: float, count: int, seed: int) -> list[PointSample]:
     """Draw ``count`` deterministic samples on the level set ``rho = epsilon``.
 
     Random ambient directions are drawn from ``seed``, in blocks of at most
@@ -432,22 +432,20 @@ def sample_points(
     draws.  Each draw is solved onto the level set (a radial root-find for
     charts, done for the whole block at once; damped Gauss–Newton on
     ``(Re h, Im h, rho - epsilon)`` for hypersurfaces, draw by draw) and
-    rejected if it does not converge to the configured tolerances.  Draws
+    rejected if it does not converge to the module's tolerances.  Draws
     are accepted in draw order; zero draws are skipped.  Raises
     :class:`SamplingFailed` when fewer than ``count`` draws are accepted
     within the attempt budget of ten draws per requested sample (a
     conversion rate below 10%), or when ``epsilon`` is not positive.
     """
-    if config is None:
-        config = SamplerConfig()
     if not (epsilon > 0.0) or not math.isfinite(epsilon):
         raise SamplingFailed(f"level value must be positive, got {epsilon!r}")
     if count < 1:
         raise InputError("sample count must be at least 1")
     if isinstance(v, SmoothChart):
-        step = _chart_step(v, epsilon, config)
+        step = _chart_step(v, epsilon)
     elif isinstance(v, Hypersurface):
-        step = _hypersurface_step(v, epsilon, config)
+        step = _hypersurface_step(v, epsilon)
     else:
         raise InputError(f"unsupported variety model: {type(v).__name__}")
     n = v.ambient_dim

@@ -6,12 +6,16 @@ principal minors computed by memoized Laplace expansion (the package uses
 leading minors via fraction-free elimination), the divisor oracle scans a
 box point by point (the package descends or collapses intervals), and the
 rational bound solves the linear system exactly (the package never forms
-an inverse).  Agreement between such different routes is the evidence the
-acceptance battery rests on.
+an inverse), and products with the intersection form run over its dense
+rows (the package reads them off the graph's adjacency).  Agreement
+between such different routes is the evidence the acceptance battery rests
+on.
 
-The chart-sampler reference is the exception: it solves one draw at a
-time with scalar arithmetic, and the package's block solve must reproduce
-it bit for bit, not merely agree with it.
+Two entries are exceptions.  The chart-sampler reference solves one draw
+at a time with scalar arithmetic, and the package's block solve must
+reproduce it bit for bit, not merely agree with it.  The automorphism
+group is listed with the package's own backtracking search, which the
+package itself only ever asks for one solution at a time.
 """
 
 from __future__ import annotations
@@ -27,17 +31,15 @@ import numpy as np
 from milnorbook import (
     PlumbingGraph,
     SuiteSpec,
+    VertexPermutation,
     constraint_vector,
     intersection_matrix,
     iter_suite,
 )
+from milnorbook import varieties
+from milnorbook.graphs import _cell_members, _isomorphisms, _search_order
 from milnorbook.suites import iter_edge_euler_classes
-from milnorbook.varieties import (
-    _ATTEMPTS_PER_SAMPLE,
-    _MAX_DOUBLINGS,
-    SamplerConfig,
-    SmoothChart,
-)
+from milnorbook.varieties import _ATTEMPTS_PER_SAMPLE, _MAX_DOUBLINGS, SmoothChart
 
 
 def principal_minor_signs_definite(rows) -> bool:
@@ -85,19 +87,50 @@ def _subsets(indices, size):
     return combinations(indices, size)
 
 
+def dense_form_product(g: PlumbingGraph, m) -> tuple[int, ...]:
+    """I . m as a row-by-column product over a dense matrix filled from the
+    edge list, one count per edge (the package reads its adjacency)."""
+    r = g.vertex_count
+    rows = [[0] * r for _ in range(r)]
+    for i in range(r):
+        rows[i][i] = g.euler[i]
+    for a, b in g.edges:
+        rows[a][b] += 1
+        rows[b][a] += 1
+    return tuple(sum(entry * x for entry, x in zip(row, m)) for row in rows)
+
+
+def automorphism_group(g: PlumbingGraph) -> list[VertexPermutation]:
+    """All vertex permutations preserving weights and edge multiplicities.
+
+    Lists every solution of the package's backtracking search, so its cost
+    grows with the group order (k! for k equal legs of a star); keep the
+    graphs small.  The result is sorted by image tuple and starts with the
+    identity.
+    """
+    adjacency = g.adjacency
+    found = [
+        VertexPermutation(tuple(images))
+        for images in _isomorphisms(
+            adjacency, adjacency, _cell_members(g), _search_order(adjacency, 0)
+        )
+    ]
+    found.sort(key=lambda p: p.images)
+    return found
+
+
 def brute_force_feasible_points(g: PlumbingGraph, bound: int):
     """Every nonzero divisor in [0, bound]^r satisfying the constraints.
 
     Pure nested-loop scan; exponential, so callers keep r and bound tiny.
     """
-    matrix = intersection_matrix(g)
     c = constraint_vector(g).bounds
     r = g.vertex_count
     feasible = []
     for m in product(range(bound + 1), repeat=r):
         if all(x == 0 for x in m):
             continue
-        products = matrix.apply(m)
+        products = dense_form_product(g, m)
         if all(products[i] <= c[i] for i in range(r)):
             feasible.append(m)
     return feasible
@@ -121,13 +154,10 @@ def rational_least_point(g: PlumbingGraph) -> tuple[Fraction, ...]:
     Solved over Fractions by Gauss-Jordan elimination, independent of the
     package's solver.
     """
-    matrix = intersection_matrix(g)
+    rows = intersection_matrix(g)
     c = constraint_vector(g).bounds
-    r = matrix.size
-    a = [
-        [Fraction(matrix.entries[i][j]) for j in range(r)] + [Fraction(c[i])]
-        for i in range(r)
-    ]
+    r = len(rows)
+    a = [[Fraction(x) for x in rows[i]] + [Fraction(c[i])] for i in range(r)]
     for col in range(r):
         pivot_row = next(i for i in range(col, r) if a[i][col] != 0)
         a[col], a[pivot_row] = a[pivot_row], a[col]
@@ -166,7 +196,7 @@ def suite_matrices() -> tuple[tuple[tuple[int, ...], ...], ...]:
     for r in range(1, spec.max_vertices + 1):
         for edges, euler, _ in iter_edge_euler_classes(r, spec):
             probe = PlumbingGraph((0,) * r, euler, edges)
-            out.append(intersection_matrix(probe).entries)
+            out.append(intersection_matrix(probe))
     return tuple(out)
 
 
@@ -213,7 +243,7 @@ def _radial_profile(chart: SmoothChart, direction: np.ndarray) -> np.ndarray:
     return profile
 
 
-def _solve_radial(profile: np.ndarray, epsilon: float, config: SamplerConfig):
+def _solve_radial(profile: np.ndarray, epsilon: float):
     """Smallest ``t > 0`` with ``profile(t) = epsilon``, or None."""
 
     def value(t: float) -> float:
@@ -238,7 +268,7 @@ def _solve_radial(profile: np.ndarray, epsilon: float, config: SamplerConfig):
     derivative = np.polynomial.polynomial.polyder(profile)
     for _ in range(8):
         residual = value(t) - epsilon
-        if abs(residual) <= 0.5 * config.newton_tolerance * epsilon:
+        if abs(residual) <= 0.5 * varieties._NEWTON_TOLERANCE * epsilon:
             break
         slope = float(np.polynomial.polynomial.polyval(t, derivative))
         if slope == 0.0 or not math.isfinite(slope):
@@ -256,7 +286,6 @@ def per_draw_chart_samples(chart: SmoothChart, epsilon: float, count: int, seed:
     by the scalar radial profile and bisection above; the budget and the
     level test are the package's.
     """
-    config = SamplerConfig()
     n = chart.ambient_dim
     rng = np.random.default_rng(seed)
     accepted = []
@@ -269,12 +298,12 @@ def per_draw_chart_samples(chart: SmoothChart, epsilon: float, count: int, seed:
         if norm == 0.0:
             continue
         direction = raw / norm
-        t = _solve_radial(_radial_profile(chart, direction), epsilon, config)
+        t = _solve_radial(_radial_profile(chart, direction), epsilon)
         if t is None:
             continue
         point = t * direction
         rho_value = chart.rho(point)
-        if abs(rho_value - epsilon) > config.level_tolerance * epsilon:
+        if abs(rho_value - epsilon) > varieties._LEVEL_TOLERANCE * epsilon:
             continue
         accepted.append((point, rho_value))
     return accepted

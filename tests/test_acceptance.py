@@ -19,7 +19,6 @@ from milnorbook import (
     Divisor,
     Hypersurface,
     SmoothChart,
-    automorphism_group,
     binding_multiplicities,
     check_spsh,
     divisor_from_multiplicities,
@@ -43,6 +42,7 @@ from milnorbook.errors import BoundTooSmall
 from milnorbook.graphs import save_graph, valency
 
 from oracles import (
+    automorphism_group,
     nd_suite,
     principal_minor_signs_definite,
     random_weighted_graph,
@@ -161,7 +161,7 @@ def test_criterion_05_definiteness_oracle_agreement():
     rng = np.random.default_rng(0)
     for _ in range(1000):
         g = random_weighted_graph(rng)
-        rows = intersection_matrix(g).entries
+        rows = intersection_matrix(g)
         if is_negative_definite(rows) != principal_minor_signs_definite(rows):
             disagreements += 1
     assert len(suite_matrices()) == MATRIX_CLASSES

@@ -18,7 +18,6 @@ from milnorbook import (
     constraint_vector,
     divisor_from_multiplicities,
     e8_graph,
-    intersection_matrix,
     minimal_divisor,
     oracle_minimal_divisor,
     star_graph,
@@ -38,6 +37,7 @@ from milnorbook.errors import (
 from oracles import (
     brute_force_feasible_points,
     brute_force_minimal_divisor,
+    dense_form_product,
     nd_suite,
     rational_ceiling,
     rational_least_point,
@@ -203,15 +203,37 @@ class TestOracle:
                 assert oracle_minimal_divisor(g, bound).multiplicities == naive
 
     def test_streamed_block_size_is_capped(self, monkeypatch):
-        """A streamed block of (bound + 1)^(r - 2) rows above the cap is
-        refused before it is allocated; at the cap it runs."""
-        import milnorbook.divisors as divisors
-
-        monkeypatch.setattr(divisors, "_BLOCK_ROWS", 13**2 - 1)
+        """A grid of (bound + 1)^(r - 2) rows whose arrays would exceed the
+        byte budget is refused before it is allocated; at the budget it
+        runs."""
+        need = divisors._grid_bytes(4, 13**2)
+        monkeypatch.setattr(divisors, "_GRID_BYTES", need - 1)
         with pytest.raises(InputError, match=r"box \[0, 12\]\^4"):
             oracle_minimal_divisor(D4, 12)
-        monkeypatch.setattr(divisors, "_BLOCK_ROWS", 13**2)
+        monkeypatch.setattr(divisors, "_GRID_BYTES", need)
         assert oracle_minimal_divisor(D4, 12).multiplicities == (9, 5, 5, 5)
+
+    def test_seven_vertices_at_bound_24_refused_before_allocating(self):
+        """E7 at bound 24 has a grid of 25^5 rows, about 1.4 GB of arrays:
+        the budget refuses it before anything is allocated."""
+        e7 = PlumbingGraph(
+            (0,) * 7, (-2,) * 7, tuple((i, i + 1) for i in range(5)) + ((2, 6),)
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=r"box \[0, 24\]\^7 is too large"):
+                oracle_minimal_divisor(e7, 24)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("r, bound", [(4, 40), (4, 365), (5, 40), (6, 30), (6, 40)])
+    def test_routine_boxes_fit_the_budget(self, r, bound):
+        """The suite's bound-40 and straggler boxes, the benchmark's largest
+        streamed boxes and r = 6 at the CLI's default bound are admitted."""
+        grid_rows = (bound + 1) ** (r - 2)
+        assert divisors._grid_bytes(r, grid_rows) <= divisors._GRID_BYTES
 
     def test_memory_does_not_grow_with_the_bound(self):
         """The values of coordinate 0 are scanned in blocks, so a two-vertex
@@ -234,11 +256,10 @@ class TestOracle:
         if len(points) < 2:
             return
         sample = points[:: max(1, len(points) // 12)]
-        matrix = intersection_matrix(g)
         c = constraint_vector(g).bounds
         for p, q in combinations(sample, 2):
             met = tuple(min(a, b) for a, b in zip(p, q))
-            products = matrix.apply(met)
+            products = dense_form_product(g, met)
             assert all(
                 products[i] <= c[i] for i in range(g.vertex_count)
             )

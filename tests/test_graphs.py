@@ -7,10 +7,8 @@ from hypothesis import given, strategies as st
 
 from milnorbook import (
     Divisor,
-    IntersectionMatrix,
     PlumbingGraph,
     VertexPermutation,
-    automorphism_group,
     canonical_degree,
     chain_graph,
     e8_graph,
@@ -28,6 +26,7 @@ from milnorbook import (
     vertex_orbits,
 )
 from milnorbook.errors import (
+    DimensionMismatch,
     Disconnected,
     InputError,
     LoopEdge,
@@ -35,7 +34,13 @@ from milnorbook.errors import (
     NonContiguousIds,
 )
 
-from oracles import principal_minor_signs_definite, rational_least_point
+from milnorbook.graphs import _form_product
+from oracles import (
+    automorphism_group,
+    dense_form_product,
+    principal_minor_signs_definite,
+    rational_least_point,
+)
 
 
 @st.composite
@@ -96,6 +101,13 @@ class TestValidation:
     def test_multi_edge_multiplicities(self):
         g = PlumbingGraph((0, 0), (-3, -3), ((0, 1), (1, 0)))
         assert g.edge_multiplicities() == {(0, 1): 2}
+
+    def test_adjacency_is_derived_and_not_compared(self):
+        g = PlumbingGraph((0, 0, 0), (-2, -3, -2), ((1, 0), (0, 1), (1, 2)))
+        assert g.adjacency == ({1: 2}, {0: 2, 2: 1}, {1: 1})
+        same = PlumbingGraph((0, 0, 0), (-2, -3, -2), ((2, 1), (0, 1), (0, 1)))
+        assert g == same and hash(g) == hash(same)
+        assert "adjacency" not in repr(g)
 
     def test_validate_graph_duplicate_id(self):
         with pytest.raises(NonContiguousIds, match="duplicate id 0"):
@@ -158,25 +170,34 @@ class TestValidation:
 class TestIntersectionForm:
     def test_matrix_of_multi_edge_chain(self):
         g = PlumbingGraph((0, 0, 1), (-2, -3, -5), ((0, 1), (0, 1), (1, 2)))
-        assert intersection_matrix(g).entries == (
+        assert intersection_matrix(g) == (
             (-2, 2, 0),
             (2, -3, 1),
             (0, 1, -5),
         )
 
     def test_matrix_validation(self):
-        with pytest.raises(InputError):
-            IntersectionMatrix(((-1, 0),))
-        with pytest.raises(InputError):
-            IntersectionMatrix(((-1, 1), (0, -1)))
-        with pytest.raises(InputError):
-            IntersectionMatrix(((-1, -1), (-1, -1)))
+        with pytest.raises(InputError, match="square"):
+            is_negative_definite(((-1, 0),))
+        with pytest.raises(InputError, match="symmetric"):
+            is_negative_definite(((-1, 1), (0, -1)))
 
     def test_apply_is_exact_integer_product(self):
-        m = intersection_matrix(chain_graph([-2, -2]))
-        assert m.apply((1, 1)) == (-1, -1)
-        with pytest.raises(InputError):
-            m.apply((1,))
+        g = chain_graph([-2, -2])
+        assert _form_product(g, (1, 1)) == [-1, -1]
+        with pytest.raises(DimensionMismatch):
+            _form_product(g, (1,))
+
+    @given(plumbing_graphs(), st.data())
+    def test_sparse_product_matches_dense_rows(self, g, data):
+        m = data.draw(
+            st.lists(
+                st.integers(-50, 50),
+                min_size=g.vertex_count,
+                max_size=g.vertex_count,
+            )
+        )
+        assert tuple(_form_product(g, m)) == dense_form_product(g, m)
 
     @pytest.mark.parametrize(
         "rows, verdict",
@@ -196,6 +217,11 @@ class TestIntersectionForm:
 
     def test_definiteness_accepts_matrix_object(self):
         assert is_negative_definite(intersection_matrix(e8_graph())) is True
+        assert is_negative_definite(e8_graph()) is True
+
+    @given(plumbing_graphs())
+    def test_graph_and_its_rows_get_one_verdict(self, g):
+        assert is_negative_definite(g) == is_negative_definite(intersection_matrix(g))
 
     def test_e8_is_fillable(self):
         assert is_milnor_fillable(e8_graph()) is True
@@ -206,7 +232,7 @@ class TestIntersectionForm:
     @given(plumbing_graphs())
     def test_definiteness_matches_principal_minor_oracle(self, g):
         m = intersection_matrix(g)
-        assert is_negative_definite(m) == principal_minor_signs_definite(m.entries)
+        assert is_negative_definite(m) == principal_minor_signs_definite(m)
 
     @given(plumbing_graphs(), st.data())
     def test_definiteness_invariant_under_relabeling(self, g, data):

@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from milnorbook import (
     SuiteSpec,
-    automorphism_group,
     is_milnor_fillable,
     iter_suite,
     labeled_connected_count,
     minimal_divisor,
 )
 
-from oracles import full_suite, nd_suite
+from oracles import automorphism_group, full_suite, nd_suite
 
 
 class TestEnumeration:

@@ -9,7 +9,6 @@ import milnorbook.varieties as varieties
 from milnorbook import (
     Hypersurface,
     Polynomial,
-    SamplerConfig,
     SmoothChart,
     parse_polynomial,
     sample_points,
@@ -84,6 +83,26 @@ class TestModels:
     def test_reprs_are_readable(self):
         assert "z0^2" in repr(BRIESKORN)
         assert "SmoothChart" in repr(SmoothChart.identity(1))
+
+
+class TestIdentityBases:
+    """Identity bases are built once per model, shared and read-only."""
+
+    def test_chart_tangent_basis_is_shared(self):
+        chart = SmoothChart.identity(2)
+        p, q = sample_points(chart, 0.01, 2, seed=0)
+        assert p.tangent_basis is q.tangent_basis
+        assert np.array_equal(p.tangent_basis, np.eye(2))
+        with pytest.raises(ValueError, match="read-only"):
+            p.tangent_basis[0, 0] = 2.0
+
+    def test_hypersurface_jacobian_is_shared(self):
+        p, q = sample_points(BRIESKORN, 0.01, 2, seed=0)
+        jacobian = BRIESKORN.phi_jacobian(p.point)
+        assert jacobian is BRIESKORN.phi_jacobian(q.point)
+        assert np.array_equal(jacobian, np.eye(3))
+        with pytest.raises(ValueError, match="read-only"):
+            jacobian[0, 0] = 2.0
 
 
 class TestChartSampling:
@@ -177,22 +196,27 @@ class TestHypersurfaceSampling:
             assert abs(surface.defining_value(p.point)) <= 1e-10
 
     @pytest.mark.parametrize(
-        "variety, count, config, draws",
+        "variety, count, max_iterations, newton_tolerance, draws",
         [
-            (
-                BRIESKORN,
-                20,
-                SamplerConfig(max_iterations=1, newton_tolerance=1e-30),
-                200,
-            ),
+            (BRIESKORN, 20, 1, 1e-30, 200),
             # The zero map never reaches the level, so no draw converges.
-            (SmoothChart(1, (Polynomial.constant(1, 0.0),)), 3, None, 50),
+            (
+                SmoothChart(1, (Polynomial.constant(1, 0.0),)),
+                3,
+                varieties._MAX_ITERATIONS,
+                varieties._NEWTON_TOLERANCE,
+                50,
+            ),
         ],
         ids=["hypersurface", "chart"],
     )
-    def test_unreachable_tolerance_fails_loudly(self, variety, count, config, draws):
-        with pytest.raises(SamplingFailed) as info:
-            sample_points(variety, 0.01, count, seed=0, config=config)
+    def test_unreachable_tolerance_fails_loudly(
+        self, variety, count, max_iterations, newton_tolerance, draws
+    ):
+        with patch.object(varieties, "_MAX_ITERATIONS", max_iterations), \
+                patch.object(varieties, "_NEWTON_TOLERANCE", newton_tolerance), \
+                pytest.raises(SamplingFailed) as info:
+            sample_points(variety, 0.01, count, seed=0)
         assert str(info.value) == (
             f"only 0 of {count} requested samples converged after {draws} "
             "draws (rate below 10%)"
