@@ -18,12 +18,19 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .errors import PolynomialSyntaxError, UnknownVariable
 
-__all__ = ["Polynomial", "parse_polynomial"]
+__all__ = ["Polynomial", "PolynomialBlock", "parse_polynomial"]
 
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _INTEGER = re.compile(r"\d+")
+
+# CPython raises a complex number to an integer power up to this one by
+# binary exponentiation (``c_powu`` in Objects/complexobject.c), and to
+# larger ones by the general ``c_pow``, which PolynomialBlock does not replay.
+_MAX_REPLAYED_EXPONENT = 100
 
 
 def _format_real(x: float) -> str:
@@ -141,6 +148,116 @@ class Polynomial:
             else:
                 pieces.append(f" - {body}" if negative else f" + {body}")
         return "".join(pieces)
+
+
+class PolynomialBlock:
+    """Polynomials in the same variables, evaluated together on blocks of
+    points with the bits of :meth:`Polynomial.evaluate`.
+
+    The scalar loop runs CPython complex arithmetic: ``z ** e`` by binary
+    exponentiation (``r = 1+0j``, then ``r = r*p`` on each set bit of ``e``
+    and ``p = p*p``), then ``term *= z ** e`` variable by variable and
+    ``value += term`` term by term, each a fixed sequence of float
+    operations.  Here the same operations run on float64 arrays of real and
+    imaginary parts, in the same order, for all points at once: complex
+    NumPy products, ``einsum`` and ``np.power`` round differently and are
+    not used.  Each distinct power is built once per call, and terms with
+    the same number of factors are multiplied together.  A set holding an
+    exponent above 100 is evaluated by the scalar loop, row by row, since
+    CPython takes such powers by another algorithm.
+    """
+
+    def __init__(self, polys: Sequence[Polynomial]):
+        self.polys = tuple(polys)
+        if not self.polys or len({p.n_vars for p in self.polys}) != 1:
+            raise ValueError("need polynomials in one common set of variables")
+        powers = sorted(
+            {
+                (j, e)
+                for poly in self.polys
+                for exponents, _ in poly.terms
+                for j, e in enumerate(exponents)
+                if e
+            }
+        )
+        self._scalar = any(e > _MAX_REPLAYED_EXPONENT for _, e in powers)
+        if self._scalar:
+            return
+        column = {power: c for c, power in enumerate(powers)}
+        exponents = np.array([e for _, e in powers], dtype=np.int64)
+        top = int(exponents.max(initial=0))
+        self._bases = np.array([j for j, _ in powers], dtype=np.intp)
+        self._bits = [(exponents >> b) & 1 == 1 for b in range(top.bit_length())]
+        # A term's value goes to slot (polynomial, position) of a zero-padded
+        # table; adding a padding +0.0 leaves a sum that started at +0.0 as it is.
+        self._width = max(len(poly.terms) for poly in self.polys)
+        by_factors: dict[int, list] = {}
+        for p, poly in enumerate(self.polys):
+            for t, (term_exponents, coeff) in enumerate(poly.terms):
+                factors = [column[j, e] for j, e in enumerate(term_exponents) if e]
+                by_factors.setdefault(len(factors), []).append(
+                    (p * self._width + t, factors, coeff)
+                )
+        self._groups = [
+            (
+                np.array([slot for slot, _, _ in group], dtype=np.intp),
+                np.array([f for _, f, _ in group], dtype=np.intp).reshape(
+                    len(group), count
+                ),
+                np.array([c.real for _, _, c in group]),
+                np.array([c.imag for _, _, c in group]),
+            )
+            for count, group in sorted(by_factors.items())
+        ]
+
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """Values at each row of ``(k, n_vars)`` points, as ``(k, len(polys))``.
+
+        Raises OverflowError where :meth:`Polynomial.evaluate` would: when
+        a power is infinite.
+        """
+        points = np.asarray(points, dtype=complex)
+        k = len(points)
+        if self._scalar:
+            return np.array(
+                [[poly.evaluate(row) for poly in self.polys] for row in points],
+                dtype=complex,
+            ).reshape(k, len(self.polys))
+        # Python floats overflow and turn NaN without a warning; so do these.
+        with np.errstate(all="ignore"):
+            base_re = points.real[:, self._bases]
+            base_im = points.imag[:, self._bases]
+            re = np.ones_like(base_re)
+            im = np.zeros_like(base_im)
+            for b, bit in enumerate(self._bits):
+                if b:
+                    base_re, base_im = (
+                        base_re * base_re - base_im * base_im,
+                        base_re * base_im + base_im * base_re,
+                    )
+                re, im = (
+                    np.where(bit, re * base_re - im * base_im, re),
+                    np.where(bit, re * base_im + im * base_re, im),
+                )
+            if np.isinf(re).any() or np.isinf(im).any():
+                raise OverflowError("complex exponentiation")
+            slots_re = np.zeros((k, len(self.polys) * self._width))
+            slots_im = np.zeros_like(slots_re)
+            for slots, factors, c_re, c_im in self._groups:
+                t_re = np.broadcast_to(c_re, (k, c_re.size))
+                t_im = np.broadcast_to(c_im, (k, c_im.size))
+                for column in factors.T:
+                    p_re, p_im = re[:, column], im[:, column]
+                    t_re, t_im = t_re * p_re - t_im * p_im, t_re * p_im + t_im * p_re
+                slots_re[:, slots] = t_re
+                slots_im[:, slots] = t_im
+            slots_re = slots_re.reshape(k, len(self.polys), self._width)
+            slots_im = slots_im.reshape(k, len(self.polys), self._width)
+            values = np.zeros((k, len(self.polys)), dtype=complex)
+            for t in range(self._width):
+                values.real += slots_re[:, :, t]
+                values.imag += slots_im[:, :, t]
+        return values
 
 
 class _Parser:

@@ -21,9 +21,12 @@ level set or rejects it.  For charts the step builds the radial profiles
 of the whole block and finds their roots together (bracket doubling,
 bisection and Newton polishing as array Horner loops); for hypersurfaces
 it runs a damped Gauss–Newton iteration on ``(Re h, Im h, rho - epsilon)``
-from each draw in turn.  Sampling is bitwise deterministic for a fixed
-seed, and independent of the block size: the block solve reproduces the
-one-draw-at-a-time scalar solve bit for bit.
+for all draws of the block together, each with its own line search, and
+only the least-squares step solved draw by draw.  Polynomials are
+evaluated on the whole block by :class:`~milnorbook.polynomials.PolynomialBlock`.
+Sampling is bitwise deterministic for a fixed seed, and independent of the
+block size: the block solves reproduce the one-draw-at-a-time scalar
+solves bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, SamplingFailed
-from .polynomials import Polynomial
+from .polynomials import Polynomial, PolynomialBlock
 
 __all__ = [
     "SmoothChart",
@@ -113,6 +116,7 @@ class SmoothChart:
             _require_vanishing_at_origin(poly, f"component {k}")
         self.dim = dim
         self.components = components
+        self._components_block = PolynomialBlock(components)
         self._jacobian_rows = tuple(poly.gradient() for poly in components)
         self._identity = _read_only_identity(dim)
 
@@ -171,6 +175,7 @@ class Hypersurface:
         _require_vanishing_at_origin(defining, "the defining polynomial")
         self.defining = defining
         self._gradient = defining.gradient()
+        self._system_block = PolynomialBlock((defining, *self._gradient))
         self._identity = _read_only_identity(defining.n_vars)
 
     @property
@@ -204,9 +209,7 @@ class Hypersurface:
 
     def tangent_basis(self, point: np.ndarray) -> np.ndarray:
         """Orthonormal basis of ``ker dh`` at ``point`` (columns)."""
-        gradient = self.defining_gradient(point).reshape(1, -1)
-        _, _, vh = np.linalg.svd(gradient)
-        return vh[1:].conj().T
+        return _kernel_bases(self.defining_gradient(point)[None])[0]
 
     def __repr__(self) -> str:
         return f"Hypersurface({self.defining})"
@@ -312,113 +315,157 @@ def _radial_roots(profiles: np.ndarray, epsilon: float) -> np.ndarray:
     return roots
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row, bit for bit.
+
+    The norm of one row is ``sqrt(x . x)``, for complex rows summed over the
+    real and imaginary parts as strided views.  A batched ``@`` over the
+    rows, with the same strides, reproduces it; ``norm(axis=1)`` rounds
+    differently.
+    """
+    if np.iscomplexobj(rows):
+        re, im = rows.real, rows.imag
+        squares = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    else:
+        squares = rows[:, None, :] @ rows[:, :, None]
+    return np.sqrt(squares[:, 0, 0])
+
+
+def _kernel_bases(gradients: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the kernel of each row of ``gradients``.
+
+    One stacked SVD, which returns the bits of one SVD per row.  Basis
+    ``i`` is ``result[i]`` (columns), laid out as ``vh[1:].conj().T`` of a
+    single SVD.
+    """
+    _, _, vh = np.linalg.svd(gradients[:, None, :])
+    return vh[:, 1:].conj().swapaxes(1, 2)
+
+
 def _chart_step(chart: SmoothChart, epsilon: float):
     """Block step for charts: the radial root along each drawn direction."""
-
-    def solve(t: float, direction: np.ndarray) -> PointSample | None:
-        if np.isnan(t):
-            return None
-        point = t * direction
-        rho_value = chart.rho(point)
-        if abs(rho_value - epsilon) > _LEVEL_TOLERANCE * epsilon:
-            return None
-        return PointSample(
-            point=point,
-            tangent_basis=chart.tangent_basis(point),
-            rho_value=rho_value,
-        )
 
     def step(raw: np.ndarray, norms: np.ndarray) -> list[PointSample | None]:
         directions = raw / norms[:, None]
         roots = _radial_roots(_radial_profiles(chart, directions), epsilon)
-        return [solve(t, direction) for t, direction in zip(roots, directions)]
+        found = np.flatnonzero(~np.isnan(roots))
+        points = roots[found, None] * directions[found]
+        values = chart._components_block.evaluate(points)
+        rho_values = np.sum(np.abs(values) ** 2, axis=1).tolist()
+        samples: list[PointSample | None] = [None] * len(raw)
+        for i, point, rho_value in zip(found, points, rho_values):
+            if abs(rho_value - epsilon) > _LEVEL_TOLERANCE * epsilon:
+                continue
+            samples[i] = PointSample(
+                point=point,
+                tangent_basis=chart.tangent_basis(point),
+                rho_value=rho_value,
+            )
+        return samples
 
     return step
 
 
-def _real_system(
-    surface: Hypersurface, epsilon: float, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residual and real Jacobian of ``(Re h, Im h, rho - epsilon)``.
-
-    The unknowns are the real coordinates ``(x_0..x_n, y_0..y_n)`` with
-    ``z_j = x_j + i y_j``; for holomorphic ``h`` the real partials are
-    ``dh/dx_j = h_j`` and ``dh/dy_j = i h_j`` with ``h_j`` the complex
-    gradient entry.
-    """
-    h_value = surface.defining_value(z)
-    h_grad = surface.defining_gradient(z)
-    rho = float(np.sum(np.abs(z) ** 2))
-    residual = np.array([h_value.real, h_value.imag, rho - epsilon])
-    n = z.size
-    jacobian = np.empty((3, 2 * n))
-    jacobian[0, :n] = h_grad.real
-    jacobian[0, n:] = -h_grad.imag
-    jacobian[1, :n] = h_grad.imag
-    jacobian[1, n:] = h_grad.real
-    jacobian[2, :n] = 2.0 * z.real
-    jacobian[2, n:] = 2.0 * z.imag
-    return residual, jacobian
-
-
-def _scaled_residual(residual: np.ndarray, epsilon: float, h_scale: float) -> float:
-    h_size = math.hypot(residual[0], residual[1])
-    return max(h_size / h_scale, abs(residual[2]) / epsilon)
-
-
 def _hypersurface_step(surface: Hypersurface, epsilon: float):
-    """Block step for hypersurfaces: damped Gauss–Newton from each draw."""
+    """Block step for hypersurfaces: damped Gauss–Newton on
+    ``(Re h, Im h, rho - epsilon)`` from every draw of the block at once.
+
+    The unknowns are the real coordinates ``(x, y)`` with ``z = x + i y``;
+    for holomorphic ``h`` the real partials are ``dh/dx_j = h_j`` and
+    ``dh/dy_j = i h_j``.  Each draw keeps its own iterate, best point and
+    line-search factor; the draws still iterating are evaluated together,
+    and every pending line-search trial of an iteration too.  Only the
+    minimum-norm step is solved draw by draw, by ``np.linalg.lstsq``.
+    """
     n = surface.ambient_dim
     h_scale = surface.defining_scale(epsilon)
     gradient_floor = 1e-8 * h_scale / math.sqrt(epsilon)
 
-    def solve(raw: np.ndarray, norm: float) -> PointSample | None:
-        z = math.sqrt(epsilon) * raw / norm
-        best_z = None
-        best_scaled = math.inf
-        for _ in range(_MAX_ITERATIONS):
-            residual, jacobian = _real_system(surface, epsilon, z)
-            scaled = _scaled_residual(residual, epsilon, h_scale)
-            if scaled < best_scaled:
-                best_scaled = scaled
-                best_z = z
-            if scaled <= _NEWTON_TOLERANCE:
-                break
-            step, *_ = np.linalg.lstsq(jacobian, -residual, rcond=None)
-            delta = step[:n] + 1j * step[n:]
-            size = float(np.linalg.norm(residual))
-            factor = 1.0
-            moved = False
-            while factor > 1e-6:
-                candidate = z + factor * delta
-                trial, _ = _real_system(surface, epsilon, candidate)
-                if np.linalg.norm(trial) < size:
-                    z = candidate
-                    moved = True
-                    break
-                factor *= _DAMPING
-            if not moved:
-                break
-        if best_z is None:
-            return None
-        z = best_z
-        residual, _ = _real_system(surface, epsilon, z)
-        h_size = math.hypot(residual[0], residual[1])
-        if h_size > _RESIDUAL_TOLERANCE * h_scale:
-            return None
-        if abs(residual[2]) > _LEVEL_TOLERANCE * epsilon:
-            return None
-        gradient = surface.defining_gradient(z)
-        if np.linalg.norm(gradient) < gradient_floor:
-            return None
-        return PointSample(
-            point=z,
-            tangent_basis=surface.tangent_basis(z),
-            rho_value=float(np.sum(np.abs(z) ** 2)),
-        )
+    def system(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residuals ``(Re h, Im h, rho - epsilon)`` and gradients of ``h``."""
+        values = surface._system_block.evaluate(z)
+        residual = np.empty((len(z), 3))
+        residual[:, 0] = values[:, 0].real
+        residual[:, 1] = values[:, 0].imag
+        residual[:, 2] = np.sum(np.abs(z) ** 2, axis=1) - epsilon
+        return residual, values[:, 1:]
+
+    def h_sizes(residual: np.ndarray) -> np.ndarray:
+        # math.hypot, row by row: np.hypot rounds differently in rare cases.
+        return np.array([math.hypot(re, im) for re, im in residual[:, :2].tolist()])
+
+    def scaled_residuals(residual: np.ndarray) -> np.ndarray:
+        h_part = h_sizes(residual) / h_scale
+        level_part = np.abs(residual[:, 2]) / epsilon
+        return np.where(level_part > h_part, level_part, h_part)
 
     def step(raw: np.ndarray, norms: np.ndarray) -> list[PointSample | None]:
-        return [solve(row, norm) for row, norm in zip(raw, norms)]
+        z = math.sqrt(epsilon) * raw / norms[:, None]
+        best = np.empty_like(z)
+        best_scaled = np.full(len(z), math.inf)
+        residual, gradient = system(z)
+        live = np.arange(len(z))
+        for _ in range(_MAX_ITERATIONS):
+            scaled = scaled_residuals(residual)
+            better = scaled < best_scaled[live]
+            best_scaled[live[better]] = scaled[better]
+            best[live[better]] = z[better]
+            going = ~(scaled <= _NEWTON_TOLERANCE)
+            live, z, residual, gradient = (
+                live[going], z[going], residual[going], gradient[going]
+            )
+            if not live.size:
+                break
+            jacobian = np.empty((live.size, 3, 2 * n))
+            jacobian[:, 0, :n] = gradient.real
+            jacobian[:, 0, n:] = -gradient.imag
+            jacobian[:, 1, :n] = gradient.imag
+            jacobian[:, 1, n:] = gradient.real
+            jacobian[:, 2, :n] = 2.0 * z.real
+            jacobian[:, 2, n:] = 2.0 * z.imag
+            steps = np.array(
+                [
+                    np.linalg.lstsq(matrix, -rhs, rcond=None)[0]
+                    for matrix, rhs in zip(jacobian, residual)
+                ]
+            )
+            delta = steps[:, :n] + 1j * steps[:, n:]
+            size = _row_norms(residual)
+            factor = np.ones(live.size)
+            moved = np.zeros(live.size, dtype=bool)
+            pending = np.arange(live.size)
+            while pending.size:
+                candidate = z[pending] + factor[pending, None] * delta[pending]
+                trial, trial_gradient = system(candidate)
+                down = _row_norms(trial) < size[pending]
+                taken = pending[down]
+                z[taken] = candidate[down]
+                residual[taken] = trial[down]
+                gradient[taken] = trial_gradient[down]
+                moved[taken] = True
+                pending = pending[~down]
+                factor[pending] *= _DAMPING
+                pending = pending[factor[pending] > 1e-6]
+            live, z, residual, gradient = (
+                live[moved], z[moved], residual[moved], gradient[moved]
+            )
+        found = np.flatnonzero(best_scaled < math.inf)
+        residual, gradient = system(best[found])
+        kept = (
+            ~(h_sizes(residual) > _RESIDUAL_TOLERANCE * h_scale)
+            & ~(np.abs(residual[:, 2]) > _LEVEL_TOLERANCE * epsilon)
+            & ~(_row_norms(gradient) < gradient_floor)
+        )
+        found = found[kept]
+        points = best[found]
+        bases = _kernel_bases(gradient[kept])
+        rho_values = np.sum(np.abs(points) ** 2, axis=1).tolist()
+        samples: list[PointSample | None] = [None] * len(raw)
+        for i, point, basis, rho_value in zip(found, points, bases, rho_values):
+            samples[i] = PointSample(
+                point=point, tangent_basis=basis, rho_value=rho_value
+            )
+        return samples
 
     return step
 
@@ -430,9 +477,9 @@ def sample_points(v, epsilon: float, count: int, seed: int) -> list[PointSample]
     ``_DRAWS_PER_BLOCK`` and never more than the samples still wanted, so
     the draws and the accepted samples are those of a loop over single
     draws.  Each draw is solved onto the level set (a radial root-find for
-    charts, done for the whole block at once; damped Gauss–Newton on
-    ``(Re h, Im h, rho - epsilon)`` for hypersurfaces, draw by draw) and
-    rejected if it does not converge to the module's tolerances.  Draws
+    charts; damped Gauss–Newton on ``(Re h, Im h, rho - epsilon)`` for
+    hypersurfaces; either for the whole block at once) and rejected if it
+    does not converge to the module's tolerances.  Draws
     are accepted in draw order; zero draws are skipped.  Raises
     :class:`SamplingFailed` when fewer than ``count`` draws are accepted
     within the attempt budget of ten draws per requested sample (a
@@ -460,7 +507,7 @@ def sample_points(v, epsilon: float, count: int, seed: int) -> list[PointSample]
         attempts += block
         draws = rng.standard_normal((block, 2, n))
         raw = draws[:, 0] + 1j * draws[:, 1]
-        norms = np.array([np.linalg.norm(row) for row in raw])
+        norms = _row_norms(raw)
         drawn = norms != 0.0
         accepted.extend(
             sample for sample in step(raw[drawn], norms[drawn]) if sample is not None

@@ -11,9 +11,10 @@ rows (the package reads them off the graph's adjacency).  Agreement
 between such different routes is the evidence the acceptance battery rests
 on.
 
-Two entries are exceptions.  The chart-sampler reference solves one draw
-at a time with scalar arithmetic, and the package's block solve must
-reproduce it bit for bit, not merely agree with it.  The automorphism
+Two entries are exceptions.  The sampler references solve one draw at a
+time with scalar arithmetic (a radial root-find for charts, damped
+Gauss–Newton for hypersurfaces), and the package's block solves must
+reproduce them bit for bit, not merely agree with them.  The automorphism
 group is listed with the package's own backtracking search, which the
 package itself only ever asks for one solution at a time.
 """
@@ -39,7 +40,13 @@ from milnorbook import (
 from milnorbook import varieties
 from milnorbook.graphs import _cell_members, _isomorphisms, _search_order
 from milnorbook.suites import iter_edge_euler_classes
-from milnorbook.varieties import _ATTEMPTS_PER_SAMPLE, _MAX_DOUBLINGS, SmoothChart
+from milnorbook.varieties import (
+    _ATTEMPTS_PER_SAMPLE,
+    _MAX_DOUBLINGS,
+    Hypersurface,
+    PointSample,
+    SmoothChart,
+)
 
 
 def principal_minor_signs_definite(rows) -> bool:
@@ -306,4 +313,109 @@ def per_draw_chart_samples(chart: SmoothChart, epsilon: float, count: int, seed:
         if abs(rho_value - epsilon) > varieties._LEVEL_TOLERANCE * epsilon:
             continue
         accepted.append((point, rho_value))
+    return accepted
+
+
+def _real_system(
+    surface: Hypersurface, epsilon: float, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residual and real Jacobian of ``(Re h, Im h, rho - epsilon)``.
+
+    The unknowns are the real coordinates ``(x_0..x_n, y_0..y_n)`` with
+    ``z_j = x_j + i y_j``; for holomorphic ``h`` the real partials are
+    ``dh/dx_j = h_j`` and ``dh/dy_j = i h_j`` with ``h_j`` the complex
+    gradient entry.
+    """
+    h_value = surface.defining_value(z)
+    h_grad = surface.defining_gradient(z)
+    rho = float(np.sum(np.abs(z) ** 2))
+    residual = np.array([h_value.real, h_value.imag, rho - epsilon])
+    n = z.size
+    jacobian = np.empty((3, 2 * n))
+    jacobian[0, :n] = h_grad.real
+    jacobian[0, n:] = -h_grad.imag
+    jacobian[1, :n] = h_grad.imag
+    jacobian[1, n:] = h_grad.real
+    jacobian[2, :n] = 2.0 * z.real
+    jacobian[2, n:] = 2.0 * z.imag
+    return residual, jacobian
+
+
+def _scaled_residual(residual: np.ndarray, epsilon: float, h_scale: float) -> float:
+    h_size = math.hypot(residual[0], residual[1])
+    return max(h_size / h_scale, abs(residual[2]) / epsilon)
+
+
+def per_draw_hypersurface_samples(
+    surface: Hypersurface, epsilon: float, count: int, seed: int
+) -> list[PointSample]:
+    """The hypersurface sampler run one draw at a time.
+
+    Each draw is two ``standard_normal(n)`` calls, real part first, solved
+    by damped Gauss–Newton on ``(Re h, Im h, rho - epsilon)`` with scalar
+    polynomial evaluation and one ``lstsq`` per iteration; the budget, the
+    tolerances and the acceptance tests are the package's.
+    """
+    n = surface.ambient_dim
+    h_scale = surface.defining_scale(epsilon)
+    gradient_floor = 1e-8 * h_scale / math.sqrt(epsilon)
+
+    def solve(raw: np.ndarray, norm: float) -> PointSample | None:
+        z = math.sqrt(epsilon) * raw / norm
+        best_z = None
+        best_scaled = math.inf
+        for _ in range(varieties._MAX_ITERATIONS):
+            residual, jacobian = _real_system(surface, epsilon, z)
+            scaled = _scaled_residual(residual, epsilon, h_scale)
+            if scaled < best_scaled:
+                best_scaled = scaled
+                best_z = z
+            if scaled <= varieties._NEWTON_TOLERANCE:
+                break
+            step, *_ = np.linalg.lstsq(jacobian, -residual, rcond=None)
+            delta = step[:n] + 1j * step[n:]
+            size = float(np.linalg.norm(residual))
+            factor = 1.0
+            moved = False
+            while factor > 1e-6:
+                candidate = z + factor * delta
+                trial, _ = _real_system(surface, epsilon, candidate)
+                if np.linalg.norm(trial) < size:
+                    z = candidate
+                    moved = True
+                    break
+                factor *= varieties._DAMPING
+            if not moved:
+                break
+        if best_z is None:
+            return None
+        z = best_z
+        residual, _ = _real_system(surface, epsilon, z)
+        h_size = math.hypot(residual[0], residual[1])
+        if h_size > varieties._RESIDUAL_TOLERANCE * h_scale:
+            return None
+        if abs(residual[2]) > varieties._LEVEL_TOLERANCE * epsilon:
+            return None
+        gradient = surface.defining_gradient(z)
+        if np.linalg.norm(gradient) < gradient_floor:
+            return None
+        return PointSample(
+            point=z,
+            tangent_basis=surface.tangent_basis(z),
+            rho_value=float(np.sum(np.abs(z) ** 2)),
+        )
+
+    rng = np.random.default_rng(seed)
+    accepted = []
+    attempts = 0
+    budget = max(_ATTEMPTS_PER_SAMPLE * count, 50)
+    while len(accepted) < count and attempts < budget:
+        attempts += 1
+        raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        norm = np.linalg.norm(raw)
+        if norm == 0.0:
+            continue
+        sample = solve(raw, norm)
+        if sample is not None:
+            accepted.append(sample)
     return accepted

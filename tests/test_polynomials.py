@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from milnorbook import Polynomial, parse_map, parse_polynomial
 from milnorbook.errors import PolynomialSyntaxError, UnknownVariable
+from milnorbook.polynomials import PolynomialBlock
+from milnorbook.varieties import _DRAWS_PER_BLOCK
 
 
 class TestGrammar:
@@ -150,3 +152,79 @@ class TestCanonicalForm:
         poly = parse_polynomial("1 + z0^3 + z0", 1)
         degrees = [sum(e) for e, _ in poly.terms]
         assert degrees == sorted(degrees, reverse=True)
+
+
+# Complex coefficients, degree >= 5, exponents up to 100, a constant term,
+# and the germs the samplers run on.
+BLOCK_POLYNOMIALS = [
+    ("z0^2 + z1^3 + z2^5", 3),
+    ("z0^2 + z1^3 + z1*z2^3", 3),
+    ("z0^2 + z1^2 + z2^2 + z3^3", 4),
+    ("z0 z1", 2),
+    ("(0.3+1.7i)*z0^2*z1^2 + z1 - (2.5-0.5i)*z1^4*z2 + z0^3*z2^2 + (0-7i)", 3),
+    ("z0^100 + (1-1i)*z1^99*z2 + z2^64 + (0.5+0.5i)*z0^37*z1^5", 3),
+]
+
+
+def _block_points(count: int, n: int, seed: int) -> np.ndarray:
+    """Points of several radii, a third of them carrying signed zeros."""
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    points *= rng.choice([1e-3, 0.1, 0.7, 1.0, 1.005], size=(count, 1))
+    for part in (points.real, points.imag):
+        zeroed = rng.random((count, n)) < 0.3
+        signed = np.where(rng.random((count, n)) < 0.5, -0.0, 0.0)
+        part[zeroed] = signed[zeroed]
+    return points
+
+
+class TestPolynomialBlock:
+    """The block evaluator replays the scalar loop's float operations, so
+    it must return :meth:`Polynomial.evaluate`'s bytes, not nearby values."""
+
+    @pytest.mark.parametrize("text, n", BLOCK_POLYNOMIALS)
+    @pytest.mark.parametrize(
+        "block", [_DRAWS_PER_BLOCK, 7, 1], ids=["default", "7", "1"]
+    )
+    def test_values_and_gradients_match_scalar_bytes(self, text, n, block):
+        poly = parse_polynomial(text, n)
+        polys = (poly, *poly.gradient())
+        evaluator = PolynomialBlock(polys)
+        points = _block_points(block, n, seed=block)
+        values = evaluator.evaluate(points)
+        assert values.shape == (block, len(polys))
+        expected = np.array([[p.evaluate(row) for p in polys] for row in points])
+        assert values.tobytes() == expected.tobytes()
+
+    def test_exponents_above_100_take_the_scalar_loop(self):
+        """CPython takes ``z ** 101`` by its general power, which the
+        replay differs from in nearly every case: such a set is evaluated by
+        the scalar loop, and matches it."""
+        poly = parse_polynomial("z0^101 + (2-1i)*z0^3*z1", 2)
+        polys = (poly, *poly.gradient())
+        points = _block_points(500, 2, seed=3)
+        values = PolynomialBlock(polys).evaluate(points)
+        expected = np.array([[p.evaluate(row) for p in polys] for row in points])
+        assert values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("text", ["z0^100 + z1", "z0^101 + z1"])
+    def test_infinite_power_raises_like_the_scalar_loop(self, text):
+        poly = parse_polynomial(text, 2)
+        point = np.array([[1e4 + 0j, 1.0]])
+        with pytest.raises(OverflowError):
+            poly.evaluate(point[0])
+        with pytest.raises(OverflowError):
+            PolynomialBlock((poly,)).evaluate(point)
+
+    @pytest.mark.parametrize("constants", [(0, 2 - 3j), (0,)])
+    def test_zero_and_constant_polynomials(self, constants):
+        polys = tuple(Polynomial.constant(2, c) for c in constants)
+        values = PolynomialBlock(polys).evaluate(np.ones((3, 2), dtype=complex))
+        expected = np.array([[complex(c) for c in constants]] * 3)
+        assert values.tobytes() == expected.tobytes()
+
+    def test_needs_common_variables(self):
+        with pytest.raises(ValueError):
+            PolynomialBlock(())
+        with pytest.raises(ValueError):
+            PolynomialBlock((Polynomial.variable(1, 0), Polynomial.variable(2, 0)))

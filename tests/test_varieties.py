@@ -1,5 +1,6 @@
 """Level-set sampling on charts and hypersurfaces."""
 
+from functools import lru_cache
 from unittest.mock import patch
 
 import numpy as np
@@ -15,7 +16,11 @@ from milnorbook import (
 )
 from milnorbook.errors import InputError, SamplingFailed
 from milnorbook.polynomials import parse_map
-from oracles import _radial_profile, per_draw_chart_samples
+from oracles import (
+    _radial_profile,
+    per_draw_chart_samples,
+    per_draw_hypersurface_samples,
+)
 
 BRIESKORN = Hypersurface(parse_polynomial("z0^2 + z1^3 + z2^5", 3))
 
@@ -28,8 +33,28 @@ REFERENCE_CHARTS.update(
         "z0,z1,z0*z1",
         "z0,z1,z0^2 + z1^3",
         "z0 + (0.3+1.7i)*z0^2*z1^2, z1 - (2.5-0.5i)*z1^4 + z0^3",
+        "z0 + z0^13, z1 + (0.5-2i)*z0*z1",
     )
 )
+
+# Brieskorn, E7, the germ in four variables, the node, and a germ with
+# complex coefficients.
+REFERENCE_HYPERSURFACES = {
+    text: Hypersurface(parse_polynomial(text, n))
+    for text, n in (
+        ("z0^2 + z1^3 + z2^5", 3),
+        ("z0^2 + z1^3 + z1*z2^3", 3),
+        ("z0^2 + z1^2 + z2^2 + z3^3", 4),
+        ("z0 z1", 2),
+        ("(0.5+1.5i)*z0^2 + z1^3 - (2-1i)*z0*z2^4 + (0+1i)*z2^3", 3),
+    )
+}
+
+
+@lru_cache(maxsize=None)
+def _hypersurface_reference(text: str, epsilon: float, seed: int):
+    surface = REFERENCE_HYPERSURFACES[text]
+    return per_draw_hypersurface_samples(surface, epsilon, 40, seed)
 
 
 class TestModels:
@@ -166,6 +191,56 @@ class TestBlockSolve:
         profiles = varieties._radial_profiles(chart, directions)
         for profile, direction in zip(profiles, directions):
             assert profile.tobytes() == _radial_profile(chart, direction).tobytes()
+
+
+class TestHypersurfaceBlockSolve:
+    """The hypersurface sampler runs Gauss–Newton on blocks of draws; it
+    must return exactly the bits of the per-draw solve in
+    ``tests/oracles.py``: point, tangent basis and level value."""
+
+    @pytest.mark.parametrize(
+        "block", [varieties._DRAWS_PER_BLOCK, 7, 1], ids=["default", "7", "1"]
+    )
+    @pytest.mark.parametrize("epsilon", [1e-6, 0.01, 1.0])
+    def test_samples_match_per_draw_reference(self, block, epsilon):
+        for seed, text in enumerate(REFERENCE_HYPERSURFACES):
+            reference = _hypersurface_reference(text, epsilon, seed)
+            surface = REFERENCE_HYPERSURFACES[text]
+            with patch.object(varieties, "_DRAWS_PER_BLOCK", block):
+                samples = sample_points(surface, epsilon, 40, seed)
+            assert len(samples) == len(reference)
+            for sample, expected in zip(samples, reference):
+                assert sample.point.tobytes() == expected.point.tobytes()
+                assert sample.tangent_basis.tobytes() == (
+                    expected.tangent_basis.tobytes()
+                )
+                assert np.float64(sample.rho_value).tobytes() == (
+                    np.float64(expected.rho_value).tobytes()
+                )
+
+
+class TestDrawNorms:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_norms_are_the_per_row_norms(self, n):
+        """``np.linalg.norm(raw, axis=1)`` rounds differently from the norm
+        of each row in 15-18 % of draws; the sampler must hand its steps
+        the per-row norms, bit for bit."""
+        seen = []
+
+        def recording_step(variety, epsilon):
+            def step(raw, norms):
+                seen.append((raw.copy(), norms.copy()))
+                return [None] * len(raw)
+
+            return step
+
+        with patch.object(varieties, "_chart_step", recording_step), \
+                pytest.raises(SamplingFailed):
+            sample_points(SmoothChart.identity(n), 0.01, 200, seed=n)
+        assert sum(len(raw) for raw, _ in seen) == 2000
+        for raw, norms in seen:
+            expected = np.array([np.linalg.norm(row) for row in raw])
+            assert norms.tobytes() == expected.tobytes()
 
 
 class TestHypersurfaceSampling:
