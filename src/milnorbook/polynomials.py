@@ -1,4 +1,5 @@
-"""Complex polynomials in variables z0..z{n-1}: parsing, printing, calculus.
+"""Complex polynomials in variables z0..z{n-1}: parsing, printing, calculus,
+and evaluation on blocks of points (:class:`PolynomialBlock`).
 
 Grammar
     expression  ::= term (('+'|'-') term)*
