@@ -17,6 +17,8 @@ import sys
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from milnorbook import (
     Hypersurface,
     SmoothChart,
@@ -30,6 +32,7 @@ from milnorbook import (
     sample_points,
     ubiquitous_open_book,
 )
+from milnorbook.polynomials import PolynomialBlock
 
 DEFINING = "z0^2 + z1^3 + z2^5"
 
@@ -67,7 +70,9 @@ def main(argv=None) -> int:
     samples = sample_points(surface, config.epsilon, config.samples, config.seed)
     took = time.perf_counter() - start
     levels = [abs(p.rho_value - config.epsilon) for p in samples]
-    residuals = [abs(surface.defining_value(p.point)) for p in samples]
+    points = np.array([p.point for p in samples])
+    h_values = PolynomialBlock((surface.defining,)).evaluate(points)[:, 0]
+    residuals = [abs(value) for value in h_values.tolist()]
     print(f"sampled {len(samples)} points in {took:.2f}s: "
           f"max |rho - epsilon| = {max(levels):.2e}, "
           f"max |h| = {max(residuals):.2e}")
@@ -85,7 +90,7 @@ def main(argv=None) -> int:
     chart_samples = sample_points(plane, config.epsilon, 100, config.seed)
     for text, c in (("z0 z1", 1.0), ("z0^2 + z1^3", 10.0)):
         f = parse_polynomial(text, 2)
-        worst = max(rescaled_reeb_identity(plane, f, c, p) for p in chart_samples)
+        worst = max(rescaled_reeb_identity(plane, f, c, chart_samples)[0])
         print(f"rescaled-Reeb identity for f = {text}, c = {c}: "
               f"max residual {worst:.2e}")
 

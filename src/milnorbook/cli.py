@@ -37,7 +37,6 @@ from .errors import (
     InternalInvariantError,
     NegativeVerdict,
     NumericalFinding,
-    OnBinding,
 )
 from .graphs import is_milnor_fillable, load_graph
 from .openbooks import ubiquitous_open_book
@@ -300,13 +299,7 @@ def _contact_reeb(args, variety, f):
 
 def _contact_identity(args, variety, f):
     samples = sample_points(variety, args.epsilon, args.samples, args.seed)
-    residuals = []
-    skipped = 0
-    for p in samples:
-        try:
-            residuals.append(rescaled_reeb_identity(variety, f, args.c, p))
-        except OnBinding:
-            skipped += 1
+    residuals, skipped = rescaled_reeb_identity(variety, f, args.c, samples)
     if not residuals:
         raise NumericalFinding("every sample landed on the binding")
     tolerance = IDENTITY_TOL_UNSCALED if args.c == 0.0 else IDENTITY_TOL
@@ -482,6 +475,9 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except NumericalFinding as exc:
         print(f"numerical finding: {exc}", file=sys.stderr)
+        return EXIT_FINDING
+    except OverflowError as exc:
+        print(f"numerical finding: floating-point overflow: {exc}", file=sys.stderr)
         return EXIT_FINDING
     config["format"] = args.format
     _emit(args.command, config, result, lines, args.format, sys.stdout)

@@ -1,6 +1,6 @@
 """Contact-geometric data on level sets of the squared-norm potential.
 
-Everything here is evaluated pointwise at a :class:`~milnorbook.varieties.PointSample`
+Everything here is read at each :class:`~milnorbook.varieties.PointSample`
 on a level set ``M = rho^{-1}(epsilon)`` of ``rho = sum_k |phi_k|^2``.  With
 ``T`` the sample's orthonormal tangent basis and ``A`` the Jacobian of the
 component map, the composite ``A_T = A @ T`` expresses the differential in
@@ -32,6 +32,8 @@ Every check reads one record per point, built in stages that are each
 computed once: tangent (``H``, ``d rho``, the condition of ``H`` from the
 singular values of ``A_T``), Reeb (``grad rho``, ``R``) and, for ``theta =
 arg f``, theta (``f(p)``, ``df``, ``grad theta``, ``pr_xi grad theta``).
+Each check evaluates ``Phi``, ``dPhi``, ``f`` and ``grad f`` on blocks of
+its samples, by ``phi_block`` and ``PolynomialBlock``, never point by point.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ from .errors import (
     SingularMetric,
     ZeroGradient,
 )
-from .polynomials import Polynomial
-from .varieties import PointSample, sample_points
+from .polynomials import Polynomial, PolynomialBlock
+from .varieties import _DRAWS_PER_BLOCK, PointSample, sample_points
 
 __all__ = [
     "FormsAtPoint",
@@ -154,13 +156,29 @@ class _ThetaData(NamedTuple):
     transverse_sq: float
 
 
-def _tangent_data(v, p: PointSample) -> _PointData:
-    """Tangent stage of the point record, from one SVD of ``A_T``.
+def _f_block(f: Polynomial, points: np.ndarray) -> tuple[list[complex], np.ndarray]:
+    """``f`` (as Python complexes) and ``grad f`` at each row of ``points``."""
+    block = PolynomialBlock((f, *f.gradient())).evaluate(points)
+    return block[:, 0].tolist(), block[:, 1:]
 
-    Raises :class:`DegenerateTangent` when ``A_T`` loses rank, i.e. the
-    component map fails to be an immersion at the point.
+
+def _rows(v, samples: list[PointSample], f: Polynomial | None):
+    """``(p, Phi(p), dPhi(p))`` per sample, then ``f(p)`` and ``grad f(p)``
+    unless ``f`` is None, evaluated ``_DRAWS_PER_BLOCK`` samples at a time."""
+    for start in range(0, len(samples), _DRAWS_PER_BLOCK):
+        block = samples[start : start + _DRAWS_PER_BLOCK]
+        points = np.array([p.point for p in block])
+        columns = [block, *v.phi_block(points)]
+        if f is not None:
+            columns.extend(_f_block(f, points))
+        yield from zip(*columns)
+
+
+def _tangent_data(p: PointSample, values: np.ndarray, jacobian: np.ndarray) -> _PointData:
+    """Tangent stage of the point record, from ``Phi(p)``, its Jacobian and
+    one SVD of ``A_T``.  Raises :class:`DegenerateTangent` when ``A_T`` loses
+    rank, i.e. the component map fails to be an immersion at the point.
     """
-    jacobian = v.phi_jacobian(p.point)
     a_t = jacobian @ p.tangent_basis
     singular = np.linalg.svd(a_t, compute_uv=False)
     if singular[0] == 0.0 or singular[-1] <= _RANK_TOLERANCE * singular[0]:
@@ -169,7 +187,6 @@ def _tangent_data(v, p: PointSample) -> _PointData:
             f"(singular values {singular[-1]:.3e} vs {singular[0]:.3e})"
         )
     hermitian = 4.0 * (a_t.conj().T @ a_t)
-    values = v.phi_values(p.point)
     # ell is the complex-linear functional with d(rho)(w) = Re(ell . w)
     # and alpha(w) = Im(ell . w); it equals h(grad rho, .).
     ell = 2.0 * (values.conj() @ a_t)
@@ -218,12 +235,12 @@ def _reeb_data(data: _PointData) -> _ReebData:
 
 
 def _theta_data(
-    data: _PointData, f: Polynomial, f_gradient, p: PointSample, value: complex
+    data: _PointData, p: PointSample, value: complex, gradient: np.ndarray
 ) -> _ThetaData:
-    """Reeb and theta stages at a point where ``f(p) = value`` is not zero."""
+    """Reeb and theta stages where ``f(p) = value`` is not zero."""
     rho = _reeb_data(data)
     hermitian = data.hermitian
-    row = _function_row(f, f_gradient, p.point, p.tangent_basis)
+    row = gradient @ p.tangent_basis
     grad_theta = theta_gradient(hermitian, row, value)
     projected = _project_away_gradient(grad_theta, rho)
     return _ThetaData(
@@ -240,6 +257,11 @@ def _on_binding(f: Polynomial, value: complex, p: PointSample) -> bool:
     return abs(value) <= _ZERO_TOLERANCE * scale_f
 
 
+def _tangent_at(v, p: PointSample) -> _PointData:
+    """Tangent stage at one sample, from a one-row block."""
+    return _tangent_data(*next(_rows(v, [p], None)))
+
+
 def _level_basis(data: _PointData) -> np.ndarray:
     """Euclidean-orthonormal real basis of ``ker d(rho)``, ``2m x (2m-1)``."""
     _, _, vh = np.linalg.svd(_re_covector(data.ell).reshape(1, -1))
@@ -254,7 +276,7 @@ def eval_forms(v, p: PointSample) -> FormsAtPoint:
     :class:`DegenerateTangent` on rank loss of the differential and
     :class:`ZeroGradient` at critical points of the potential.
     """
-    data = _tangent_data(v, p)
+    data = _tangent_at(v, p)
     metric, omega = _real_blocks(data.hermitian)
     rho = _reeb_data(data)
     return FormsAtPoint(
@@ -278,7 +300,7 @@ def level_tangent_basis(v, p: PointSample) -> np.ndarray:
     Columns are real ``2m``-vectors spanning the tangent space of the level
     set inside the variety's tangent space (dimension ``2m - 1``).
     """
-    data = _tangent_data(v, p)
+    data = _tangent_at(v, p)
     if np.linalg.norm(data.ell) == 0.0:
         raise ZeroGradient("the potential has vanishing gradient at this point")
     return _level_basis(data)
@@ -293,8 +315,8 @@ def reeb_contract_deviations(v, samples: list[PointSample]) -> tuple[float, floa
     """
     max_alpha = 0.0
     max_omega = 0.0
-    for p in samples:
-        data = _tangent_data(v, p)
+    for p, phi, jacobian in _rows(v, samples, None):
+        data = _tangent_data(p, phi, jacobian)
         _, omega = _real_blocks(data.hermitian)
         reeb_real = _real_coords(_reeb_data(data).reeb)
         max_alpha = max(max_alpha, abs(float(_im_covector(data.ell) @ reeb_real) - 1.0))
@@ -303,16 +325,10 @@ def reeb_contract_deviations(v, samples: list[PointSample]) -> tuple[float, floa
     return max_alpha, max_omega
 
 
-def _alpha_at(v, point: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Ambient contact-form values ``alpha_point(direction)``, vectorized.
-
-    ``alpha(w) = 2 Im <values, jacobian @ w>`` makes sense at every ambient
-    point, which is what the finite-difference consistency check needs.
-    """
-    values = v.phi_values(point)
-    jacobian = v.phi_jacobian(point)
-    pushed = jacobian @ directions
-    return 2.0 * np.imag(values.conj() @ pushed)
+def _shifted_points(p: PointSample, ambient: np.ndarray, step: float) -> np.ndarray:
+    """Rows ``p + step a_i``, then rows ``p - step a_i``, over columns ``a_i``."""
+    shifts = [step * ambient[:, i] for i in range(ambient.shape[1])]
+    return np.array([p.point + s for s in shifts] + [p.point - s for s in shifts])
 
 
 def fd_omega_deviation(v, p: PointSample, step_scale: float = _FD_STEP) -> float:
@@ -324,7 +340,7 @@ def fd_omega_deviation(v, p: PointSample, step_scale: float = _FD_STEP) -> float
     against the pointwise formula; returns
     ``max |difference| / max |omega|``.
     """
-    hermitian = _tangent_data(v, p).hermitian
+    hermitian = _tangent_at(v, p).hermitian
     _, omega = _real_blocks(hermitian)
     m = hermitian.shape[0]
     # Ambient extensions of the real basis {T_j, i T_j}.
@@ -332,11 +348,11 @@ def fd_omega_deviation(v, p: PointSample, step_scale: float = _FD_STEP) -> float
     step = step_scale * float(np.linalg.norm(p.point))
     if step == 0.0:
         raise ZeroGradient("cannot set a finite-difference step at the origin")
-    derivative = np.empty((2 * m, 2 * m))
-    for i in range(2 * m):
-        plus = _alpha_at(v, p.point + step * ambient[:, i], ambient)
-        minus = _alpha_at(v, p.point - step * ambient[:, i], ambient)
-        derivative[i] = (plus - minus) / (2.0 * step)
+    # alpha(w) = 2 Im <Phi, dPhi w> makes sense at every ambient point.
+    values, jacobians = v.phi_block(_shifted_points(p, ambient, step))
+    alphas = np.array([2.0 * np.imag(phi.conj() @ (jac @ ambient))
+                       for phi, jac in zip(values, jacobians)])
+    derivative = (alphas[: 2 * m] - alphas[2 * m :]) / (2.0 * step)
     fd_omega = derivative - derivative.T
     scale = float(np.max(np.abs(omega)))
     if scale == 0.0:
@@ -357,8 +373,8 @@ def check_spsh(v, samples: list[PointSample], trials: int, seed: int = 0) -> flo
         raise InputError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     minimum = math.inf
-    for p in samples:
-        hermitian = _tangent_data(v, p).hermitian
+    for p, phi, jacobian in _rows(v, samples, None):
+        hermitian = _tangent_data(p, phi, jacobian).hermitian
         m = hermitian.shape[0]
         for _ in range(trials):
             w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
@@ -370,20 +386,15 @@ def check_spsh(v, samples: list[PointSample], trials: int, seed: int = 0) -> flo
     return minimum
 
 
-def _function_row(poly: Polynomial, gradient, point, tangent_basis) -> np.ndarray:
-    """Complex-linear row of the tangent differential of ``poly`` at a point."""
-    ambient = np.array([g.evaluate(point) for g in gradient])
-    return ambient @ tangent_basis
-
-
 def holomorphic_gradient(v, p: PointSample, phi: Polynomial) -> np.ndarray:
     """The tangent vector with ``h(grad phi, w) = d phi(w)`` for tangent ``w``.
 
     Raises :class:`SingularMetric` when the hermitian form cannot be
     inverted at the point.
     """
-    row = _function_row(phi, phi.gradient(), p.point, p.tangent_basis)
-    return _solve_hermitian(_tangent_data(v, p), row.conj())
+    _, gradients = _f_block(phi, p.point[None])
+    row = gradients[0] @ p.tangent_basis
+    return _solve_hermitian(_tangent_at(v, p), row.conj())
 
 
 def gradient_identity_residuals(
@@ -397,21 +408,22 @@ def gradient_identity_residuals(
     the closed forms ``2 phi grad(phi)`` and ``i grad(phi) / conj(phi)``.
     Requires ``phi(p) != 0``; raises :class:`OnBinding` otherwise.
     """
-    data = _tangent_data(v, p)
-    value = phi.evaluate(p.point)
-    if _on_binding(phi, value, p):
-        raise OnBinding("the function vanishes at this point")
-    row = _function_row(phi, phi.gradient(), p.point, p.tangent_basis)
-    gradient = _solve_hermitian(data, row.conj())
+    data = _tangent_at(v, p)
     m = data.hermitian.shape[0]
     ambient = np.concatenate([p.tangent_basis, 1j * p.tangent_basis], axis=1)
     step = step_scale * float(np.linalg.norm(p.point))
+    points = np.concatenate([p.point[None], _shifted_points(p, ambient, step)])
+    values, gradients = _f_block(phi, points)  # p, then the 4m shifted points
+    value = values[0]
+    if _on_binding(phi, value, p):
+        raise OnBinding("the function vanishes at this point")
+    row = gradients[0] @ p.tangent_basis
+    gradient = _solve_hermitian(data, row.conj())
 
     abs_sq_row = np.empty(2 * m)
     arg_row = np.empty(2 * m)
-    for i in range(2 * m):
-        value_plus = phi.evaluate(p.point + step * ambient[:, i])
-        value_minus = phi.evaluate(p.point - step * ambient[:, i])
+    plus, minus = values[1 : 2 * m + 1], values[2 * m + 1 :]
+    for i, (value_plus, value_minus) in enumerate(zip(plus, minus)):
         abs_sq_row[i] = (abs(value_plus) ** 2 - abs(value_minus) ** 2) / (2 * step)
         # Angles are measured relative to phi(p), avoiding the branch cut.
         turn_plus = float(np.angle(value_plus * np.conj(value)))
@@ -459,7 +471,7 @@ def xi_projection(v, p: PointSample, w: np.ndarray) -> np.ndarray:
     times it project to zero.  Raises :class:`ZeroGradient` when the
     potential gradient vanishes.
     """
-    rho = _reeb_data(_tangent_data(v, p))
+    rho = _reeb_data(_tangent_at(v, p))
     return _project_away_gradient(np.asarray(w, dtype=complex), rho)
 
 
@@ -481,27 +493,31 @@ def _h_norm_sq(hermitian: np.ndarray, w: np.ndarray) -> float:
 
 
 def rescaled_reeb_identity(
-    v, f: Polynomial, c: float, p: PointSample
-) -> float:
-    """Residual of the rescaled-Reeb identity at one point.
+    v, f: Polynomial, c: float, samples: list[PointSample]
+) -> tuple[list[float], int]:
+    """Residuals of the rescaled-Reeb identity over ``samples``.
 
-    Builds ``R_c = e^{c|f|^2}(R + pr_xi(2 c |f|^2 grad theta))`` and
-    compares ``d theta(R_c)`` against
-    ``e^{c|f|^2}(d theta(R) + 2 c |f|^2 |pr_xi grad theta|^2)``; returns
-    ``|LHS - RHS| / (1 + |LHS|)``.  Raises :class:`OnBinding` when
-    ``f(p)`` is numerically zero.
+    At each sample, builds ``R_c = e^{c|f|^2}(R + pr_xi(2 c |f|^2 grad
+    theta))`` and compares ``d theta(R_c)`` against
+    ``e^{c|f|^2}(d theta(R) + 2 c |f|^2 |pr_xi grad theta|^2)``.  Returns
+    ``|LHS - RHS| / (1 + |LHS|)`` at every sample off the binding, in sample
+    order, and the number of samples skipped because ``f(p)`` is zero there.
     """
-    data = _tangent_data(v, p)
-    value = f.evaluate(p.point)
-    if _on_binding(f, value, p):
-        raise OnBinding("the function vanishes at this point")
-    theta = _theta_data(data, f, f.gradient(), p, value)
-    weight = float(c) * float(abs(value) ** 2)
-    correction = _project_away_gradient(2.0 * weight * theta.grad_theta, theta.rho)
-    rescaled = math.exp(weight) * (theta.rho.reeb + correction)
-    lhs = theta_differential(theta.row, value, rescaled)
-    rhs = math.exp(weight) * (theta.dtheta_reeb + 2.0 * weight * theta.transverse_sq)
-    return abs(lhs - rhs) / (1.0 + abs(lhs))
+    residuals = []
+    skipped = 0
+    for p, phi, jacobian, value, gradient in _rows(v, samples, f):
+        data = _tangent_data(p, phi, jacobian)
+        if _on_binding(f, value, p):
+            skipped += 1
+            continue
+        theta = _theta_data(data, p, value, gradient)
+        weight = float(c) * float(abs(value) ** 2)
+        correction = _project_away_gradient(2.0 * weight * theta.grad_theta, theta.rho)
+        rescaled = math.exp(weight) * (theta.rho.reeb + correction)
+        lhs = theta_differential(theta.row, value, rescaled)
+        rhs = math.exp(weight) * (theta.dtheta_reeb + 2.0 * weight * theta.transverse_sq)
+        residuals.append(abs(lhs - rhs) / (1.0 + abs(lhs)))
+    return residuals, skipped
 
 
 @dataclass(frozen=True)
@@ -557,7 +573,8 @@ def find_adaptation_constant(
     if mesh < 1:
         raise InvalidMesh(f"mesh size must be positive, got {mesh}")
     samples = sample_points(v, epsilon, mesh, seed)
-    values = np.array([f.evaluate(p.point) for p in samples])
+    points = np.array([p.point for p in samples])
+    values = PolynomialBlock((f,)).evaluate(points)[:, 0]
     sizes_sq = np.abs(values) ** 2
     max_size_sq = float(np.max(sizes_sq))
     if eta is None:
@@ -568,14 +585,14 @@ def find_adaptation_constant(
         raise InputError(
             f"eta={eta!r} is not below max |f|^2 = {max_size_sq!r} on the mesh"
         )
-    f_gradient = f.gradient()
 
     # d theta(pr_xi(2 grad theta)) does not depend on c, so each retained
     # point keeps scalars only and the records are dropped as they go.
     retained = []
-    for p, value, size_sq in zip(samples, values, sizes_sq):
+    rows = zip(_rows(v, samples, f), sizes_sq)
+    for (p, phi, jacobian, value, gradient), size_sq in rows:
         if size_sq >= eta:
-            theta = _theta_data(_tangent_data(v, p), f, f_gradient, p, complex(value))
+            theta = _theta_data(_tangent_data(p, phi, jacobian), p, value, gradient)
             retained.append((
                 theta.dtheta_reeb, theta.transverse_sq, theta.norm_sq,
                 theta_differential(theta.row, theta.value, 2.0 * theta.projected),
@@ -672,17 +689,15 @@ def lambda_cone_check(
     branch in ``(-pi, pi]``.  An empty qualifying set is a valid outcome,
     reported as such.
     """
-    f_gradient = f.gradient()
     qualifying = 0
     skipped = 0
     min_re: float | None = None
     max_arg: float | None = None
-    for p in samples:
-        value = f.evaluate(p.point)
+    for p, phi, jacobian, value, gradient in _rows(v, samples, f):
         if _on_binding(f, value, p):
             skipped += 1
             continue
-        theta = _theta_data(_tangent_data(v, p), f, f_gradient, p, value)
+        theta = _theta_data(_tangent_data(p, phi, jacobian), p, value, gradient)
         theta_norm = math.sqrt(max(theta.norm_sq, 0.0))
         if theta_norm == 0.0:
             skipped += 1
@@ -762,20 +777,21 @@ def openbook_criterion_check(
     if mesh < 1:
         raise InvalidMesh(f"mesh size must be positive, got {mesh}")
     samples = sample_points(v, epsilon, mesh, seed)
-    values = [f.evaluate(p.point) for p in samples]
+    points = np.array([p.point for p in samples])
+    values = PolynomialBlock((f,)).evaluate(points)[:, 0].tolist()
     sizes = [abs(value) ** 2 for value in values]
     if eta is None:
         eta = DEFAULT_ETA_FRACTION * max(sizes)
     if not (eta > 0.0):
         raise InputError(f"eta must be positive, got {eta!r}")
-    f_gradient = f.gradient()
     min_dtheta: float | None = None
     min_df: float | None = None
     outside = 0
     inside = 0
-    for p, value, size in zip(samples, values, sizes):
-        level_basis = _level_basis(_tangent_data(v, p))
-        row_f = _function_row(f, f_gradient, p.point, p.tangent_basis)
+    rows = zip(_rows(v, samples, f), sizes)
+    for (p, phi, jacobian, value, gradient), size in rows:
+        level_basis = _level_basis(_tangent_data(p, phi, jacobian))
+        row_f = gradient @ p.tangent_basis
         if size >= eta:
             outside += 1
             if _on_binding(f, value, p):

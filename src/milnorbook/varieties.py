@@ -15,6 +15,9 @@ evaluated in :mod:`milnorbook.contact`:
   coordinates themselves (so ``rho`` is the squared ambient norm) and the
   tangent space at a point is the kernel of ``dh``.
 
+The contact checks read ``Phi`` and its Jacobian only by ``phi_block``, on
+blocks of points.
+
 :func:`sample_points` runs one accept loop over blocks of random ambient
 directions; the model's step takes a block and solves each draw onto the
 level set or rejects it.  For charts the step builds the radial profiles
@@ -50,8 +53,9 @@ __all__ = [
 # declared degenerate (the potential never reaches the target level).
 _MAX_DOUBLINGS = 300
 
-# Draws solved together by one step of the accept loop.  The cap keeps the
-# sampler's memory independent of the requested count.
+# Draws solved together by one step of the accept loop, and samples the
+# contact checks evaluate together.  The cap keeps memory independent of
+# the requested count.
 _DRAWS_PER_BLOCK = 2**12
 
 # Attempt budget: accepting `count` samples out of at most 10 * count
@@ -117,7 +121,9 @@ class SmoothChart:
         self.dim = dim
         self.components = components
         self._components_block = PolynomialBlock(components)
-        self._jacobian_rows = tuple(poly.gradient() for poly in components)
+        self._jacobian_block = PolynomialBlock(
+            [partial for poly in components for partial in poly.gradient()]
+        )
         self._identity = _read_only_identity(dim)
 
     @classmethod
@@ -134,18 +140,11 @@ class SmoothChart:
     def target_dim(self) -> int:
         return len(self.components)
 
-    def phi_values(self, point: np.ndarray) -> np.ndarray:
-        return np.array([poly.evaluate(point) for poly in self.components])
-
-    def phi_jacobian(self, point: np.ndarray) -> np.ndarray:
-        """The ``N x dim`` complex Jacobian of ``Phi`` at ``point``."""
-        return np.array(
-            [[g.evaluate(point) for g in row] for row in self._jacobian_rows]
-        )
-
-    def rho(self, point: np.ndarray) -> float:
-        values = self.phi_values(point)
-        return float(np.sum(np.abs(values) ** 2))
+    def phi_block(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``Phi`` and its ``N x dim`` Jacobian at each row of ``(k, dim)`` points."""
+        jacobians = self._jacobian_block.evaluate(points)
+        shape = (len(points), self.target_dim, self.dim)
+        return self._components_block.evaluate(points), jacobians.reshape(shape)
 
     def tangent_basis(self, point: np.ndarray) -> np.ndarray:
         """The identity basis of the domain: one read-only array per chart."""
@@ -174,8 +173,7 @@ class Hypersurface:
             raise InputError("the defining polynomial must be nonconstant")
         _require_vanishing_at_origin(defining, "the defining polynomial")
         self.defining = defining
-        self._gradient = defining.gradient()
-        self._system_block = PolynomialBlock((defining, *self._gradient))
+        self._system_block = PolynomialBlock((defining, *defining.gradient()))
         self._identity = _read_only_identity(defining.n_vars)
 
     @property
@@ -186,21 +184,10 @@ class Hypersurface:
     def target_dim(self) -> int:
         return self.defining.n_vars
 
-    def phi_values(self, point: np.ndarray) -> np.ndarray:
-        return np.asarray(point, dtype=complex)
-
-    def phi_jacobian(self, point: np.ndarray) -> np.ndarray:
-        """The identity: one read-only array per hypersurface."""
-        return self._identity
-
-    def rho(self, point: np.ndarray) -> float:
-        return float(np.sum(np.abs(np.asarray(point)) ** 2))
-
-    def defining_value(self, point: np.ndarray) -> complex:
-        return self.defining.evaluate(point)
-
-    def defining_gradient(self, point: np.ndarray) -> np.ndarray:
-        return np.array([g.evaluate(point) for g in self._gradient])
+    def phi_block(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The points, and the one read-only identity broadcast as each Jacobian."""
+        shape = (len(points), *self._identity.shape)
+        return points, np.broadcast_to(self._identity, shape)
 
     def defining_scale(self, epsilon: float) -> float:
         """A positive bound for ``|h|`` on the sphere ``rho = epsilon``."""
@@ -209,7 +196,7 @@ class Hypersurface:
 
     def tangent_basis(self, point: np.ndarray) -> np.ndarray:
         """Orthonormal basis of ``ker dh`` at ``point`` (columns)."""
-        return _kernel_bases(self.defining_gradient(point)[None])[0]
+        return _kernel_bases(self._system_block.evaluate(point[None])[:, 1:])[0]
 
     def __repr__(self) -> str:
         return f"Hypersurface({self.defining})"

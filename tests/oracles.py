@@ -309,7 +309,8 @@ def per_draw_chart_samples(chart: SmoothChart, epsilon: float, count: int, seed:
         if t is None:
             continue
         point = t * direction
-        rho_value = chart.rho(point)
+        values = np.array([poly.evaluate(point) for poly in chart.components])
+        rho_value = float(np.sum(np.abs(values) ** 2))
         if abs(rho_value - epsilon) > varieties._LEVEL_TOLERANCE * epsilon:
             continue
         accepted.append((point, rho_value))
@@ -326,8 +327,8 @@ def _real_system(
     ``dh/dx_j = h_j`` and ``dh/dy_j = i h_j`` with ``h_j`` the complex
     gradient entry.
     """
-    h_value = surface.defining_value(z)
-    h_grad = surface.defining_gradient(z)
+    h_value = surface.defining.evaluate(z)
+    h_grad = np.array([g.evaluate(z) for g in surface.defining.gradient()])
     rho = float(np.sum(np.abs(z) ** 2))
     residual = np.array([h_value.real, h_value.imag, rho - epsilon])
     n = z.size
@@ -396,7 +397,7 @@ def per_draw_hypersurface_samples(
             return None
         if abs(residual[2]) > varieties._LEVEL_TOLERANCE * epsilon:
             return None
-        gradient = surface.defining_gradient(z)
+        gradient = np.array([g.evaluate(z) for g in surface.defining.gradient()])
         if np.linalg.norm(gradient) < gradient_floor:
             return None
         return PointSample(

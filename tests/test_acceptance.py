@@ -207,8 +207,9 @@ def test_criterion_07_rescaled_identity():
         f = parse_polynomial(text, 2)
         samples = sample_points(PLANE, 0.01, 100, seed=0)
         for c in (0.0, 1.0, 10.0):
-            for p in samples:
-                worst[c] = max(worst[c], rescaled_reeb_identity(PLANE, f, c, p))
+            residuals, skipped = rescaled_reeb_identity(PLANE, f, c, samples)
+            assert skipped == 0
+            worst[c] = max(worst[c], *residuals)
     assert worst[0.0] <= 1e-12
     assert worst[1.0] <= 1e-6
     assert worst[10.0] <= 1e-6

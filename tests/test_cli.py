@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from milnorbook import cli
 from milnorbook.errors import InternalInvariantError
+from milnorbook.polynomials import Polynomial
 from milnorbook.graphs import PlumbingGraph, chain_graph, save_graph
 
 
@@ -98,6 +99,27 @@ class TestExitCodes:
         )
         assert code == 4
         assert err.startswith("numerical finding:")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # |h| bound on the sphere: radius 1e100 to the fifth power.
+            ["spsh", "--hypersurface", "z0^2+z1^3+z2^5", "--epsilon", "1e200",
+             "--samples", "5"],
+            # An infinite power inside the polynomial evaluation.
+            ["adapt", "--ambient", "2", "--f", "z0^200", "--epsilon", "1e10",
+             "--mesh", "20"],
+            # exp(c |f|^2) in the rescaled Reeb field.
+            ["identity", "--ambient", "2", "--f", "z0^2+z1^3", "--c", "1e12",
+             "--samples", "5"],
+        ],
+        ids=["magnitude_bound", "evaluate", "exp"],
+    )
+    def test_overflow_is_a_numerical_finding(self, capsys, args):
+        code, out, err = run(capsys, "contact", *args)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("numerical finding: floating-point overflow")
 
     def test_failed_check_exits_four_with_report(self, capsys):
         code, out, _ = run(
@@ -303,6 +325,40 @@ class TestReports:
         result = json.loads(out)["result"]
         assert result["qualifying"] == 30
         assert result["all_positive"] is True
+
+
+SUBCHECK_ARGS = {
+    "spsh": ["--samples", "20"],
+    "reeb": ["--samples", "20"],
+    "identity": ["--c", "10", "--samples", "20"],
+    "adapt": ["--mesh", "60"],
+    "cone": ["--samples", "20"],
+    "criterion": ["--mesh", "60"],
+}
+
+
+@pytest.mark.parametrize(
+    "variety",
+    [
+        ["--ambient", "2", "--map", "z0,z1,z0^2 + z1^3", "--f", "z0^2 + z1^3"],
+        ["--hypersurface", "z0^2 + z1^3 + z1*z2^3", "--f", "z1"],
+    ],
+    ids=["chart", "hypersurface"],
+)
+@pytest.mark.parametrize("subcheck", SUBCHECK_ARGS)
+def test_block_evaluator_is_the_only_evaluation_path(
+    capsys, monkeypatch, variety, subcheck
+):
+    """With scalar ``Polynomial.evaluate`` disabled, every subcheck prints
+    exactly what it prints with it: the checks evaluate on blocks only."""
+    argv = ["contact", subcheck, *variety, *SUBCHECK_ARGS[subcheck], "--seed", "2"]
+    expected = run(capsys, *argv)
+
+    def scalar_evaluate(self, point):
+        raise AssertionError("scalar Polynomial.evaluate called")
+
+    monkeypatch.setattr(Polynomial, "evaluate", scalar_evaluate)
+    assert run(capsys, *argv) == expected
 
 
 class TestDeterminism:

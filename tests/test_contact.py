@@ -1,8 +1,11 @@
 """Pointwise contact structures: frozen hand checks, identities, findings."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
+import milnorbook.contact as contact
 from milnorbook import (
     Hypersurface,
     Polynomial,
@@ -26,8 +29,8 @@ from milnorbook import (
 )
 from milnorbook.contact import (
     DEFAULT_ETA_FRACTION,
-    _function_row,
-    _tangent_data,
+    _f_block,
+    _tangent_at,
     theta_differential,
     theta_gradient,
 )
@@ -53,6 +56,12 @@ def sample_at(point, basis=None, rho=None):
     if rho is None:
         rho = float(np.sum(np.abs(point) ** 2))
     return PointSample(point=point, tangent_basis=basis, rho_value=rho)
+
+
+def function_row(f, p):
+    """The tangent row of ``df`` at ``p``, from a one-row block."""
+    _, gradients = _f_block(f, p.point[None])
+    return gradients[0] @ p.tangent_basis
 
 
 class TestHandChecks:
@@ -98,7 +107,7 @@ class TestHandChecks:
         # theta = arg(z0) rotates at 1/(2 rho) along the Reeb flow.
         f = parse_polynomial("z0", 2)
         p = sample_at([0.1, 0.0])
-        row = _function_row(f, f.gradient(), p.point, p.tangent_basis)
+        row = function_row(f, p)
         reeb = reeb_field(PLANE, p)
         speed = theta_differential(row, f.evaluate(p.point), reeb)
         assert speed == pytest.approx(50.0, rel=1e-12)
@@ -109,9 +118,9 @@ class TestStructuralIdentities:
         rng = np.random.default_rng(2)
         phi = parse_polynomial("z0^2 z1 + z1^2", 2)
         for p in sample_points(PLANE, 0.01, 10, seed=4):
-            data = _tangent_data(PLANE, p)
+            data = _tangent_at(PLANE, p)
             grad = holomorphic_gradient(PLANE, p, phi)
-            row = _function_row(phi, phi.gradient(), p.point, p.tangent_basis)
+            row = function_row(phi, p)
             w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             pairing = complex(grad.conj() @ data.hermitian @ w)
             assert pairing == pytest.approx(complex(row @ w), rel=1e-10)
@@ -120,8 +129,8 @@ class TestStructuralIdentities:
         f = parse_polynomial("z0^2 + z1^3", 2)
         for p in sample_points(PLANE, 0.01, 10, seed=5):
             value = f.evaluate(p.point)
-            data = _tangent_data(PLANE, p)
-            row = _function_row(f, f.gradient(), p.point, p.tangent_basis)
+            data = _tangent_at(PLANE, p)
+            row = function_row(f, p)
             via_theta = theta_gradient(data.hermitian, row, value)
             via_grad = 1j * holomorphic_gradient(PLANE, p, f) / np.conj(value)
             assert np.allclose(via_theta, via_grad, rtol=1e-12)
@@ -131,8 +140,8 @@ class TestStructuralIdentities:
         f = parse_polynomial("z0 z1", 2)
         for p in sample_points(PLANE, 0.01, 10, seed=6):
             value = f.evaluate(p.point)
-            data = _tangent_data(PLANE, p)
-            row = _function_row(f, f.gradient(), p.point, p.tangent_basis)
+            data = _tangent_at(PLANE, p)
+            row = function_row(f, p)
             grad_theta = theta_gradient(data.hermitian, row, value)
             w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             direct = theta_differential(row, value, w)
@@ -148,7 +157,7 @@ class TestStructuralIdentities:
             real = np.concatenate([projected.real, projected.imag])
             # lands in ker(d rho) and ker(alpha) simultaneously
             assert abs(float(forms.alpha @ real)) < 1e-12
-            data = _tangent_data(PLANE, p)
+            data = _tangent_at(PLANE, p)
             assert abs(complex(forms.grad_rho.conj() @ data.hermitian @ projected)) < 1e-12
             # idempotent, kills the gradient line
             again = xi_projection(PLANE, p, projected)
@@ -176,14 +185,55 @@ class TestStructuralIdentities:
 
     def test_rescaled_identity_exact_at_zero(self):
         f = parse_polynomial("z0 z1", 2)
-        for p in sample_points(PLANE, 0.01, 20, seed=11):
-            assert rescaled_reeb_identity(PLANE, f, 0.0, p) == 0.0
+        samples = sample_points(PLANE, 0.01, 20, seed=11)
+        residuals, skipped = rescaled_reeb_identity(PLANE, f, 0.0, samples)
+        assert (len(residuals), skipped) == (20, 0)
+        for residual in residuals:
+            assert residual == 0.0
 
     @pytest.mark.parametrize("c", [1.0, 10.0])
     def test_rescaled_identity_to_rounding(self, c):
         f = parse_polynomial("z0^2 + z1^3", 2)
-        for p in sample_points(PLANE, 0.01, 20, seed=12):
-            assert rescaled_reeb_identity(PLANE, f, c, p) < 1e-12
+        samples = sample_points(PLANE, 0.01, 20, seed=12)
+        residuals, skipped = rescaled_reeb_identity(PLANE, f, c, samples)
+        assert (len(residuals), skipped) == (20, 0)
+        for residual in residuals:
+            assert residual < 1e-12
+
+    @pytest.mark.parametrize("variety", [PLANE, BRIESKORN], ids=["chart", "hypersurface"])
+    def test_empty_sample_lists(self, variety):
+        """Every list check answers on no samples, as it did point by point."""
+        f = parse_polynomial("z0", variety.ambient_dim)
+        assert check_spsh(variety, [], trials=5) == float("inf")
+        assert reeb_contract_deviations(variety, []) == (0.0, 0.0)
+        report = lambda_cone_check(variety, f, [])
+        assert (report.total, report.qualifying, report.skipped_on_binding) == (0, 0, 0)
+        assert rescaled_reeb_identity(variety, f, 1.0, []) == ([], 0)
+
+
+class TestBlockSizes:
+    """The checks evaluate their samples block by block; no answer may
+    depend on the block size."""
+
+    @pytest.mark.parametrize("block", [7, 1])
+    @pytest.mark.parametrize("variety", [PLANE, BRIESKORN], ids=["chart", "hypersurface"])
+    def test_answers_do_not_depend_on_the_block_size(self, variety, block):
+        f = parse_polynomial("z0 + z1^2", variety.ambient_dim)
+        samples = sample_points(variety, 0.01, 30, seed=13)
+
+        def answers():
+            return (
+                check_spsh(variety, samples, trials=3),
+                reeb_contract_deviations(variety, samples),
+                rescaled_reeb_identity(variety, f, 1.0, samples),
+                lambda_cone_check(variety, f, samples).to_dict(),
+                find_adaptation_constant(variety, f, 0.01, None, 30, seed=13).to_dict(),
+                openbook_criterion_check(variety, f, 0.01, None, 30, seed=13).to_dict(),
+            )
+
+        expected = answers()
+        with patch.object(contact, "_DRAWS_PER_BLOCK", block):
+            assert repr(answers()) == repr(expected)
 
 
 class TestFindings:
@@ -229,8 +279,8 @@ class TestFindings:
     def test_on_binding_reported(self):
         f = parse_polynomial("z0", 2)
         p = sample_at([0.0, 0.1])
-        with pytest.raises(OnBinding):
-            rescaled_reeb_identity(PLANE, f, 1.0, p)
+        # The list form skips and counts the point instead of raising.
+        assert rescaled_reeb_identity(PLANE, f, 1.0, [p]) == ([], 1)
         with pytest.raises(OnBinding):
             gradient_identity_residuals(PLANE, p, f)
 

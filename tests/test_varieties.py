@@ -51,6 +51,17 @@ REFERENCE_HYPERSURFACES = {
 }
 
 
+def rho(v, point) -> float:
+    """``sum |phi_k|^2`` at ``point``, from the model's one-row block."""
+    values, _ = v.phi_block(np.asarray(point)[None])
+    return float(np.sum(np.abs(values[0]) ** 2))
+
+
+def defining_row(surface, point) -> np.ndarray:
+    """``h`` and its gradient at ``point``, from the model's one-row block."""
+    return surface._system_block.evaluate(np.asarray(point)[None])[0]
+
+
 @lru_cache(maxsize=None)
 def _hypersurface_reference(text: str, epsilon: float, seed: int):
     surface = REFERENCE_HYPERSURFACES[text]
@@ -62,9 +73,20 @@ class TestModels:
         chart = SmoothChart.identity(2)
         assert chart.ambient_dim == 2 and chart.target_dim == 2
         point = np.array([1 + 1j, 2.0])
-        assert np.allclose(chart.phi_values(point), point)
-        assert np.allclose(chart.phi_jacobian(point), np.eye(2))
-        assert chart.rho(point) == pytest.approx(6.0)
+        values, jacobians = chart.phi_block(point[None])
+        assert np.allclose(values[0], point)
+        assert np.allclose(jacobians[0], np.eye(2))
+        assert rho(chart, point) == pytest.approx(6.0)
+
+    def test_chart_block_shapes(self):
+        chart = SmoothChart(2, parse_map("z0,z1,z0^2 + z1^3", 2))
+        points = np.array([[1.0, 2.0], [0.5j, -1.0]])
+        values, jacobians = chart.phi_block(points)
+        assert values.shape == (2, 3) and jacobians.shape == (2, 3, 2)
+        assert np.allclose(values[1], [0.5j, -1.0, -0.25 - 1.0])
+        assert np.allclose(jacobians[0], [[1, 0], [0, 1], [2.0, 12.0]])
+        values, jacobians = chart.phi_block(np.empty((0, 2), dtype=complex))
+        assert values.shape == (0, 3) and jacobians.shape == (0, 3, 2)
 
     def test_chart_dimension_checks(self):
         with pytest.raises(InputError):
@@ -88,20 +110,16 @@ class TestModels:
 
     def test_hypersurface_geometry(self):
         point = np.array([1.0, 2.0, 0.5 + 0j])
-        assert BRIESKORN.defining_value(point) == pytest.approx(
-            1 + 8 + 0.5**5
-        )
-        assert np.allclose(
-            BRIESKORN.defining_gradient(point),
-            [2.0, 12.0, 5 * 0.5**4],
-        )
+        row = defining_row(BRIESKORN, point)
+        assert row[0] == pytest.approx(1 + 8 + 0.5**5)
+        assert np.allclose(row[1:], [2.0, 12.0, 5 * 0.5**4])
         assert BRIESKORN.defining_scale(0.01) > 0
 
     def test_hypersurface_tangent_basis_spans_kernel(self):
         point = np.array([0.3 + 0.1j, -0.2, 0.5j])
         basis = BRIESKORN.tangent_basis(point)
         assert basis.shape == (3, 2)
-        gradient = BRIESKORN.defining_gradient(point)
+        gradient = defining_row(BRIESKORN, point)[1:]
         assert np.max(np.abs(gradient @ basis)) < 1e-14
         assert np.allclose(basis.conj().T @ basis, np.eye(2))
 
@@ -123,8 +141,12 @@ class TestIdentityBases:
 
     def test_hypersurface_jacobian_is_shared(self):
         p, q = sample_points(BRIESKORN, 0.01, 2, seed=0)
-        jacobian = BRIESKORN.phi_jacobian(p.point)
-        assert jacobian is BRIESKORN.phi_jacobian(q.point)
+        points, jacobians = BRIESKORN.phi_block(np.array([p.point, q.point]))
+        assert np.array_equal(points, [p.point, q.point])
+        # One identity per hypersurface, broadcast over the block: no copies.
+        assert jacobians.strides[0] == 0
+        assert np.shares_memory(jacobians, BRIESKORN.phi_block(p.point[None])[1])
+        jacobian = jacobians[0]
         assert np.array_equal(jacobian, np.eye(3))
         with pytest.raises(ValueError, match="read-only"):
             jacobian[0, 0] = 2.0
@@ -137,7 +159,7 @@ class TestChartSampling:
         samples = sample_points(chart, epsilon, 200, seed=0)
         assert len(samples) == 200
         for p in samples:
-            assert abs(chart.rho(p.point) - epsilon) <= 1e-10 * epsilon
+            assert abs(rho(chart, p.point) - epsilon) <= 1e-10 * epsilon
             assert p.rho_value == pytest.approx(epsilon, rel=1e-9)
             assert p.tangent_basis.shape == (2, 2)
 
@@ -145,7 +167,7 @@ class TestChartSampling:
         chart = SmoothChart(1, (parse_polynomial("z0^2 + z0", 1),))
         epsilon = 0.25
         for p in sample_points(chart, epsilon, 50, seed=1):
-            assert abs(chart.rho(p.point) - epsilon) <= 1e-10 * epsilon
+            assert abs(rho(chart, p.point) - epsilon) <= 1e-10 * epsilon
 
     def test_deterministic_for_fixed_seed(self):
         chart = SmoothChart.identity(3)
@@ -250,13 +272,13 @@ class TestHypersurfaceSampling:
         samples = sample_points(BRIESKORN, epsilon, 200, seed=0)
         assert len(samples) == 200
         for p in samples:
-            assert abs(BRIESKORN.defining_value(p.point)) <= 1e-10 * scale
-            assert abs(BRIESKORN.rho(p.point) - epsilon) <= 1e-10 * epsilon
+            assert abs(defining_row(BRIESKORN, p.point)[0]) <= 1e-10 * scale
+            assert abs(rho(BRIESKORN, p.point) - epsilon) <= 1e-10 * epsilon
 
     def test_tangent_basis_annihilated_by_differential(self):
         samples = sample_points(BRIESKORN, 0.01, 50, seed=3)
         for p in samples:
-            gradient = BRIESKORN.defining_gradient(p.point)
+            gradient = defining_row(BRIESKORN, p.point)[1:]
             assert np.max(np.abs(gradient @ p.tangent_basis)) < 1e-12
 
     def test_deterministic_for_fixed_seed(self):
@@ -268,7 +290,7 @@ class TestHypersurfaceSampling:
     def test_nodal_curve_samples(self):
         surface = Hypersurface(parse_polynomial("z0 z1", 2))
         for p in sample_points(surface, 0.04, 50, seed=5):
-            assert abs(surface.defining_value(p.point)) <= 1e-10
+            assert abs(defining_row(surface, p.point)[0]) <= 1e-10
 
     @pytest.mark.parametrize(
         "variety, count, max_iterations, newton_tolerance, draws",
