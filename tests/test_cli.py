@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from milnorbook import cli
 from milnorbook.errors import InternalInvariantError
-from milnorbook.polynomials import Polynomial
 from milnorbook.graphs import PlumbingGraph, chain_graph, save_graph
+from milnorbook.polynomials import Polynomial
 
 
 @pytest.fixture
