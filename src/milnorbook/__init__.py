@@ -99,14 +99,10 @@ from .contact import (
     fd_omega_deviation,
     find_adaptation_constant,
     gradient_identity_residuals,
-    holomorphic_gradient,
     lambda_cone_check,
-    level_tangent_basis,
     openbook_criterion_check,
     reeb_contract_deviations,
-    reeb_field,
     rescaled_reeb_identity,
-    xi_projection,
 )
 
 __version__ = "0.1.0"

@@ -28,12 +28,12 @@ near-proportionality cone condition for ``lambda`` with ``grad theta =
 i lambda grad rho``; and the two open-book transversality minima for the
 argument map of a holomorphic function ``f``.
 
-Every check reads one record per point, built in stages that are each
-computed once: tangent (``H``, ``d rho``, the condition of ``H`` from the
-singular values of ``A_T``), Reeb (``grad rho``, ``R``) and, for ``theta =
-arg f``, theta (``f(p)``, ``df``, ``grad theta``, ``pr_xi grad theta``).
-Each check evaluates ``Phi``, ``dPhi``, ``f`` and ``grad f`` on blocks of
-its samples, by ``phi_block`` and ``PolynomialBlock``, never point by point.
+Every check reads one point record per block of ``_DRAWS_PER_BLOCK``
+samples, in stages of arrays over the block: tangent (``H``, ``d rho``, the
+condition of ``H`` from the singular values of ``A_T``), Reeb (``grad rho``,
+``R``) and, for ``theta = arg f``, theta (``f(p)``, ``df``, ``grad theta``,
+``pr_xi grad theta``), from ``phi_block``, ``PolynomialBlock``, one stacked
+SVD of ``A_T``, stacked solves and batched products, never per sample.
 """
 
 from __future__ import annotations
@@ -54,21 +54,21 @@ from .errors import (
     ZeroGradient,
 )
 from .polynomials import Polynomial, PolynomialBlock
-from .varieties import _DRAWS_PER_BLOCK, PointSample, sample_points
+from .varieties import (
+    _DRAWS_PER_BLOCK,
+    PointSample,
+    _row_norms,
+    _row_squares,
+    sample_points,
+)
 
 __all__ = [
     "FormsAtPoint",
     "eval_forms",
-    "level_tangent_basis",
     "reeb_contract_deviations",
     "fd_omega_deviation",
     "check_spsh",
-    "holomorphic_gradient",
     "gradient_identity_residuals",
-    "reeb_field",
-    "xi_projection",
-    "theta_differential",
-    "theta_gradient",
     "rescaled_reeb_identity",
     "AdaptationReport",
     "find_adaptation_constant",
@@ -124,86 +124,149 @@ class FormsAtPoint:
         return self.hermitian_h.shape[0]
 
 
-class _PointData(NamedTuple):
-    """Tangent stage: ``H``, the d(rho) row ``ell`` and ``cond(H)``, which is the
-    squared condition of ``A_T`` (infinite when ``A_T`` has fewer rows)."""
+class _Theta(NamedTuple):
+    """Theta stage on some rows of a block; ``grad_theta_sq`` and
+    ``transverse_sq`` are squared h-norms."""
 
-    hermitian: np.ndarray
-    ell: np.ndarray
-    ell_scale: float
-    condition: float
-
-
-class _ReebData(NamedTuple):
-    """Reeb stage: ``grad rho``, its squared h-norm and ``R``."""
-
-    tangent: _PointData
-    gradient: np.ndarray
-    norm_sq: float
-    reeb: np.ndarray
-
-
-class _ThetaData(NamedTuple):
-    """Theta stage; ``norm_sq`` and ``transverse_sq`` are squared h-norms."""
-
-    rho: _ReebData
-    value: complex
+    value: np.ndarray
     row: np.ndarray
     grad_theta: np.ndarray
     projected: np.ndarray
-    dtheta_reeb: float
-    norm_sq: float
-    transverse_sq: float
+    dtheta_reeb: np.ndarray
+    grad_theta_sq: np.ndarray
+    transverse_sq: np.ndarray
 
 
-def _f_block(f: Polynomial, points: np.ndarray) -> tuple[list[complex], np.ndarray]:
-    """``f`` (as Python complexes) and ``grad f`` at each row of ``points``."""
-    block = PolynomialBlock((f, *f.gradient())).evaluate(points)
-    return block[:, 0].tolist(), block[:, 1:]
+class _Block:
+    """The point record of a block of samples, row ``i`` for ``samples[i]``;
+    each stacked step rounds as the same step on one sample does.
 
-
-def _rows(v, samples: list[PointSample], f: Polynomial | None):
-    """``(p, Phi(p), dPhi(p))`` per sample, then ``f(p)`` and ``grad f(p)``
-    unless ``f`` is None, evaluated ``_DRAWS_PER_BLOCK`` samples at a time."""
-    for start in range(0, len(samples), _DRAWS_PER_BLOCK):
-        block = samples[start : start + _DRAWS_PER_BLOCK]
-        points = np.array([p.point for p in block])
-        columns = [block, *v.phi_block(points)]
-        if f is not None:
-            columns.extend(_f_block(f, points))
-        yield from zip(*columns)
-
-
-def _tangent_data(p: PointSample, values: np.ndarray, jacobian: np.ndarray) -> _PointData:
-    """Tangent stage of the point record, from ``Phi(p)``, its Jacobian and
-    one SVD of ``A_T``.  Raises :class:`DegenerateTangent` when ``A_T`` loses
-    rank, i.e. the component map fails to be an immersion at the point.
+    Tangent stage: ``hermitian`` (``H``); ``ell`` with ``d rho(w) = Re(ell .
+    w)`` and ``alpha(w) = Im(ell . w)``; ``condition``, the squared condition
+    of ``A_T`` (infinite when ``A_T`` is wide).  Reeb stage, with ``reeb``:
+    ``gradient`` (``grad rho``), its squared h-norm ``norm_sq`` and ``reeb``.
+    With ``f``: ``values`` and ``f_rows`` (``df`` in tangent coordinates).  A
+    failed row keeps its error in ``failures``, raised by :meth:`check`.
     """
-    a_t = jacobian @ p.tangent_basis
-    singular = np.linalg.svd(a_t, compute_uv=False)
-    if singular[0] == 0.0 or singular[-1] <= _RANK_TOLERANCE * singular[0]:
-        raise DegenerateTangent(
-            "the differential loses rank at this point "
-            f"(singular values {singular[-1]:.3e} vs {singular[0]:.3e})"
+
+    def __init__(self, v, samples: list[PointSample], f: Polynomial | None, reeb: bool):
+        self.samples = samples
+        points = np.array([p.point for p in samples])
+        # Each basis keeps the first one's memory layout (a sampled hypersurface
+        # basis is a transposed view): products on another layout round differently.
+        if samples[0].tangent_basis.flags.c_contiguous:
+            bases = np.array([p.tangent_basis for p in samples])
+        else:
+            bases = np.array([p.tangent_basis.T for p in samples]).swapaxes(1, 2)
+        values, jacobians = v.phi_block(points)
+        a_t = jacobians @ bases
+        singular = np.linalg.svd(a_t, compute_uv=False)
+        largest, smallest = singular[:, 0], singular[:, -1]
+        degenerate = (largest == 0.0) | (smallest <= _RANK_TOLERANCE * largest)
+        self.failures: dict[int, Exception] = {
+            row: DegenerateTangent(
+                "the differential loses rank at this point "
+                f"(singular values {smallest[row]:.3e} vs {largest[row]:.3e})"
+            )
+            for row in np.flatnonzero(degenerate).tolist()
+        }
+        live = ~degenerate
+        self.hermitian = 4.0 * (a_t.conj().swapaxes(1, 2) @ a_t)
+        self.ell = 2.0 * (values.conj()[:, None, :] @ a_t)[:, 0]
+        self.ell_scale = 2.0 * _row_norms(values) * largest
+        self.condition = np.full(len(samples), math.inf)
+        if a_t.shape[1] >= a_t.shape[2]:
+            # Python's float ** rounds differently from NumPy's square.
+            ratios = (largest[live] / smallest[live]).tolist()
+            self.condition[live] = [ratio ** 2 for ratio in ratios]
+        if reeb:
+            self._reeb_stage(live)
+        if f is not None:
+            f_block = PolynomialBlock((f, *f.gradient())).evaluate(points)
+            self.values = f_block[:, 0]
+            self.f_rows = (f_block[:, None, 1:] @ bases)[:, 0]
+
+    def _reeb_stage(self, live: np.ndarray) -> None:
+        """``grad rho``, its squared h-norm and ``R`` on the ``live`` rows."""
+        scale = np.maximum(self.ell_scale, 1e-300)
+        flat = live & (_row_norms(self.ell) <= _ZERO_TOLERANCE * scale)
+        singular = live & ~flat & (self.condition > _CONDITION_CEILING)
+        solved = np.flatnonzero(live & ~flat & ~singular)
+        ell = self.ell[solved]
+        gradient = np.linalg.solve(self.hermitian[solved], ell.conj()[..., None])[..., 0]
+        norm_sq = (ell[:, None, :] @ gradient[:, :, None])[:, 0, 0].real
+        positive = norm_sq > 0.0
+        vanishing = "the potential has vanishing gradient at this point"
+        for row in np.flatnonzero(flat).tolist() + solved[~positive].tolist():
+            self.failures[row] = ZeroGradient(vanishing)
+        singularity = "the hermitian form is numerically singular at this point"
+        for row in np.flatnonzero(singular).tolist():
+            self.failures[row] = SingularMetric(singularity)
+        kept = solved[positive]
+        self.gradient = np.zeros_like(self.ell)
+        self.norm_sq = np.zeros(len(self.ell))
+        self.reeb = np.zeros_like(self.ell)
+        self.gradient[kept] = gradient[positive]
+        self.norm_sq[kept] = norm_sq[positive]
+        self.reeb[kept] = 1j * gradient[positive] / norm_sq[positive, None]
+
+    def check(self, rows, reeb: bool) -> None:
+        """Raise the error of the first of ``rows`` whose tangent stage failed
+        or, with ``reeb``, whose Reeb stage failed."""
+        for row in rows if self.failures else ():
+            error = self.failures.get(row)
+            if error is not None and (reeb or isinstance(error, DegenerateTangent)):
+                raise error
+
+    def project(self, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """h-orthogonal projection of each ``w[i]`` away from the complex line
+        of ``grad rho`` at row ``rows[i]``."""
+        gradient = self.gradient[rows]
+        pairing = gradient.conj()[:, None, :] @ self.hermitian[rows] @ w[:, :, None]
+        coefficient = pairing[:, 0, 0] / self.norm_sq[rows]
+        return w - coefficient[:, None] * gradient
+
+    def theta(self, rows: np.ndarray) -> _Theta:
+        """Theta stage on ``rows``, which passed the Reeb stage and where
+        ``f`` does not vanish: ``grad theta = i grad(f) / conj(f)``."""
+        hermitian = self.hermitian[rows]
+        value, row = self.values[rows], self.f_rows[rows]
+        grad_f = np.linalg.solve(hermitian, row.conj()[:, :, None])[:, :, 0]
+        grad_theta = 1j * grad_f / np.conj(value)[:, None]
+        projected = self.project(rows, grad_theta)
+        return _Theta(
+            value, row, grad_theta, projected,
+            dtheta_reeb=_dtheta(row, value, self.reeb[rows]),
+            grad_theta_sq=_h_norm_sq(hermitian, grad_theta),
+            transverse_sq=_h_norm_sq(hermitian, projected),
         )
-    hermitian = 4.0 * (a_t.conj().T @ a_t)
-    # ell is the complex-linear functional with d(rho)(w) = Re(ell . w)
-    # and alpha(w) = Im(ell . w); it equals h(grad rho, .).
-    ell = 2.0 * (values.conj() @ a_t)
-    ell_scale = 2.0 * float(np.linalg.norm(values)) * float(singular[0])
-    wide = a_t.shape[0] < a_t.shape[1]
-    condition = math.inf if wide else float(singular[0] / singular[-1]) ** 2
-    return _PointData(hermitian, ell, ell_scale, condition)
+
+
+def _dtheta(f_rows: np.ndarray, values: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``d theta(w) = Im(df(w) / f)`` for ``theta = arg f``, row by row."""
+    return ((f_rows[:, None, :] @ w[:, :, None])[:, 0, 0] / values).imag
+
+
+def _h_norm_sq(hermitian: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return (w.conj()[:, None, :] @ hermitian @ w[:, :, None])[:, 0, 0].real
+
+
+def _fold(extremum, current, values: np.ndarray):
+    """Python's running ``extremum`` (``min`` or ``max``) over ``values``
+    from ``current``, or None with nothing to fold.  Unlike ``np.min`` and
+    ``np.max``, it skips a NaN value unless the NaN comes first."""
+    folded = values.tolist() if current is None else [current, *values.tolist()]
+    return extremum(folded) if folded else None
 
 
 def _re_covector(ell: np.ndarray) -> np.ndarray:
     """Real covector of ``w -> Re(ell . w)`` on coordinates ``(a; b)``."""
-    return np.concatenate([ell.real, -ell.imag])
+    return np.concatenate([ell.real, -ell.imag], axis=-1)
 
 
 def _im_covector(ell: np.ndarray) -> np.ndarray:
     """Real covector of ``w -> Im(ell . w)`` on coordinates ``(a; b)``."""
-    return np.concatenate([ell.imag, ell.real])
+    return np.concatenate([ell.imag, ell.real], axis=-1)
 
 
 def _real_blocks(hermitian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,40 +278,12 @@ def _real_blocks(hermitian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return metric, omega
 
 
-def _solve_hermitian(data: _PointData, rhs: np.ndarray) -> np.ndarray:
-    if data.condition > _CONDITION_CEILING:
-        raise SingularMetric(
-            "the hermitian form is numerically singular at this point"
-        )
-    return np.linalg.solve(data.hermitian, rhs)
-
-
-def _reeb_data(data: _PointData) -> _ReebData:
-    """Reeb stage; raises :class:`ZeroGradient` or :class:`SingularMetric`."""
-    if np.linalg.norm(data.ell) <= _ZERO_TOLERANCE * max(data.ell_scale, 1e-300):
-        raise ZeroGradient("the potential has vanishing gradient at this point")
-    gradient = _solve_hermitian(data, data.ell.conj())
-    norm_sq = float(np.real(data.ell @ gradient))
-    if not (norm_sq > 0.0):
-        raise ZeroGradient("the potential has vanishing gradient at this point")
-    return _ReebData(data, gradient, norm_sq, 1j * gradient / norm_sq)
-
-
-def _theta_data(
-    data: _PointData, p: PointSample, value: complex, gradient: np.ndarray
-) -> _ThetaData:
-    """Reeb and theta stages where ``f(p) = value`` is not zero."""
-    rho = _reeb_data(data)
-    hermitian = data.hermitian
-    row = gradient @ p.tangent_basis
-    grad_theta = theta_gradient(hermitian, row, value)
-    projected = _project_away_gradient(grad_theta, rho)
-    return _ThetaData(
-        rho, value, row, grad_theta, projected,
-        dtheta_reeb=theta_differential(row, value, rho.reeb),
-        norm_sq=_h_norm_sq(hermitian, grad_theta),
-        transverse_sq=_h_norm_sq(hermitian, projected),
-    )
+def _level_basis(ell: np.ndarray) -> np.ndarray:
+    """Euclidean-orthonormal real bases of ``ker d(rho)``, ``(k, 2m, 2m-1)``,
+    by one stacked SVD.  Products with the bases round as one sample's do
+    only on this strided view, not on a contiguous copy."""
+    _, _, vh = np.linalg.svd(_re_covector(ell)[:, None, :])
+    return vh[:, 1:].swapaxes(1, 2)
 
 
 def _on_binding(f: Polynomial, value: complex, p: PointSample) -> bool:
@@ -257,53 +292,27 @@ def _on_binding(f: Polynomial, value: complex, p: PointSample) -> bool:
     return abs(value) <= _ZERO_TOLERANCE * scale_f
 
 
-def _tangent_at(v, p: PointSample) -> _PointData:
-    """Tangent stage at one sample, from a one-row block."""
-    return _tangent_data(*next(_rows(v, [p], None)))
-
-
-def _level_basis(data: _PointData) -> np.ndarray:
-    """Euclidean-orthonormal real basis of ``ker d(rho)``, ``2m x (2m-1)``."""
-    _, _, vh = np.linalg.svd(_re_covector(data.ell).reshape(1, -1))
-    return vh[1:].T
-
-
 def eval_forms(v, p: PointSample) -> FormsAtPoint:
     """Evaluate the contact package at one sample.
 
     Returns the contact form, two-form, metric, hermitian form, potential
-    gradient, and Reeb vector, all in the sample's tangent basis.  Raises
-    :class:`DegenerateTangent` on rank loss of the differential and
-    :class:`ZeroGradient` at critical points of the potential.
+    gradient, and Reeb vector, all in the sample's tangent basis, from the
+    point record of ``[p]``.  Raises :class:`DegenerateTangent` on rank loss
+    of the differential and :class:`ZeroGradient` at critical points of the
+    potential.
     """
-    data = _tangent_at(v, p)
-    metric, omega = _real_blocks(data.hermitian)
-    rho = _reeb_data(data)
+    block = _Block(v, [p], None, True)
+    block.check((0,), True)
+    metric, omega = _real_blocks(block.hermitian[0])
     return FormsAtPoint(
-        alpha=_im_covector(data.ell),
+        alpha=_im_covector(block.ell[0]),
         omega=omega,
         metric_g=metric,
-        hermitian_h=data.hermitian,
-        grad_rho=rho.gradient,
-        reeb=rho.reeb,
-        grad_rho_norm_sq=rho.norm_sq,
+        hermitian_h=block.hermitian[0],
+        grad_rho=block.gradient[0],
+        reeb=block.reeb[0],
+        grad_rho_norm_sq=float(block.norm_sq[0]),
     )
-
-
-def _real_coords(w: np.ndarray) -> np.ndarray:
-    return np.concatenate([w.real, w.imag])
-
-
-def level_tangent_basis(v, p: PointSample) -> np.ndarray:
-    """Euclidean-orthonormal real basis of ``ker d(rho)`` in tangent coords.
-
-    Columns are real ``2m``-vectors spanning the tangent space of the level
-    set inside the variety's tangent space (dimension ``2m - 1``).
-    """
-    data = _tangent_at(v, p)
-    if np.linalg.norm(data.ell) == 0.0:
-        raise ZeroGradient("the potential has vanishing gradient at this point")
-    return _level_basis(data)
 
 
 def reeb_contract_deviations(v, samples: list[PointSample]) -> tuple[float, float]:
@@ -315,13 +324,15 @@ def reeb_contract_deviations(v, samples: list[PointSample]) -> tuple[float, floa
     """
     max_alpha = 0.0
     max_omega = 0.0
-    for p, phi, jacobian in _rows(v, samples, None):
-        data = _tangent_data(p, phi, jacobian)
-        _, omega = _real_blocks(data.hermitian)
-        reeb_real = _real_coords(_reeb_data(data).reeb)
-        max_alpha = max(max_alpha, abs(float(_im_covector(data.ell) @ reeb_real) - 1.0))
-        pairings = np.abs(reeb_real @ omega @ _level_basis(data))
-        max_omega = max(max_omega, float(pairings.max()))
+    for start in range(0, len(samples), _DRAWS_PER_BLOCK):
+        block = _Block(v, samples[start : start + _DRAWS_PER_BLOCK], None, True)
+        block.check(range(len(block.samples)), True)
+        _, omega = _real_blocks(block.hermitian)
+        reeb_real = np.concatenate([block.reeb.real, block.reeb.imag], axis=1)
+        alpha = _im_covector(block.ell)[:, None, :] @ reeb_real[:, :, None]
+        max_alpha = _fold(max, max_alpha, np.abs(alpha[:, 0, 0] - 1.0))
+        pairings = np.abs(reeb_real[:, None, :] @ omega @ _level_basis(block.ell))
+        max_omega = _fold(max, max_omega, pairings.max(axis=(1, 2)))
     return max_alpha, max_omega
 
 
@@ -340,7 +351,9 @@ def fd_omega_deviation(v, p: PointSample, step_scale: float = _FD_STEP) -> float
     against the pointwise formula; returns
     ``max |difference| / max |omega|``.
     """
-    hermitian = _tangent_at(v, p).hermitian
+    block = _Block(v, [p], None, False)
+    block.check((0,), False)
+    hermitian = block.hermitian[0]
     _, omega = _real_blocks(hermitian)
     m = hermitian.shape[0]
     # Ambient extensions of the real basis {T_j, i T_j}.
@@ -368,33 +381,27 @@ def check_spsh(v, samples: list[PointSample], trials: int, seed: int = 0) -> flo
     tangent basis is ambient-orthonormal, so coordinates preserve it).  A
     positive return value certifies strict plurisubharmonicity of the
     potential on the sample set; a non-positive one is a reported finding.
+    Raises :class:`InputError` for ``trials < 1`` or a negative seed.
     """
     if trials < 1:
         raise InputError("trials must be at least 1")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     minimum = math.inf
-    for p, phi, jacobian in _rows(v, samples, None):
-        hermitian = _tangent_data(p, phi, jacobian).hermitian
-        m = hermitian.shape[0]
-        for _ in range(trials):
-            w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            norm_sq = float(np.real(np.vdot(w, w)))
-            if norm_sq == 0.0:
-                continue
-            quotient = float(np.real(w.conj() @ hermitian @ w)) / norm_sq
-            minimum = min(minimum, quotient)
+    # A block draws trials * 2m normals per sample, so blocks shrink as trials grow.
+    size = max(1, _DRAWS_PER_BLOCK // trials)
+    for start in range(0, len(samples), size):
+        block = _Block(v, samples[start : start + size], None, False)
+        block.check(range(len(block.samples)), False)
+        k, m = block.ell.shape
+        draws = rng.standard_normal((k, trials, 2, m))
+        w = draws[:, :, 0] + 1j * draws[:, :, 1]
+        levi = w.conj()[:, :, None, :] @ block.hermitian[:, None] @ w[:, :, :, None]
+        norm_sq = _row_squares(w.reshape(k * trials, m))
+        drawn = norm_sq != 0.0
+        minimum = _fold(min, minimum, levi.real.reshape(-1)[drawn] / norm_sq[drawn])
     return minimum
-
-
-def holomorphic_gradient(v, p: PointSample, phi: Polynomial) -> np.ndarray:
-    """The tangent vector with ``h(grad phi, w) = d phi(w)`` for tangent ``w``.
-
-    Raises :class:`SingularMetric` when the hermitian form cannot be
-    inverted at the point.
-    """
-    _, gradients = _f_block(phi, p.point[None])
-    row = gradients[0] @ p.tangent_basis
-    return _solve_hermitian(_tangent_at(v, p), row.conj())
 
 
 def gradient_identity_residuals(
@@ -408,18 +415,22 @@ def gradient_identity_residuals(
     the closed forms ``2 phi grad(phi)`` and ``i grad(phi) / conj(phi)``.
     Requires ``phi(p) != 0``; raises :class:`OnBinding` otherwise.
     """
-    data = _tangent_at(v, p)
-    m = data.hermitian.shape[0]
+    block = _Block(v, [p], None, False)
+    block.check((0,), False)
+    hermitian = block.hermitian[0]
+    m = hermitian.shape[0]
     ambient = np.concatenate([p.tangent_basis, 1j * p.tangent_basis], axis=1)
     step = step_scale * float(np.linalg.norm(p.point))
     points = np.concatenate([p.point[None], _shifted_points(p, ambient, step)])
-    values, gradients = _f_block(phi, points)  # p, then the 4m shifted points
+    # phi and grad phi at p, then at the 4m shifted points.
+    phi_block = PolynomialBlock((phi, *phi.gradient())).evaluate(points)
+    values = phi_block[:, 0].tolist()
     value = values[0]
     if _on_binding(phi, value, p):
         raise OnBinding("the function vanishes at this point")
-    row = gradients[0] @ p.tangent_basis
-    gradient = _solve_hermitian(data, row.conj())
-
+    if block.condition[0] > _CONDITION_CEILING:
+        raise SingularMetric("the hermitian form is numerically singular at this point")
+    gradient = np.linalg.solve(hermitian, (phi_block[0, 1:] @ p.tangent_basis).conj())
     abs_sq_row = np.empty(2 * m)
     arg_row = np.empty(2 * m)
     plus, minus = values[1 : 2 * m + 1], values[2 * m + 1 :]
@@ -430,13 +441,9 @@ def gradient_identity_residuals(
         turn_minus = float(np.angle(value_minus * np.conj(value)))
         arg_row[i] = (turn_plus - turn_minus) / (2 * step)
 
-    def gradient_from_real_covector(row: np.ndarray) -> np.ndarray:
-        # Invert r = [Re L, -Im L] and solve h(grad, .) = L.
-        functional = row[:m] - 1j * row[m:]
-        return _solve_hermitian(data, functional.conj())
-
-    fd_abs_sq = gradient_from_real_covector(abs_sq_row)
-    fd_arg = gradient_from_real_covector(arg_row)
+    # Invert r = [Re L, -Im L] and solve h(grad, .) = L for each covector r.
+    fd_abs_sq = np.linalg.solve(hermitian, (abs_sq_row[:m] - 1j * abs_sq_row[m:]).conj())
+    fd_arg = np.linalg.solve(hermitian, (arg_row[:m] - 1j * arg_row[m:]).conj())
     closed_abs_sq = 2.0 * value * gradient
     closed_arg = 1j * gradient / np.conj(value)
     residual_abs_sq = float(
@@ -449,49 +456,6 @@ def gradient_identity_residuals(
     return residual_abs_sq, residual_arg
 
 
-def reeb_field(v, p: PointSample) -> np.ndarray:
-    """The Reeb vector ``R = i grad(rho) / |grad rho|^2`` in tangent coords.
-
-    Satisfies ``alpha(R) = 1`` and ``omega(R, w) = 0`` for level-tangent
-    ``w`` by construction; raises :class:`ZeroGradient` at critical points.
-    """
-    return eval_forms(v, p).reeb
-
-
-def _project_away_gradient(w: np.ndarray, rho: _ReebData) -> np.ndarray:
-    coefficient = (rho.gradient.conj() @ rho.tangent.hermitian @ w) / rho.norm_sq
-    return w - coefficient * rho.gradient
-
-
-def xi_projection(v, p: PointSample, w: np.ndarray) -> np.ndarray:
-    """h-orthogonal projection of ``w`` away from the complex gradient line.
-
-    The image lies in ``ker d(rho) ∩ ker d^c(rho)``, the maximal complex
-    subspace of the level's tangent space; both the gradient and ``i``
-    times it project to zero.  Raises :class:`ZeroGradient` when the
-    potential gradient vanishes.
-    """
-    rho = _reeb_data(_tangent_at(v, p))
-    return _project_away_gradient(np.asarray(w, dtype=complex), rho)
-
-
-def theta_differential(f_row: np.ndarray, f_value: complex, w: np.ndarray) -> float:
-    """``d theta(w) = Im(df(w) / f)`` for ``theta = arg f``."""
-    return float(np.imag((f_row @ w) / f_value))
-
-
-def theta_gradient(
-    hermitian: np.ndarray, f_row: np.ndarray, f_value: complex
-) -> np.ndarray:
-    """``grad theta = i grad(f) / conj(f)``; ``H`` is taken as well conditioned."""
-    grad_f = np.linalg.solve(hermitian, f_row.conj())
-    return 1j * grad_f / np.conj(f_value)
-
-
-def _h_norm_sq(hermitian: np.ndarray, w: np.ndarray) -> float:
-    return float(np.real(w.conj() @ hermitian @ w))
-
-
 def rescaled_reeb_identity(
     v, f: Polynomial, c: float, samples: list[PointSample]
 ) -> tuple[list[float], int]:
@@ -502,21 +466,33 @@ def rescaled_reeb_identity(
     ``e^{c|f|^2}(d theta(R) + 2 c |f|^2 |pr_xi grad theta|^2)``.  Returns
     ``|LHS - RHS| / (1 + |LHS|)`` at every sample off the binding, in sample
     order, and the number of samples skipped because ``f(p)`` is zero there.
+    Raises :class:`InputError` for a constant ``c`` that is not finite.
     """
+    if not math.isfinite(c):
+        raise InputError(f"c must be finite, got {c!r}")
     residuals = []
     skipped = 0
-    for p, phi, jacobian, value, gradient in _rows(v, samples, f):
-        data = _tangent_data(p, phi, jacobian)
-        if _on_binding(f, value, p):
-            skipped += 1
+    for start in range(0, len(samples), _DRAWS_PER_BLOCK):
+        block = _Block(v, samples[start : start + _DRAWS_PER_BLOCK], f, True)
+        kept = []
+        # Sample by sample, so that the first sample's error is the one raised.
+        for row, (p, value) in enumerate(zip(block.samples, block.values.tolist())):
+            block.check((row,), False)
+            if _on_binding(f, value, p):
+                skipped += 1
+                continue
+            block.check((row,), True)
+            weight = float(c) * float(abs(value) ** 2)
+            kept.append((row, weight, math.exp(weight)))
+        if not kept:
             continue
-        theta = _theta_data(data, p, value, gradient)
-        weight = float(c) * float(abs(value) ** 2)
-        correction = _project_away_gradient(2.0 * weight * theta.grad_theta, theta.rho)
-        rescaled = math.exp(weight) * (theta.rho.reeb + correction)
-        lhs = theta_differential(theta.row, value, rescaled)
-        rhs = math.exp(weight) * (theta.dtheta_reeb + 2.0 * weight * theta.transverse_sq)
-        residuals.append(abs(lhs - rhs) / (1.0 + abs(lhs)))
+        rows, weights, factors = map(np.array, zip(*kept))
+        theta = block.theta(rows)
+        correction = block.project(rows, (2.0 * weights)[:, None] * theta.grad_theta)
+        rescaled = factors[:, None] * (block.reeb[rows] + correction)
+        lhs = _dtheta(theta.row, theta.value, rescaled)
+        rhs = factors * (theta.dtheta_reeb + 2.0 * weights * theta.transverse_sq)
+        residuals.extend((np.abs(lhs - rhs) / (1.0 + np.abs(lhs))).tolist())
     return residuals, skipped
 
 
@@ -587,17 +563,20 @@ def find_adaptation_constant(
         )
 
     # d theta(pr_xi(2 grad theta)) does not depend on c, so each retained
-    # point keeps scalars only and the records are dropped as they go.
-    retained = []
-    rows = zip(_rows(v, samples, f), sizes_sq)
-    for (p, phi, jacobian, value, gradient), size_sq in rows:
-        if size_sq >= eta:
-            theta = _theta_data(_tangent_data(p, phi, jacobian), p, value, gradient)
-            retained.append((
-                theta.dtheta_reeb, theta.transverse_sq, theta.norm_sq,
-                theta_differential(theta.row, theta.value, 2.0 * theta.projected),
-            ))
-    dtheta_reeb, transverse_sq, theta_norms_sq, transverse_terms = np.array(retained).T
+    # point keeps scalars only.
+    columns = []
+    for start in range(0, len(samples), _DRAWS_PER_BLOCK):
+        block = _Block(v, samples[start : start + _DRAWS_PER_BLOCK], f, True)
+        rows = np.flatnonzero(sizes_sq[start : start + _DRAWS_PER_BLOCK] >= eta)
+        block.check(rows.tolist(), True)
+        theta = block.theta(rows)
+        columns.append((
+            theta.dtheta_reeb, theta.transverse_sq, theta.grad_theta_sq,
+            _dtheta(theta.row, theta.value, 2.0 * theta.projected),
+        ))
+    dtheta_reeb, transverse_sq, theta_norms_sq, transverse_terms = (
+        np.concatenate(column) for column in zip(*columns)
+    )
     retained_sizes_sq = sizes_sq[sizes_sq >= eta]
 
     min_dtheta = float(np.min(dtheta_reeb))
@@ -642,7 +621,7 @@ def find_adaptation_constant(
         epsilon=epsilon,
         eta=eta,
         mesh=mesh,
-        retained=len(retained),
+        retained=len(dtheta_reeb),
         min_dtheta_reeb=min_dtheta,
         min_dtheta_rescaled=float(min_rescaled),
     )
@@ -693,27 +672,33 @@ def lambda_cone_check(
     skipped = 0
     min_re: float | None = None
     max_arg: float | None = None
-    for p, phi, jacobian, value, gradient in _rows(v, samples, f):
-        if _on_binding(f, value, p):
-            skipped += 1
-            continue
-        theta = _theta_data(_tangent_data(p, phi, jacobian), p, value, gradient)
-        theta_norm = math.sqrt(max(theta.norm_sq, 0.0))
-        if theta_norm == 0.0:
-            skipped += 1
-            continue
-        transverse = math.sqrt(max(theta.transverse_sq, 0.0))
-        if transverse / theta_norm > proportionality_tol:
-            continue
-        qualifying += 1
-        rho = theta.rho
-        lam = complex(
-            theta.grad_theta.conj() @ rho.tangent.hermitian @ (1j * rho.gradient)
-        ) / rho.norm_sq
-        re_lambda = lam.real
-        arg_lambda = abs(float(np.angle(lam)))
-        min_re = re_lambda if min_re is None else min(min_re, re_lambda)
-        max_arg = arg_lambda if max_arg is None else max(max_arg, arg_lambda)
+    for start in range(0, len(samples), _DRAWS_PER_BLOCK):
+        block = _Block(v, samples[start : start + _DRAWS_PER_BLOCK], f, True)
+        rows = []
+        # Sample by sample, so that the first sample's error is the one raised.
+        for row, (p, value) in enumerate(zip(block.samples, block.values.tolist())):
+            if _on_binding(f, value, p):
+                skipped += 1
+                continue
+            block.check((row,), True)
+            rows.append(row)
+        rows = np.array(rows, dtype=int)
+        theta = block.theta(rows)
+        theta_norm = np.sqrt(np.maximum(theta.grad_theta_sq, 0.0))
+        near = theta_norm != 0.0
+        skipped += len(near) - int(np.count_nonzero(near))
+        transverse = np.sqrt(np.maximum(theta.transverse_sq[near], 0.0))
+        near[near] = ~(transverse / theta_norm[near] > proportionality_tol)
+        rows = rows[near]
+        qualifying += len(rows)
+        gradient = 1j * block.gradient[rows]
+        pairings = theta.grad_theta[near].conj()[:, None, :] @ block.hermitian[rows]
+        pairings = (pairings @ gradient[:, :, None])[:, 0, 0]
+        # Python's complex division, which rounds differently from NumPy's.
+        lam = [z / n for z, n in zip(pairings.tolist(), block.norm_sq[rows].tolist())]
+        lam = np.array(lam, dtype=complex)
+        min_re = _fold(min, min_re, lam.real)
+        max_arg = _fold(max, max_arg, np.abs(np.angle(lam)))
     note = "" if qualifying else "no near-proportional samples"
     return LambdaConeReport(
         total=len(samples),
@@ -786,30 +771,35 @@ def openbook_criterion_check(
         raise InputError(f"eta must be positive, got {eta!r}")
     min_dtheta: float | None = None
     min_df: float | None = None
-    outside = 0
-    inside = 0
-    rows = zip(_rows(v, samples, f), sizes)
-    for (p, phi, jacobian, value, gradient), size in rows:
-        level_basis = _level_basis(_tangent_data(p, phi, jacobian))
-        row_f = gradient @ p.tangent_basis
-        if size >= eta:
-            outside += 1
-            if _on_binding(f, value, p):
-                min_dtheta = 0.0
-            else:
-                theta_row = _im_covector(row_f / value)
-                norm = float(np.linalg.norm(theta_row @ level_basis))
-                min_dtheta = norm if min_dtheta is None else min(min_dtheta, norm)
-        if size <= eta:
-            inside += 1
-            restricted = np.vstack(
-                [
-                    _re_covector(row_f) @ level_basis,
-                    _im_covector(row_f) @ level_basis,
-                ]
-            )
-            norm = float(np.linalg.norm(restricted, ord=2))
-            min_df = norm if min_df is None else min(min_df, norm)
+    sizes = np.array(sizes)
+    outside, inside = int(np.sum(sizes >= eta)), int(np.sum(sizes <= eta))
+    for start in range(0, len(samples), _DRAWS_PER_BLOCK):
+        block = _Block(v, samples[start : start + _DRAWS_PER_BLOCK], f, False)
+        outer = sizes[start : start + _DRAWS_PER_BLOCK] >= eta
+        inner = sizes[start : start + _DRAWS_PER_BLOCK] <= eta
+        binding = np.zeros(len(outer), dtype=bool)
+        # Sample by sample, so that the first sample's error is the one raised.
+        for row, (p, value) in enumerate(zip(block.samples, block.values.tolist())):
+            block.check((row,), False)
+            if outer[row]:
+                binding[row] = _on_binding(f, value, p)
+        level_basis = _level_basis(block.ell)
+        transverse = outer & ~binding
+        dtheta = _im_covector(block.f_rows[transverse] / block.values[transverse, None])
+        norms = _row_norms((dtheta[:, None, :] @ level_basis[transverse])[:, 0])
+        if binding.any():  # a sample on the binding sets the minimum to 0
+            min_dtheta = 0.0
+            after = np.arange(len(binding)) > np.flatnonzero(binding)[-1]
+            norms = norms[after[transverse]]
+        min_dtheta = _fold(min, min_dtheta, norms)
+
+        row_f, basis = block.f_rows[inner][:, None, :], level_basis[inner]
+        restricted = np.concatenate(
+            [_re_covector(row_f) @ basis, _im_covector(row_f) @ basis], axis=1
+        )
+        # The operator norm, as np.linalg.norm(ord=2) takes it.
+        norms = np.linalg.svd(restricted, compute_uv=False).max(axis=1)
+        min_df = _fold(min, min_df, norms)
     return OpenBookCriterionReport(
         epsilon=epsilon,
         eta=eta,

@@ -302,20 +302,24 @@ def _radial_roots(profiles: np.ndarray, epsilon: float) -> np.ndarray:
     return roots
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each row, bit for bit.
+def _row_squares(rows: np.ndarray) -> np.ndarray:
+    """``x . x`` of each row, as ``np.linalg.norm`` sums it, bit for bit.
 
-    The norm of one row is ``sqrt(x . x)``, for complex rows summed over the
-    real and imaginary parts as strided views.  A batched ``@`` over the
-    rows, with the same strides, reproduces it; ``norm(axis=1)`` rounds
-    differently.
+    Complex rows are summed over the real and imaginary parts as strided
+    views (which also gives ``np.vdot(x, x).real``).  A batched ``@`` with
+    the same strides reproduces it; ``norm(axis=1)`` rounds differently.
     """
     if np.iscomplexobj(rows):
         re, im = rows.real, rows.imag
         squares = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
     else:
         squares = rows[:, None, :] @ rows[:, :, None]
-    return np.sqrt(squares[:, 0, 0])
+    return squares[:, 0, 0]
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row, bit for bit."""
+    return np.sqrt(_row_squares(rows))
 
 
 def _kernel_bases(gradients: np.ndarray) -> np.ndarray:
@@ -470,7 +474,8 @@ def sample_points(v, epsilon: float, count: int, seed: int) -> list[PointSample]
     are accepted in draw order; zero draws are skipped.  Raises
     :class:`SamplingFailed` when fewer than ``count`` draws are accepted
     within the attempt budget of ten draws per requested sample (a
-    conversion rate below 10%), or when ``epsilon`` is not positive.
+    conversion rate below 10%), or when ``epsilon`` is not positive, and
+    :class:`InputError` for a negative seed.
     """
     if not (epsilon > 0.0) or not math.isfinite(epsilon):
         raise SamplingFailed(f"level value must be positive, got {epsilon!r}")
@@ -482,6 +487,8 @@ def sample_points(v, epsilon: float, count: int, seed: int) -> list[PointSample]
         step = _hypersurface_step(v, epsilon)
     else:
         raise InputError(f"unsupported variety model: {type(v).__name__}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     n = v.ambient_dim
     rng = np.random.default_rng(seed)
     accepted: list[PointSample] = []

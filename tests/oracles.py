@@ -13,7 +13,8 @@ on.
 
 Two entries are exceptions.  The sampler references solve one draw at a
 time with scalar arithmetic (a radial root-find for charts, damped
-Gauss–Newton for hypersurfaces), and the package's block solves must
+Gauss–Newton for hypersurfaces), and the contact point record is built
+one sample at a time; the package's block solves and block records must
 reproduce them bit for bit, not merely agree with them.  The automorphism
 group is listed with the package's own backtracking search, which the
 package itself only ever asks for one solution at a time.
@@ -420,3 +421,46 @@ def per_draw_hypersurface_samples(
         if sample is not None:
             accepted.append(sample)
     return accepted
+
+
+def per_sample_contact_record(v, p, f) -> dict:
+    """The contact point record at one sample, stage by stage, with one
+    SVD, solve and product per sample and ``f`` evaluated term by term.
+
+    Tangent stage: ``H = 4 A_T^H A_T``, the row ``ell`` of ``d rho`` and
+    ``alpha``, its scale and the condition of ``H``; Reeb stage: ``grad rho``,
+    its squared h-norm and ``R``; the level basis of ``ker d rho``; and the
+    theta stage of ``theta = arg f`` (``f(p)`` must not vanish).
+    """
+    values, jacobians = v.phi_block(p.point[None])
+    a_t = jacobians[0] @ p.tangent_basis
+    singular = np.linalg.svd(a_t, compute_uv=False)
+    hermitian = 4.0 * (a_t.conj().T @ a_t)
+    ell = 2.0 * (values[0].conj() @ a_t)
+    wide = a_t.shape[0] < a_t.shape[1]
+    gradient = np.linalg.solve(hermitian, ell.conj())
+    norm_sq = float(np.real(ell @ gradient))
+    reeb = 1j * gradient / norm_sq
+    _, _, vh = np.linalg.svd(np.concatenate([ell.real, -ell.imag]).reshape(1, -1))
+
+    value = f.evaluate(p.point)
+    row = np.array([g.evaluate(p.point) for g in f.gradient()]) @ p.tangent_basis
+    grad_theta = 1j * np.linalg.solve(hermitian, row.conj()) / np.conj(value)
+    coefficient = (gradient.conj() @ hermitian @ grad_theta) / norm_sq
+    projected = grad_theta - coefficient * gradient
+    return {
+        "hermitian": hermitian,
+        "ell": ell,
+        "ell_scale": 2.0 * float(np.linalg.norm(values[0])) * float(singular[0]),
+        "condition": math.inf if wide else float(singular[0] / singular[-1]) ** 2,
+        "gradient": gradient,
+        "norm_sq": norm_sq,
+        "reeb": reeb,
+        "level_basis": vh[1:].T,
+        "f_row": row,
+        "grad_theta": grad_theta,
+        "projected": projected,
+        "dtheta_reeb": float(np.imag((row @ reeb) / value)),
+        "grad_theta_sq": float(np.real(grad_theta.conj() @ hermitian @ grad_theta)),
+        "transverse_sq": float(np.real(projected.conj() @ hermitian @ projected)),
+    }

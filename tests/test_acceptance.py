@@ -23,15 +23,14 @@ from milnorbook import (
     check_spsh,
     divisor_from_multiplicities,
     e8_graph,
-    eval_forms,
     fd_omega_deviation,
     find_adaptation_constant,
     intersection_matrix,
     is_negative_definite,
-    level_tangent_basis,
     minimal_divisor,
     oracle_minimal_divisor,
     parse_polynomial,
+    reeb_contract_deviations,
     rescaled_reeb_identity,
     sample_points,
     star_graph,
@@ -180,15 +179,8 @@ def test_criterion_06_reeb_normalization():
         ("chart", PLANE, chart_samples),
         ("hypersurface", BRIESKORN, hyp_samples),
     ):
-        for p in samples:
-            forms = eval_forms(v, p)
-            reeb_real = np.concatenate([forms.reeb.real, forms.reeb.imag])
-            worst[label] = max(
-                worst[label], abs(float(forms.alpha @ reeb_real) - 1.0)
-            )
-            level = level_tangent_basis(v, p)
-            pairings = np.abs(reeb_real @ forms.omega @ level)
-            worst["omega"] = max(worst["omega"], float(pairings.max()))
+        worst[label], max_omega = reeb_contract_deviations(v, samples)
+        worst["omega"] = max(worst["omega"], max_omega)
     elapsed = time.perf_counter() - start
     assert worst["chart"] <= 1e-9
     assert worst["hypersurface"] <= 1e-6

@@ -121,6 +121,30 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("numerical finding: floating-point overflow")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spsh", "--samples", "5"],
+            ["adapt", "--f", "z0^2 + z1^3", "--mesh", "20"],
+            ["criterion", "--f", "z0^2 + z1^3", "--mesh", "20"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_negative_seed_exits_one(self, capsys, args):
+        code, out, err = run(capsys, "contact", *args, "--ambient", "2", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("input error:")
+
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+    def test_non_finite_rescaling_constant_exits_one(self, capsys, c):
+        code, out, err = run(
+            capsys, "contact", "identity", "--f", "z0", "--samples", "5", f"--c={c}",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("input error:")
+
     def test_failed_check_exits_four_with_report(self, capsys):
         code, out, _ = run(
             capsys,

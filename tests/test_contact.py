@@ -16,24 +16,16 @@ from milnorbook import (
     fd_omega_deviation,
     find_adaptation_constant,
     gradient_identity_residuals,
-    holomorphic_gradient,
     lambda_cone_check,
-    level_tangent_basis,
     openbook_criterion_check,
+    parse_map,
     parse_polynomial,
     reeb_contract_deviations,
-    reeb_field,
     rescaled_reeb_identity,
     sample_points,
-    xi_projection,
 )
-from milnorbook.contact import (
-    DEFAULT_ETA_FRACTION,
-    _f_block,
-    _tangent_at,
-    theta_differential,
-    theta_gradient,
-)
+from milnorbook.contact import DEFAULT_ETA_FRACTION
+from oracles import per_sample_contact_record
 from milnorbook.errors import (
     ConeViolation,
     DegenerateTangent,
@@ -58,10 +50,33 @@ def sample_at(point, basis=None, rho=None):
     return PointSample(point=point, tangent_basis=basis, rho_value=rho)
 
 
-def function_row(f, p):
-    """The tangent row of ``df`` at ``p``, from a one-row block."""
-    _, gradients = _f_block(f, p.point[None])
-    return gradients[0] @ p.tangent_basis
+FIRST = np.array([0])
+
+
+def record(v, p, f=None):
+    """The point record of the one-sample list ``[p]``, Reeb stage included."""
+    return contact._Block(v, [p], f, True)
+
+
+def level_tangent_basis(v, p):
+    """Euclidean-orthonormal real basis of ``ker d(rho)`` at ``p``."""
+    return contact._level_basis(record(v, p).ell)[0]
+
+
+def holomorphic_gradient(v, p, phi):
+    """The tangent vector with ``h(grad phi, w) = d phi(w)``."""
+    data = record(v, p, phi)
+    return np.linalg.solve(data.hermitian[0], data.f_rows[0].conj())
+
+
+def theta_stage(v, p, f):
+    """The theta stage of ``theta = arg f`` at ``p``."""
+    return record(v, p, f).theta(FIRST)
+
+
+def xi_projection(v, p, w):
+    """h-orthogonal projection of ``w`` away from the gradient line at ``p``."""
+    return record(v, p).project(FIRST, np.asarray(w, dtype=complex)[None])[0]
 
 
 class TestHandChecks:
@@ -107,9 +122,7 @@ class TestHandChecks:
         # theta = arg(z0) rotates at 1/(2 rho) along the Reeb flow.
         f = parse_polynomial("z0", 2)
         p = sample_at([0.1, 0.0])
-        row = function_row(f, p)
-        reeb = reeb_field(PLANE, p)
-        speed = theta_differential(row, f.evaluate(p.point), reeb)
+        speed = float(theta_stage(PLANE, p, f).dtheta_reeb[0])
         assert speed == pytest.approx(50.0, rel=1e-12)
 
 
@@ -118,20 +131,18 @@ class TestStructuralIdentities:
         rng = np.random.default_rng(2)
         phi = parse_polynomial("z0^2 z1 + z1^2", 2)
         for p in sample_points(PLANE, 0.01, 10, seed=4):
-            data = _tangent_at(PLANE, p)
+            data = record(PLANE, p, phi)
             grad = holomorphic_gradient(PLANE, p, phi)
-            row = function_row(phi, p)
+            row = data.f_rows[0]
             w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            pairing = complex(grad.conj() @ data.hermitian @ w)
+            pairing = complex(grad.conj() @ data.hermitian[0] @ w)
             assert pairing == pytest.approx(complex(row @ w), rel=1e-10)
 
     def test_theta_gradient_matches_holomorphic_gradient(self):
         f = parse_polynomial("z0^2 + z1^3", 2)
         for p in sample_points(PLANE, 0.01, 10, seed=5):
             value = f.evaluate(p.point)
-            data = _tangent_at(PLANE, p)
-            row = function_row(f, p)
-            via_theta = theta_gradient(data.hermitian, row, value)
+            via_theta = theta_stage(PLANE, p, f).grad_theta[0]
             via_grad = 1j * holomorphic_gradient(PLANE, p, f) / np.conj(value)
             assert np.allclose(via_theta, via_grad, rtol=1e-12)
 
@@ -139,13 +150,11 @@ class TestStructuralIdentities:
         rng = np.random.default_rng(3)
         f = parse_polynomial("z0 z1", 2)
         for p in sample_points(PLANE, 0.01, 10, seed=6):
-            value = f.evaluate(p.point)
-            data = _tangent_at(PLANE, p)
-            row = function_row(f, p)
-            grad_theta = theta_gradient(data.hermitian, row, value)
+            data = record(PLANE, p, f)
+            grad_theta = data.theta(FIRST).grad_theta[0]
             w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            direct = theta_differential(row, value, w)
-            via_metric = float(np.real(grad_theta.conj() @ data.hermitian @ w))
+            direct = float(contact._dtheta(data.f_rows, data.values, w[None])[0])
+            via_metric = float(np.real(grad_theta.conj() @ data.hermitian[0] @ w))
             assert direct == pytest.approx(via_metric, rel=1e-10, abs=1e-12)
 
     def test_xi_projection_contracts(self):
@@ -157,8 +166,8 @@ class TestStructuralIdentities:
             real = np.concatenate([projected.real, projected.imag])
             # lands in ker(d rho) and ker(alpha) simultaneously
             assert abs(float(forms.alpha @ real)) < 1e-12
-            data = _tangent_at(PLANE, p)
-            assert abs(complex(forms.grad_rho.conj() @ data.hermitian @ projected)) < 1e-12
+            data = record(PLANE, p)
+            assert abs(complex(forms.grad_rho.conj() @ data.hermitian[0] @ projected)) < 1e-12
             # idempotent, kills the gradient line
             again = xi_projection(PLANE, p, projected)
             assert np.allclose(again, projected, atol=1e-12)
@@ -234,6 +243,109 @@ class TestBlockSizes:
         expected = answers()
         with patch.object(contact, "_DRAWS_PER_BLOCK", block):
             assert repr(answers()) == repr(expected)
+
+    @pytest.mark.parametrize("variety", [PLANE, BRIESKORN], ids=["chart", "hypersurface"])
+    def test_spsh_draws_with_more_trials_than_the_block_holds(self, variety):
+        # 20 trials at a block of 7 draws for one sample at a time.
+        samples = sample_points(variety, 0.01, 30, seed=14)
+        expected = check_spsh(variety, samples, trials=20, seed=5)
+        with patch.object(contact, "_DRAWS_PER_BLOCK", 7):
+            assert repr(check_spsh(variety, samples, trials=20, seed=5)) == repr(expected)
+
+
+class TestErrorOrder:
+    """Each check raises the error of the first sample that fails, at the
+    stage where a loop over the samples would have met it."""
+
+    # d(z0^2 - z0) vanishes at 0.5 (rank loss) and z0^2 - z0 at 1.0 (so
+    # does d rho there).
+    CRITICAL = SmoothChart(1, (parse_polynomial("z0^2 - z0", 1),))
+
+    def samples(self, *points):
+        return [sample_at([z]) for z in points]
+
+    def test_reeb_stage_failure_before_a_later_rank_loss(self):
+        samples = self.samples(0.3, 1.0, 0.5)
+        f = parse_polynomial("z0 + 2", 1)
+        with pytest.raises(ZeroGradient):
+            reeb_contract_deviations(self.CRITICAL, samples)
+        with pytest.raises(ZeroGradient):
+            rescaled_reeb_identity(self.CRITICAL, f, 1.0, samples)
+        with pytest.raises(ZeroGradient):
+            lambda_cone_check(self.CRITICAL, f, samples)
+        # The Levi quotient needs the tangent stage only.
+        with pytest.raises(DegenerateTangent):
+            check_spsh(self.CRITICAL, samples, trials=3)
+
+    def test_binding_is_tested_after_the_tangent_stage_except_in_cone(self):
+        samples = self.samples(0.3, 0.5)
+        f = parse_polynomial("z0 - 0.5", 1)
+        with pytest.raises(DegenerateTangent):
+            rescaled_reeb_identity(self.CRITICAL, f, 1.0, samples)
+        report = lambda_cone_check(self.CRITICAL, f, samples)
+        assert (report.total, report.skipped_on_binding) == (2, 1)
+
+    def test_singular_rows_leave_the_stacked_solve(self):
+        # H is exactly singular at every sample of a wide chart.
+        wide = SmoothChart(2, (Polynomial.variable(2, 0),))
+        samples = [sample_at([0.1, 0.0]), sample_at([0.0, 0.1]), sample_at([0.2, 0.1])]
+        f = parse_polynomial("z0 + 1", 2)
+        with pytest.raises(ZeroGradient):  # z0 = 0 at the second sample
+            reeb_contract_deviations(wide, samples[1:])
+        for check in (
+            lambda: reeb_contract_deviations(wide, samples),
+            lambda: rescaled_reeb_identity(wide, f, 1.0, samples),
+            lambda: lambda_cone_check(wide, f, samples),
+        ):
+            with pytest.raises(SingularMetric):
+                check()
+        assert check_spsh(wide, samples, trials=3) > 0.0
+
+
+class TestBlockRecord:
+    """The block record reproduces, bit for bit, the record built one sample
+    at a time with one SVD, solve and product per sample."""
+
+    @pytest.mark.parametrize(
+        "variety, f",
+        [
+            (SmoothChart(2, parse_map("z0,z1,z0^2 + z1^3", 2)), "z0^2 + z1^3"),
+            (Hypersurface(parse_polynomial("z0^2 + z1^3 + z1*z2^3", 3)), "z2 + z0*z1"),
+            # Four variables: the tangent bases' memory layout changes the bits.
+            (
+                Hypersurface(parse_polynomial("z0^2 + z1^2 + z2^2 + z3^3", 4)),
+                "z3*z0 + z1^2 + 2*z2",
+            ),
+        ],
+        ids=["chart", "e7", "four-variables"],
+    )
+    def test_block_record_matches_the_per_sample_record(self, variety, f):
+        f = parse_polynomial(f, variety.ambient_dim)
+        samples = sample_points(variety, 0.01, 200, seed=21)
+        block = contact._Block(variety, samples, f, True)
+        theta = block.theta(np.arange(len(samples)))
+        level_basis = contact._level_basis(block.ell)
+        for i, p in enumerate(samples):
+            got = {
+                "hermitian": block.hermitian[i],
+                "ell": block.ell[i],
+                "ell_scale": block.ell_scale[i],
+                "condition": block.condition[i],
+                "gradient": block.gradient[i],
+                "norm_sq": block.norm_sq[i],
+                "reeb": block.reeb[i],
+                "level_basis": level_basis[i],
+                "f_row": block.f_rows[i],
+                "grad_theta": theta.grad_theta[i],
+                "projected": theta.projected[i],
+                "dtheta_reeb": theta.dtheta_reeb[i],
+                "grad_theta_sq": theta.grad_theta_sq[i],
+                "transverse_sq": theta.transverse_sq[i],
+            }
+            expected = per_sample_contact_record(variety, p, f)
+            for name, value in expected.items():
+                value, other = np.asarray(value), np.asarray(got[name])
+                assert (other.shape, other.tobytes()) == (value.shape, value.tobytes()), name
 
 
 class TestFindings:
