@@ -69,16 +69,17 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     samples = sample_points(surface, config.epsilon, config.samples, config.seed)
     took = time.perf_counter() - start
-    levels = [abs(p.rho_value - config.epsilon) for p in samples]
-    points = np.array([p.point for p in samples])
-    h_values = PolynomialBlock((surface.defining,)).evaluate(points)[:, 0]
+    levels = np.abs(samples.rho_values - config.epsilon)
+    h_values = PolynomialBlock((surface.defining,)).evaluate(samples.points)[:, 0]
     residuals = [abs(value) for value in h_values.tolist()]
     print(f"sampled {len(samples)} points in {took:.2f}s: "
           f"max |rho - epsilon| = {max(levels):.2e}, "
           f"max |h| = {max(residuals):.2e}")
 
     worst_alpha, worst_omega = reeb_contract_deviations(surface, samples)
-    worst_fd = max(fd_omega_deviation(surface, p) for p in samples)
+    worst_fd = max(
+        fd_omega_deviation(surface, samples[i : i + 1]) for i in range(len(samples))
+    )
     print(f"Reeb normalization: max |alpha(R) - 1| = {worst_alpha:.2e}, "
           f"max |omega(R, v)| = {worst_omega:.2e}")
     print(f"finite-difference two-form deviation: max {worst_fd:.2e}")

@@ -85,7 +85,7 @@ from .polynomials import Polynomial, parse_map, parse_polynomial
 from .suites import SuiteSpec, iter_suite, labeled_connected_count
 from .varieties import (
     Hypersurface,
-    PointSample,
+    Samples,
     SmoothChart,
     sample_points,
 )

@@ -422,6 +422,8 @@ def _cmd_contact(args):
         if args.f is None:
             raise InputError(f"contact {args.subcheck} requires --f")
         f = parse_polynomial(args.f, n_vars)
+        if f.is_zero:
+            raise InputError("--f must not be the zero polynomial")
     result, lines = handler(args, variety, f)
     return config, result, lines, EXIT_OK if result["pass"] else EXIT_FINDING
 

@@ -1,8 +1,8 @@
 """Contact-geometric data on level sets of the squared-norm potential.
 
-Everything here is read at each :class:`~milnorbook.varieties.PointSample`
-on a level set ``M = rho^{-1}(epsilon)`` of ``rho = sum_k |phi_k|^2``.  With
-``T`` the sample's orthonormal tangent basis and ``A`` the Jacobian of the
+Everything here is read at the rows of a :class:`~milnorbook.varieties.Samples`
+record on a level set ``M = rho^{-1}(epsilon)`` of ``rho = sum_k |phi_k|^2``;
+with ``T`` a sample's orthonormal tangent basis and ``A`` the Jacobian of the
 component map, the composite ``A_T = A @ T`` expresses the differential in
 tangent coordinates, and all structures derive from the hermitian form
 
@@ -28,8 +28,8 @@ near-proportionality cone condition for ``lambda`` with ``grad theta =
 i lambda grad rho``; and the two open-book transversality minima for the
 argument map of a holomorphic function ``f``.
 
-Every check reads one point record per block of ``_DRAWS_PER_BLOCK``
-samples, in stages of arrays over the block: tangent (``H``, ``d rho``, the
+Every check reads one point record per ``_DRAWS_PER_BLOCK`` rows of the
+samples, in stages of arrays over the rows: tangent (``H``, ``d rho``, the
 condition of ``H`` from the singular values of ``A_T``), Reeb (``grad rho``,
 ``R``) and, for ``theta = arg f``, theta (``f(p)``, ``df``, ``grad theta``,
 ``pr_xi grad theta``), from ``phi_block``, ``PolynomialBlock``, one stacked
@@ -56,7 +56,7 @@ from .errors import (
 from .polynomials import Polynomial, PolynomialBlock
 from .varieties import (
     _DRAWS_PER_BLOCK,
-    PointSample,
+    Samples,
     _row_norms,
     _row_squares,
     sample_points,
@@ -138,8 +138,8 @@ class _Theta(NamedTuple):
 
 
 class _Block:
-    """The point record of a block of samples, row ``i`` for ``samples[i]``;
-    each stacked step rounds as the same step on one sample does.
+    """The point record of a slice of the sample record, row for row; each
+    stacked step rounds as the same step on one sample does.
 
     Tangent stage: ``hermitian`` (``H``); ``ell`` with ``d rho(w) = Re(ell .
     w)`` and ``alpha(w) = Im(ell . w)``; ``condition``, the squared condition
@@ -149,15 +149,9 @@ class _Block:
     failed row keeps its error in ``failures``, raised by :meth:`check`.
     """
 
-    def __init__(self, v, samples: list[PointSample], f: Polynomial | None, reeb: bool):
+    def __init__(self, v, samples: Samples, f: Polynomial | None, reeb: bool):
         self.samples = samples
-        points = np.array([p.point for p in samples])
-        # Each basis keeps the first one's memory layout (a sampled hypersurface
-        # basis is a transposed view): products on another layout round differently.
-        if samples[0].tangent_basis.flags.c_contiguous:
-            bases = np.array([p.tangent_basis for p in samples])
-        else:
-            bases = np.array([p.tangent_basis.T for p in samples]).swapaxes(1, 2)
+        points, bases = samples.points, samples.bases
         values, jacobians = v.phi_block(points)
         a_t = jacobians @ bases
         singular = np.linalg.svd(a_t, compute_uv=False)
@@ -217,6 +211,10 @@ class _Block:
             error = self.failures.get(row)
             if error is not None and (reeb or isinstance(error, DegenerateTangent)):
                 raise error
+
+    def levels_and_values(self):
+        """``rho_value`` and ``f(p)`` of each row, as Python numbers."""
+        return zip(self.samples.rho_values.tolist(), self.values.tolist())
 
     def project(self, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
         """h-orthogonal projection of each ``w[i]`` away from the complex line
@@ -286,22 +284,22 @@ def _level_basis(ell: np.ndarray) -> np.ndarray:
     return vh[:, 1:].swapaxes(1, 2)
 
 
-def _on_binding(f: Polynomial, value: complex, p: PointSample) -> bool:
+def _on_binding(f: Polynomial, value: complex, rho_value: float) -> bool:
     """Whether ``f(p) = value`` is numerically zero on the level of ``p``."""
-    scale_f = max(f.magnitude_bound(math.sqrt(p.rho_value)), 1e-300)
+    scale_f = max(f.magnitude_bound(math.sqrt(rho_value)), 1e-300)
     return abs(value) <= _ZERO_TOLERANCE * scale_f
 
 
-def eval_forms(v, p: PointSample) -> FormsAtPoint:
-    """Evaluate the contact package at one sample.
+def eval_forms(v, p: Samples) -> FormsAtPoint:
+    """Evaluate the contact package at the sample of a one-row record.
 
     Returns the contact form, two-form, metric, hermitian form, potential
     gradient, and Reeb vector, all in the sample's tangent basis, from the
-    point record of ``[p]``.  Raises :class:`DegenerateTangent` on rank loss
+    point record of ``p``.  Raises :class:`DegenerateTangent` on rank loss
     of the differential and :class:`ZeroGradient` at critical points of the
     potential.
     """
-    block = _Block(v, [p], None, True)
+    block = _Block(v, p, None, True)
     block.check((0,), True)
     metric, omega = _real_blocks(block.hermitian[0])
     return FormsAtPoint(
@@ -315,7 +313,7 @@ def eval_forms(v, p: PointSample) -> FormsAtPoint:
     )
 
 
-def reeb_contract_deviations(v, samples: list[PointSample]) -> tuple[float, float]:
+def reeb_contract_deviations(v, samples: Samples) -> tuple[float, float]:
     """Worst deviations from the Reeb contract over ``samples``.
 
     Returns ``max |alpha(R) - 1|`` and the largest ``|omega(R, w)|`` over
@@ -336,33 +334,36 @@ def reeb_contract_deviations(v, samples: list[PointSample]) -> tuple[float, floa
     return max_alpha, max_omega
 
 
-def _shifted_points(p: PointSample, ambient: np.ndarray, step: float) -> np.ndarray:
-    """Rows ``p + step a_i``, then rows ``p - step a_i``, over columns ``a_i``."""
+def _stencil(p: Samples, step_scale: float) -> tuple[np.ndarray, float, np.ndarray]:
+    """At the one-row ``p``: the ambient columns ``a_i`` of the real tangent
+    basis ``{T_j, i T_j}``, the step ``step_scale * |p|``, and the rows ``p +
+    step a_i``, then the rows ``p - step a_i``."""
+    point, basis = p.points[0], p.bases[0]
+    ambient = np.concatenate([basis, 1j * basis], axis=1)
+    step = step_scale * float(np.linalg.norm(point))
     shifts = [step * ambient[:, i] for i in range(ambient.shape[1])]
-    return np.array([p.point + s for s in shifts] + [p.point - s for s in shifts])
+    return ambient, step, np.array([point + s for s in shifts] + [point - s for s in shifts])
 
 
-def fd_omega_deviation(v, p: PointSample, step_scale: float = _FD_STEP) -> float:
+def fd_omega_deviation(v, p: Samples, step_scale: float = _FD_STEP) -> float:
     """Relative deviation between ``omega`` and a finite-difference ``d alpha``.
 
     The two-form is recomputed as the exterior derivative of the ambient
     one-form ``alpha`` by central differences along the real tangent basis
     directions (step ``step_scale * |point|``) and compared entrywise
-    against the pointwise formula; returns
+    against the pointwise formula, at the one-row ``p``; returns
     ``max |difference| / max |omega|``.
     """
-    block = _Block(v, [p], None, False)
+    block = _Block(v, p, None, False)
     block.check((0,), False)
     hermitian = block.hermitian[0]
     _, omega = _real_blocks(hermitian)
     m = hermitian.shape[0]
-    # Ambient extensions of the real basis {T_j, i T_j}.
-    ambient = np.concatenate([p.tangent_basis, 1j * p.tangent_basis], axis=1)
-    step = step_scale * float(np.linalg.norm(p.point))
+    ambient, step, shifted = _stencil(p, step_scale)
     if step == 0.0:
         raise ZeroGradient("cannot set a finite-difference step at the origin")
     # alpha(w) = 2 Im <Phi, dPhi w> makes sense at every ambient point.
-    values, jacobians = v.phi_block(_shifted_points(p, ambient, step))
+    values, jacobians = v.phi_block(shifted)
     alphas = np.array([2.0 * np.imag(phi.conj() @ (jac @ ambient))
                        for phi, jac in zip(values, jacobians)])
     derivative = (alphas[: 2 * m] - alphas[2 * m :]) / (2.0 * step)
@@ -373,7 +374,7 @@ def fd_omega_deviation(v, p: PointSample, step_scale: float = _FD_STEP) -> float
     return float(np.max(np.abs(fd_omega - omega)) / scale)
 
 
-def check_spsh(v, samples: list[PointSample], trials: int, seed: int = 0) -> float:
+def check_spsh(v, samples: Samples, trials: int, seed: int = 0) -> float:
     """Minimum Levi quotient ``omega(w, Jw) / |w|^2`` over samples and draws.
 
     For each sample, ``trials`` random nonzero complex tangent vectors are
@@ -405,9 +406,9 @@ def check_spsh(v, samples: list[PointSample], trials: int, seed: int = 0) -> flo
 
 
 def gradient_identity_residuals(
-    v, p: PointSample, phi: Polynomial, step_scale: float = _FD_STEP
+    v, p: Samples, phi: Polynomial, step_scale: float = _FD_STEP
 ) -> tuple[float, float]:
-    """Relative residuals of the two gradient identities at ``p``.
+    """Relative residuals of the two gradient identities at the one-row ``p``.
 
     The gradients of the real functions ``|phi|^2`` and ``arg phi`` are
     recovered from finite differences of the functions themselves through
@@ -415,22 +416,21 @@ def gradient_identity_residuals(
     the closed forms ``2 phi grad(phi)`` and ``i grad(phi) / conj(phi)``.
     Requires ``phi(p) != 0``; raises :class:`OnBinding` otherwise.
     """
-    block = _Block(v, [p], None, False)
+    block = _Block(v, p, None, False)
     block.check((0,), False)
     hermitian = block.hermitian[0]
     m = hermitian.shape[0]
-    ambient = np.concatenate([p.tangent_basis, 1j * p.tangent_basis], axis=1)
-    step = step_scale * float(np.linalg.norm(p.point))
-    points = np.concatenate([p.point[None], _shifted_points(p, ambient, step)])
+    _, step, shifted = _stencil(p, step_scale)
+    points = np.concatenate([p.points[:1], shifted])
     # phi and grad phi at p, then at the 4m shifted points.
     phi_block = PolynomialBlock((phi, *phi.gradient())).evaluate(points)
     values = phi_block[:, 0].tolist()
     value = values[0]
-    if _on_binding(phi, value, p):
+    if _on_binding(phi, value, float(p.rho_values[0])):
         raise OnBinding("the function vanishes at this point")
     if block.condition[0] > _CONDITION_CEILING:
         raise SingularMetric("the hermitian form is numerically singular at this point")
-    gradient = np.linalg.solve(hermitian, (phi_block[0, 1:] @ p.tangent_basis).conj())
+    gradient = np.linalg.solve(hermitian, (phi_block[0, 1:] @ p.bases[0]).conj())
     abs_sq_row = np.empty(2 * m)
     arg_row = np.empty(2 * m)
     plus, minus = values[1 : 2 * m + 1], values[2 * m + 1 :]
@@ -457,7 +457,7 @@ def gradient_identity_residuals(
 
 
 def rescaled_reeb_identity(
-    v, f: Polynomial, c: float, samples: list[PointSample]
+    v, f: Polynomial, c: float, samples: Samples
 ) -> tuple[list[float], int]:
     """Residuals of the rescaled-Reeb identity over ``samples``.
 
@@ -476,9 +476,9 @@ def rescaled_reeb_identity(
         block = _Block(v, samples[start : start + _DRAWS_PER_BLOCK], f, True)
         kept = []
         # Sample by sample, so that the first sample's error is the one raised.
-        for row, (p, value) in enumerate(zip(block.samples, block.values.tolist())):
+        for row, (rho_value, value) in enumerate(block.levels_and_values()):
             block.check((row,), False)
-            if _on_binding(f, value, p):
+            if _on_binding(f, value, rho_value):
                 skipped += 1
                 continue
             block.check((row,), True)
@@ -549,8 +549,7 @@ def find_adaptation_constant(
     if mesh < 1:
         raise InvalidMesh(f"mesh size must be positive, got {mesh}")
     samples = sample_points(v, epsilon, mesh, seed)
-    points = np.array([p.point for p in samples])
-    values = PolynomialBlock((f,)).evaluate(points)[:, 0]
+    values = PolynomialBlock((f,)).evaluate(samples.points)[:, 0]
     sizes_sq = np.abs(values) ** 2
     max_size_sq = float(np.max(sizes_sq))
     if eta is None:
@@ -656,7 +655,7 @@ class LambdaConeReport:
 def lambda_cone_check(
     v,
     f: Polynomial,
-    samples: list[PointSample],
+    samples: Samples,
     proportionality_tol: float = 1e-3,
 ) -> LambdaConeReport:
     """Check the cone condition at samples where ``grad theta ∥ i grad rho``.
@@ -676,8 +675,8 @@ def lambda_cone_check(
         block = _Block(v, samples[start : start + _DRAWS_PER_BLOCK], f, True)
         rows = []
         # Sample by sample, so that the first sample's error is the one raised.
-        for row, (p, value) in enumerate(zip(block.samples, block.values.tolist())):
-            if _on_binding(f, value, p):
+        for row, (rho_value, value) in enumerate(block.levels_and_values()):
+            if _on_binding(f, value, rho_value):
                 skipped += 1
                 continue
             block.check((row,), True)
@@ -762,8 +761,7 @@ def openbook_criterion_check(
     if mesh < 1:
         raise InvalidMesh(f"mesh size must be positive, got {mesh}")
     samples = sample_points(v, epsilon, mesh, seed)
-    points = np.array([p.point for p in samples])
-    values = PolynomialBlock((f,)).evaluate(points)[:, 0].tolist()
+    values = PolynomialBlock((f,)).evaluate(samples.points)[:, 0].tolist()
     sizes = [abs(value) ** 2 for value in values]
     if eta is None:
         eta = DEFAULT_ETA_FRACTION * max(sizes)
@@ -779,10 +777,10 @@ def openbook_criterion_check(
         inner = sizes[start : start + _DRAWS_PER_BLOCK] <= eta
         binding = np.zeros(len(outer), dtype=bool)
         # Sample by sample, so that the first sample's error is the one raised.
-        for row, (p, value) in enumerate(zip(block.samples, block.values.tolist())):
+        for row, (rho_value, value) in enumerate(block.levels_and_values()):
             block.check((row,), False)
             if outer[row]:
-                binding[row] = _on_binding(f, value, p)
+                binding[row] = _on_binding(f, value, rho_value)
         level_basis = _level_basis(block.ell)
         transverse = outer & ~binding
         dtheta = _im_covector(block.f_rows[transverse] / block.values[transverse, None])

@@ -19,8 +19,9 @@ The contact checks read ``Phi`` and its Jacobian only by ``phi_block``, on
 blocks of points.
 
 :func:`sample_points` runs one accept loop over blocks of random ambient
-directions; the model's step takes a block and solves each draw onto the
-level set or rejects it.  For charts the step builds the radial profiles
+directions; the model's step takes a block, solves each draw onto the
+level set or rejects it, and returns the accepted rows' arrays, stacked into
+one :class:`Samples` record.  For charts the step builds the radial profiles
 of the whole block and finds their roots together (bracket doubling,
 bisection and Newton polishing as array Horner loops); for hypersurfaces
 it runs a damped Gauss–Newton iteration on ``(Re h, Im h, rho - epsilon)``
@@ -45,7 +46,7 @@ from .polynomials import Polynomial, PolynomialBlock
 __all__ = [
     "SmoothChart",
     "Hypersurface",
-    "PointSample",
+    "Samples",
     "sample_points",
 ]
 
@@ -146,9 +147,10 @@ class SmoothChart:
         shape = (len(points), self.target_dim, self.dim)
         return self._components_block.evaluate(points), jacobians.reshape(shape)
 
-    def tangent_basis(self, point: np.ndarray) -> np.ndarray:
-        """The identity basis of the domain: one read-only array per chart."""
-        return self._identity
+    def _stack_bases(self, blocks: list[np.ndarray]) -> np.ndarray:
+        """The stacked blocks' bases: the one read-only identity, broadcast."""
+        shape = (sum(map(len, blocks)), *self._identity.shape)
+        return np.broadcast_to(self._identity, shape)
 
     def __repr__(self) -> str:
         body = ", ".join(str(p) for p in self.components)
@@ -194,26 +196,33 @@ class Hypersurface:
         bound = self.defining.magnitude_bound(math.sqrt(epsilon))
         return max(bound, np.finfo(float).tiny)
 
-    def tangent_basis(self, point: np.ndarray) -> np.ndarray:
-        """Orthonormal basis of ``ker dh`` at ``point`` (columns)."""
-        return _kernel_bases(self._system_block.evaluate(point[None])[:, 1:])[0]
+    def _stack_bases(self, blocks: list[np.ndarray]) -> np.ndarray:
+        """The stacked blocks' bases, in the layout of :func:`_kernel_bases`:
+        products on another layout round differently."""
+        return np.concatenate([b.swapaxes(1, 2) for b in blocks]).swapaxes(1, 2)
 
     def __repr__(self) -> str:
         return f"Hypersurface({self.defining})"
 
 
 @dataclass(frozen=True, eq=False)
-class PointSample:
-    """One accepted point of the level set ``rho = epsilon``.
+class Samples:
+    """Accepted points of ``rho = epsilon``: ``points`` ``(k, n)``, tangent
+    ``bases`` ``(k, n, m)`` with columns orthonormal for the ambient hermitian
+    product (for hypersurfaces annihilated by ``dh``) and ``rho_values``
+    ``(k,)``.  Slices are records; a single sample is a one-row slice."""
 
-    ``tangent_basis`` has orthonormal columns with respect to the ambient
-    hermitian product; for hypersurfaces the columns are annihilated by
-    ``dh`` at the point.
-    """
+    points: np.ndarray
+    bases: np.ndarray
+    rho_values: np.ndarray
 
-    point: np.ndarray
-    tangent_basis: np.ndarray
-    rho_value: float
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, rows: slice) -> "Samples":
+        if not isinstance(rows, slice):
+            raise TypeError("a sample record takes slices, e.g. samples[i : i + 1]")
+        return Samples(self.points[rows], self.bases[rows], self.rho_values[rows])
 
 
 def _radial_profiles(chart: SmoothChart, directions: np.ndarray) -> np.ndarray:
@@ -336,23 +345,17 @@ def _kernel_bases(gradients: np.ndarray) -> np.ndarray:
 def _chart_step(chart: SmoothChart, epsilon: float):
     """Block step for charts: the radial root along each drawn direction."""
 
-    def step(raw: np.ndarray, norms: np.ndarray) -> list[PointSample | None]:
+    def step(raw: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, ...]:
         directions = raw / norms[:, None]
         roots = _radial_roots(_radial_profiles(chart, directions), epsilon)
         found = np.flatnonzero(~np.isnan(roots))
         points = roots[found, None] * directions[found]
         values = chart._components_block.evaluate(points)
-        rho_values = np.sum(np.abs(values) ** 2, axis=1).tolist()
-        samples: list[PointSample | None] = [None] * len(raw)
-        for i, point, rho_value in zip(found, points, rho_values):
-            if abs(rho_value - epsilon) > _LEVEL_TOLERANCE * epsilon:
-                continue
-            samples[i] = PointSample(
-                point=point,
-                tangent_basis=chart.tangent_basis(point),
-                rho_value=rho_value,
-            )
-        return samples
+        rho_values = np.sum(np.abs(values) ** 2, axis=1)
+        kept = ~(np.abs(rho_values - epsilon) > _LEVEL_TOLERANCE * epsilon)
+        points = points[kept]
+        bases = np.broadcast_to(chart._identity, (len(points), *chart._identity.shape))
+        return points, bases, rho_values[kept]
 
     return step
 
@@ -390,7 +393,7 @@ def _hypersurface_step(surface: Hypersurface, epsilon: float):
         level_part = np.abs(residual[:, 2]) / epsilon
         return np.where(level_part > h_part, level_part, h_part)
 
-    def step(raw: np.ndarray, norms: np.ndarray) -> list[PointSample | None]:
+    def step(raw: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, ...]:
         z = math.sqrt(epsilon) * raw / norms[:, None]
         best = np.empty_like(z)
         best_scaled = np.full(len(z), math.inf)
@@ -447,21 +450,14 @@ def _hypersurface_step(surface: Hypersurface, epsilon: float):
             & ~(np.abs(residual[:, 2]) > _LEVEL_TOLERANCE * epsilon)
             & ~(_row_norms(gradient) < gradient_floor)
         )
-        found = found[kept]
-        points = best[found]
-        bases = _kernel_bases(gradient[kept])
-        rho_values = np.sum(np.abs(points) ** 2, axis=1).tolist()
-        samples: list[PointSample | None] = [None] * len(raw)
-        for i, point, basis, rho_value in zip(found, points, bases, rho_values):
-            samples[i] = PointSample(
-                point=point, tangent_basis=basis, rho_value=rho_value
-            )
-        return samples
+        points = best[found[kept]]
+        rho_values = np.sum(np.abs(points) ** 2, axis=1)
+        return points, _kernel_bases(gradient[kept]), rho_values
 
     return step
 
 
-def sample_points(v, epsilon: float, count: int, seed: int) -> list[PointSample]:
+def sample_points(v, epsilon: float, count: int, seed: int) -> Samples:
     """Draw ``count`` deterministic samples on the level set ``rho = epsilon``.
 
     Random ambient directions are drawn from ``seed``, in blocks of at most
@@ -470,8 +466,8 @@ def sample_points(v, epsilon: float, count: int, seed: int) -> list[PointSample]
     draws.  Each draw is solved onto the level set (a radial root-find for
     charts; damped Gauss–Newton on ``(Re h, Im h, rho - epsilon)`` for
     hypersurfaces; either for the whole block at once) and rejected if it
-    does not converge to the module's tolerances.  Draws
-    are accepted in draw order; zero draws are skipped.  Raises
+    does not converge to the module's tolerances.  Returns one record,
+    row ``i`` the ``i``-th accepted draw; zero draws are skipped.  Raises
     :class:`SamplingFailed` when fewer than ``count`` draws are accepted
     within the attempt budget of ten draws per requested sample (a
     conversion rate below 10%), or when ``epsilon`` is not positive, and
@@ -491,25 +487,26 @@ def sample_points(v, epsilon: float, count: int, seed: int) -> list[PointSample]
         raise InputError(f"seed must be non-negative, got {seed}")
     n = v.ambient_dim
     rng = np.random.default_rng(seed)
-    accepted: list[PointSample] = []
+    blocks = []
+    accepted = 0
     attempts = 0
     budget = max(_ATTEMPTS_PER_SAMPLE * count, 50)
-    while len(accepted) < count and attempts < budget:
+    while accepted < count and attempts < budget:
         # A block never holds more draws than samples still wanted, so the
         # loop stops at the same draw as a loop over single draws would.
-        block = min(count - len(accepted), budget - attempts, _DRAWS_PER_BLOCK)
+        block = min(count - accepted, budget - attempts, _DRAWS_PER_BLOCK)
         attempts += block
         draws = rng.standard_normal((block, 2, n))
         raw = draws[:, 0] + 1j * draws[:, 1]
         norms = _row_norms(raw)
         drawn = norms != 0.0
-        accepted.extend(
-            sample for sample in step(raw[drawn], norms[drawn]) if sample is not None
-        )
-    if len(accepted) < count:
+        blocks.append(step(raw[drawn], norms[drawn]))
+        accepted += len(blocks[-1][0])
+    if accepted < count:
         raise SamplingFailed(
-            f"only {len(accepted)} of {count} requested samples converged "
+            f"only {accepted} of {count} requested samples converged "
             f"after {attempts} draws (rate below "
             f"{1 / _ATTEMPTS_PER_SAMPLE:.0%})"
         )
-    return accepted
+    points, bases, levels = zip(*blocks)
+    return Samples(np.concatenate(points), v._stack_bases(bases), np.concatenate(levels))

@@ -45,8 +45,8 @@ from milnorbook.varieties import (
     _ATTEMPTS_PER_SAMPLE,
     _MAX_DOUBLINGS,
     Hypersurface,
-    PointSample,
     SmoothChart,
+    _kernel_bases,
 )
 
 
@@ -350,8 +350,9 @@ def _scaled_residual(residual: np.ndarray, epsilon: float, h_scale: float) -> fl
 
 def per_draw_hypersurface_samples(
     surface: Hypersurface, epsilon: float, count: int, seed: int
-) -> list[PointSample]:
-    """The hypersurface sampler run one draw at a time.
+) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """``(point, tangent_basis, rho_value)`` of the hypersurface sampler run
+    one draw at a time.
 
     Each draw is two ``standard_normal(n)`` calls, real part first, solved
     by damped Gauss–Newton on ``(Re h, Im h, rho - epsilon)`` with scalar
@@ -362,7 +363,7 @@ def per_draw_hypersurface_samples(
     h_scale = surface.defining_scale(epsilon)
     gradient_floor = 1e-8 * h_scale / math.sqrt(epsilon)
 
-    def solve(raw: np.ndarray, norm: float) -> PointSample | None:
+    def solve(raw: np.ndarray, norm: float):
         z = math.sqrt(epsilon) * raw / norm
         best_z = None
         best_scaled = math.inf
@@ -401,11 +402,7 @@ def per_draw_hypersurface_samples(
         gradient = np.array([g.evaluate(z) for g in surface.defining.gradient()])
         if np.linalg.norm(gradient) < gradient_floor:
             return None
-        return PointSample(
-            point=z,
-            tangent_basis=surface.tangent_basis(z),
-            rho_value=float(np.sum(np.abs(z) ** 2)),
-        )
+        return z, _kernel_bases(gradient[None])[0], float(np.sum(np.abs(z) ** 2))
 
     rng = np.random.default_rng(seed)
     accepted = []
@@ -423,17 +420,18 @@ def per_draw_hypersurface_samples(
     return accepted
 
 
-def per_sample_contact_record(v, p, f) -> dict:
-    """The contact point record at one sample, stage by stage, with one
-    SVD, solve and product per sample and ``f`` evaluated term by term.
+def per_sample_contact_record(v, point, basis, f) -> dict:
+    """The contact point record at one sample, its point and tangent basis,
+    stage by stage, with one SVD, solve and product per sample and ``f``
+    evaluated term by term.
 
     Tangent stage: ``H = 4 A_T^H A_T``, the row ``ell`` of ``d rho`` and
     ``alpha``, its scale and the condition of ``H``; Reeb stage: ``grad rho``,
     its squared h-norm and ``R``; the level basis of ``ker d rho``; and the
     theta stage of ``theta = arg f`` (``f(p)`` must not vanish).
     """
-    values, jacobians = v.phi_block(p.point[None])
-    a_t = jacobians[0] @ p.tangent_basis
+    values, jacobians = v.phi_block(point[None])
+    a_t = jacobians[0] @ basis
     singular = np.linalg.svd(a_t, compute_uv=False)
     hermitian = 4.0 * (a_t.conj().T @ a_t)
     ell = 2.0 * (values[0].conj() @ a_t)
@@ -443,8 +441,8 @@ def per_sample_contact_record(v, p, f) -> dict:
     reeb = 1j * gradient / norm_sq
     _, _, vh = np.linalg.svd(np.concatenate([ell.real, -ell.imag]).reshape(1, -1))
 
-    value = f.evaluate(p.point)
-    row = np.array([g.evaluate(p.point) for g in f.gradient()]) @ p.tangent_basis
+    value = f.evaluate(point)
+    row = np.array([g.evaluate(point) for g in f.gradient()]) @ basis
     grad_theta = 1j * np.linalg.solve(hermitian, row.conj()) / np.conj(value)
     coefficient = (gradient.conj() @ hermitian @ grad_theta) / norm_sq
     projected = grad_theta - coefficient * gradient

@@ -154,6 +154,15 @@ class TestExitCodes:
         assert code == 4
         assert "open-book transversality certified on the mesh: False" in out
 
+    @pytest.mark.parametrize("subcheck", ["identity", "adapt", "cone", "criterion"])
+    def test_zero_f_exits_one(self, capsys, subcheck):
+        code, out, err = run(
+            capsys, "contact", subcheck, "--ambient", "2", "--f", "0",
+            "--samples", "20", "--mesh", "20",
+        )
+        assert (code, out) == (1, "")
+        assert err == "input error: --f must not be the zero polynomial\n"
+
     def test_contact_requires_f(self, capsys):
         code, _, err = run(capsys, "contact", "identity")
         assert code == 1

@@ -9,7 +9,7 @@ import milnorbook.contact as contact
 from milnorbook import (
     Hypersurface,
     Polynomial,
-    PointSample,
+    Samples,
     SmoothChart,
     check_spsh,
     eval_forms,
@@ -41,21 +41,32 @@ PLANE = SmoothChart.identity(2)
 BRIESKORN = Hypersurface(parse_polynomial("z0^2 + z1^3 + z2^5", 3))
 
 
-def sample_at(point, basis=None, rho=None):
-    point = np.asarray(point, dtype=complex)
-    if basis is None:
-        basis = np.eye(len(point), dtype=complex)
-    if rho is None:
-        rho = float(np.sum(np.abs(point) ** 2))
-    return PointSample(point=point, tangent_basis=basis, rho_value=rho)
+def samples_at(points, rho=None):
+    """A record of chart samples at ``points``, with identity bases and, unless
+    given, their squared norms as level values."""
+    points = np.asarray(points, dtype=complex)
+    k, n = points.shape
+    bases = np.broadcast_to(np.eye(n, dtype=complex), (k, n, n))
+    rho_values = np.sum(np.abs(points) ** 2, axis=1) if rho is None else np.full(k, rho)
+    return Samples(points, bases, rho_values)
+
+
+def sample_at(point, rho=None):
+    """The one-row record of a chart sample at ``point``."""
+    return samples_at([point], rho)
+
+
+def rows(samples):
+    """The one-row records of ``samples``, in order."""
+    return [samples[i : i + 1] for i in range(len(samples))]
 
 
 FIRST = np.array([0])
 
 
 def record(v, p, f=None):
-    """The point record of the one-sample list ``[p]``, Reeb stage included."""
-    return contact._Block(v, [p], f, True)
+    """The point record of the one-row record ``p``, Reeb stage included."""
+    return contact._Block(v, p, f, True)
 
 
 def level_tangent_basis(v, p):
@@ -114,7 +125,7 @@ class TestHandChecks:
         )
 
     def test_reeb_contract_deviations_vanish(self):
-        max_alpha, max_omega = reeb_contract_deviations(LINE, [sample_at([1.0])])
+        max_alpha, max_omega = reeb_contract_deviations(LINE, sample_at([1.0]))
         assert max_alpha < 1e-15
         assert max_omega < 1e-15
 
@@ -130,7 +141,7 @@ class TestStructuralIdentities:
     def test_hermitian_solves_define_the_gradient(self):
         rng = np.random.default_rng(2)
         phi = parse_polynomial("z0^2 z1 + z1^2", 2)
-        for p in sample_points(PLANE, 0.01, 10, seed=4):
+        for p in rows(sample_points(PLANE, 0.01, 10, seed=4)):
             data = record(PLANE, p, phi)
             grad = holomorphic_gradient(PLANE, p, phi)
             row = data.f_rows[0]
@@ -140,8 +151,8 @@ class TestStructuralIdentities:
 
     def test_theta_gradient_matches_holomorphic_gradient(self):
         f = parse_polynomial("z0^2 + z1^3", 2)
-        for p in sample_points(PLANE, 0.01, 10, seed=5):
-            value = f.evaluate(p.point)
+        for p in rows(sample_points(PLANE, 0.01, 10, seed=5)):
+            value = f.evaluate(p.points[0])
             via_theta = theta_stage(PLANE, p, f).grad_theta[0]
             via_grad = 1j * holomorphic_gradient(PLANE, p, f) / np.conj(value)
             assert np.allclose(via_theta, via_grad, rtol=1e-12)
@@ -149,7 +160,7 @@ class TestStructuralIdentities:
     def test_theta_differential_is_real_part_pairing(self):
         rng = np.random.default_rng(3)
         f = parse_polynomial("z0 z1", 2)
-        for p in sample_points(PLANE, 0.01, 10, seed=6):
+        for p in rows(sample_points(PLANE, 0.01, 10, seed=6)):
             data = record(PLANE, p, f)
             grad_theta = data.theta(FIRST).grad_theta[0]
             w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -159,7 +170,7 @@ class TestStructuralIdentities:
 
     def test_xi_projection_contracts(self):
         rng = np.random.default_rng(4)
-        for p in sample_points(PLANE, 0.01, 10, seed=7):
+        for p in rows(sample_points(PLANE, 0.01, 10, seed=7)):
             forms = eval_forms(PLANE, p)
             w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             projected = xi_projection(PLANE, p, w)
@@ -181,15 +192,15 @@ class TestStructuralIdentities:
     def test_gradient_identities_against_finite_differences(self):
         # A coordinate function, generically nonvanishing on the hypersurface.
         phi = parse_polynomial("z0", 3)
-        for p in sample_points(BRIESKORN, 0.01, 10, seed=8):
+        for p in rows(sample_points(BRIESKORN, 0.01, 10, seed=8)):
             abs_sq_res, arg_res = gradient_identity_residuals(BRIESKORN, p, phi)
             assert abs_sq_res < 1e-8
             assert arg_res < 1e-8
 
     def test_finite_difference_two_form_agreement(self):
-        for p in sample_points(PLANE, 0.01, 5, seed=9):
+        for p in rows(sample_points(PLANE, 0.01, 5, seed=9)):
             assert fd_omega_deviation(PLANE, p) < 1e-8
-        for p in sample_points(BRIESKORN, 0.01, 5, seed=10):
+        for p in rows(sample_points(BRIESKORN, 0.01, 5, seed=10)):
             assert fd_omega_deviation(BRIESKORN, p) < 1e-8
 
     def test_rescaled_identity_exact_at_zero(self):
@@ -211,13 +222,15 @@ class TestStructuralIdentities:
 
     @pytest.mark.parametrize("variety", [PLANE, BRIESKORN], ids=["chart", "hypersurface"])
     def test_empty_sample_lists(self, variety):
-        """Every list check answers on no samples, as it did point by point."""
+        """Every record check answers on an empty record, as it did point by
+        point."""
         f = parse_polynomial("z0", variety.ambient_dim)
-        assert check_spsh(variety, [], trials=5) == float("inf")
-        assert reeb_contract_deviations(variety, []) == (0.0, 0.0)
-        report = lambda_cone_check(variety, f, [])
+        empty = sample_points(variety, 0.01, 1, seed=0)[:0]
+        assert check_spsh(variety, empty, trials=5) == float("inf")
+        assert reeb_contract_deviations(variety, empty) == (0.0, 0.0)
+        report = lambda_cone_check(variety, f, empty)
         assert (report.total, report.qualifying, report.skipped_on_binding) == (0, 0, 0)
-        assert rescaled_reeb_identity(variety, f, 1.0, []) == ([], 0)
+        assert rescaled_reeb_identity(variety, f, 1.0, empty) == ([], 0)
 
 
 class TestBlockSizes:
@@ -262,7 +275,7 @@ class TestErrorOrder:
     CRITICAL = SmoothChart(1, (parse_polynomial("z0^2 - z0", 1),))
 
     def samples(self, *points):
-        return [sample_at([z]) for z in points]
+        return samples_at([[z] for z in points])
 
     def test_reeb_stage_failure_before_a_later_rank_loss(self):
         samples = self.samples(0.3, 1.0, 0.5)
@@ -288,7 +301,7 @@ class TestErrorOrder:
     def test_singular_rows_leave_the_stacked_solve(self):
         # H is exactly singular at every sample of a wide chart.
         wide = SmoothChart(2, (Polynomial.variable(2, 0),))
-        samples = [sample_at([0.1, 0.0]), sample_at([0.0, 0.1]), sample_at([0.2, 0.1])]
+        samples = samples_at([[0.1, 0.0], [0.0, 0.1], [0.2, 0.1]])
         f = parse_polynomial("z0 + 1", 2)
         with pytest.raises(ZeroGradient):  # z0 = 0 at the second sample
             reeb_contract_deviations(wide, samples[1:])
@@ -325,7 +338,7 @@ class TestBlockRecord:
         block = contact._Block(variety, samples, f, True)
         theta = block.theta(np.arange(len(samples)))
         level_basis = contact._level_basis(block.ell)
-        for i, p in enumerate(samples):
+        for i, (point, basis) in enumerate(zip(samples.points, samples.bases)):
             got = {
                 "hermitian": block.hermitian[i],
                 "ell": block.ell[i],
@@ -342,7 +355,7 @@ class TestBlockRecord:
                 "grad_theta_sq": theta.grad_theta_sq[i],
                 "transverse_sq": theta.transverse_sq[i],
             }
-            expected = per_sample_contact_record(variety, p, f)
+            expected = per_sample_contact_record(variety, point, basis, f)
             for name, value in expected.items():
                 value, other = np.asarray(value), np.asarray(got[name])
                 assert (other.shape, other.tobytes()) == (value.shape, value.tobytes()), name
@@ -377,7 +390,7 @@ class TestFindings:
             with pytest.raises(SingularMetric):
                 eval_forms(squashed, p)
             # The Levi quotient never solves with H, so it still answers.
-            assert check_spsh(squashed, [p], trials=5) > 0.0
+            assert check_spsh(squashed, p, trials=5) > 0.0
         else:
             eval_forms(squashed, p)
 
@@ -392,7 +405,7 @@ class TestFindings:
         f = parse_polynomial("z0", 2)
         p = sample_at([0.0, 0.1])
         # The list form skips and counts the point instead of raising.
-        assert rescaled_reeb_identity(PLANE, f, 1.0, [p]) == ([], 1)
+        assert rescaled_reeb_identity(PLANE, f, 1.0, p) == ([], 1)
         with pytest.raises(OnBinding):
             gradient_identity_residuals(PLANE, p, f)
 
@@ -493,8 +506,8 @@ class TestOpenBookCriterion:
         f = parse_polynomial("z0", 2)
         report = openbook_criterion_check(PLANE, f, 0.01, eta, 300, seed=0)
         sizes = [
-            abs(f.evaluate(p.point)) ** 2
-            for p in sample_points(PLANE, 0.01, 300, 0)
+            abs(f.evaluate(point)) ** 2
+            for point in sample_points(PLANE, 0.01, 300, 0).points
         ]
         assert report.outside_count == sum(s >= report.eta for s in sizes)
         assert report.inside_count == sum(s <= report.eta for s in sizes)

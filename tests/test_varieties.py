@@ -1,5 +1,6 @@
 """Level-set sampling on charts and hypersurfaces."""
 
+import tracemalloc
 from functools import lru_cache
 from unittest.mock import patch
 
@@ -117,9 +118,9 @@ class TestModels:
 
     def test_hypersurface_tangent_basis_spans_kernel(self):
         point = np.array([0.3 + 0.1j, -0.2, 0.5j])
-        basis = BRIESKORN.tangent_basis(point)
-        assert basis.shape == (3, 2)
         gradient = defining_row(BRIESKORN, point)[1:]
+        basis = varieties._kernel_bases(gradient[None])[0]
+        assert basis.shape == (3, 2)
         assert np.max(np.abs(gradient @ basis)) < 1e-14
         assert np.allclose(basis.conj().T @ basis, np.eye(2))
 
@@ -133,23 +134,54 @@ class TestIdentityBases:
 
     def test_chart_tangent_basis_is_shared(self):
         chart = SmoothChart.identity(2)
-        p, q = sample_points(chart, 0.01, 2, seed=0)
-        assert p.tangent_basis is q.tangent_basis
-        assert np.array_equal(p.tangent_basis, np.eye(2))
+        bases = sample_points(chart, 0.01, 5000, seed=0).bases
+        # One identity per chart, broadcast over the samples: no copies.
+        assert bases.shape == (5000, 2, 2) and bases.strides[0] == 0
+        assert np.shares_memory(bases, chart._identity)
+        assert np.array_equal(bases[0], np.eye(2))
         with pytest.raises(ValueError, match="read-only"):
-            p.tangent_basis[0, 0] = 2.0
+            bases[0, 0, 0] = 2.0
 
     def test_hypersurface_jacobian_is_shared(self):
-        p, q = sample_points(BRIESKORN, 0.01, 2, seed=0)
-        points, jacobians = BRIESKORN.phi_block(np.array([p.point, q.point]))
-        assert np.array_equal(points, [p.point, q.point])
+        samples = sample_points(BRIESKORN, 0.01, 2, seed=0)
+        points, jacobians = BRIESKORN.phi_block(samples.points)
+        assert np.array_equal(points, samples.points)
         # One identity per hypersurface, broadcast over the block: no copies.
         assert jacobians.strides[0] == 0
-        assert np.shares_memory(jacobians, BRIESKORN.phi_block(p.point[None])[1])
+        assert np.shares_memory(jacobians, BRIESKORN.phi_block(samples.points[:1])[1])
         jacobian = jacobians[0]
         assert np.array_equal(jacobian, np.eye(3))
         with pytest.raises(ValueError, match="read-only"):
             jacobian[0, 0] = 2.0
+
+
+class TestRecord:
+    """Samples are one record of stacked arrays, sliced into records."""
+
+    def test_record_holds_no_per_sample_objects(self):
+        """20,000 plane samples are 0.8 MB of arrays (points and level
+        values; the bases are one broadcast identity).  One object per
+        sample held about 5.4 MB."""
+        chart = SmoothChart.identity(2)
+        sample_points(chart, 0.01, 10, seed=0)  # first-call imports
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            samples = sample_points(chart, 0.01, 20000, seed=0)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == 20000
+        assert held < 2_000_000
+
+    def test_slices_are_records(self):
+        samples = sample_points(BRIESKORN, 0.01, 10, seed=0)
+        row = samples[3:4]
+        assert isinstance(row, varieties.Samples) and len(row) == 1
+        assert row.points.shape == (1, 3) and row.bases.shape == (1, 3, 2)
+        assert row.rho_values.tobytes() == samples.rho_values[3:4].tobytes()
+        with pytest.raises(TypeError, match="slices"):
+            samples[3]
 
 
 class TestChartSampling:
@@ -158,25 +190,24 @@ class TestChartSampling:
         epsilon = 0.01
         samples = sample_points(chart, epsilon, 200, seed=0)
         assert len(samples) == 200
-        for p in samples:
-            assert abs(rho(chart, p.point) - epsilon) <= 1e-10 * epsilon
-            assert p.rho_value == pytest.approx(epsilon, rel=1e-9)
-            assert p.tangent_basis.shape == (2, 2)
+        assert samples.bases.shape == (200, 2, 2)
+        for point, rho_value in zip(samples.points, samples.rho_values):
+            assert abs(rho(chart, point) - epsilon) <= 1e-10 * epsilon
+            assert rho_value == pytest.approx(epsilon, rel=1e-9)
 
     def test_nonlinear_chart_levels(self):
         chart = SmoothChart(1, (parse_polynomial("z0^2 + z0", 1),))
         epsilon = 0.25
-        for p in sample_points(chart, epsilon, 50, seed=1):
-            assert abs(rho(chart, p.point) - epsilon) <= 1e-10 * epsilon
+        for point in sample_points(chart, epsilon, 50, seed=1).points:
+            assert abs(rho(chart, point) - epsilon) <= 1e-10 * epsilon
 
     def test_deterministic_for_fixed_seed(self):
         chart = SmoothChart.identity(3)
         a = sample_points(chart, 0.01, 25, seed=7)
         b = sample_points(chart, 0.01, 25, seed=7)
-        for p, q in zip(a, b):
-            assert np.array_equal(p.point, q.point)
+        assert np.array_equal(a.points, b.points)
         c = sample_points(chart, 0.01, 25, seed=8)
-        assert not np.array_equal(a[0].point, c[0].point)
+        assert not np.array_equal(a.points[0], c.points[0])
 
 
 class TestBlockSolve:
@@ -193,11 +224,9 @@ class TestBlockSolve:
             with patch.object(varieties, "_DRAWS_PER_BLOCK", block):
                 samples = sample_points(chart, epsilon, 60, seed)
             assert len(samples) == len(reference)
-            for sample, (point, rho_value) in zip(samples, reference):
-                assert sample.point.tobytes() == point.tobytes()
-                assert np.float64(sample.rho_value).tobytes() == (
-                    np.float64(rho_value).tobytes()
-                )
+            points, rho_values = zip(*reference)
+            assert samples.points.tobytes() == np.array(points).tobytes()
+            assert samples.rho_values.tobytes() == np.array(rho_values).tobytes()
 
     @pytest.mark.parametrize("name", REFERENCE_CHARTS)
     def test_profiles_match_per_draw_reference(self, name):
@@ -231,14 +260,10 @@ class TestHypersurfaceBlockSolve:
             with patch.object(varieties, "_DRAWS_PER_BLOCK", block):
                 samples = sample_points(surface, epsilon, 40, seed)
             assert len(samples) == len(reference)
-            for sample, expected in zip(samples, reference):
-                assert sample.point.tobytes() == expected.point.tobytes()
-                assert sample.tangent_basis.tobytes() == (
-                    expected.tangent_basis.tobytes()
-                )
-                assert np.float64(sample.rho_value).tobytes() == (
-                    np.float64(expected.rho_value).tobytes()
-                )
+            points, bases, rho_values = zip(*reference)
+            assert samples.points.tobytes() == np.array(points).tobytes()
+            assert samples.bases.tobytes() == np.array(bases).tobytes()
+            assert samples.rho_values.tobytes() == np.array(rho_values).tobytes()
 
 
 class TestDrawNorms:
@@ -252,7 +277,7 @@ class TestDrawNorms:
         def recording_step(variety, epsilon):
             def step(raw, norms):
                 seen.append((raw.copy(), norms.copy()))
-                return [None] * len(raw)
+                return raw[:0], np.empty((0, n, n)), norms[:0]
 
             return step
 
@@ -271,26 +296,26 @@ class TestHypersurfaceSampling:
         scale = BRIESKORN.defining_scale(epsilon)
         samples = sample_points(BRIESKORN, epsilon, 200, seed=0)
         assert len(samples) == 200
-        for p in samples:
-            assert abs(defining_row(BRIESKORN, p.point)[0]) <= 1e-10 * scale
-            assert abs(rho(BRIESKORN, p.point) - epsilon) <= 1e-10 * epsilon
+        for point in samples.points:
+            assert abs(defining_row(BRIESKORN, point)[0]) <= 1e-10 * scale
+            assert abs(rho(BRIESKORN, point) - epsilon) <= 1e-10 * epsilon
 
     def test_tangent_basis_annihilated_by_differential(self):
         samples = sample_points(BRIESKORN, 0.01, 50, seed=3)
-        for p in samples:
-            gradient = defining_row(BRIESKORN, p.point)[1:]
-            assert np.max(np.abs(gradient @ p.tangent_basis)) < 1e-12
+        assert samples.bases.shape == (50, 3, 2)
+        for point, basis in zip(samples.points, samples.bases):
+            gradient = defining_row(BRIESKORN, point)[1:]
+            assert np.max(np.abs(gradient @ basis)) < 1e-12
 
     def test_deterministic_for_fixed_seed(self):
         a = sample_points(BRIESKORN, 0.01, 25, seed=11)
         b = sample_points(BRIESKORN, 0.01, 25, seed=11)
-        for p, q in zip(a, b):
-            assert np.array_equal(p.point, q.point)
+        assert np.array_equal(a.points, b.points)
 
     def test_nodal_curve_samples(self):
         surface = Hypersurface(parse_polynomial("z0 z1", 2))
-        for p in sample_points(surface, 0.04, 50, seed=5):
-            assert abs(defining_row(surface, p.point)[0]) <= 1e-10
+        for point in sample_points(surface, 0.04, 50, seed=5).points:
+            assert abs(defining_row(surface, point)[0]) <= 1e-10
 
     @pytest.mark.parametrize(
         "variety, count, max_iterations, newton_tolerance, draws",
