@@ -212,10 +212,6 @@ class _Block:
             if error is not None and (reeb or isinstance(error, DegenerateTangent)):
                 raise error
 
-    def levels_and_values(self):
-        """``rho_value`` and ``f(p)`` of each row, as Python numbers."""
-        return zip(self.samples.rho_values.tolist(), self.values.tolist())
-
     def project(self, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
         """h-orthogonal projection of each ``w[i]`` away from the complex line
         of ``grad rho`` at row ``rows[i]``."""
@@ -475,10 +471,11 @@ def rescaled_reeb_identity(
     for start in range(0, len(samples), _DRAWS_PER_BLOCK):
         block = _Block(v, samples[start : start + _DRAWS_PER_BLOCK], f, True)
         kept = []
+        levels = block.samples.rho_values.tolist()
         # Sample by sample, so that the first sample's error is the one raised.
-        for row, (rho_value, value) in enumerate(block.levels_and_values()):
+        for row, value in enumerate(block.values.tolist()):
             block.check((row,), False)
-            if _on_binding(f, value, rho_value):
+            if _on_binding(f, value, levels[row]):
                 skipped += 1
                 continue
             block.check((row,), True)
@@ -674,9 +671,10 @@ def lambda_cone_check(
     for start in range(0, len(samples), _DRAWS_PER_BLOCK):
         block = _Block(v, samples[start : start + _DRAWS_PER_BLOCK], f, True)
         rows = []
+        levels = block.samples.rho_values.tolist()
         # Sample by sample, so that the first sample's error is the one raised.
-        for row, (rho_value, value) in enumerate(block.levels_and_values()):
-            if _on_binding(f, value, rho_value):
+        for row, value in enumerate(block.values.tolist()):
+            if _on_binding(f, value, levels[row]):
                 skipped += 1
                 continue
             block.check((row,), True)
@@ -776,11 +774,12 @@ def openbook_criterion_check(
         outer = sizes[start : start + _DRAWS_PER_BLOCK] >= eta
         inner = sizes[start : start + _DRAWS_PER_BLOCK] <= eta
         binding = np.zeros(len(outer), dtype=bool)
+        levels = block.samples.rho_values.tolist()
         # Sample by sample, so that the first sample's error is the one raised.
-        for row, (rho_value, value) in enumerate(block.levels_and_values()):
+        for row, value in enumerate(block.values.tolist()):
             block.check((row,), False)
             if outer[row]:
-                binding[row] = _on_binding(f, value, rho_value)
+                binding[row] = _on_binding(f, value, levels[row])
         level_basis = _level_basis(block.ell)
         transverse = outer & ~binding
         dtheta = _im_covector(block.f_rows[transverse] / block.values[transverse, None])

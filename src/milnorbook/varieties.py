@@ -20,13 +20,14 @@ blocks of points.
 
 :func:`sample_points` runs one accept loop over blocks of random ambient
 directions; the model's step takes a block, solves each draw onto the
-level set or rejects it, and returns the accepted rows' arrays, stacked into
-one :class:`Samples` record.  For charts the step builds the radial profiles
-of the whole block and finds their roots together (bracket doubling,
-bisection and Newton polishing as array Horner loops); for hypersurfaces
-it runs a damped Gauss–Newton iteration on ``(Re h, Im h, rho - epsilon)``
-for all draws of the block together, each with its own line search, and
-only the least-squares step solved draw by draw.  Polynomials are
+level set or rejects it, and returns the accepted rows' arrays, which the
+model stacks into one :class:`Samples` record.  For charts the step builds
+the radial profiles of the whole block and finds their roots together
+(bracket doubling, bisection and Newton polishing as array Horner loops);
+for hypersurfaces it runs a damped Gauss–Newton iteration on
+``(Re h, Im h, rho - epsilon)`` for all draws of the block together, each
+with its own line search, and only the least-squares step solved draw by
+draw.  Polynomials are
 evaluated on the whole block by :class:`~milnorbook.polynomials.PolynomialBlock`.
 Sampling is bitwise deterministic for a fixed seed, and independent of the
 block size: the block solves reproduce the one-draw-at-a-time scalar
@@ -147,10 +148,12 @@ class SmoothChart:
         shape = (len(points), self.target_dim, self.dim)
         return self._components_block.evaluate(points), jacobians.reshape(shape)
 
-    def _stack_bases(self, blocks: list[np.ndarray]) -> np.ndarray:
-        """The stacked blocks' bases: the one read-only identity, broadcast."""
-        shape = (sum(map(len, blocks)), *self._identity.shape)
-        return np.broadcast_to(self._identity, shape)
+    def _samples(self, blocks: list[tuple[np.ndarray, ...]]) -> Samples:
+        """The record of the accepted ``(points, rho_values)`` blocks; every
+        basis is the one read-only identity, broadcast."""
+        points, rho_values = (np.concatenate(part) for part in zip(*blocks))
+        bases = np.broadcast_to(self._identity, (len(points), *self._identity.shape))
+        return Samples(points, bases, rho_values)
 
     def __repr__(self) -> str:
         body = ", ".join(str(p) for p in self.components)
@@ -196,10 +199,12 @@ class Hypersurface:
         bound = self.defining.magnitude_bound(math.sqrt(epsilon))
         return max(bound, np.finfo(float).tiny)
 
-    def _stack_bases(self, blocks: list[np.ndarray]) -> np.ndarray:
-        """The stacked blocks' bases, in the layout of :func:`_kernel_bases`:
-        products on another layout round differently."""
-        return np.concatenate([b.swapaxes(1, 2) for b in blocks]).swapaxes(1, 2)
+    def _samples(self, blocks: list[tuple[np.ndarray, ...]]) -> Samples:
+        """The record of the accepted ``(points, rho_values, gradients)``
+        blocks; the bases are :func:`_kernel_bases` of all the gradients,
+        in its layout: products on another layout round differently."""
+        points, rho_values, gradients = (np.concatenate(part) for part in zip(*blocks))
+        return Samples(points, _kernel_bases(gradients), rho_values)
 
     def __repr__(self) -> str:
         return f"Hypersurface({self.defining})"
@@ -353,9 +358,7 @@ def _chart_step(chart: SmoothChart, epsilon: float):
         values = chart._components_block.evaluate(points)
         rho_values = np.sum(np.abs(values) ** 2, axis=1)
         kept = ~(np.abs(rho_values - epsilon) > _LEVEL_TOLERANCE * epsilon)
-        points = points[kept]
-        bases = np.broadcast_to(chart._identity, (len(points), *chart._identity.shape))
-        return points, bases, rho_values[kept]
+        return points[kept], rho_values[kept]
 
     return step
 
@@ -452,7 +455,7 @@ def _hypersurface_step(surface: Hypersurface, epsilon: float):
         )
         points = best[found[kept]]
         rho_values = np.sum(np.abs(points) ** 2, axis=1)
-        return points, _kernel_bases(gradient[kept]), rho_values
+        return points, rho_values, gradient[kept]
 
     return step
 
@@ -508,5 +511,4 @@ def sample_points(v, epsilon: float, count: int, seed: int) -> Samples:
             f"after {attempts} draws (rate below "
             f"{1 / _ATTEMPTS_PER_SAMPLE:.0%})"
         )
-    points, bases, levels = zip(*blocks)
-    return Samples(np.concatenate(points), v._stack_bases(bases), np.concatenate(levels))
+    return v._samples(blocks)

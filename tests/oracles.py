@@ -420,16 +420,26 @@ def per_draw_hypersurface_samples(
     return accepted
 
 
-def per_sample_contact_record(v, point, basis, f) -> dict:
-    """The contact point record at one sample, its point and tangent basis,
-    stage by stage, with one SVD, solve and product per sample and ``f``
-    evaluated term by term.
+def per_sample_contact_record(v, point, f) -> dict:
+    """The contact point record at one sample point, stage by stage, with one
+    SVD, solve and product per sample and ``f`` evaluated term by term.
+
+    The tangent basis is built here, not read from a sample record: a new
+    identity for a chart, and for a hypersurface the kernel basis of the
+    scalar-evaluated ``dh`` in the layout of one single-row
+    :func:`_kernel_bases` (a C-contiguous copy rounds ``df``'s products
+    differently in four variables).
 
     Tangent stage: ``H = 4 A_T^H A_T``, the row ``ell`` of ``d rho`` and
     ``alpha``, its scale and the condition of ``H``; Reeb stage: ``grad rho``,
     its squared h-norm and ``R``; the level basis of ``ker d rho``; and the
     theta stage of ``theta = arg f`` (``f(p)`` must not vanish).
     """
+    if isinstance(v, SmoothChart):
+        basis = np.eye(v.dim, dtype=complex)
+    else:
+        gradient = np.array([g.evaluate(point) for g in v.defining.gradient()])
+        basis = _kernel_bases(gradient[None])[0]
     values, jacobians = v.phi_block(point[None])
     a_t = jacobians[0] @ basis
     singular = np.linalg.svd(a_t, compute_uv=False)
