@@ -91,14 +91,11 @@ from .varieties import (
 )
 from .contact import (
     AdaptationReport,
-    FormsAtPoint,
     LambdaConeReport,
     OpenBookCriterionReport,
     check_spsh,
-    eval_forms,
     fd_omega_deviation,
     find_adaptation_constant,
-    gradient_identity_residuals,
     lambda_cone_check,
     openbook_criterion_check,
     reeb_contract_deviations,

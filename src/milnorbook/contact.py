@@ -16,9 +16,8 @@ metric and two-form are the real and imaginary parts, ``g = Re h`` and
 Reeb field is ``R = i grad(rho) / |grad rho|^2``.
 
 The checks in this module certify, on sampled points and to explicit
-tolerances: strict plurisubharmonicity of ``rho``; the gradient identities
-``grad |phi|^2 = 2 phi grad(phi)`` and ``grad arg(phi) = i grad(phi) /
-conj(phi)``; the Reeb normalization contract; the rescaled-Reeb identity
+tolerances: strict plurisubharmonicity of ``rho``; the Reeb normalization
+contract; the rescaled-Reeb identity
 
     d theta(R_c) = e^{c|f|^2} ( d theta(R) + 2 c |f|^2 |pr_xi grad theta|^2 )
 
@@ -49,7 +48,6 @@ from .errors import (
     DegenerateTangent,
     InputError,
     InvalidMesh,
-    OnBinding,
     SingularMetric,
     ZeroGradient,
 )
@@ -63,12 +61,9 @@ from .varieties import (
 )
 
 __all__ = [
-    "FormsAtPoint",
-    "eval_forms",
     "reeb_contract_deviations",
     "fd_omega_deviation",
     "check_spsh",
-    "gradient_identity_residuals",
     "rescaled_reeb_identity",
     "AdaptationReport",
     "find_adaptation_constant",
@@ -98,30 +93,6 @@ _EXP_CAP = 709.0
 # The documented default for the binding cutoff: eta = this fraction of
 # max |f|^2 over the mesh, computed after sampling when eta is omitted.
 DEFAULT_ETA_FRACTION = 1e-4
-
-
-@dataclass(frozen=True, eq=False)
-class FormsAtPoint:
-    """All pointwise structures, expressed in the sample's tangent basis.
-
-    Real objects (``alpha``, ``omega``, ``metric_g``) act on real tangent
-    coordinates ``(a; b)`` for the complex tangent vector ``a + i b``;
-    complex objects (``hermitian_h``, ``grad_rho``, ``reeb``) act on/live
-    in complex tangent coordinates.  ``hermitian_h`` equals
-    ``metric_g + i omega`` as bilinear data.
-    """
-
-    alpha: np.ndarray
-    omega: np.ndarray
-    metric_g: np.ndarray
-    hermitian_h: np.ndarray
-    grad_rho: np.ndarray
-    reeb: np.ndarray
-    grad_rho_norm_sq: float
-
-    @property
-    def tangent_dim(self) -> int:
-        return self.hermitian_h.shape[0]
 
 
 class _Theta(NamedTuple):
@@ -286,35 +257,15 @@ def _on_binding(f: Polynomial, value: complex, rho_value: float) -> bool:
     return abs(value) <= _ZERO_TOLERANCE * scale_f
 
 
-def eval_forms(v, p: Samples) -> FormsAtPoint:
-    """Evaluate the contact package at the sample of a one-row record.
-
-    Returns the contact form, two-form, metric, hermitian form, potential
-    gradient, and Reeb vector, all in the sample's tangent basis, from the
-    point record of ``p``.  Raises :class:`DegenerateTangent` on rank loss
-    of the differential and :class:`ZeroGradient` at critical points of the
-    potential.
-    """
-    block = _Block(v, p, None, True)
-    block.check((0,), True)
-    metric, omega = _real_blocks(block.hermitian[0])
-    return FormsAtPoint(
-        alpha=_im_covector(block.ell[0]),
-        omega=omega,
-        metric_g=metric,
-        hermitian_h=block.hermitian[0],
-        grad_rho=block.gradient[0],
-        reeb=block.reeb[0],
-        grad_rho_norm_sq=float(block.norm_sq[0]),
-    )
-
-
 def reeb_contract_deviations(v, samples: Samples) -> tuple[float, float]:
     """Worst deviations from the Reeb contract over ``samples``.
 
     Returns ``max |alpha(R) - 1|`` and the largest ``|omega(R, w)|`` over
     the euclidean-orthonormal level-tangent basis vectors ``w``; both are
-    zero for the exact Reeb field.  Raises as :func:`eval_forms` does.
+    zero for the exact Reeb field.  Raises :class:`DegenerateTangent` on
+    rank loss of the differential, :class:`ZeroGradient` at critical points of
+    the potential and :class:`SingularMetric` where ``H`` is numerically
+    singular.
     """
     max_alpha = 0.0
     max_omega = 0.0
@@ -399,57 +350,6 @@ def check_spsh(v, samples: Samples, trials: int, seed: int = 0) -> float:
         drawn = norm_sq != 0.0
         minimum = _fold(min, minimum, levi.real.reshape(-1)[drawn] / norm_sq[drawn])
     return minimum
-
-
-def gradient_identity_residuals(
-    v, p: Samples, phi: Polynomial, step_scale: float = _FD_STEP
-) -> tuple[float, float]:
-    """Relative residuals of the two gradient identities at the one-row ``p``.
-
-    The gradients of the real functions ``|phi|^2`` and ``arg phi`` are
-    recovered from finite differences of the functions themselves through
-    the defining property ``dF = Re h(grad F, .)``, then compared against
-    the closed forms ``2 phi grad(phi)`` and ``i grad(phi) / conj(phi)``.
-    Requires ``phi(p) != 0``; raises :class:`OnBinding` otherwise.
-    """
-    block = _Block(v, p, None, False)
-    block.check((0,), False)
-    hermitian = block.hermitian[0]
-    m = hermitian.shape[0]
-    _, step, shifted = _stencil(p, step_scale)
-    points = np.concatenate([p.points[:1], shifted])
-    # phi and grad phi at p, then at the 4m shifted points.
-    phi_block = PolynomialBlock((phi, *phi.gradient())).evaluate(points)
-    values = phi_block[:, 0].tolist()
-    value = values[0]
-    if _on_binding(phi, value, float(p.rho_values[0])):
-        raise OnBinding("the function vanishes at this point")
-    if block.condition[0] > _CONDITION_CEILING:
-        raise SingularMetric("the hermitian form is numerically singular at this point")
-    gradient = np.linalg.solve(hermitian, (phi_block[0, 1:] @ p.bases[0]).conj())
-    abs_sq_row = np.empty(2 * m)
-    arg_row = np.empty(2 * m)
-    plus, minus = values[1 : 2 * m + 1], values[2 * m + 1 :]
-    for i, (value_plus, value_minus) in enumerate(zip(plus, minus)):
-        abs_sq_row[i] = (abs(value_plus) ** 2 - abs(value_minus) ** 2) / (2 * step)
-        # Angles are measured relative to phi(p), avoiding the branch cut.
-        turn_plus = float(np.angle(value_plus * np.conj(value)))
-        turn_minus = float(np.angle(value_minus * np.conj(value)))
-        arg_row[i] = (turn_plus - turn_minus) / (2 * step)
-
-    # Invert r = [Re L, -Im L] and solve h(grad, .) = L for each covector r.
-    fd_abs_sq = np.linalg.solve(hermitian, (abs_sq_row[:m] - 1j * abs_sq_row[m:]).conj())
-    fd_arg = np.linalg.solve(hermitian, (arg_row[:m] - 1j * arg_row[m:]).conj())
-    closed_abs_sq = 2.0 * value * gradient
-    closed_arg = 1j * gradient / np.conj(value)
-    residual_abs_sq = float(
-        np.linalg.norm(fd_abs_sq - closed_abs_sq)
-        / (1.0 + np.linalg.norm(closed_abs_sq))
-    )
-    residual_arg = float(
-        np.linalg.norm(fd_arg - closed_arg) / (1.0 + np.linalg.norm(closed_arg))
-    )
-    return residual_abs_sq, residual_arg
 
 
 def rescaled_reeb_identity(

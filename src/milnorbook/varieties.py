@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InputError, SamplingFailed
 from .polynomials import Polynomial, PolynomialBlock
@@ -79,6 +80,10 @@ _NEWTON_TOLERANCE = 1e-12
 # rejected step is shrunk by.
 _MAX_ITERATIONS = 50
 _DAMPING = 0.5
+
+# The generalized ufunc behind ``np.linalg.lstsq`` (NumPy 2): one call
+# solves a whole stack of systems.
+_LSTSQ = _umath_linalg.lstsq
 
 
 def _read_only_identity(dim: int) -> np.ndarray:
@@ -336,6 +341,28 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_squares(rows))
 
 
+def _raise_lstsq_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _least_squares(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm solutions of the real systems ``matrices[i] @ x = rhs[i]``.
+
+    One call of the ``lstsq`` gufunc over the ``(k, m, d)`` stack, with the
+    arguments and the floating-point error handling ``np.linalg.lstsq(a, b,
+    rcond=None)`` uses, so row ``i`` holds that call's bits for system
+    ``i``, and an SVD that does not converge raises its ``LinAlgError``.
+    """
+    m, d = matrices.shape[-2:]
+    with np.errstate(call=_raise_lstsq_error, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        solutions, _, _, _ = _LSTSQ(
+            matrices, rhs[:, :, None], np.finfo(float).eps * max(m, d),
+            signature="ddd->ddid",
+        )
+    return solutions[:, :, 0]
+
+
 def _kernel_bases(gradients: np.ndarray) -> np.ndarray:
     """Orthonormal bases of the kernel of each row of ``gradients``.
 
@@ -371,8 +398,9 @@ def _hypersurface_step(surface: Hypersurface, epsilon: float):
     for holomorphic ``h`` the real partials are ``dh/dx_j = h_j`` and
     ``dh/dy_j = i h_j``.  Each draw keeps its own iterate, best point and
     line-search factor; the draws still iterating are evaluated together,
-    and every pending line-search trial of an iteration too.  Only the
-    minimum-norm step is solved draw by draw, by ``np.linalg.lstsq``.
+    and every pending line-search trial of an iteration too.  The
+    minimum-norm steps of all live draws come from one stacked
+    least-squares call per iteration, with ``np.linalg.lstsq``'s bits.
     """
     n = surface.ambient_dim
     h_scale = surface.defining_scale(epsilon)
@@ -420,12 +448,7 @@ def _hypersurface_step(surface: Hypersurface, epsilon: float):
             jacobian[:, 1, n:] = gradient.real
             jacobian[:, 2, :n] = 2.0 * z.real
             jacobian[:, 2, n:] = 2.0 * z.imag
-            steps = np.array(
-                [
-                    np.linalg.lstsq(matrix, -rhs, rcond=None)[0]
-                    for matrix, rhs in zip(jacobian, residual)
-                ]
-            )
+            steps = _least_squares(jacobian, -residual)
             delta = steps[:, :n] + 1j * steps[:, n:]
             size = _row_norms(residual)
             factor = np.ones(live.size)

@@ -17,12 +17,16 @@ Gauss–Newton for hypersurfaces), and the contact point record is built
 one sample at a time; the package's block solves and block records must
 reproduce them bit for bit, not merely agree with them.  The automorphism
 group is listed with the package's own backtracking search, which the
-package itself only ever asks for one solution at a time.
+package itself only ever asks for one solution at a time.  And
+:func:`eval_forms` reads the package's point record at one sample, named
+for the hand checks; :func:`gradient_identity_residuals` tests that
+record's hermitian form against finite differences of the functions.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -32,6 +36,8 @@ import numpy as np
 
 from milnorbook import (
     PlumbingGraph,
+    Polynomial,
+    Samples,
     SuiteSpec,
     VertexPermutation,
     constraint_vector,
@@ -39,7 +45,18 @@ from milnorbook import (
     iter_suite,
 )
 from milnorbook import varieties
+from milnorbook.contact import (
+    _CONDITION_CEILING,
+    _FD_STEP,
+    _Block,
+    _im_covector,
+    _on_binding,
+    _real_blocks,
+    _stencil,
+)
+from milnorbook.errors import OnBinding, SingularMetric
 from milnorbook.graphs import _cell_members, _isomorphisms, _search_order
+from milnorbook.polynomials import PolynomialBlock
 from milnorbook.suites import iter_edge_euler_classes
 from milnorbook.varieties import (
     _ATTEMPTS_PER_SAMPLE,
@@ -472,3 +489,101 @@ def per_sample_contact_record(v, point, f) -> dict:
         "grad_theta_sq": float(np.real(grad_theta.conj() @ hermitian @ grad_theta)),
         "transverse_sq": float(np.real(projected.conj() @ hermitian @ projected)),
     }
+
+
+@dataclass(frozen=True, eq=False)
+class FormsAtPoint:
+    """All pointwise structures, expressed in the sample's tangent basis.
+
+    Real objects (``alpha``, ``omega``, ``metric_g``) act on real tangent
+    coordinates ``(a; b)`` for the complex tangent vector ``a + i b``;
+    complex objects (``hermitian_h``, ``grad_rho``, ``reeb``) act on/live
+    in complex tangent coordinates.  ``hermitian_h`` equals
+    ``metric_g + i omega`` as bilinear data.
+    """
+
+    alpha: np.ndarray
+    omega: np.ndarray
+    metric_g: np.ndarray
+    hermitian_h: np.ndarray
+    grad_rho: np.ndarray
+    reeb: np.ndarray
+    grad_rho_norm_sq: float
+
+    @property
+    def tangent_dim(self) -> int:
+        return self.hermitian_h.shape[0]
+
+
+def eval_forms(v, p: Samples) -> FormsAtPoint:
+    """Evaluate the contact package at the sample of a one-row record.
+
+    Returns the contact form, two-form, metric, hermitian form, potential
+    gradient, and Reeb vector, all in the sample's tangent basis, from the
+    point record of ``p``.  Raises :class:`DegenerateTangent` on rank loss
+    of the differential and :class:`ZeroGradient` at critical points of the
+    potential.
+    """
+    block = _Block(v, p, None, True)
+    block.check((0,), True)
+    metric, omega = _real_blocks(block.hermitian[0])
+    return FormsAtPoint(
+        alpha=_im_covector(block.ell[0]),
+        omega=omega,
+        metric_g=metric,
+        hermitian_h=block.hermitian[0],
+        grad_rho=block.gradient[0],
+        reeb=block.reeb[0],
+        grad_rho_norm_sq=float(block.norm_sq[0]),
+    )
+
+
+def gradient_identity_residuals(
+    v, p: Samples, phi: Polynomial, step_scale: float = _FD_STEP
+) -> tuple[float, float]:
+    """Relative residuals of the two gradient identities at the one-row ``p``.
+
+    The gradients of the real functions ``|phi|^2`` and ``arg phi`` are
+    recovered from finite differences of the functions themselves through
+    the defining property ``dF = Re h(grad F, .)``, then compared against
+    the closed forms ``2 phi grad(phi)`` and ``i grad(phi) / conj(phi)``.
+    Requires ``phi(p) != 0``; raises :class:`OnBinding` otherwise.
+    """
+    block = _Block(v, p, None, False)
+    block.check((0,), False)
+    hermitian = block.hermitian[0]
+    m = hermitian.shape[0]
+    _, step, shifted = _stencil(p, step_scale)
+    points = np.concatenate([p.points[:1], shifted])
+    # phi and grad phi at p, then at the 4m shifted points.
+    phi_block = PolynomialBlock((phi, *phi.gradient())).evaluate(points)
+    values = phi_block[:, 0].tolist()
+    value = values[0]
+    if _on_binding(phi, value, float(p.rho_values[0])):
+        raise OnBinding("the function vanishes at this point")
+    if block.condition[0] > _CONDITION_CEILING:
+        raise SingularMetric("the hermitian form is numerically singular at this point")
+    gradient = np.linalg.solve(hermitian, (phi_block[0, 1:] @ p.bases[0]).conj())
+    abs_sq_row = np.empty(2 * m)
+    arg_row = np.empty(2 * m)
+    plus, minus = values[1 : 2 * m + 1], values[2 * m + 1 :]
+    for i, (value_plus, value_minus) in enumerate(zip(plus, minus)):
+        abs_sq_row[i] = (abs(value_plus) ** 2 - abs(value_minus) ** 2) / (2 * step)
+        # Angles are measured relative to phi(p), avoiding the branch cut.
+        turn_plus = float(np.angle(value_plus * np.conj(value)))
+        turn_minus = float(np.angle(value_minus * np.conj(value)))
+        arg_row[i] = (turn_plus - turn_minus) / (2 * step)
+
+    # Invert r = [Re L, -Im L] and solve h(grad, .) = L for each covector r.
+    fd_abs_sq = np.linalg.solve(hermitian, (abs_sq_row[:m] - 1j * abs_sq_row[m:]).conj())
+    fd_arg = np.linalg.solve(hermitian, (arg_row[:m] - 1j * arg_row[m:]).conj())
+    closed_abs_sq = 2.0 * value * gradient
+    closed_arg = 1j * gradient / np.conj(value)
+    residual_abs_sq = float(
+        np.linalg.norm(fd_abs_sq - closed_abs_sq)
+        / (1.0 + np.linalg.norm(closed_abs_sq))
+    )
+    residual_arg = float(
+        np.linalg.norm(fd_arg - closed_arg) / (1.0 + np.linalg.norm(closed_arg))
+    )
+    return residual_abs_sq, residual_arg

@@ -12,10 +12,8 @@ from milnorbook import (
     Samples,
     SmoothChart,
     check_spsh,
-    eval_forms,
     fd_omega_deviation,
     find_adaptation_constant,
-    gradient_identity_residuals,
     lambda_cone_check,
     openbook_criterion_check,
     parse_map,
@@ -25,7 +23,11 @@ from milnorbook import (
     sample_points,
 )
 from milnorbook.contact import DEFAULT_ETA_FRACTION
-from oracles import per_sample_contact_record
+from oracles import (
+    eval_forms,
+    gradient_identity_residuals,
+    per_sample_contact_record,
+)
 from milnorbook.errors import (
     ConeViolation,
     DegenerateTangent,

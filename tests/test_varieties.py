@@ -268,6 +268,76 @@ class TestHypersurfaceBlockSolve:
             assert samples.rho_values.tobytes() == np.array(rho_values).tobytes()
 
 
+class TestStackedLeastSquares:
+    """Each Gauss–Newton iteration solves the steps of all live draws with
+    one call of the ``lstsq`` gufunc; row by row it must return the bits of
+    the public ``np.linalg.lstsq``, so that a NumPy release that changes
+    them fails here instead of moving the samples silently."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_steps_match_per_system_lstsq(self, n):
+        rng = np.random.default_rng(n)
+        matrices = rng.standard_normal((700, 3, 2 * n))
+        rhs = rng.standard_normal((700, 3))
+        # Every seventh system has rank two: its last row is a combination
+        # of the first two.
+        matrices[::7, 2] = 2.0 * matrices[::7, 0] - 0.5 * matrices[::7, 1]
+        # All-zero rows: a vanishing gradient of h, and a zero system.
+        matrices[3, :2] = 0.0
+        matrices[5] = 0.0
+        steps = varieties._least_squares(matrices, rhs)
+        expected = np.array(
+            [np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(matrices, rhs)]
+        )
+        assert (steps.shape, steps.dtype) == (expected.shape, expected.dtype)
+        assert steps.tobytes() == expected.tobytes()
+
+    def test_unconverged_svd_raises_as_lstsq_does(self):
+        rng = np.random.default_rng(0)
+        matrices = rng.standard_normal((5, 3, 6))
+        rhs = rng.standard_normal((5, 3))
+        matrices[2, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError) as public:
+            np.linalg.lstsq(matrices[2], rhs[2], rcond=None)
+        with pytest.raises(np.linalg.LinAlgError) as stacked:
+            varieties._least_squares(matrices, rhs)
+        assert str(stacked.value) == str(public.value)
+
+    def test_one_stacked_call_per_iteration(self):
+        stacked = varieties._LSTSQ
+        make_step = varieties._hypersurface_step
+        blocks = []
+
+        def counting(matrices, *args, **kwargs):
+            blocks[-1][1].append(len(matrices))
+            return stacked(matrices, *args, **kwargs)
+
+        def recording_step(surface, epsilon):
+            step = make_step(surface, epsilon)
+
+            def recorded(raw, norms):
+                blocks.append((len(raw), []))
+                return step(raw, norms)
+
+            return recorded
+
+        def per_draw(*args, **kwargs):
+            raise AssertionError("the sampler called np.linalg.lstsq")
+
+        with patch.object(varieties, "_LSTSQ", counting), \
+                patch.object(varieties, "_hypersurface_step", recording_step), \
+                patch.object(np.linalg, "lstsq", per_draw), \
+                patch.object(varieties, "_DRAWS_PER_BLOCK", 25):
+            assert len(sample_points(BRIESKORN, 0.01, 100, seed=1)) == 100
+        assert len(blocks) >= 4
+        for draws, sizes in blocks:
+            # The first iteration solves every draw of the block at once,
+            # each later one the draws still iterating.
+            assert 1 <= len(sizes) <= varieties._MAX_ITERATIONS
+            assert sizes[0] == draws
+            assert sizes == sorted(sizes, reverse=True)
+
+
 class TestDrawNorms:
     @pytest.mark.parametrize("n", [3, 4])
     def test_norms_are_the_per_row_norms(self, n):
