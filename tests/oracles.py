@@ -11,7 +11,7 @@ rows (the package reads them off the graph's adjacency).  Agreement
 between such different routes is the evidence the acceptance battery rests
 on.
 
-Two entries are exceptions.  The sampler references solve one draw at a
+Some entries are exceptions.  The sampler references solve one draw at a
 time with scalar arithmetic (a radial root-find for charts, damped
 Gauss–Newton for hypersurfaces), and the contact point record is built
 one sample at a time; the package's block solves and block records must

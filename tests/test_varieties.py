@@ -285,6 +285,10 @@ class TestStackedLeastSquares:
         # All-zero rows: a vanishing gradient of h, and a zero system.
         matrices[3, :2] = 0.0
         matrices[5] = 0.0
+        # Singular values 1, 1 and 3.5 eps: the default rcond, eps * 2n,
+        # cuts the last one, and a cutoff of eps * 3 would not.
+        matrices[6] = 0.0
+        matrices[6, [0, 1, 2], [0, 1, 2]] = (1.0, 1.0, 3.5 * np.finfo(float).eps)
         steps = varieties._least_squares(matrices, rhs)
         expected = np.array(
             [np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(matrices, rhs)]
