@@ -35,7 +35,6 @@ from .errors import (
     NotMilnorFillable,
     NotNegativeDefinite,
     NumericalFinding,
-    OnBinding,
     PolynomialSyntaxError,
     SamplingFailed,
     SingularMetric,

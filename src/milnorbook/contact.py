@@ -175,13 +175,20 @@ class _Block:
         self.norm_sq[kept] = norm_sq[positive]
         self.reeb[kept] = 1j * gradient[positive] / norm_sq[positive, None]
 
-    def check(self, rows, reeb: bool) -> None:
+    def check(self, rows, reeb) -> None:
         """Raise the error of the first of ``rows`` whose tangent stage failed
-        or, with ``reeb``, whose Reeb stage failed."""
+        or, where ``reeb`` holds (one flag, or a mask over the block's rows),
+        whose Reeb stage failed."""
+        reeb = np.broadcast_to(reeb, len(self.samples))
         for row in rows if self.failures else ():
             error = self.failures.get(row)
-            if error is not None and (reeb or isinstance(error, DegenerateTangent)):
+            if error is not None and (reeb[row] or isinstance(error, DegenerateTangent)):
                 raise error
+
+    def on_binding(self, f: Polynomial) -> np.ndarray:
+        """Whether ``f`` is numerically zero at each row, by :func:`_on_binding`."""
+        rows = zip(self.values.tolist(), self.samples.rho_values.tolist())
+        return np.array([_on_binding(f, z, level) for z, level in rows], dtype=bool)
 
     def project(self, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
         """h-orthogonal projection of each ``w[i]`` away from the complex line
@@ -210,6 +217,11 @@ class _Block:
 def _dtheta(f_rows: np.ndarray, values: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``d theta(w) = Im(df(w) / f)`` for ``theta = arg f``, row by row."""
     return ((f_rows[:, None, :] @ w[:, :, None])[:, 0, 0] / values).imag
+
+
+def _abs_sq(values: np.ndarray) -> np.ndarray:
+    """``|f|^2`` at each row; ``np.hypot`` rounds as Python's ``abs`` does."""
+    return np.hypot(values.real, values.imag) ** 2
 
 
 def _h_norm_sq(hermitian: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -370,20 +382,18 @@ def rescaled_reeb_identity(
     skipped = 0
     for start in range(0, len(samples), _DRAWS_PER_BLOCK):
         block = _Block(v, samples[start : start + _DRAWS_PER_BLOCK], f, True)
-        kept = []
-        levels = block.samples.rho_values.tolist()
-        # Sample by sample, so that the first sample's error is the one raised.
-        for row, value in enumerate(block.values.tolist()):
-            block.check((row,), False)
-            if _on_binding(f, value, levels[row]):
-                skipped += 1
-                continue
-            block.check((row,), True)
-            weight = float(c) * float(abs(value) ** 2)
-            kept.append((row, weight, math.exp(weight)))
-        if not kept:
-            continue
-        rows, weights, factors = map(np.array, zip(*kept))
+        off = ~block.on_binding(f)
+        rows = np.flatnonzero(off)
+        skipped += len(off) - len(rows)
+        weights = float(c) * _abs_sq(block.values[rows])
+        factors = []  # math.exp: np.exp rounds differently and never raises
+        try:
+            factors.extend(math.exp(weight) for weight in weights.tolist())
+        except OverflowError:  # a failing row up to the overflowing one comes first
+            block.check(range(rows[len(factors)] + 1), off)
+            raise
+        block.check(range(len(off)), off)
+        factors = np.array(factors)
         theta = block.theta(rows)
         correction = block.project(rows, (2.0 * weights)[:, None] * theta.grad_theta)
         rescaled = factors[:, None] * (block.reeb[rows] + correction)
@@ -391,6 +401,24 @@ def rescaled_reeb_identity(
         rhs = factors * (theta.dtheta_reeb + 2.0 * weights * theta.transverse_sq)
         residuals.extend((np.abs(lhs - rhs) / (1.0 + np.abs(lhs))).tolist())
     return residuals, skipped
+
+
+def _mesh(v, f: Polynomial, epsilon: float, eta: float | None, mesh: int, seed: int):
+    """The mesh checks' prologue: ``mesh`` samples, ``|f|^2`` at each (block by
+    block) and ``eta``, by default ``DEFAULT_ETA_FRACTION`` of the largest."""
+    if mesh < 1:
+        raise InvalidMesh(f"mesh size must be positive, got {mesh}")
+    samples = sample_points(v, epsilon, mesh, seed)
+    f_block = PolynomialBlock((f,))
+    sizes_sq = np.empty(len(samples))
+    for start in range(0, len(samples), _DRAWS_PER_BLOCK):
+        rows = slice(start, start + _DRAWS_PER_BLOCK)
+        sizes_sq[rows] = _abs_sq(f_block.evaluate(samples.points[rows])[:, 0])
+    if eta is None:
+        eta = DEFAULT_ETA_FRACTION * float(np.max(sizes_sq))
+    if not (eta > 0.0):
+        raise InputError(f"eta must be positive, got {eta!r}")
+    return samples, sizes_sq, eta
 
 
 @dataclass(frozen=True)
@@ -443,16 +471,8 @@ def find_adaptation_constant(
     :class:`ConeViolation` when some retained point has ``d theta(R) <= 0``
     but no transverse component of ``grad theta`` to rescale along.
     """
-    if mesh < 1:
-        raise InvalidMesh(f"mesh size must be positive, got {mesh}")
-    samples = sample_points(v, epsilon, mesh, seed)
-    values = PolynomialBlock((f,)).evaluate(samples.points)[:, 0]
-    sizes_sq = np.abs(values) ** 2
+    samples, sizes_sq, eta = _mesh(v, f, epsilon, eta, mesh, seed)
     max_size_sq = float(np.max(sizes_sq))
-    if eta is None:
-        eta = DEFAULT_ETA_FRACTION * max_size_sq
-    if not (eta > 0.0):
-        raise InputError(f"eta must be positive, got {eta!r}")
     if eta >= max_size_sq:
         raise InputError(
             f"eta={eta!r} is not below max |f|^2 = {max_size_sq!r} on the mesh"
@@ -464,7 +484,7 @@ def find_adaptation_constant(
     for start in range(0, len(samples), _DRAWS_PER_BLOCK):
         block = _Block(v, samples[start : start + _DRAWS_PER_BLOCK], f, True)
         rows = np.flatnonzero(sizes_sq[start : start + _DRAWS_PER_BLOCK] >= eta)
-        block.check(rows.tolist(), True)
+        block.check(rows, True)
         theta = block.theta(rows)
         columns.append((
             theta.dtheta_reeb, theta.transverse_sq, theta.grad_theta_sq,
@@ -570,16 +590,10 @@ def lambda_cone_check(
     max_arg: float | None = None
     for start in range(0, len(samples), _DRAWS_PER_BLOCK):
         block = _Block(v, samples[start : start + _DRAWS_PER_BLOCK], f, True)
-        rows = []
-        levels = block.samples.rho_values.tolist()
-        # Sample by sample, so that the first sample's error is the one raised.
-        for row, value in enumerate(block.values.tolist()):
-            if _on_binding(f, value, levels[row]):
-                skipped += 1
-                continue
-            block.check((row,), True)
-            rows.append(row)
-        rows = np.array(rows, dtype=int)
+        # A sample on the binding is skipped whatever fails there.
+        rows = np.flatnonzero(~block.on_binding(f))
+        skipped += len(block.samples) - len(rows)
+        block.check(rows, True)
         theta = block.theta(rows)
         theta_norm = np.sqrt(np.maximum(theta.grad_theta_sq, 0.0))
         near = theta_norm != 0.0
@@ -656,30 +670,16 @@ def openbook_criterion_check(
     region the mesh never touches makes that check vacuous, which the
     report states explicitly.
     """
-    if mesh < 1:
-        raise InvalidMesh(f"mesh size must be positive, got {mesh}")
-    samples = sample_points(v, epsilon, mesh, seed)
-    values = PolynomialBlock((f,)).evaluate(samples.points)[:, 0].tolist()
-    sizes = [abs(value) ** 2 for value in values]
-    if eta is None:
-        eta = DEFAULT_ETA_FRACTION * max(sizes)
-    if not (eta > 0.0):
-        raise InputError(f"eta must be positive, got {eta!r}")
+    samples, sizes_sq, eta = _mesh(v, f, epsilon, eta, mesh, seed)
     min_dtheta: float | None = None
     min_df: float | None = None
-    sizes = np.array(sizes)
-    outside, inside = int(np.sum(sizes >= eta)), int(np.sum(sizes <= eta))
+    outside, inside = int(np.sum(sizes_sq >= eta)), int(np.sum(sizes_sq <= eta))
     for start in range(0, len(samples), _DRAWS_PER_BLOCK):
         block = _Block(v, samples[start : start + _DRAWS_PER_BLOCK], f, False)
-        outer = sizes[start : start + _DRAWS_PER_BLOCK] >= eta
-        inner = sizes[start : start + _DRAWS_PER_BLOCK] <= eta
-        binding = np.zeros(len(outer), dtype=bool)
-        levels = block.samples.rho_values.tolist()
-        # Sample by sample, so that the first sample's error is the one raised.
-        for row, value in enumerate(block.values.tolist()):
-            block.check((row,), False)
-            if outer[row]:
-                binding[row] = _on_binding(f, value, levels[row])
+        block.check(range(len(block.samples)), False)
+        outer = sizes_sq[start : start + _DRAWS_PER_BLOCK] >= eta
+        inner = sizes_sq[start : start + _DRAWS_PER_BLOCK] <= eta
+        binding = outer & block.on_binding(f)
         level_basis = _level_basis(block.ell)
         transverse = outer & ~binding
         dtheta = _im_covector(block.f_rows[transverse] / block.values[transverse, None])

@@ -148,10 +148,6 @@ class ZeroGradient(NumericalFinding):
     """The level-function gradient vanishes; no Reeb direction exists."""
 
 
-class OnBinding(NumericalFinding):
-    """The sample lies on (or numerically on) the zero set of f."""
-
-
 class ConeViolation(NumericalFinding):
     """A mesh point has non-positive rotation speed and no usable
     correction term; no adaptation constant can be certified here."""

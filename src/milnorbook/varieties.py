@@ -21,14 +21,15 @@ blocks of points.
 :func:`sample_points` runs one accept loop over blocks of random ambient
 directions; the model's step takes a block, solves each draw onto the
 level set or rejects it, and returns the accepted rows' arrays, which the
-model stacks into one :class:`Samples` record.  For charts the step builds
-the radial profiles of the whole block and finds their roots together
-(bracket doubling, bisection and Newton polishing as array Horner loops);
-for hypersurfaces it runs a damped Gauss–Newton iteration on
-``(Re h, Im h, rho - epsilon)`` for all draws of the block together, each
-with its own line search, and only the least-squares step solved draw by
-draw.  Polynomials are
-evaluated on the whole block by :class:`~milnorbook.polynomials.PolynomialBlock`.
+loop copies into arrays preallocated for the requested count and the model
+turns into one :class:`Samples` record.  For charts the step builds the
+radial profiles of the whole block and finds their roots together (bracket
+doubling, bisection and Newton polishing as array Horner loops); for
+hypersurfaces it runs a damped Gauss–Newton iteration on ``(Re h, Im h,
+rho - epsilon)`` for all draws of the block together, each with its own
+line search, and the steps of all live draws from one stacked
+least-squares call per iteration.  Polynomials are evaluated on the whole
+block by :class:`~milnorbook.polynomials.PolynomialBlock`.
 Sampling is bitwise deterministic for a fixed seed, and independent of the
 block size: the block solves reproduce the one-draw-at-a-time scalar
 solves bit for bit.
@@ -153,10 +154,9 @@ class SmoothChart:
         shape = (len(points), self.target_dim, self.dim)
         return self._components_block.evaluate(points), jacobians.reshape(shape)
 
-    def _samples(self, blocks: list[tuple[np.ndarray, ...]]) -> Samples:
-        """The record of the accepted ``(points, rho_values)`` blocks; every
-        basis is the one read-only identity, broadcast."""
-        points, rho_values = (np.concatenate(part) for part in zip(*blocks))
+    def _samples(self, points, rho_values) -> Samples:
+        """The record of the accepted rows; every basis is the one read-only
+        identity, broadcast."""
         bases = np.broadcast_to(self._identity, (len(points), *self._identity.shape))
         return Samples(points, bases, rho_values)
 
@@ -204,11 +204,10 @@ class Hypersurface:
         bound = self.defining.magnitude_bound(math.sqrt(epsilon))
         return max(bound, np.finfo(float).tiny)
 
-    def _samples(self, blocks: list[tuple[np.ndarray, ...]]) -> Samples:
-        """The record of the accepted ``(points, rho_values, gradients)``
-        blocks; the bases are :func:`_kernel_bases` of all the gradients,
-        in its layout: products on another layout round differently."""
-        points, rho_values, gradients = (np.concatenate(part) for part in zip(*blocks))
+    def _samples(self, points, rho_values, gradients) -> Samples:
+        """The record of the accepted rows; the bases are :func:`_kernel_bases`
+        of the gradients, in its layout: products on another layout round
+        differently."""
         return Samples(points, _kernel_bases(gradients), rho_values)
 
     def __repr__(self) -> str:
@@ -492,10 +491,10 @@ def sample_points(v, epsilon: float, count: int, seed: int) -> Samples:
     draws.  Each draw is solved onto the level set (a radial root-find for
     charts; damped Gauss–Newton on ``(Re h, Im h, rho - epsilon)`` for
     hypersurfaces; either for the whole block at once) and rejected if it
-    does not converge to the module's tolerances.  Returns one record,
-    row ``i`` the ``i``-th accepted draw; zero draws are skipped.  Raises
-    :class:`SamplingFailed` when fewer than ``count`` draws are accepted
-    within the attempt budget of ten draws per requested sample (a
+    does not converge to the module's tolerances.  Returns one record, filled
+    in place, row ``i`` the ``i``-th accepted draw; zero draws are skipped.
+    Raises :class:`SamplingFailed` when fewer than ``count`` draws are
+    accepted within the attempt budget of ten draws per requested sample (a
     conversion rate below 10%), or when ``epsilon`` is not positive, and
     :class:`InputError` for a negative seed.
     """
@@ -513,7 +512,7 @@ def sample_points(v, epsilon: float, count: int, seed: int) -> Samples:
         raise InputError(f"seed must be non-negative, got {seed}")
     n = v.ambient_dim
     rng = np.random.default_rng(seed)
-    blocks = []
+    record: list[np.ndarray] = []
     accepted = 0
     attempts = 0
     budget = max(_ATTEMPTS_PER_SAMPLE * count, 50)
@@ -526,12 +525,16 @@ def sample_points(v, epsilon: float, count: int, seed: int) -> Samples:
         raw = draws[:, 0] + 1j * draws[:, 1]
         norms = _row_norms(raw)
         drawn = norms != 0.0
-        blocks.append(step(raw[drawn], norms[drawn]))
-        accepted += len(blocks[-1][0])
+        parts = step(raw[drawn], norms[drawn])
+        # The record is filled in place: no block outlives its step.
+        record = record or [np.empty((count, *p.shape[1:]), p.dtype) for p in parts]
+        for column, part in zip(record, parts):
+            column[accepted : accepted + len(part)] = part
+        accepted += len(parts[0])
     if accepted < count:
         raise SamplingFailed(
             f"only {accepted} of {count} requested samples converged "
             f"after {attempts} draws (rate below "
             f"{1 / _ATTEMPTS_PER_SAMPLE:.0%})"
         )
-    return v._samples(blocks)
+    return v._samples(*record)

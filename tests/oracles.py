@@ -54,7 +54,7 @@ from milnorbook.contact import (
     _real_blocks,
     _stencil,
 )
-from milnorbook.errors import OnBinding, SingularMetric
+from milnorbook.errors import NumericalFinding, SingularMetric
 from milnorbook.graphs import _cell_members, _isomorphisms, _search_order
 from milnorbook.polynomials import PolynomialBlock
 from milnorbook.suites import iter_edge_euler_classes
@@ -536,6 +536,10 @@ def eval_forms(v, p: Samples) -> FormsAtPoint:
         reeb=block.reeb[0],
         grad_rho_norm_sq=float(block.norm_sq[0]),
     )
+
+
+class OnBinding(NumericalFinding):
+    """The sample lies on (or numerically on) the zero set of f."""
 
 
 def gradient_identity_residuals(

@@ -1,5 +1,6 @@
 """Pointwise contact structures: frozen hand checks, identities, findings."""
 
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -24,6 +25,7 @@ from milnorbook import (
 )
 from milnorbook.contact import DEFAULT_ETA_FRACTION
 from oracles import (
+    OnBinding,
     eval_forms,
     gradient_identity_residuals,
     per_sample_contact_record,
@@ -33,7 +35,6 @@ from milnorbook.errors import (
     DegenerateTangent,
     InputError,
     InvalidMesh,
-    OnBinding,
     SingularMetric,
     ZeroGradient,
 )
@@ -300,6 +301,40 @@ class TestErrorOrder:
         report = lambda_cone_check(self.CRITICAL, f, samples)
         assert (report.total, report.skipped_on_binding) == (2, 1)
 
+    def test_identity_skips_a_reeb_stage_failure_on_the_binding(self):
+        # f vanishes at 1.0, where d rho does; the rank loss at 0.5 is next.
+        samples = self.samples(1.0, 0.5)
+        with pytest.raises(DegenerateTangent):
+            rescaled_reeb_identity(self.CRITICAL, parse_polynomial("z0 - 1", 1), 1.0, samples)
+        with pytest.raises(ZeroGradient):
+            rescaled_reeb_identity(self.CRITICAL, parse_polynomial("z0 + 2", 1), 1.0, samples)
+
+    def test_cone_skips_a_binding_sample_whatever_fails_there(self):
+        # (z0 - 1)(z0 - 0.5) vanishes at both failing samples.
+        f = parse_polynomial("z0^2 - 1.5 z0 + 0.5", 1)
+        report = lambda_cone_check(self.CRITICAL, f, self.samples(1.0, 0.5, 0.3))
+        assert (report.total, report.skipped_on_binding) == (3, 2)
+        with pytest.raises(ZeroGradient):  # the first failure off the binding
+            lambda_cone_check(self.CRITICAL, parse_polynomial("z0 - 0.5", 1),
+                              self.samples(0.5, 1.0, 0.3))
+
+    @pytest.mark.parametrize("eta", [0.01, 1.0])
+    def test_criterion_raises_the_first_tangent_failure_on_either_side_of_eta(self, eta):
+        # |f|^2 = 0.25 at the rank loss; the Reeb stage failure at 1.0 is
+        # not the criterion's to raise.
+        samples = self.samples(0.3, 1.0, 0.5)
+        f = parse_polynomial("z0", 1)
+        with patch.object(contact, "sample_points", lambda *args: samples):
+            with pytest.raises(DegenerateTangent):
+                openbook_criterion_check(self.CRITICAL, f, 0.01, eta, 3, seed=0)
+
+    def test_overflow_is_met_in_sample_order(self):
+        f = parse_polynomial("z0 + 2", 1)
+        with pytest.raises(OverflowError):
+            rescaled_reeb_identity(self.CRITICAL, f, 1e12, self.samples(0.3, 1.0))
+        with pytest.raises(ZeroGradient):
+            rescaled_reeb_identity(self.CRITICAL, f, 1e12, self.samples(1.0, 0.3))
+
     def test_singular_rows_leave_the_stacked_solve(self):
         # H is exactly singular at every sample of a wide chart.
         wide = SmoothChart(2, (Polynomial.variable(2, 0),))
@@ -526,6 +561,27 @@ class TestOpenBookCriterion:
         report = openbook_criterion_check(PLANE, f, 0.01, 1e-12, 100, seed=0)
         assert report.second_vacuous
         assert report.min_df_norm is None
+
+    def test_one_cutoff_for_adapt_and_criterion(self):
+        f = parse_polynomial("z0^2 + z1^3", 2)
+        retained = find_adaptation_constant(PLANE, f, 0.01, 1e-5, 400, seed=3).retained
+        report = openbook_criterion_check(PLANE, f, 0.01, 1e-5, 400, seed=3)
+        assert 0 < retained == report.outside_count < 400
+
+    def test_mesh_memory_is_one_record_and_one_cutoff_array(self):
+        """At mesh 10^5 the check peaks at 9.3 MB under tracemalloc: the 4.0
+        MB record, 0.8 MB of |f|^2 and block temporaries.  Lists of f and
+        |f|^2 over the mesh, and a record held twice, peaked at 21.6 MB."""
+        f = parse_polynomial("z0^2 + z1^3", 2)
+        openbook_criterion_check(PLANE, f, 0.01, None, 10, seed=0)  # first-call imports
+        tracemalloc.start()
+        try:
+            report = openbook_criterion_check(PLANE, f, 0.01, None, 100_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.mesh == 100_000
+        assert peak < 15_000_000
 
     def test_mesh_validation(self):
         f = parse_polynomial("z0", 2)
