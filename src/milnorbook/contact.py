@@ -38,7 +38,7 @@ SVD of ``A_T``, stacked solves and batched products, never per sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -185,10 +185,24 @@ class _Block:
             if error is not None and (reeb[row] or isinstance(error, DegenerateTangent)):
                 raise error
 
-    def on_binding(self, f: Polynomial) -> np.ndarray:
-        """Whether ``f`` is numerically zero at each row, by :func:`_on_binding`."""
-        rows = zip(self.values.tolist(), self.samples.rho_values.tolist())
-        return np.array([_on_binding(f, z, level) for z, level in rows], dtype=bool)
+    def on_binding(self, f: Polynomial, rows, tangent_first: bool) -> np.ndarray:
+        """Whether ``f`` is numerically zero at each of ``rows`` (False at the
+        other rows), by :func:`_on_binding`.  An overflow there comes after the
+        failures met before it in sample order: each row's tangent stage comes
+        first if ``tangent_first``, else a row on the binding is not checked."""
+        binding = np.zeros(len(self.samples), dtype=bool)
+        values, levels = self.values.tolist(), self.samples.rho_values.tolist()
+        for row in rows:
+            try:
+                binding[row] = _on_binding(f, values[row], levels[row])
+            except OverflowError:
+                if tangent_first:
+                    binding[row] = True  # its Reeb stage comes after
+                    self.check(range(row + 1), ~binding)
+                else:
+                    self.check(np.flatnonzero(~binding[:row]), True)
+                raise
+        return binding
 
     def project(self, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
         """h-orthogonal projection of each ``w[i]`` away from the complex line
@@ -219,9 +233,10 @@ def _dtheta(f_rows: np.ndarray, values: np.ndarray, w: np.ndarray) -> np.ndarray
     return ((f_rows[:, None, :] @ w[:, :, None])[:, 0, 0] / values).imag
 
 
-def _abs_sq(values: np.ndarray) -> np.ndarray:
-    """``|f|^2`` at each row; ``np.hypot`` rounds as Python's ``abs`` does."""
-    return np.hypot(values.real, values.imag) ** 2
+def _abs_sq(value: complex) -> float:
+    """``|f|^2`` at one value of ``f``: ``np.abs`` rounds differently, and
+    NumPy's square returns inf where Python's raises OverflowError."""
+    return abs(value) ** 2
 
 
 def _h_norm_sq(hermitian: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -382,18 +397,19 @@ def rescaled_reeb_identity(
     skipped = 0
     for start in range(0, len(samples), _DRAWS_PER_BLOCK):
         block = _Block(v, samples[start : start + _DRAWS_PER_BLOCK], f, True)
-        off = ~block.on_binding(f)
+        off = ~block.on_binding(f, range(len(block.samples)), True)
         rows = np.flatnonzero(off)
         skipped += len(off) - len(rows)
-        weights = float(c) * _abs_sq(block.values[rows])
-        factors = []  # math.exp: np.exp rounds differently and never raises
-        try:
-            factors.extend(math.exp(weight) for weight in weights.tolist())
-        except OverflowError:  # a failing row up to the overflowing one comes first
-            block.check(range(rows[len(factors)] + 1), off)
-            raise
+        weights, factors = [], []
+        for row, value in zip(rows.tolist(), block.values[rows].tolist()):
+            try:  # math.exp: np.exp rounds differently and never raises
+                weights.append(float(c) * _abs_sq(value))
+                factors.append(math.exp(weights[-1]))
+            except OverflowError:  # a failure up to this row comes first
+                block.check(range(row + 1), off)
+                raise
         block.check(range(len(off)), off)
-        factors = np.array(factors)
+        weights, factors = np.array(weights), np.array(factors)
         theta = block.theta(rows)
         correction = block.project(rows, (2.0 * weights)[:, None] * theta.grad_theta)
         rescaled = factors[:, None] * (block.reeb[rows] + correction)
@@ -413,7 +429,8 @@ def _mesh(v, f: Polynomial, epsilon: float, eta: float | None, mesh: int, seed: 
     sizes_sq = np.empty(len(samples))
     for start in range(0, len(samples), _DRAWS_PER_BLOCK):
         rows = slice(start, start + _DRAWS_PER_BLOCK)
-        sizes_sq[rows] = _abs_sq(f_block.evaluate(samples.points[rows])[:, 0])
+        values = f_block.evaluate(samples.points[rows])[:, 0].tolist()
+        sizes_sq[rows] = [_abs_sq(value) for value in values]
     if eta is None:
         eta = DEFAULT_ETA_FRACTION * float(np.max(sizes_sq))
     if not (eta > 0.0):
@@ -437,18 +454,7 @@ class AdaptationReport:
     min_dtheta_rescaled: float
 
     def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "verified": self.verified,
-            "m": self.m,
-            "k": None if math.isinf(self.k) else self.k,
-            "epsilon": self.epsilon,
-            "eta": self.eta,
-            "mesh": self.mesh,
-            "retained": self.retained,
-            "min_dtheta_reeb": self.min_dtheta_reeb,
-            "min_dtheta_rescaled": self.min_dtheta_rescaled,
-        }
+        return {**asdict(self), "k": None if math.isinf(self.k) else self.k}
 
 
 def find_adaptation_constant(
@@ -557,16 +563,7 @@ class LambdaConeReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "qualifying": self.qualifying,
-            "skipped_on_binding": self.skipped_on_binding,
-            "proportionality_tol": self.proportionality_tol,
-            "min_re_lambda": self.min_re_lambda,
-            "max_abs_arg_lambda": self.max_abs_arg_lambda,
-            "all_positive": self.all_positive,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def lambda_cone_check(
@@ -591,7 +588,7 @@ def lambda_cone_check(
     for start in range(0, len(samples), _DRAWS_PER_BLOCK):
         block = _Block(v, samples[start : start + _DRAWS_PER_BLOCK], f, True)
         # A sample on the binding is skipped whatever fails there.
-        rows = np.flatnonzero(~block.on_binding(f))
+        rows = np.flatnonzero(~block.on_binding(f, range(len(block.samples)), False))
         skipped += len(block.samples) - len(rows)
         block.check(rows, True)
         theta = block.theta(rows)
@@ -638,17 +635,7 @@ class OpenBookCriterionReport:
     second_vacuous: bool
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "eta": self.eta,
-            "mesh": self.mesh,
-            "outside_count": self.outside_count,
-            "inside_count": self.inside_count,
-            "min_dtheta_norm": self.min_dtheta_norm,
-            "min_df_norm": self.min_df_norm,
-            "first_vacuous": self.first_vacuous,
-            "second_vacuous": self.second_vacuous,
-        }
+        return asdict(self)
 
 
 def openbook_criterion_check(
@@ -676,10 +663,10 @@ def openbook_criterion_check(
     outside, inside = int(np.sum(sizes_sq >= eta)), int(np.sum(sizes_sq <= eta))
     for start in range(0, len(samples), _DRAWS_PER_BLOCK):
         block = _Block(v, samples[start : start + _DRAWS_PER_BLOCK], f, False)
-        block.check(range(len(block.samples)), False)
         outer = sizes_sq[start : start + _DRAWS_PER_BLOCK] >= eta
         inner = sizes_sq[start : start + _DRAWS_PER_BLOCK] <= eta
-        binding = outer & block.on_binding(f)
+        binding = block.on_binding(f, np.flatnonzero(outer).tolist(), True)
+        block.check(range(len(block.samples)), False)
         level_basis = _level_basis(block.ell)
         transverse = outer & ~binding
         dtheta = _im_covector(block.f_rows[transverse] / block.values[transverse, None])

@@ -112,8 +112,11 @@ class TestExitCodes:
             # exp(c |f|^2) in the rescaled Reeb field.
             ["identity", "--ambient", "2", "--f", "z0^2+z1^3", "--c", "1e12",
              "--samples", "5"],
+            # |f|^2 squared as Python squares, in the mesh and the weights.
+            ["criterion", "--ambient", "2", "--f", "1e160 z0"],
+            ["identity", "--ambient", "2", "--f", "1e160 z0", "--c", "1"],
         ],
-        ids=["magnitude_bound", "evaluate", "exp"],
+        ids=["magnitude_bound", "evaluate", "exp", "square-mesh", "square-weight"],
     )
     def test_overflow_is_a_numerical_finding(self, capsys, args):
         code, out, err = run(capsys, "contact", *args)

@@ -335,6 +335,28 @@ class TestErrorOrder:
         with pytest.raises(ZeroGradient):
             rescaled_reeb_identity(self.CRITICAL, f, 1e12, self.samples(1.0, 0.3))
 
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_a_square_overflow_is_met_in_sample_order(self, c):
+        # |f|^2 = (2.3e160)^2 at 0.3; Python's square raises, NumPy's is inf.
+        f = parse_polynomial("1e160 z0 + 2e160", 1)
+        with pytest.raises(OverflowError):
+            rescaled_reeb_identity(self.CRITICAL, f, c, self.samples(0.3, 1.0))
+        with pytest.raises(ZeroGradient):
+            rescaled_reeb_identity(self.CRITICAL, f, c, self.samples(1.0, 0.3))
+
+    def test_a_binding_overflow_is_met_in_sample_order(self):
+        # |f| = hypot(1.7e308, 7e307) overflows at 0.7 + 0.7i, after the rank
+        # loss at 0.5 in identity and cone alike.
+        f = parse_polynomial("1e308 z0 + 1e308", 1)
+        for check in (
+            lambda samples: rescaled_reeb_identity(self.CRITICAL, f, 0.0, samples),
+            lambda samples: lambda_cone_check(self.CRITICAL, f, samples),
+        ):
+            with pytest.raises(DegenerateTangent):
+                check(self.samples(0.5, 0.7 + 0.7j))
+            with pytest.raises(OverflowError):
+                check(self.samples(0.7 + 0.7j, 0.5))
+
     def test_singular_rows_leave_the_stacked_solve(self):
         # H is exactly singular at every sample of a wide chart.
         wide = SmoothChart(2, (Polynomial.variable(2, 0),))
