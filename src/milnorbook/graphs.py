@@ -7,16 +7,17 @@ curves a good resolution glues along are smooth, so a component never meets
 itself, while two distinct components may meet several times (multi-edges).
 The intersection form I has diagonal e_i and off-diagonal entries the edge
 multiplicities, so the graph carries its own form: its adjacency, built
-once on construction, gives every product I . m sparsely and the dense rows
-when an elimination needs them.  Negative definiteness of I is the
-fillability criterion and is decided in exact integer arithmetic, never
-floating point, by the one fraction-free elimination that also solves
-I x = rhs.  Vertex orbits and isomorphisms come from one backtracking
-search, pruned by the equitable partition of the weighted graph.
+once on construction, gives every product I . m and every elimination
+sparsely.  Negative definiteness of I is the fillability criterion and is
+decided in exact integer arithmetic, never floating point, by the one
+fraction-free elimination that also solves I x = rhs.  Vertex orbits and
+isomorphisms come from one backtracking search, pruned by the equitable
+partition of the weighted graph; a tree's orbits need no search.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -61,9 +62,9 @@ class PlumbingGraph:
     ``edges`` stores each unordered pair as (min, max); a pair repeated k
     times is an edge of multiplicity k.  Instances are validated on
     construction, so every reachable value satisfies the type invariants.
-    ``adjacency[i]`` maps each neighbour j of i to the multiplicity k_ij;
-    it is derived from ``edges`` once, takes no part in equality or
-    hashing, and must not be modified.
+    ``adjacency[i]`` maps each neighbour j of i, ascending, to the edge
+    multiplicity k_ij; it is derived from the sorted ``edges`` once, takes
+    no part in equality or hashing, and must not be modified.
     """
 
     genus: tuple[int, ...]
@@ -99,16 +100,9 @@ class PlumbingGraph:
         self._check_connected()
 
     def _check_connected(self):
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for w in self.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if len(seen) != self.vertex_count:
-            raise Disconnected(min(set(range(self.vertex_count)) - seen))
+        reached = _search_order(self.adjacency, 0)
+        if len(reached) != self.vertex_count:
+            raise Disconnected(min(set(range(self.vertex_count)).difference(reached)))
 
     @property
     def vertex_count(self) -> int:
@@ -276,11 +270,12 @@ def _form_product(g: PlumbingGraph, m: Sequence[int]) -> list[int]:
     ]
 
 
-def _as_rows(m) -> Sequence[Sequence[int]]:
-    """Rows of a form: a validated graph's as they are, raw rows checked to
-    be integer, square and symmetric."""
+def _as_rows(m) -> list[dict[int, int]]:
+    """Sparse rows ``{column: entry}`` of a form, diagonal included: a
+    validated graph's read off its adjacency, raw rows checked to be
+    integer, square and symmetric."""
     if isinstance(m, PlumbingGraph):
-        return intersection_matrix(m)
+        return [{i: e, **near} for i, (e, near) in enumerate(zip(m.euler, m.adjacency))]
     rows = [[_integer(x, "matrix entry") for x in row] for row in m]
     r = len(rows)
     for row in rows:
@@ -290,91 +285,84 @@ def _as_rows(m) -> Sequence[Sequence[int]]:
         for j in range(i + 1, r):
             if rows[i][j] != rows[j][i]:
                 raise InputError("matrix must be symmetric")
-    return rows
+    return [
+        {j: x for j, x in enumerate(row) if x or i == j} for i, row in enumerate(rows)
+    ]
 
 
-def _eliminate(entries, rhs, negative_definite):
-    """Fraction-free (Bareiss) elimination of a symmetric integer matrix.
+def _eliminate(rows, rhs):
+    """Fraction-free (Bareiss) symmetric elimination of sparse rows, each
+    holding its diagonal, which it consumes: ``(numerators, det)`` of the
+    solution of ``rows . x = rhs`` (numerators None without ``rhs``), or
+    None at the first pivot that refutes negative definiteness.
 
-    Rows are eliminated in index order, so the k-th pivot is the (k+1)-st
-    leading principal minor p_k.  A row whose entry in the pivot column is
-    zero is skipped: its Bareiss update would only rescale it by
-    p_k / p_{k-1}, and these factors telescope, so the row keeps the step
-    it was last touched at and is brought up to date, by one exact
-    division, when it is next touched.  On a tree-like form each step then
-    updates only the rows of the pivot's later neighbours instead of the
-    whole trailing block.
-
-    With ``negative_definite`` the elimination stops, returning None, at
-    the first pivot whose sign is not (-1)^(k+1); otherwise a zero leading
-    minor is passed by exchanging rows, and a singular matrix raises
-    :class:`InputError`.  With ``rhs`` the augmented column is carried
-    along and ``(numerators, denominator)`` of the exact solution of
-    ``entries . x = rhs`` is returned (Cramer: every ``x_i * det`` is an
-    integer, so back substitution divides exactly).  Without ``rhs`` the
-    pivots are returned.
+    Each pivot is a remaining vertex with the fewest entries, so a tree's
+    leaves go first and nothing fills in (Parter, SIAM Review 3, 1961); its
+    pivot ratios are then Neumann's plumbing continued fractions.  Pivot
+    p_s is the leading minor of order s + 1 in pivot order, so by
+    Sylvester's law of inertia the form is negative definite iff every p_s
+    is nonzero with sign (-1)^(s+1).  A step that does not meet an entry
+    only rescales it by p_s / p_{s-1}; these factors telescope, so each
+    entry keeps the step it was last updated at (absent: 0) and is brought
+    up to date by one exact division when next read.  ``rhs`` borders the
+    form as a column r that is never pivoted; every ``x_i * det`` is an
+    integer (Cramer), so back substitution divides exactly.
     """
-    r = len(entries)
-    if rhs is None:
-        a = [list(row) for row in entries]
-        width = r
-    else:
-        a = [list(row) + [b] for row, b in zip(entries, rhs)]
-        width = r + 1
-    touched = [0] * r  # step whose Bareiss entries row i holds
-    pivots = [1]  # pivots[k + 1] = p_k, with p_{-1} = 1
-    for k in range(r):
-        if a[k][k] == 0:
-            if negative_definite:
-                return None
-            swap = next((i for i in range(k + 1, r) if a[i][k]), None)
-            if swap is None:
-                raise InputError("intersection form is degenerate")
-            a[k], a[swap] = a[swap], a[k]
-            touched[k], touched[swap] = touched[swap], touched[k]
-        row = a[k]
-        t = touched[k]
-        if t < k:
-            up, down = pivots[k], pivots[t]
-            for j in range(k, width):
-                row[j] = row[j] * up // down
-        p = row[k]
-        if negative_definite and (p < 0) != (k % 2 == 0):
+    r = len(rows)
+    if rhs is not None:
+        rows.append({i: x for i, x in enumerate(rhs) if x})
+        for i, x in rows[r].items():
+            rows[i][r] = x
+    stamp: list[dict[int, int]] = [{} for _ in rows]
+    heap = [(len(rows[i]), i) for i in range(r)]
+    heapq.heapify(heap)
+    pivots = [1]  # pivots[s] = p_{s-1}, with p_{-1} = 1
+    factor = []  # (pivot, p, [(neighbour, entry)]) per step
+    for s in range(r):
+        degree, k = heapq.heappop(heap)
+        while degree != len(rows[k]):  # stale, or eliminated (emptied)
+            degree, k = heapq.heappop(heap)
+        row, rows[k], steps = rows[k], {}, stamp[k]
+        down = pivots[s]
+        p, t = row.pop(k), steps.get(k, 0)
+        p = p if t == s else p * down // pivots[t]
+        if p == 0 or (p < 0) != (s % 2 == 0):
             return None
         pivots.append(p)
-        for i in range(k + 1, r):
-            target = a[i]
-            f = target[k]
-            if f:
-                down = pivots[touched[i]]
-                for j in range(k + 1, width):
-                    target[j] = (target[j] * p - f * row[j]) // down
-                touched[i] = k + 1
+        near = []
+        for j, x in row.items():
+            del rows[j][k]
+            t = steps.get(j, 0)
+            near.append((j, x if t == s else x * down // pivots[t]))
+        factor.append((k, p, near))
+        for n, (i, x) in enumerate(near):
+            entries, steps = rows[i], stamp[i]
+            for j, y in near[n:]:  # no later pair adds to rows[i]
+                z, t = entries.get(j, 0), steps.get(j, 0)
+                z = z if t == s else z * down // pivots[t]
+                entries[j] = rows[j][i] = (z * p - x * y) // down
+                steps[j] = stamp[j][i] = s + 1
+            if i < r:
+                heapq.heappush(heap, (len(entries), i))
     if rhs is None:
-        return pivots[1:]
-    det = pivots[r]
-    y = [0] * r
-    for k in range(r - 1, -1, -1):
-        row = a[k]
-        total = det * row[r]
-        for j in range(k + 1, r):
-            if row[j]:
-                total -= row[j] * y[j]
-        y[k] = total // row[k]
-    return y, det
+        return None, pivots[r]
+    y = [0] * r + [-pivots[r]]
+    for k, p, near in reversed(factor):
+        y[k] = -sum(x * y[j] for j, x in near) // p
+    return y[:r], pivots[r]
 
 
 def is_negative_definite(m) -> bool:
-    """Exact test: the k-th leading principal minor has sign (-1)^k.
+    """Exact test: the form is negative definite.
 
-    ``m`` is a :class:`PlumbingGraph`, whose form is taken as it is, or
-    raw rows.  The minors are the pivots of the sparse fraction-free
-    elimination shared with :func:`solve_exact`; a zero or wrongly signed
-    pivot refutes definiteness, so elimination never continues past one.
-    Raw entries must be ``int``; floats, strings and bools raise
-    :class:`InputError`, as do rows that are not square and symmetric.
+    ``m`` is a :class:`PlumbingGraph`, whose form is read off its
+    adjacency, or raw rows.  The pivots of the sparse elimination shared
+    with :func:`solve_exact`, leaves first, decide it; elimination stops at
+    the first zero or wrongly signed one.  Raw entries must be ``int``;
+    floats, strings and bools raise :class:`InputError`, as do rows that
+    are not square and symmetric.
     """
-    return _eliminate(_as_rows(m), None, True) is not None
+    return _eliminate(_as_rows(m), None) is not None
 
 
 def solve_exact(
@@ -385,10 +373,11 @@ def solve_exact(
 
     Uses the same elimination as :func:`is_negative_definite`.  With
     ``require_negative_definite`` the answer is None unless ``m`` is
-    negative definite, so one elimination decides definiteness and solves;
-    otherwise rows are exchanged past zero leading minors and a singular
-    ``m`` raises :class:`InputError`, as does any entry of ``m`` or ``rhs``
-    that is not an ``int``.
+    negative definite, so one elimination decides definiteness and solves.
+    Otherwise the elimination runs on the normal equations
+    ``-m^2 . x = -m . rhs``, whose form is negative definite exactly when
+    ``m`` is nonsingular, and a singular ``m`` raises :class:`InputError`,
+    as does any entry of ``m`` or ``rhs`` that is not an ``int``.
     """
     rows = _as_rows(m)
     rhs = [_integer(b, "right-hand side entry") for b in rhs]
@@ -396,9 +385,18 @@ def solve_exact(
         raise DimensionMismatch(
             f"right-hand side of length {len(rhs)} against {len(rows)} rows"
         )
-    solved = _eliminate(rows, rhs, require_negative_definite)
+    if not require_negative_definite:
+        square = [{} for _ in rows]
+        for entries, row in zip(square, rows):
+            for k, x in row.items():
+                for j, y in rows[k].items():
+                    entries[j] = entries.get(j, 0) - x * y
+        rows, rhs = square, [-sum(x * rhs[j] for j, x in row.items()) for row in rows]
+    solved = _eliminate(rows, rhs)
     if solved is None:
-        return None
+        if require_negative_definite:
+            return None
+        raise InputError("intersection form is degenerate")
     numerators, det = solved
     return tuple(Fraction(y, det) for y in numerators)
 
@@ -482,12 +480,12 @@ def _equitable_cells(adjacency: Sequence[Mapping[int, int]], labels) -> list[int
 
 
 def _search_order(adjacency: Sequence[Mapping[int, int]], start: int) -> list[int]:
-    """Breadth-first order from ``start``: every later vertex has an
-    earlier neighbour, whose image restricts its own."""
+    """Breadth-first order from ``start``, neighbours ascending: every later
+    vertex has an earlier neighbour, whose image restricts its own."""
     order = [start]
     seen = {start}
     for v in order:
-        for w in sorted(adjacency[v]):
+        for w in adjacency[v]:
             if w not in seen:
                 seen.add(w)
                 order.append(w)
@@ -586,16 +584,18 @@ def vertex_orbits(g: PlumbingGraph) -> tuple[int, ...]:
     """Orbit of every vertex under the weighted automorphism group, named
     by the orbit's least vertex.
 
-    The orbits are found without listing the group: for each pair (i, j)
-    of one equitable cell not yet known to share an orbit, the shared
-    backtracking search looks for a single automorphism taking i to j and
-    stops at the first; every automorphism found merges v with its image
-    for all v in a union-find.  Pairs in one cell but different orbits cost
-    a failed search; on trees there are none, because colour refinement
-    already separates the orbits of a tree.
+    On a tree (r - 1 edges, counted with multiplicity) the orbits are the
+    equitable cells (Tinhofer, Discrete Appl. Math. 30, 1991; Arvind et
+    al., Comput. Complexity 26, 2017).  Otherwise, for each pair (i, j) of
+    one cell not yet known to share an orbit, the shared backtracking
+    search looks for one automorphism taking i to j; every automorphism
+    found merges v with its image for all v in a union-find.  Pairs in one
+    cell but different orbits cost a failed search.
     """
     adjacency = g.adjacency
     candidates = _cell_members(g)
+    if len(g.edges) == g.vertex_count - 1:
+        return tuple(members[0] for members in candidates)
     root = list(range(g.vertex_count))
 
     def find(v: int) -> int:

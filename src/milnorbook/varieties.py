@@ -495,11 +495,11 @@ def sample_points(v, epsilon: float, count: int, seed: int) -> Samples:
     in place, row ``i`` the ``i``-th accepted draw; zero draws are skipped.
     Raises :class:`SamplingFailed` when fewer than ``count`` draws are
     accepted within the attempt budget of ten draws per requested sample (a
-    conversion rate below 10%), or when ``epsilon`` is not positive, and
-    :class:`InputError` for a negative seed.
+    conversion rate below 10%), and :class:`InputError` when ``epsilon`` is
+    not positive and finite or the seed is negative.
     """
     if not (epsilon > 0.0) or not math.isfinite(epsilon):
-        raise SamplingFailed(f"level value must be positive, got {epsilon!r}")
+        raise InputError(f"level value must be positive, got {epsilon!r}")
     if count < 1:
         raise InputError("sample count must be at least 1")
     if isinstance(v, SmoothChart):

@@ -169,22 +169,18 @@ def brute_force_minimal_divisor(g: PlumbingGraph, bound: int):
     return tuple(min(p[i] for p in feasible) for i in range(g.vertex_count))
 
 
-def rational_least_point(g: PlumbingGraph) -> tuple[Fraction, ...]:
-    """Least *real* feasible point: the exact solution of I x = c.
+def rational_solution(rows, rhs) -> tuple[Fraction, ...] | None:
+    """Exact solution of rows . x = rhs, or None when rows is singular.
 
-    The negative of the intersection matrix is inverse-positive, so every
-    real solution of I x <= c dominates the equality solution; the least
-    integer divisor therefore dominates the componentwise ceiling of this
-    vector, with equality whenever the solution is already integral.
-    Solved over Fractions by Gauss-Jordan elimination, independent of the
-    package's solver.
+    Gauss-Jordan elimination over Fractions with a row exchange past every
+    zero pivot, independent of the package's solver.
     """
-    rows = intersection_matrix(g)
-    c = constraint_vector(g).bounds
     r = len(rows)
-    a = [[Fraction(x) for x in rows[i]] + [Fraction(c[i])] for i in range(r)]
+    a = [[Fraction(x) for x in rows[i]] + [Fraction(rhs[i])] for i in range(r)]
     for col in range(r):
-        pivot_row = next(i for i in range(col, r) if a[i][col] != 0)
+        pivot_row = next((i for i in range(col, r) if a[i][col] != 0), None)
+        if pivot_row is None:
+            return None
         a[col], a[pivot_row] = a[pivot_row], a[col]
         pivot = a[col][col]
         a[col] = [x / pivot for x in a[col]]
@@ -193,6 +189,18 @@ def rational_least_point(g: PlumbingGraph) -> tuple[Fraction, ...]:
                 factor = a[i][col]
                 a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
     return tuple(a[i][r] for i in range(r))
+
+
+def rational_least_point(g: PlumbingGraph) -> tuple[Fraction, ...] | None:
+    """Least *real* feasible point: the exact solution of I x = c, or None
+    when I is singular.
+
+    The negative of the intersection matrix is inverse-positive, so every
+    real solution of I x <= c dominates the equality solution; the least
+    integer divisor therefore dominates the componentwise ceiling of this
+    vector, with equality whenever the solution is already integral.
+    """
+    return rational_solution(intersection_matrix(g), constraint_vector(g).bounds)
 
 
 def rational_ceiling(values) -> tuple[int, ...]:

@@ -139,6 +139,14 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("input error:")
 
+    @pytest.mark.parametrize("epsilon", ["-0.01", "0", "nan", "inf"])
+    def test_bad_level_value_exits_one(self, capsys, epsilon):
+        code, out, err = run(
+            capsys, "contact", "spsh", "--samples", "5", f"--epsilon={epsilon}",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("input error: level value must be positive")
+
     @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
     def test_non_finite_rescaling_constant_exits_one(self, capsys, c):
         code, out, err = run(

@@ -1,6 +1,8 @@
 """Plumbing graphs: validation, exact definiteness, automorphisms, I/O."""
 
 import json
+import tracemalloc
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,12 +36,15 @@ from milnorbook.errors import (
     NonContiguousIds,
 )
 
+from milnorbook import graphs, minimal_divisor
 from milnorbook.graphs import _form_product
 from oracles import (
     automorphism_group,
     dense_form_product,
+    full_suite,
     principal_minor_signs_definite,
     rational_least_point,
+    rational_solution,
 )
 
 
@@ -64,6 +69,30 @@ def plumbing_graphs(draw, max_vertices=5):
 
 def permutations_of(r):
     return st.permutations(list(range(r)))
+
+
+@st.composite
+def symmetric_systems(draw, max_size=6):
+    """Symmetric integer rows and a right-hand side: zero diagonals,
+    singular forms (two equal rows) and dominant negative diagonals, which
+    make definite and semidefinite forms, all occur."""
+    r = draw(st.integers(1, max_size))
+    rows = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = draw(st.integers(-4, 4))
+    if r >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=2, unique=True))
+        rows[i] = list(rows[j])
+        for row in rows:
+            row[i] = row[j]
+    if draw(st.booleans()):
+        for i, row in enumerate(rows):
+            row[i] = -sum(abs(x) for j, x in enumerate(row) if j != i) - draw(
+                st.integers(0, 2)
+            )
+    rhs = draw(st.lists(st.integers(-5, 5), min_size=r, max_size=r))
+    return rows, rhs
 
 
 # Construction and validation -------------------------------------------------
@@ -108,6 +137,12 @@ class TestValidation:
         same = PlumbingGraph((0, 0, 0), (-2, -3, -2), ((2, 1), (0, 1), (0, 1)))
         assert g == same and hash(g) == hash(same)
         assert "adjacency" not in repr(g)
+
+    @given(plumbing_graphs())
+    def test_adjacency_lists_neighbours_in_ascending_order(self, g):
+        """The search order, and so the isomorphism found first, relies on
+        it."""
+        assert all(list(near) == sorted(near) for near in g.adjacency)
 
     def test_validate_graph_duplicate_id(self):
         with pytest.raises(NonContiguousIds, match="duplicate id 0"):
@@ -241,20 +276,64 @@ class TestIntersectionForm:
 
     @given(plumbing_graphs())
     def test_solve_exact_matches_rational_oracle(self, g):
-        """The shared elimination solves I x = c exactly, pivoting past zero
-        leading minors; the oracle's Gauss-Jordan fails only when I is
-        singular, and then so must the solve."""
+        """The shared elimination solves I x = c exactly, also past zero
+        leading minors; the oracle finds no solution only when I is
+        singular, and then the solve must raise."""
         m = intersection_matrix(g)
         c = [-(valency(g, i) + 2 * g.genus[i]) for i in range(g.vertex_count)]
-        try:
-            expected = rational_least_point(g)
-        except StopIteration:
+        expected = rational_least_point(g)
+        if expected is None:
             with pytest.raises(InputError, match="degenerate"):
                 solve_exact(m, c)
             return
         assert solve_exact(m, c) == expected
         definite = solve_exact(m, c, require_negative_definite=True)
         assert definite == (expected if is_negative_definite(m) else None)
+
+    @given(symmetric_systems())
+    def test_solve_exact_matches_gauss_jordan_on_symmetric_rows(self, system):
+        rows, rhs = system
+        expected = rational_solution(rows, rhs)
+        definite = principal_minor_signs_definite(rows)
+        assert is_negative_definite(rows) is definite
+        assert solve_exact(rows, rhs, require_negative_definite=True) == (
+            expected if definite else None
+        )
+        if expected is None:
+            with pytest.raises(InputError, match="^intersection form is degenerate$"):
+                solve_exact(rows, rhs)
+        else:
+            assert solve_exact(rows, rhs) == expected
+
+    @given(plumbing_graphs(), st.data())
+    def test_solution_follows_relabeling(self, g, data):
+        sigma = data.draw(permutations_of(g.vertex_count))
+        c = [-(valency(g, i) + 2 * g.genus[i]) for i in range(g.vertex_count)]
+        moved = [0] * g.vertex_count
+        for i, x in enumerate(c):
+            moved[sigma[i]] = x
+        h = g.relabel(sigma)
+        for definite in (True, False):
+            try:
+                x = solve_exact(g, c, require_negative_definite=definite)
+            except InputError:
+                with pytest.raises(InputError, match="degenerate"):
+                    solve_exact(h, moved, require_negative_definite=definite)
+                continue
+            y = solve_exact(h, moved, require_negative_definite=definite)
+            assert (y is None) == (x is None)
+            if x is not None:
+                assert all(y[sigma[i]] == x[i] for i in range(g.vertex_count))
+
+    def test_star_centre_first_and_last_get_one_answer(self):
+        g = star_graph(-5, [-2, -3, -2, -4])
+        last = g.relabel([4, 0, 1, 2, 3])
+        c = [-(valency(g, i) + 2 * g.genus[i]) for i in range(5)]
+        x = solve_exact(g, c, require_negative_definite=True)
+        assert x is not None
+        assert solve_exact(last, c[1:] + c[:1], require_negative_definite=True) == (
+            x[1:] + x[:1]
+        )
 
     def test_solve_exact_pivots_past_a_zero_leading_minor(self):
         assert solve_exact([[0, 1], [1, 0]], [2, 3]) == (3, 2)
@@ -283,6 +362,27 @@ class TestIntersectionForm:
         need every pivot."""
         assert is_milnor_fillable(chain_graph([-2] * 300))
         assert not is_milnor_fillable(chain_graph([-2] * 299 + [0]))
+
+    def test_long_chain_definiteness_holds_no_dense_copy(self):
+        """Dense rows of A_3000 alone would hold 9 * 10^6 list slots (72 MB);
+        the sparse elimination keeps about 1 MB."""
+        g = chain_graph([-2] * 3000)
+        tracemalloc.start()
+        try:
+            assert is_negative_definite(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_star_with_1600_legs_closed_forms(self):
+        """Centre e with k legs of weight -2 has determinant (-2)^k (e + k/2).
+        With k = 1600 the centre -1600 is definite, and (3, 2, ..., 2) meets
+        every constraint with zero slack; the centre -800 is semidefinite."""
+        definite = star_graph(-1600, [-2] * 1600)
+        assert minimal_divisor(definite).multiplicities == (3,) + (2,) * 1600
+        assert vertex_orbits(definite) == (0,) + (1,) * 1600
+        assert not is_milnor_fillable(star_graph(-800, [-2] * 1600))
 
 
 # Vertex quantities -----------------------------------------------------------
@@ -365,6 +465,31 @@ class TestAutomorphisms:
                 assert (orbits[i] == orbits[j]) == (
                     relabeled[sigma[i]] == relabeled[sigma[j]]
                 )
+
+    def test_tree_orbits_need_no_search(self):
+        """On every tree of the suite the orbits are the equitable cells, and
+        the backtracking search is never entered."""
+        trees = [g for g in full_suite() if len(g.edges) == g.vertex_count - 1]
+        assert trees
+        expected = []
+        for g in trees:
+            group = automorphism_group(g)
+            expected.append(
+                tuple(min(sigma(i) for sigma in group) for i in range(g.vertex_count))
+            )
+        with patch.object(graphs, "_isomorphisms", side_effect=AssertionError):
+            assert [vertex_orbits(g) for g in trees] == expected
+
+    def test_orbits_finer_than_the_cells_of_a_graph_with_cycles(self):
+        """The Frucht graph is 3-regular with no automorphism but the
+        identity: with equal weights it is one equitable cell, and only the
+        search separates its twelve orbits."""
+        shifts = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+        edges = {(i, (i + 1) % 12) for i in range(12)}
+        edges |= {(i, (i + d) % 12) for i, d in enumerate(shifts)}
+        g = PlumbingGraph((0,) * 12, (-3,) * 12, tuple({tuple(sorted(e)) for e in edges}))
+        assert len(g.edges) == 18
+        assert vertex_orbits(g) == tuple(range(12))
 
     def test_orbits_of_a_twelve_leg_star(self):
         """12! automorphisms, found as two orbits without listing them."""

@@ -439,7 +439,7 @@ class TestHypersurfaceSampling:
 class TestInputValidation:
     @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_level_value(self, epsilon):
-        with pytest.raises(SamplingFailed):
+        with pytest.raises(InputError, match="level value must be positive"):
             sample_points(SmoothChart.identity(1), epsilon, 5, seed=0)
 
     def test_bad_count(self):
