@@ -90,6 +90,16 @@ _FD_STEP = 1e-6
 # Largest exponent safely inside double range (log of the float maximum).
 _EXP_CAP = 709.0
 
+# Relative band around the binding threshold within which the block
+# decision is re-decided by the scalar rule: about 225 times the worst
+# relative difference (2 ulp) between the block bound, whose powers come
+# from np.power, and Polynomial.magnitude_bound, whose powers come from
+# Python's float **.
+_BINDING_BAND = 1e-13
+
+# Powers, bounds and |f| below this cannot overflow in the scalar rule.
+_SAFE_MAGNITUDE = 1e300
+
 # The documented default for the binding cutoff: eta = this fraction of
 # max |f|^2 over the mesh, computed after sampling when eta is omitted.
 DEFAULT_ETA_FRACTION = 1e-4
@@ -186,13 +196,35 @@ class _Block:
                 raise error
 
     def on_binding(self, f: Polynomial, rows, tangent_first: bool) -> np.ndarray:
-        """Whether ``f`` is numerically zero at each of ``rows`` (False at the
-        other rows), by :func:`_on_binding`.  An overflow there comes after the
-        failures met before it in sample order: each row's tangent stage comes
-        first if ``tangent_first``, else a row on the binding is not checked."""
+        """Whether ``f`` is numerically zero at each of ``rows``, an integer
+        array (False at the other rows), as :func:`_on_binding` decides it.
+
+        The test runs on the block, with :func:`_magnitude_bounds` and
+        ``np.hypot``; the rows within ``_BINDING_BAND`` of the threshold are
+        re-decided by :func:`_on_binding`.  A block where a power, a bound or
+        ``|f|`` is out of range runs :func:`_on_binding` row by row: an
+        overflow there comes after the failures met before it in sample
+        order, each row's tangent stage first if ``tangent_first``, else a
+        row on the binding is not checked."""
         binding = np.zeros(len(self.samples), dtype=bool)
+        values, levels = self.values[rows], self.samples.rho_values[rows]
+        with np.errstate(all="ignore"):  # the scalar rule warns of nothing
+            size = np.hypot(values.real, values.imag)
+            bound = _magnitude_bounds(f, np.sqrt(levels))
+        if bound is not None and np.all(size < _SAFE_MAGNITUDE):
+            threshold = _ZERO_TOLERANCE * np.maximum(bound, 1e-300)
+            binding[rows] = size <= threshold
+            # A subnormal threshold has no relative precision to band by.
+            near = (np.abs(size - threshold) <= _BINDING_BAND * threshold) | (
+                threshold < np.finfo(float).tiny
+            )
+            for row, value, level in zip(
+                rows[near].tolist(), values[near].tolist(), levels[near].tolist()
+            ):
+                binding[row] = _on_binding(f, value, level)
+            return binding
         values, levels = self.values.tolist(), self.samples.rho_values.tolist()
-        for row in rows:
+        for row in rows.tolist():
             try:
                 binding[row] = _on_binding(f, values[row], levels[row])
             except OverflowError:
@@ -276,6 +308,19 @@ def _level_basis(ell: np.ndarray) -> np.ndarray:
     only on this strided view, not on a contiguous copy."""
     _, _, vh = np.linalg.svd(_re_covector(ell)[:, None, :])
     return vh[:, 1:].swapaxes(1, 2)
+
+
+def _magnitude_bounds(f: Polynomial, radii: np.ndarray) -> np.ndarray | None:
+    """``f.magnitude_bound`` at each of ``radii``, summed in term order with
+    powers from ``np.power``; None if a power or a bound reaches
+    ``_SAFE_MAGNITUDE``, where Python's ``**`` might overflow."""
+    powers = [np.power(radii, sum(exponents)) for exponents, _ in f.terms]
+    bounds = np.zeros(len(radii))
+    for (_, coefficient), power in zip(f.terms, powers):
+        bounds += abs(coefficient) * power
+    if all(np.all(x < _SAFE_MAGNITUDE) for x in (bounds, *powers)):
+        return bounds
+    return None
 
 
 def _on_binding(f: Polynomial, value: complex, rho_value: float) -> bool:
@@ -397,7 +442,7 @@ def rescaled_reeb_identity(
     skipped = 0
     for start in range(0, len(samples), _DRAWS_PER_BLOCK):
         block = _Block(v, samples[start : start + _DRAWS_PER_BLOCK], f, True)
-        off = ~block.on_binding(f, range(len(block.samples)), True)
+        off = ~block.on_binding(f, np.arange(len(block.samples)), True)
         rows = np.flatnonzero(off)
         skipped += len(off) - len(rows)
         weights, factors = [], []
@@ -588,7 +633,7 @@ def lambda_cone_check(
     for start in range(0, len(samples), _DRAWS_PER_BLOCK):
         block = _Block(v, samples[start : start + _DRAWS_PER_BLOCK], f, True)
         # A sample on the binding is skipped whatever fails there.
-        rows = np.flatnonzero(~block.on_binding(f, range(len(block.samples)), False))
+        rows = np.flatnonzero(~block.on_binding(f, np.arange(len(block.samples)), False))
         skipped += len(block.samples) - len(rows)
         block.check(rows, True)
         theta = block.theta(rows)
@@ -665,7 +710,7 @@ def openbook_criterion_check(
         block = _Block(v, samples[start : start + _DRAWS_PER_BLOCK], f, False)
         outer = sizes_sq[start : start + _DRAWS_PER_BLOCK] >= eta
         inner = sizes_sq[start : start + _DRAWS_PER_BLOCK] <= eta
-        binding = block.on_binding(f, np.flatnonzero(outer).tolist(), True)
+        binding = block.on_binding(f, np.flatnonzero(outer), True)
         block.check(range(len(block.samples)), False)
         level_basis = _level_basis(block.ell)
         transverse = outer & ~binding

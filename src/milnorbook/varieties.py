@@ -23,8 +23,10 @@ directions; the model's step takes a block, solves each draw onto the
 level set or rejects it, and returns the accepted rows' arrays, which the
 loop copies into arrays preallocated for the requested count and the model
 turns into one :class:`Samples` record.  For charts the step builds the
-radial profiles of the whole block and finds their roots together (bracket
-doubling, bisection and Newton polishing as array Horner loops); for
+radial profiles of the whole block, one stacked product per lag of the
+autocorrelation, and finds their roots together (bracket doubling, at most
+80 bisections, stopping once every bracket has stalled, and Newton
+polishing, as array Horner loops); for
 hypersurfaces it runs a damped Gauss–Newton iteration on ``(Re h, Im h,
 rho - epsilon)`` for all draws of the block together, each with its own
 line search, and the steps of all live draws from one stacked
@@ -245,7 +247,11 @@ def _radial_profiles(chart: SmoothChart, directions: np.ndarray) -> np.ndarray:
     The monomials are formed for the whole block in real arithmetic, powers
     by ``np.power``: this reproduces the scalar complex products bit for bit,
     where complex array products and ``array ** 2`` differ from them in the
-    last bit for a large share of entries.
+    last bit for a large share of entries.  Lag ``k`` of the autocorrelation
+    is one stacked ``@`` of each row's overlap with its reversed conjugate:
+    the dot product ``np.convolve(row, np.conj(row))`` takes for that lag,
+    over the same terms in the same order, so it keeps the bits (a
+    zero-padded product adds terms and lets BLAS sum in another order).
     """
     max_degree = max(poly.total_degree for poly in chart.components)
     profiles = np.zeros((len(directions), 2 * max_degree + 1))
@@ -264,17 +270,28 @@ def _radial_profiles(chart: SmoothChart, directions: np.ndarray) -> np.ndarray:
             degree = sum(exponents)
             coeffs.real[:, degree] += re
             coeffs.imag[:, degree] += im
-        for profile, row in zip(profiles, coeffs):
-            profile += np.convolve(row, np.conj(row)).real
+        # Lag k sums coeffs[j] * conj(coeffs[k - j]) for j ascending over
+        # lo <= j < hi; reversed_conj[:, max_degree - k + j] is the conjugate.
+        reversed_conj = np.conj(coeffs[:, ::-1]).copy()
+        lags = np.empty_like(profiles)
+        with np.errstate(all="ignore"):  # as np.convolve, which warns of nothing
+            for k in range(2 * max_degree + 1):
+                lo, hi = max(0, k - max_degree), min(k, max_degree) + 1
+                tail = reversed_conj[:, max_degree - k + lo : max_degree - k + hi, None]
+                lags[:, k] = (coeffs[:, None, lo:hi] @ tail)[:, 0, 0].real
+        profiles += lags
     return profiles
 
 
 def _radial_roots(profiles: np.ndarray, epsilon: float) -> np.ndarray:
     """Smallest ``t > 0`` with ``profile(t) = epsilon`` per row, NaN if none.
 
-    Bracket doubling, 80 bisections and at most 8 Newton steps, with the
-    stopping rules applied row by row; values come from ``polyval`` on
-    columns of coefficients, the same Horner steps as for one profile.
+    Bracket doubling, at most 80 bisections, stopping once every bracket has
+    stalled, and at most 8 Newton steps, with the stopping rules applied row
+    by row; values come from ``polyval`` on columns of coefficients, the same
+    Horner steps as for one profile.  A stalled bracket, whose midpoint is
+    one of its ends, never moves again, so stopping early keeps the bits of
+    the full 80 steps.
     """
     # Looked up here: NumPy imports its polynomial package on first use.
     polyval = np.polynomial.polynomial.polyval
@@ -299,6 +316,10 @@ def _radial_roots(profiles: np.ndarray, epsilon: float) -> np.ndarray:
     low, high = np.zeros(rows.size), high[rows]
     for _ in range(80):
         mid = 0.5 * (low + high)
+        # A bracket whose midpoint is one of its ends has stalled: low stays
+        # below the level and high does not, so neither end moves again.
+        if not np.any((mid != low) & (mid != high)):
+            break
         below = polyval(mid, coefficients, tensor=False) < epsilon
         low = np.where(below, mid, low)
         high = np.where(below, high, mid)
