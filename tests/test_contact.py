@@ -1,5 +1,6 @@
 """Pointwise contact structures: frozen hand checks, identities, findings."""
 
+import math
 import tracemalloc
 from unittest.mock import patch
 
@@ -611,3 +612,100 @@ class TestOpenBookCriterion:
             openbook_criterion_check(PLANE, f, 0.01, None, 0, seed=0)
         with pytest.raises(InputError):
             openbook_criterion_check(PLANE, Polynomial.constant(2, 0.0), 0.01, None, 10, seed=0)
+
+
+# The polynomials the binding band is measured on: the benchmark's f, a
+# Brieskorn germ, and two with complex coefficients and exponents up to 13.
+BINDING_POLYNOMIALS = {
+    text: parse_polynomial(text, n)
+    for text, n in (
+        ("z0^2 + z1^3", 2),
+        ("z0^2 + z1^3 + z2^5", 3),
+        ("z0 + z0^13 + (0.5-2i)*z0*z1", 2),
+        ("z0^3 + 2.5*z1^7 - (1+1i)*z0^5*z1^4 + z1^13", 2),
+    )
+}
+BINDING_LEVELS = (1e-6, 0.01, 1.0, 30.0)
+
+
+def binding_block(values, levels) -> contact._Block:
+    """A block holding only what ``on_binding`` reads: the values of ``f``
+    and the sample levels."""
+    block = contact._Block.__new__(contact._Block)
+    k = len(levels)
+    block.samples = Samples(np.zeros((k, 1), complex), np.ones((k, 1, 1), complex), levels)
+    block.values = np.asarray(values, dtype=complex)
+    block.failures = {}
+    return block
+
+
+class TestBindingBand:
+    """``_Block.on_binding`` decides on the block and re-decides by the
+    scalar rule only within ``_BINDING_BAND`` of the threshold; its
+    decisions are those of ``_on_binding`` row by row."""
+
+    @staticmethod
+    def assert_decisions_match(f, values, levels):
+        decided = binding_block(values, levels).on_binding(f, np.arange(len(levels)), True)
+        expected = [
+            contact._on_binding(f, value, level)
+            for value, level in zip(values.tolist(), levels.tolist())
+        ]
+        assert decided.tolist() == expected
+        assert 0 < sum(expected) < len(expected)
+
+    @staticmethod
+    def thresholds(f, levels):
+        return np.array([
+            contact._ZERO_TOLERANCE * max(f.magnitude_bound(math.sqrt(level)), 1e-300)
+            for level in levels.tolist()
+        ])
+
+    # A coefficient of 1e305 makes the bound reach _SAFE_MAGNITUDE at the
+    # larger levels, so those blocks take the row-by-row path.
+    @pytest.mark.parametrize(
+        "text", [*BINDING_POLYNOMIALS, "1e305*z0^2 + z1"], ids=lambda text: text
+    )
+    def test_values_ulps_from_the_threshold(self, text):
+        f = BINDING_POLYNOMIALS.get(text) or parse_polynomial(text, 2)
+        rng = np.random.default_rng(0)
+        levels = np.concatenate([level * rng.uniform(0.5, 2.0, 50) for level in BINDING_LEVELS])
+        steps = 1.0 + np.arange(-4, 5) * 2.0**-52
+        sizes = np.outer(self.thresholds(f, levels), steps).ravel()
+        phases = np.resize(np.array([1.0, -1.0, 1j, -1j]), sizes.size)
+        self.assert_decisions_match(f, sizes * phases, np.repeat(levels, len(steps)))
+
+    @pytest.mark.parametrize("text", BINDING_POLYNOMIALS)
+    def test_random_levels(self, text):
+        f = BINDING_POLYNOMIALS[text]
+        rng = np.random.default_rng(1)
+        levels = 10.0 ** rng.uniform(-7.0, 2.0, 4000)
+        sizes = self.thresholds(f, levels) * 10.0 ** rng.uniform(-1.0, 1.0, 4000)
+        sizes[::7] = self.thresholds(f, levels[::7])
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 4000))
+        self.assert_decisions_match(f, sizes * phases, levels)
+
+    def test_band_is_a_hundred_times_the_worst_bound_difference(self):
+        rng = np.random.default_rng(2)
+        worst = 0.0
+        for f in BINDING_POLYNOMIALS.values():
+            for level in BINDING_LEVELS:
+                radii = math.sqrt(level) * (1.0 + 1e-3 * rng.standard_normal(5000))
+                bounds = contact._magnitude_bounds(f, radii)
+                scalar = np.array([f.magnitude_bound(r) for r in radii.tolist()])
+                worst = max(worst, float(np.max(np.abs(bounds - scalar) / scalar)))
+        assert contact._BINDING_BAND >= 100.0 * worst
+
+    def test_mesh_criterion_re_decides_almost_no_rows(self):
+        calls = []
+        scalar = contact._on_binding
+
+        def counting(*args):
+            calls.append(args)
+            return scalar(*args)
+
+        f = parse_polynomial("z0^2 + z1^3", 2)
+        with patch.object(contact, "_on_binding", counting):
+            report = openbook_criterion_check(PLANE, f, 0.01, None, 10_000, seed=0)
+        assert report.outside_count > 9_000
+        assert len(calls) <= 10

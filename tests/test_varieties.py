@@ -19,6 +19,7 @@ from milnorbook.errors import InputError, SamplingFailed
 from milnorbook.polynomials import parse_map
 from oracles import (
     _radial_profile,
+    _solve_radial,
     per_draw_chart_samples,
     per_draw_hypersurface_samples,
 )
@@ -257,6 +258,104 @@ class TestBlockSolve:
         profiles = varieties._radial_profiles(chart, directions)
         for profile, direction in zip(profiles, directions):
             assert profile.tobytes() == _radial_profile(chart, direction).tobytes()
+
+
+# A component of degree 40 and one of degree 23: 81 lags, long overlaps.
+HIGH_DEGREE_CHART = SmoothChart(2, parse_map(
+    "z0 + (1.5-0.25i)*z0^20*z1^20 + z1^7*z0^3, z1 + 3*z0^20 - (0.1+2i)*z1^23, z0*z1",
+    2,
+))
+
+
+def unit_directions(count: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
+def signed_zero_directions(count: int, seed: int) -> np.ndarray:
+    """Directions in ``C^2`` where four rows in five have a ``0.0`` or
+    ``-0.0`` coordinate, real part or imaginary part."""
+    directions = unit_directions(count, seed)
+    directions[0::5, 0] = 0.0
+    directions[1::5, 1] = -0.0
+    directions.real[2::5, 0] = -0.0
+    directions.imag[3::5, 1] = -0.0
+    directions[3::10, 0] = complex(-0.0, -0.0)
+    return directions
+
+
+class TestRadialSolve:
+    """The chart sampler's two block steps, against the per-draw oracles:
+    the autocorrelation profile and the radial root-find."""
+
+    @pytest.mark.parametrize(
+        "chart", [HIGH_DEGREE_CHART, REFERENCE_CHARTS["z0,z1,z0^2 + z1^3"]],
+        ids=["degree-40", "benchmark-map"],
+    )
+    def test_profiles_match_with_signed_zeros(self, chart):
+        directions = signed_zero_directions(400, 3)
+        profiles = varieties._radial_profiles(chart, directions)
+        for profile, direction in zip(profiles, directions):
+            assert profile.tobytes() == _radial_profile(chart, direction).tobytes()
+
+    def test_profiles_do_not_call_convolve(self):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.convolve called")
+
+        directions = signed_zero_directions(50, 4)
+        with patch.object(np, "convolve", refuse):
+            profiles = varieties._radial_profiles(HIGH_DEGREE_CHART, directions)
+        assert profiles.shape == (50, 81)
+
+    @staticmethod
+    def profiles() -> np.ndarray:
+        """Chart profiles, and rows that need the bracket doubled, have none,
+        or overflow to inf (a NaN value counts as past the level)."""
+        chart = REFERENCE_CHARTS["z0 + z0^13, z1 + (0.5-2i)*z0*z1"]
+        charted = varieties._radial_profiles(chart, signed_zero_directions(200, 5))
+        special = np.zeros((6, charted.shape[1]))
+        special[0, 2] = 1e-8  # the bracket is doubled 4 to 16 times
+        special[1, 4] = 1e-30
+        special[2, 26] = 1e-300
+        special[4, 1:4] = 1e308  # 1e308 (t + t^2 + t^3) overflows at t = 1
+        special[5, 3] = np.inf  # inf at every t > 0, NaN-free
+        return np.concatenate([charted, special])
+
+    @pytest.mark.parametrize("epsilon", [1e-6, 0.01, 30.0])
+    def test_roots_match_the_fixed_step_bisection(self, epsilon):
+        profiles = self.profiles()
+        with np.errstate(over="ignore", invalid="ignore"):
+            roots = varieties._radial_roots(profiles, epsilon)
+            expected = [_solve_radial(profile, epsilon) for profile in profiles]
+        assert np.isnan(roots[-3])  # the all-zero profile has no bracket
+        expected = np.array([np.nan if t is None else t for t in expected])
+        assert roots.tobytes() == expected.tobytes()
+
+    def test_bisection_stops_when_every_bracket_stalls(self):
+        # Each profile reaches 0.01 before t = 1, so polyval is called once
+        # for the bracket, then once per bisection until polyder is.
+        calls, bisections = [], []
+        polyval = np.polynomial.polynomial.polyval
+        polyder = np.polynomial.polynomial.polyder
+
+        def counting_polyval(*args, **kwargs):
+            calls.append(None)
+            return polyval(*args, **kwargs)
+
+        def marking_polyder(*args, **kwargs):
+            bisections.append(len(calls) - 1)
+            return polyder(*args, **kwargs)
+
+        profiles = varieties._radial_profiles(
+            REFERENCE_CHARTS["z0,z1,z0^2 + z1^3"], unit_directions(300, 6)
+        )
+        with patch.object(np.polynomial.polynomial, "polyval", counting_polyval), \
+                patch.object(np.polynomial.polynomial, "polyder", marking_polyder):
+            roots = varieties._radial_roots(profiles, 0.01)
+        assert bisections and bisections[0] < 80
+        expected = [_solve_radial(profile, 0.01) for profile in profiles]
+        assert roots.tolist() == expected
 
 
 class TestHypersurfaceBlockSolve:
