@@ -37,6 +37,7 @@ SVD of ``A_T``, stacked solves and batched products, never per sample.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -90,16 +91,6 @@ _FD_STEP = 1e-6
 # Largest exponent safely inside double range (log of the float maximum).
 _EXP_CAP = 709.0
 
-# Relative band around the binding threshold within which the block
-# decision is re-decided by the scalar rule: about 225 times the worst
-# relative difference (2 ulp) between the block bound, whose powers come
-# from np.power, and Polynomial.magnitude_bound, whose powers come from
-# Python's float **.
-_BINDING_BAND = 1e-13
-
-# Powers, bounds and |f| below this cannot overflow in the scalar rule.
-_SAFE_MAGNITUDE = 1e300
-
 # The documented default for the binding cutoff: eta = this fraction of
 # max |f|^2 over the mesh, computed after sampling when eta is omitted.
 DEFAULT_ETA_FRACTION = 1e-4
@@ -151,9 +142,9 @@ class _Block:
         self.ell_scale = 2.0 * _row_norms(values) * largest
         self.condition = np.full(len(samples), math.inf)
         if a_t.shape[1] >= a_t.shape[2]:
-            # Python's float ** rounds differently from NumPy's square.
-            ratios = (largest[live] / smallest[live]).tolist()
-            self.condition[live] = [ratio ** 2 for ratio in ratios]
+            # float_power is libm's pow, as Python's float **; the ratios
+            # stay below 1e10, so it cannot overflow.
+            self.condition[live] = np.float_power(largest[live] / smallest[live], 2)
         if reeb:
             self._reeb_stage(live)
         if f is not None:
@@ -199,41 +190,27 @@ class _Block:
         """Whether ``f`` is numerically zero at each of ``rows``, an integer
         array (False at the other rows), as :func:`_on_binding` decides it.
 
-        The test runs on the block, with :func:`_magnitude_bounds` and
-        ``np.hypot``; the rows within ``_BINDING_BAND`` of the threshold are
-        re-decided by :func:`_on_binding`.  A block where a power, a bound or
-        ``|f|`` is out of range runs :func:`_on_binding` row by row: an
-        overflow there comes after the failures met before it in sample
-        order, each row's tangent stage first if ``tangent_first``, else a
-        row on the binding is not checked."""
+        The test runs once on the block, with :func:`_magnitude_bounds` and
+        ``np.hypot``, which round as the scalar rule does.  At the first row
+        where the scalar rule overflows, :func:`_on_binding` raises its
+        error, after the failures met before it in sample order, each row's
+        tangent stage first if ``tangent_first``, else a row on the binding
+        is not checked."""
         binding = np.zeros(len(self.samples), dtype=bool)
         values, levels = self.values[rows], self.samples.rho_values[rows]
         with np.errstate(all="ignore"):  # the scalar rule warns of nothing
             size = np.hypot(values.real, values.imag)
-            bound = _magnitude_bounds(f, np.sqrt(levels))
-        if bound is not None and np.all(size < _SAFE_MAGNITUDE):
-            threshold = _ZERO_TOLERANCE * np.maximum(bound, 1e-300)
-            binding[rows] = size <= threshold
-            # A subnormal threshold has no relative precision to band by.
-            near = (np.abs(size - threshold) <= _BINDING_BAND * threshold) | (
-                threshold < np.finfo(float).tiny
-            )
-            for row, value, level in zip(
-                rows[near].tolist(), values[near].tolist(), levels[near].tolist()
-            ):
-                binding[row] = _on_binding(f, value, level)
-            return binding
-        values, levels = self.values.tolist(), self.samples.rho_values.tolist()
-        for row in rows.tolist():
-            try:
-                binding[row] = _on_binding(f, values[row], levels[row])
-            except OverflowError:
-                if tangent_first:
-                    binding[row] = True  # its Reeb stage comes after
-                    self.check(range(row + 1), ~binding)
-                else:
-                    self.check(np.flatnonzero(~binding[:row]), True)
-                raise
+            bound, overflow = _magnitude_bounds(f, np.sqrt(levels))
+        binding[rows] = size <= _ZERO_TOLERANCE * np.maximum(bound, 1e-300)
+        overflow |= np.isinf(size) & np.isfinite(values)  # both parts finite
+        if overflow.any():
+            row = rows[np.argmax(overflow)]
+            if tangent_first:
+                binding[row] = True  # its Reeb stage comes after
+                self.check(range(row + 1), ~binding)
+            else:
+                self.check(np.flatnonzero(~binding[:row]), True)
+            _on_binding(f, self.values[row].item(), self.samples.rho_values[row].item())
         return binding
 
     def project(self, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -266,8 +243,9 @@ def _dtheta(f_rows: np.ndarray, values: np.ndarray, w: np.ndarray) -> np.ndarray
 
 
 def _abs_sq(value: complex) -> float:
-    """``|f|^2`` at one value of ``f``: ``np.abs`` rounds differently, and
-    NumPy's square returns inf where Python's raises OverflowError."""
+    """``|f|^2`` at one value of ``f``, raising OverflowError where
+    ``np.float_power(np.hypot(re, im), 2)``, its bits on a block, is inf
+    with finite parts."""
     return abs(value) ** 2
 
 
@@ -310,17 +288,22 @@ def _level_basis(ell: np.ndarray) -> np.ndarray:
     return vh[:, 1:].swapaxes(1, 2)
 
 
-def _magnitude_bounds(f: Polynomial, radii: np.ndarray) -> np.ndarray | None:
-    """``f.magnitude_bound`` at each of ``radii``, summed in term order with
-    powers from ``np.power``; None if a power or a bound reaches
-    ``_SAFE_MAGNITUDE``, where Python's ``**`` might overflow."""
-    powers = [np.power(radii, sum(exponents)) for exponents, _ in f.terms]
+def _magnitude_bounds(f: Polynomial, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``f.magnitude_bound`` at each of ``radii``, bit for bit: powers from
+    ``np.float_power`` (libm's pow, as Python's float ``**``) summed in term
+    order; and where Python raises OverflowError instead: a power infinite
+    at a finite radius, or ``abs`` of a coefficient infinite (at every
+    radius)."""
     bounds = np.zeros(len(radii))
-    for (_, coefficient), power in zip(f.terms, powers):
-        bounds += abs(coefficient) * power
-    if all(np.all(x < _SAFE_MAGNITUDE) for x in (bounds, *powers)):
-        return bounds
-    return None
+    overflow = np.zeros(len(radii), dtype=bool)
+    finite = np.isfinite(radii)
+    for exponents, coefficient in f.terms:
+        size = np.hypot(coefficient.real, coefficient.imag)
+        power = np.float_power(radii, sum(exponents))
+        overflow |= np.isinf(power) & finite
+        overflow |= np.isinf(size) & cmath.isfinite(coefficient)
+        bounds += size * power
+    return bounds, overflow
 
 
 def _on_binding(f: Polynomial, value: complex, rho_value: float) -> bool:
@@ -474,8 +457,12 @@ def _mesh(v, f: Polynomial, epsilon: float, eta: float | None, mesh: int, seed: 
     sizes_sq = np.empty(len(samples))
     for start in range(0, len(samples), _DRAWS_PER_BLOCK):
         rows = slice(start, start + _DRAWS_PER_BLOCK)
-        values = f_block.evaluate(samples.points[rows])[:, 0].tolist()
-        sizes_sq[rows] = [_abs_sq(value) for value in values]
+        values = f_block.evaluate(samples.points[rows])[:, 0]
+        with np.errstate(over="ignore"):  # Python's abs and ** raise instead
+            sizes_sq[rows] = np.float_power(np.hypot(values.real, values.imag), 2)
+        overflow = np.isinf(sizes_sq[rows]) & np.isfinite(values)
+        if overflow.any():
+            _abs_sq(values[np.argmax(overflow)].item())
     if eta is None:
         eta = DEFAULT_ETA_FRACTION * float(np.max(sizes_sq))
     if not (eta > 0.0):

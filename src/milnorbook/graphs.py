@@ -227,9 +227,10 @@ def validate_graph(vertices: Iterable, edges: Iterable) -> PlumbingGraph:
     ids = sorted(t[0] for t in triples)
     r = len(triples)
     if ids != list(range(r)):
-        dupes = {i for i in ids if ids.count(i) > 1}
-        if dupes:
-            raise NonContiguousIds(f"duplicate id {min(dupes)}")
+        # ids is sorted, so the first adjacent equal pair is the least duplicate.
+        dupe = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
+        if dupe is not None:
+            raise NonContiguousIds(f"duplicate id {dupe}")
         raise NonContiguousIds(f"got ids {ids}")
     genus = [0] * r
     euler = [0] * r

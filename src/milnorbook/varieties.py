@@ -403,7 +403,8 @@ def _chart_step(chart: SmoothChart, epsilon: float):
         found = np.flatnonzero(~np.isnan(roots))
         points = roots[found, None] * directions[found]
         values = chart._components_block.evaluate(points)
-        rho_values = np.sum(np.abs(values) ** 2, axis=1)
+        with np.errstate(over="ignore"):  # an infinite level is rejected below
+            rho_values = np.sum(np.abs(values) ** 2, axis=1)
         kept = ~(np.abs(rho_values - epsilon) > _LEVEL_TOLERANCE * epsilon)
         return points[kept], rho_values[kept]
 

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -123,6 +125,26 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert err.startswith("numerical finding: floating-point overflow")
+        if args[0] == "criterion":  # the mesh cutoff raises as Python's square
+            assert err == (
+                "numerical finding: floating-point overflow: "
+                "(34, 'Numerical result out of range')\n"
+            )
+
+    def test_an_infinite_chart_level_warns_of_nothing(self):
+        # The level |1e200 z0|^2 + |z1|^2 overflows and the sampler rejects
+        # it; the only line on stderr is the finding.  Warnings are not
+        # captured by capsys, so the CLI runs in a child process.
+        argv = ["contact", "spsh", "--ambient", "2", "--map", "1e200 z0, z1"]
+        result = subprocess.run(
+            [sys.executable, "-m", "milnorbook.cli", *argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (result.returncode, result.stdout) == (4, "")
+        assert result.stderr == (
+            "numerical finding: only 0 of 200 requested samples converged "
+            "after 2000 draws (rate below 10%)\n"
+        )
 
     @pytest.mark.parametrize(
         "args",

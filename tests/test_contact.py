@@ -1,6 +1,7 @@
 """Pointwise contact structures: frozen hand checks, identities, findings."""
 
 import math
+import sys
 import tracemalloc
 from unittest.mock import patch
 
@@ -358,6 +359,15 @@ class TestErrorOrder:
             with pytest.raises(OverflowError):
                 check(self.samples(0.7 + 0.7j, 0.5))
 
+    def test_a_coefficient_overflow_is_met_in_sample_order(self):
+        # |c| = hypot(1.5e308, 1.5e308) overflows in the bound of every
+        # sample; identity checks the rank loss at 0.5 first.
+        f = parse_polynomial("(1.5e308+1.5e308i)*z0 + 1", 1)
+        with pytest.raises(DegenerateTangent):
+            rescaled_reeb_identity(self.CRITICAL, f, 0.0, self.samples(0.5, 0.3))
+        with pytest.raises(OverflowError, match="absolute value too large"):
+            rescaled_reeb_identity(self.CRITICAL, f, 0.0, self.samples(0.3, 0.5))
+
     def test_singular_rows_leave_the_stacked_solve(self):
         # H is exactly singular at every sample of a wide chart.
         wide = SmoothChart(2, (Polynomial.variable(2, 0),))
@@ -639,10 +649,61 @@ def binding_block(values, levels) -> contact._Block:
     return block
 
 
+def python_results(scalar, *args):
+    """``scalar`` at each row of ``args`` as Python computes it, 0.0 where
+    it raises OverflowError, and the mask of the rows where it raises."""
+    results, raised = [], []
+    for row in zip(*(arg.tolist() for arg in args)):
+        try:
+            results.append(scalar(*row))
+            raised.append(False)
+        except OverflowError:
+            results.append(0.0)
+            raised.append(True)
+    return np.array(results), np.array(raised)
+
+
+class TestBlockRoundsAsPython:
+    """The block binding decision and ``|f|^2`` rest on two facts of the
+    installed NumPy: ``np.float_power`` and ``np.hypot`` call libm's
+    ``pow`` and ``hypot``, as Python's float ``**`` and ``abs(complex)`` do.
+    A NumPy that moves either onto its own SIMD loops fails here."""
+
+    @staticmethod
+    def magnitudes():
+        rng = np.random.default_rng(0)
+        spread = 10.0 ** rng.uniform(-320.0, 308.0, 20_000) * rng.uniform(1.0, 1.75, 20_000)
+        near_max = sys.float_info.max * rng.uniform(0.3, 1.0, 2_000)
+        special = [0.0, -0.0, math.inf, math.nan, 5e-324, sys.float_info.max, 1.0]
+        return np.concatenate([special, spread, near_max])
+
+    @pytest.mark.parametrize("d", [*range(14), 40])
+    def test_float_power_is_python_power(self, d):
+        x = self.magnitudes()
+        with np.errstate(all="ignore"):
+            powers = np.float_power(x, d)
+        expected, raised = python_results(lambda r: r ** d, x)
+        np.testing.assert_array_equal(np.isinf(powers) & np.isfinite(x), raised)
+        assert powers[~raised].tobytes() == expected[~raised].tobytes()
+        assert d < 2 or raised.any()
+
+    def test_hypot_is_python_abs(self):
+        x = self.magnitudes()
+        rng = np.random.default_rng(1)
+        re, im = rng.choice(x, 60_000), rng.choice(x, 60_000)
+        re *= rng.choice([1.0, -1.0], 60_000)
+        with np.errstate(all="ignore"):
+            sizes = np.hypot(re, im)
+        expected, raised = python_results(lambda a, b: abs(complex(a, b)), re, im)
+        np.testing.assert_array_equal(np.isinf(sizes) & np.isfinite(re) & np.isfinite(im), raised)
+        assert sizes[~raised].tobytes() == expected[~raised].tobytes()
+        assert raised.any()
+
+
 class TestBindingBand:
-    """``_Block.on_binding`` decides on the block and re-decides by the
-    scalar rule only within ``_BINDING_BAND`` of the threshold; its
-    decisions are those of ``_on_binding`` row by row."""
+    """``_Block.on_binding`` decides once on the block; its decisions are
+    those of ``_on_binding`` row by row, also a few ulps from the
+    threshold."""
 
     @staticmethod
     def assert_decisions_match(f, values, levels):
@@ -661,8 +722,8 @@ class TestBindingBand:
             for level in levels.tolist()
         ])
 
-    # A coefficient of 1e305 makes the bound reach _SAFE_MAGNITUDE at the
-    # larger levels, so those blocks take the row-by-row path.
+    # A coefficient of 1e305 puts the bounds within two decades of the
+    # float maximum at the larger levels.
     @pytest.mark.parametrize(
         "text", [*BINDING_POLYNOMIALS, "1e305*z0^2 + z1"], ids=lambda text: text
     )
@@ -685,18 +746,17 @@ class TestBindingBand:
         phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 4000))
         self.assert_decisions_match(f, sizes * phases, levels)
 
-    def test_band_is_a_hundred_times_the_worst_bound_difference(self):
+    def test_block_bounds_are_the_scalar_bounds(self):
         rng = np.random.default_rng(2)
-        worst = 0.0
         for f in BINDING_POLYNOMIALS.values():
             for level in BINDING_LEVELS:
                 radii = math.sqrt(level) * (1.0 + 1e-3 * rng.standard_normal(5000))
-                bounds = contact._magnitude_bounds(f, radii)
+                bounds, overflow = contact._magnitude_bounds(f, radii)
                 scalar = np.array([f.magnitude_bound(r) for r in radii.tolist()])
-                worst = max(worst, float(np.max(np.abs(bounds - scalar) / scalar)))
-        assert contact._BINDING_BAND >= 100.0 * worst
+                assert bounds.tobytes() == scalar.tobytes()
+                assert not overflow.any()
 
-    def test_mesh_criterion_re_decides_almost_no_rows(self):
+    def test_mesh_criterion_calls_no_scalar_rule(self):
         calls = []
         scalar = contact._on_binding
 
@@ -708,4 +768,4 @@ class TestBindingBand:
         with patch.object(contact, "_on_binding", counting):
             report = openbook_criterion_check(PLANE, f, 0.01, None, 10_000, seed=0)
         assert report.outside_count > 9_000
-        assert len(calls) <= 10
+        assert calls == []

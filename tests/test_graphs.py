@@ -1,6 +1,7 @@
 """Plumbing graphs: validation, exact definiteness, automorphisms, I/O."""
 
 import json
+import time
 import tracemalloc
 from unittest.mock import patch
 
@@ -147,6 +148,18 @@ class TestValidation:
     def test_validate_graph_duplicate_id(self):
         with pytest.raises(NonContiguousIds, match="duplicate id 0"):
             validate_graph([(0, 0, -2), (0, 0, -2)], [])
+
+    def test_validate_graph_finds_a_duplicate_id_in_a_large_graph(self):
+        # A chain of 50,000 vertices whose last vertex repeats id 25,000:
+        # counting every id in the list, as the search once did, is
+        # quadratic in the number of vertices.
+        r = 50_000
+        vertices = [(i, 0, -2) for i in range(r - 1)] + [(25_000, 0, -2)]
+        edges = [(i, i + 1) for i in range(r - 1)]
+        start = time.perf_counter()
+        with pytest.raises(NonContiguousIds, match="duplicate id 25000$"):
+            validate_graph(vertices, edges)
+        assert time.perf_counter() - start < 10.0
 
     def test_validate_graph_gap_in_ids(self):
         with pytest.raises(NonContiguousIds):
