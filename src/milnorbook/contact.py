@@ -32,7 +32,8 @@ samples, in stages of arrays over the rows: tangent (``H``, ``d rho``, the
 condition of ``H`` from the singular values of ``A_T``), Reeb (``grad rho``,
 ``R``) and, for ``theta = arg f``, theta (``f(p)``, ``df``, ``grad theta``,
 ``pr_xi grad theta``), from ``phi_block``, ``PolynomialBlock``, one stacked
-SVD of ``A_T``, stacked solves and batched products, never per sample.
+SVD of ``A_T``, stacked solves and batched products, never per sample; the
+reports meet the README's tolerance contract, not the bits of a scalar loop.
 """
 
 from __future__ import annotations
@@ -238,8 +239,8 @@ class _Block:
 
 
 def _dtheta(f_rows: np.ndarray, values: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``d theta(w) = Im(df(w) / f)`` for ``theta = arg f``, row by row."""
-    return ((f_rows[:, None, :] @ w[:, :, None])[:, 0, 0] / values).imag
+    """``d theta(w) = Im((df / f) w)``, row by row; ``df / f`` first keeps it finite."""
+    return ((f_rows / values[:, None])[:, None, :] @ w[:, :, None])[:, 0, 0].imag
 
 
 def _abs_sq(value: complex) -> float:
@@ -428,16 +429,18 @@ def rescaled_reeb_identity(
         off = ~block.on_binding(f, np.arange(len(block.samples)), True)
         rows = np.flatnonzero(off)
         skipped += len(off) - len(rows)
-        weights, factors = [], []
-        for row, value in zip(rows.tolist(), block.values[rows].tolist()):
-            try:  # math.exp: np.exp rounds differently and never raises
-                weights.append(float(c) * _abs_sq(value))
-                factors.append(math.exp(weights[-1]))
-            except OverflowError:  # a failure up to this row comes first
-                block.check(range(row + 1), off)
-                raise
+        values = block.values[rows]
+        with np.errstate(over="ignore", invalid="ignore"):  # Python raises instead
+            sizes_sq = np.float_power(np.hypot(values.real, values.imag), 2)
+            weights = float(c) * sizes_sq
+            factors = np.exp(weights)
+        overflow = np.isinf(sizes_sq) & np.isfinite(values)
+        overflow |= np.isinf(factors) & np.isfinite(weights)
+        if overflow.any():  # the first such row raises, after the failures before it
+            row = np.argmax(overflow)
+            block.check(range(rows[row] + 1), off)
+            math.exp(float(c) * _abs_sq(values[row].item()))
         block.check(range(len(off)), off)
-        weights, factors = np.array(weights), np.array(factors)
         theta = block.theta(rows)
         correction = block.project(rows, (2.0 * weights)[:, None] * theta.grad_theta)
         rescaled = factors[:, None] * (block.reeb[rows] + correction)
@@ -468,6 +471,17 @@ def _mesh(v, f: Polynomial, epsilon: float, eta: float | None, mesh: int, seed: 
     if not (eta > 0.0):
         raise InputError(f"eta must be positive, got {eta!r}")
     return samples, sizes_sq, eta
+
+
+def _rescaled_dtheta(c, sizes_sq, dtheta_reeb, terms) -> np.ndarray:
+    """``d theta(R_c)`` at retained mesh points from the columns ``|f|^2``, ``d
+    theta(R)`` and ``d theta(pr_xi(2 grad theta))``; above ``_EXP_CAP`` the
+    positive factor ``exp(c |f|^2)`` is inf, which keeps the verified sign."""
+    weights = c * sizes_sq
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = np.where(terms > 0.0, dtheta_reeb + weights * terms, dtheta_reeb)
+        capped = np.where(base != 0.0, np.copysign(math.inf, base), 0.0)
+        return np.where(weights > _EXP_CAP, capped, np.exp(weights) * base)
 
 
 @dataclass(frozen=True)
@@ -516,22 +530,23 @@ def find_adaptation_constant(
             f"eta={eta!r} is not below max |f|^2 = {max_size_sq!r} on the mesh"
         )
 
-    # d theta(pr_xi(2 grad theta)) does not depend on c, so each retained
-    # point keeps scalars only.
-    columns = []
+    # d theta(pr_xi(2 grad theta)) does not depend on c: each retained point
+    # keeps |f|^2, d theta(R), that term, |pr_xi grad theta|^2, |grad theta|^2.
+    retained = sizes_sq >= eta
+    columns = np.empty((5, np.count_nonzero(retained)))
+    columns[0] = sizes_sq[retained]
+    filled = 0
     for start in range(0, len(samples), _DRAWS_PER_BLOCK):
         block = _Block(v, samples[start : start + _DRAWS_PER_BLOCK], f, True)
-        rows = np.flatnonzero(sizes_sq[start : start + _DRAWS_PER_BLOCK] >= eta)
+        rows = np.flatnonzero(retained[start : start + _DRAWS_PER_BLOCK])
         block.check(rows, True)
         theta = block.theta(rows)
-        columns.append((
-            theta.dtheta_reeb, theta.transverse_sq, theta.grad_theta_sq,
-            _dtheta(theta.row, theta.value, 2.0 * theta.projected),
-        ))
-    dtheta_reeb, transverse_sq, theta_norms_sq, transverse_terms = (
-        np.concatenate(column) for column in zip(*columns)
-    )
-    retained_sizes_sq = sizes_sq[sizes_sq >= eta]
+        columns[1:, filled : filled + len(rows)] = (
+            theta.dtheta_reeb, _dtheta(theta.row, theta.value, 2.0 * theta.projected),
+            theta.transverse_sq, theta.grad_theta_sq,
+        )
+        filled += len(rows)
+    retained_sizes_sq, dtheta_reeb, _, transverse_sq, theta_norms_sq = columns
 
     min_dtheta = float(np.min(dtheta_reeb))
     m = max(0.0, -min_dtheta)
@@ -552,20 +567,9 @@ def find_adaptation_constant(
     c = 0.0 if m == 0.0 else m / k
 
     min_rescaled = math.inf
-    for base, transverse_term, size_sq in zip(
-        dtheta_reeb.tolist(), transverse_terms.tolist(), retained_sizes_sq.tolist()
-    ):
-        weight = c * size_sq
-        # d theta of the rescaled field, with the positive factor exp(weight)
-        # pulled out so an aggressive constant cannot overflow: the factor
-        # never changes the sign being verified.
-        if transverse_term > 0.0:
-            base += weight * transverse_term
-        if weight > _EXP_CAP:
-            rescaled_value = math.copysign(math.inf, base) if base != 0.0 else 0.0
-        else:
-            rescaled_value = math.exp(weight) * base
-        min_rescaled = min(min_rescaled, rescaled_value)
+    for start in range(0, filled, _DRAWS_PER_BLOCK):
+        rescaled = _rescaled_dtheta(c, *columns[:3, start : start + _DRAWS_PER_BLOCK])
+        min_rescaled = _fold(min, min_rescaled, rescaled)
 
     return AdaptationReport(
         c=c,
@@ -633,10 +637,7 @@ def lambda_cone_check(
         qualifying += len(rows)
         gradient = 1j * block.gradient[rows]
         pairings = theta.grad_theta[near].conj()[:, None, :] @ block.hermitian[rows]
-        pairings = (pairings @ gradient[:, :, None])[:, 0, 0]
-        # Python's complex division, which rounds differently from NumPy's.
-        lam = [z / n for z, n in zip(pairings.tolist(), block.norm_sq[rows].tolist())]
-        lam = np.array(lam, dtype=complex)
+        lam = (pairings @ gradient[:, :, None])[:, 0, 0] / block.norm_sq[rows]
         min_re = _fold(min, min_re, lam.real)
         max_arg = _fold(max, max_arg, np.abs(np.angle(lam)))
     note = "" if qualifying else "no near-proportional samples"

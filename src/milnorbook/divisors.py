@@ -335,7 +335,8 @@ def divisor_from_multiplicities(g: PlumbingGraph, n: MultiplicityVector) -> Divi
             f"multiplicity vector of length {len(n)} against "
             f"{g.vertex_count} vertices"
         )
-    solution = solve_exact(g, [-k for k in n.counts])
+    rhs = [-k for k in n.counts]  # a definite form is solved sparse, not squared
+    solution = solve_exact(g, rhs, require_negative_definite=True) or solve_exact(g, rhs)
     for i, value in enumerate(solution):
         if value.denominator != 1:
             raise NonIntegralSolution(i, value)

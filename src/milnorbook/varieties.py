@@ -33,8 +33,8 @@ line search, and the steps of all live draws from one stacked
 least-squares call per iteration.  Polynomials are evaluated on the whole
 block by :class:`~milnorbook.polynomials.PolynomialBlock`.
 Sampling is bitwise deterministic for a fixed seed, and independent of the
-block size: the block solves reproduce the one-draw-at-a-time scalar
-solves bit for bit.
+block size: the block solves reproduce the one-draw-at-a-time solves bit for
+bit, ``|h|`` included (``np.hypot`` is libm's ``hypot``, as Python's ``abs``).
 """
 
 from __future__ import annotations
@@ -436,12 +436,8 @@ def _hypersurface_step(surface: Hypersurface, epsilon: float):
         residual[:, 2] = np.sum(np.abs(z) ** 2, axis=1) - epsilon
         return residual, values[:, 1:]
 
-    def h_sizes(residual: np.ndarray) -> np.ndarray:
-        # math.hypot, row by row: np.hypot rounds differently in rare cases.
-        return np.array([math.hypot(re, im) for re, im in residual[:, :2].tolist()])
-
     def scaled_residuals(residual: np.ndarray) -> np.ndarray:
-        h_part = h_sizes(residual) / h_scale
+        h_part = np.hypot(residual[:, 0], residual[:, 1]) / h_scale
         level_part = np.abs(residual[:, 2]) / epsilon
         return np.where(level_part > h_part, level_part, h_part)
 
@@ -493,7 +489,7 @@ def _hypersurface_step(surface: Hypersurface, epsilon: float):
         found = np.flatnonzero(best_scaled < math.inf)
         residual, gradient = system(best[found])
         kept = (
-            ~(h_sizes(residual) > _RESIDUAL_TOLERANCE * h_scale)
+            ~(np.hypot(residual[:, 0], residual[:, 1]) > _RESIDUAL_TOLERANCE * h_scale)
             & ~(np.abs(residual[:, 2]) > _LEVEL_TOLERANCE * epsilon)
             & ~(_row_norms(gradient) < gradient_floor)
         )

@@ -15,12 +15,15 @@ Some entries are exceptions.  The sampler references solve one draw at a
 time with scalar arithmetic (a radial root-find for charts, damped
 Gauss–Newton for hypersurfaces), and the contact point record is built
 one sample at a time; the package's block solves and block records must
-reproduce them bit for bit, not merely agree with them.  The automorphism
-group is listed with the package's own backtracking search, which the
-package itself only ever asks for one solution at a time.  And
-:func:`eval_forms` reads the package's point record at one sample, named
-for the hand checks; :func:`gradient_identity_residuals` tests that
-record's hermitian form against finite differences of the functions.
+reproduce them bit for bit, not merely agree with them.  The adaptation
+search's verification, one point at a time, is the reference its block
+form must meet within the report contract of ``tests/test_contract.py``.
+The automorphism group is listed with the package's own backtracking
+search, which the package itself only ever asks for one solution at a
+time.  And :func:`eval_forms` reads the package's point record at one
+sample, named for the hand checks; :func:`gradient_identity_residuals`
+tests that record's hermitian form against finite differences of the
+functions.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from milnorbook import (
 from milnorbook import varieties
 from milnorbook.contact import (
     _CONDITION_CEILING,
+    _EXP_CAP,
     _FD_STEP,
     _Block,
     _im_covector,
@@ -369,7 +373,7 @@ def _real_system(
 
 
 def _scaled_residual(residual: np.ndarray, epsilon: float, h_scale: float) -> float:
-    h_size = math.hypot(residual[0], residual[1])
+    h_size = abs(complex(residual[0], residual[1]))
     return max(h_size / h_scale, abs(residual[2]) / epsilon)
 
 
@@ -419,7 +423,7 @@ def per_draw_hypersurface_samples(
             return None
         z = best_z
         residual, _ = _real_system(surface, epsilon, z)
-        h_size = math.hypot(residual[0], residual[1])
+        h_size = abs(complex(residual[0], residual[1]))
         if h_size > varieties._RESIDUAL_TOLERANCE * h_scale:
             return None
         if abs(residual[2]) > varieties._LEVEL_TOLERANCE * epsilon:
@@ -493,10 +497,34 @@ def per_sample_contact_record(v, point, f) -> dict:
         "f_row": row,
         "grad_theta": grad_theta,
         "projected": projected,
-        "dtheta_reeb": float(np.imag((row @ reeb) / value)),
+        "dtheta_reeb": float(np.imag((row / value) @ reeb)),
         "grad_theta_sq": float(np.real(grad_theta.conj() @ hermitian @ grad_theta)),
         "transverse_sq": float(np.real(projected.conj() @ hermitian @ projected)),
     }
+
+
+def per_point_rescaled_dtheta(c, dtheta_reeb, transverse_terms, sizes_sq):
+    """``d theta(R_c)`` at each retained mesh point and their running
+    minimum, as the adaptation search verified them one point at a time,
+    with Python floats and ``math.exp``."""
+    values = []
+    min_rescaled = math.inf
+    for base, transverse_term, size_sq in zip(
+        dtheta_reeb.tolist(), transverse_terms.tolist(), sizes_sq.tolist()
+    ):
+        weight = c * size_sq
+        # d theta of the rescaled field, with the positive factor exp(weight)
+        # pulled out so an aggressive constant cannot overflow: the factor
+        # never changes the sign being verified.
+        if transverse_term > 0.0:
+            base += weight * transverse_term
+        if weight > _EXP_CAP:
+            rescaled_value = math.copysign(math.inf, base) if base != 0.0 else 0.0
+        else:
+            rescaled_value = math.exp(weight) * base
+        values.append(rescaled_value)
+        min_rescaled = min(min_rescaled, rescaled_value)
+    return np.array(values), min_rescaled
 
 
 @dataclass(frozen=True, eq=False)

@@ -146,6 +146,17 @@ class TestExitCodes:
             "after 2000 draws (rate below 10%)\n"
         )
 
+    def test_an_enormous_f_turns_no_product_infinite(self):
+        # |f| near 1e306: d theta divides df by f before pairing it, so no
+        # product overflows and nothing but the report is printed.
+        argv = ["contact", "cone", "--ambient", "2", "--f", "1e308 z0 + 1e308 z1"]
+        result = subprocess.run(
+            [sys.executable, "-m", "milnorbook.cli", *argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert "no near-proportional samples" in result.stdout
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -30,8 +30,10 @@ from oracles import (
     OnBinding,
     eval_forms,
     gradient_identity_residuals,
+    per_point_rescaled_dtheta,
     per_sample_contact_record,
 )
+from test_contract import BOUNDS
 from milnorbook.errors import (
     ConeViolation,
     DegenerateTangent,
@@ -539,6 +541,43 @@ class TestAdaptation:
             find_adaptation_constant(LINE, f, 0.01, None, 200, seed=0)
 
 
+class TestRescaledVerification:
+    """The block verification of the adaptation search against the loop over
+    the points: the same sign at every point, and values and minimum within
+    the contract's bound on ``min_dtheta_rescaled``."""
+
+    RTOL = BOUNDS["min_dtheta_rescaled"][1]
+
+    @staticmethod
+    def columns(seed):
+        rng = np.random.default_rng(seed)
+        dtheta_reeb = 100.0 * rng.standard_normal(5000)
+        transverse_terms = rng.standard_normal(5000)
+        sizes_sq = 10.0 ** rng.uniform(-9.0, -1.0, 5000)
+        # base == 0, signed zeros and NaN in each column.
+        dtheta_reeb[:40] = [0.0, -0.0] * 20
+        transverse_terms[:40:4] = 0.0
+        for column in (dtheta_reeb, transverse_terms, sizes_sq):
+            column[rng.choice(5000, 25, replace=False)] = math.nan
+        return dtheta_reeb, transverse_terms, sizes_sq
+
+    # |f|^2 <= 0.1, so weight = c |f|^2 passes _EXP_CAP only from c = 7090 on.
+    @pytest.mark.parametrize("c", [0.0, 1.0, 1e3, 3e5, 1e12, math.inf])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_block_verification_meets_the_loop(self, c, seed):
+        dtheta_reeb, transverse_terms, sizes_sq = self.columns(seed)
+        got = contact._rescaled_dtheta(c, sizes_sq, dtheta_reeb, transverse_terms)
+        expected, minimum = per_point_rescaled_dtheta(
+            c, dtheta_reeb, transverse_terms, sizes_sq
+        )
+        assert (c * sizes_sq > contact._EXP_CAP).any() == (c > 1e5)
+        np.testing.assert_array_equal(np.sign(got), np.sign(expected))
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(expected))
+        np.testing.assert_allclose(got, expected, rtol=self.RTOL, atol=0.0, equal_nan=True)
+        folded = contact._fold(min, math.inf, got)
+        assert math.isclose(folded, minimum, rel_tol=self.RTOL) or folded == minimum
+
+
 class TestLambdaCone:
     def test_fully_proportional_on_the_line(self):
         f = parse_polynomial("z0", 1)
@@ -614,6 +653,22 @@ class TestOpenBookCriterion:
         finally:
             tracemalloc.stop()
         assert report.mesh == 100_000
+        assert peak < 15_000_000
+
+    def test_adapt_mesh_memory_is_the_record_and_the_retained_columns(self):
+        """At mesh 10^5 the search peaks at 13.9 MB under tracemalloc: the
+        record, the cutoff array and block temporaries, as in the criterion,
+        and five retained columns of 0.8 MB each.  Columns joined by
+        np.concatenate and verified from lists peaked at 25.6 MB."""
+        f = parse_polynomial("z0^2 + z1^3", 2)
+        find_adaptation_constant(PLANE, f, 0.01, None, 10, seed=0)  # first-call imports
+        tracemalloc.start()
+        try:
+            report = find_adaptation_constant(PLANE, f, 0.01, None, 100_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verified and report.retained > 99_000
         assert peak < 15_000_000
 
     def test_mesh_validation(self):

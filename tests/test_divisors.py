@@ -341,6 +341,21 @@ class TestMultiplicities:
             g, MultiplicityVector((-2, -1))
         ).multiplicities == (3, 2)
 
+    def test_a_definite_round_trip_is_not_squared(self):
+        """On the 200-leg star the definite elimination stays sparse; the
+        normal equations fill a 200 x 200 block at the centre and traced
+        5.7 MB."""
+        g = star_graph(-200, [-2] * 200)
+        d = minimal_divisor(g)
+        n = binding_multiplicities(g, d)
+        tracemalloc.start()
+        try:
+            assert divisor_from_multiplicities(g, n) == d
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_report_to_dict_shape(self):
         report = check_theorem_conditions(D4, minimal_divisor(D4))
         doc = report.to_dict()
