@@ -29,12 +29,14 @@ autocorrelation, and finds their roots together (bracket doubling, at most
 polishing, as array Horner loops); for
 hypersurfaces it runs a damped Gauss–Newton iteration on ``(Re h, Im h,
 rho - epsilon)`` for all draws of the block together, each with its own
-line search, and the steps of all live draws from one stacked
-least-squares call per iteration.  Polynomials are evaluated on the whole
-block by :class:`~milnorbook.polynomials.PolynomialBlock`.
+line search, and the minimum-norm steps of all live draws in closed form,
+a few array operations per iteration; only rows too close to rank
+deficiency go to one stacked least-squares call.  Polynomials are evaluated
+on the whole block by :class:`~milnorbook.polynomials.PolynomialBlock`.
 Sampling is bitwise deterministic for a fixed seed, and independent of the
-block size: the block solves reproduce the one-draw-at-a-time solves bit for
-bit, ``|h|`` included (``np.hypot`` is libm's ``hypot``, as Python's ``abs``).
+block size: every block operation is one a loop over single draws repeats
+in the same order, ``|h|`` included (``np.hypot`` is libm's ``hypot``, as
+Python's ``abs``).
 """
 
 from __future__ import annotations
@@ -83,6 +85,10 @@ _NEWTON_TOLERANCE = 1e-12
 # rejected step is shrunk by.
 _MAX_ITERATIONS = 50
 _DAMPING = 0.5
+
+# A Gauss–Newton step whose rank margin ``|z_perp|^2`` is at most this share
+# of ``|z|^2`` is left to the ``lstsq`` gufunc (see _gauss_newton_steps).
+_RANK_MARGIN = 1e-6
 
 # The generalized ufunc behind ``np.linalg.lstsq`` (NumPy 2): one call
 # solves a whole stack of systems.
@@ -383,6 +389,69 @@ def _least_squares(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solutions[:, :, 0]
 
 
+def _real_jacobians(z: np.ndarray, gradient: np.ndarray) -> np.ndarray:
+    """The real ``3 x 2n`` Jacobians of ``(Re h, Im h, rho - epsilon)`` in the
+    unknowns ``(x, y)``, ``z = x + i y``: for holomorphic ``h`` the real
+    partials are ``dh/dx_j = h_j`` and ``dh/dy_j = i h_j``."""
+    n = z.shape[1]
+    jacobian = np.empty((len(z), 3, 2 * n))
+    jacobian[:, 0, :n] = gradient.real
+    jacobian[:, 0, n:] = -gradient.imag
+    jacobian[:, 1, :n] = gradient.imag
+    jacobian[:, 1, n:] = gradient.real
+    jacobian[:, 2, :n] = 2.0 * z.real
+    jacobian[:, 2, n:] = 2.0 * z.imag
+    return jacobian
+
+
+def _gauss_newton_steps(
+    z: np.ndarray, residual: np.ndarray, gradient: np.ndarray
+) -> np.ndarray:
+    """Minimum-norm real steps ``(dx, dy)`` solving ``J @ step = -residual``,
+    ``J`` the :func:`_real_jacobians` at the rows ``z`` with ``dh = gradient``.
+
+    Rows 0 and 1 of ``J`` are ``conj(g)`` and ``i conj(g)`` read as real
+    vectors, orthogonal and of norm ``|g|``; row 2 is ``2 z``.  With ``c =
+    sum_j g_j z_j / |g|^2`` and ``z_perp = z - c conj(g)``, orthogonal to both,
+    the step in their span is ``-(h / |g|^2) conj(g) + b z_perp`` with ``b =
+    (2 Re(h conj(c)) - (rho - epsilon)) / (2 |z_perp|^2)``.  It is taken in
+    real arithmetic, every sum over the columns left to right, so a loop over
+    single draws repeats its bits.  Rows with ``|z_perp|^2 <= _RANK_MARGIN
+    |z|^2`` (``z`` nearly parallel to ``conj(g)``; also ``g = 0``), with
+    ``|g|^2`` outside the normal range, or whose step is not finite are
+    solved instead by one :func:`_least_squares` call, for which alone a
+    Jacobian is built.
+    """
+    n = z.shape[1]
+    x, y, p, q = z.real, z.imag, gradient.real, gradient.imag
+    hr, hi, level = residual.T
+    gg = zz = sr = si = pp = 0.0
+    steps = np.empty((len(z), 2 * n))
+    perp = np.empty_like(steps)
+    with np.errstate(all="ignore"):  # the rows this touches are solved again
+        for j in range(n):
+            gg = gg + (p[:, j] * p[:, j] + q[:, j] * q[:, j])
+            zz = zz + (x[:, j] * x[:, j] + y[:, j] * y[:, j])
+            sr = sr + (p[:, j] * x[:, j] - q[:, j] * y[:, j])
+            si = si + (p[:, j] * y[:, j] + q[:, j] * x[:, j])
+        cr, ci, wr, wi = sr / gg, si / gg, -hr / gg, -hi / gg
+        for j in range(n):
+            perp[:, j] = x[:, j] - (cr * p[:, j] + ci * q[:, j])
+            perp[:, n + j] = y[:, j] - (ci * p[:, j] - cr * q[:, j])
+            pp = pp + (perp[:, j] * perp[:, j] + perp[:, n + j] * perp[:, n + j])
+        b = (2.0 * (hr * cr + hi * ci) - level) / (2.0 * pp)
+        for j in range(n):
+            steps[:, j] = wr * p[:, j] + wi * q[:, j] + b * perp[:, j]
+            steps[:, n + j] = wi * p[:, j] - wr * q[:, j] + b * perp[:, n + j]
+        solved = (pp > _RANK_MARGIN * zz) & (gg >= np.finfo(float).tiny) & (gg < np.inf)
+    rows = np.flatnonzero(~(solved & np.isfinite(steps).all(axis=1)))
+    if rows.size:
+        steps[rows] = _least_squares(
+            _real_jacobians(z[rows], gradient[rows]), -residual[rows]
+        )
+    return steps
+
+
 def _kernel_bases(gradients: np.ndarray) -> np.ndarray:
     """Orthonormal bases of the kernel of each row of ``gradients``.
 
@@ -415,13 +484,12 @@ def _hypersurface_step(surface: Hypersurface, epsilon: float):
     """Block step for hypersurfaces: damped Gauss–Newton on
     ``(Re h, Im h, rho - epsilon)`` from every draw of the block at once.
 
-    The unknowns are the real coordinates ``(x, y)`` with ``z = x + i y``;
-    for holomorphic ``h`` the real partials are ``dh/dx_j = h_j`` and
-    ``dh/dy_j = i h_j``.  Each draw keeps its own iterate, best point and
-    line-search factor; the draws still iterating are evaluated together,
-    and every pending line-search trial of an iteration too.  The
-    minimum-norm steps of all live draws come from one stacked
-    least-squares call per iteration, with ``np.linalg.lstsq``'s bits.
+    Each draw keeps its own iterate, best point and line-search factor; the
+    draws still iterating are evaluated together, and every pending
+    line-search trial of an iteration too.  The minimum-norm steps of all
+    live draws come from :func:`_gauss_newton_steps`: a closed form on the
+    block, and at most one stacked least-squares call per iteration, for
+    the rows too close to rank deficiency.
     """
     n = surface.ambient_dim
     h_scale = surface.defining_scale(epsilon)
@@ -458,14 +526,7 @@ def _hypersurface_step(surface: Hypersurface, epsilon: float):
             )
             if not live.size:
                 break
-            jacobian = np.empty((live.size, 3, 2 * n))
-            jacobian[:, 0, :n] = gradient.real
-            jacobian[:, 0, n:] = -gradient.imag
-            jacobian[:, 1, :n] = gradient.imag
-            jacobian[:, 1, n:] = gradient.real
-            jacobian[:, 2, :n] = 2.0 * z.real
-            jacobian[:, 2, n:] = 2.0 * z.imag
-            steps = _least_squares(jacobian, -residual)
+            steps = _gauss_newton_steps(z, residual, gradient)
             delta = steps[:, :n] + 1j * steps[:, n:]
             size = _row_norms(residual)
             factor = np.ones(live.size)

@@ -13,7 +13,8 @@ on.
 
 Some entries are exceptions.  The sampler references solve one draw at a
 time with scalar arithmetic (a radial root-find for charts, damped
-Gauss–Newton for hypersurfaces), and the contact point record is built
+Gauss–Newton for hypersurfaces, whose closed-form step is the package's
+formula taken one scalar at a time), and the contact point record is built
 one sample at a time; the package's block solves and block records must
 reproduce them bit for bit, not merely agree with them.  The adaptation
 search's verification, one point at a time, is the reference its block
@@ -350,17 +351,22 @@ def per_draw_chart_samples(chart: SmoothChart, epsilon: float, count: int, seed:
 def _real_system(
     surface: Hypersurface, epsilon: float, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Residual and real Jacobian of ``(Re h, Im h, rho - epsilon)``.
+    """Residual ``(Re h, Im h, rho - epsilon)`` and complex gradient of ``h``
+    at one point, evaluated term by term."""
+    h_value = surface.defining.evaluate(z)
+    h_grad = np.array([g.evaluate(z) for g in surface.defining.gradient()])
+    rho = float(np.sum(np.abs(z) ** 2))
+    return np.array([h_value.real, h_value.imag, rho - epsilon]), h_grad
+
+
+def _real_jacobian(z: np.ndarray, h_grad: np.ndarray) -> np.ndarray:
+    """The real Jacobian of ``(Re h, Im h, rho - epsilon)``.
 
     The unknowns are the real coordinates ``(x_0..x_n, y_0..y_n)`` with
     ``z_j = x_j + i y_j``; for holomorphic ``h`` the real partials are
     ``dh/dx_j = h_j`` and ``dh/dy_j = i h_j`` with ``h_j`` the complex
     gradient entry.
     """
-    h_value = surface.defining.evaluate(z)
-    h_grad = np.array([g.evaluate(z) for g in surface.defining.gradient()])
-    rho = float(np.sum(np.abs(z) ** 2))
-    residual = np.array([h_value.real, h_value.imag, rho - epsilon])
     n = z.size
     jacobian = np.empty((3, 2 * n))
     jacobian[0, :n] = h_grad.real
@@ -369,7 +375,45 @@ def _real_system(
     jacobian[1, n:] = h_grad.real
     jacobian[2, :n] = 2.0 * z.real
     jacobian[2, n:] = 2.0 * z.imag
-    return residual, jacobian
+    return jacobian
+
+
+def gauss_newton_step(
+    z: np.ndarray, residual: np.ndarray, h_grad: np.ndarray
+) -> np.ndarray:
+    """One draw's minimum-norm step ``(dx, dy)``, by the closed form of
+    ``varieties._gauss_newton_steps`` on NumPy scalars, one operation at a
+    time in that function's order, or by ``np.linalg.lstsq`` on the row that
+    function leaves to the gufunc."""
+    n = z.size
+    x, y, p, q = z.real, z.imag, h_grad.real, h_grad.imag
+    hr, hi, level = residual
+    gg = zz = sr = si = pp = 0.0
+    step = np.empty(2 * n)
+    perp = np.empty(2 * n)
+    with np.errstate(all="ignore"):
+        for j in range(n):
+            gg = gg + (p[j] * p[j] + q[j] * q[j])
+            zz = zz + (x[j] * x[j] + y[j] * y[j])
+            sr = sr + (p[j] * x[j] - q[j] * y[j])
+            si = si + (p[j] * y[j] + q[j] * x[j])
+        cr, ci, wr, wi = sr / gg, si / gg, -hr / gg, -hi / gg
+        for j in range(n):
+            perp[j] = x[j] - (cr * p[j] + ci * q[j])
+            perp[n + j] = y[j] - (ci * p[j] - cr * q[j])
+            pp = pp + (perp[j] * perp[j] + perp[n + j] * perp[n + j])
+        b = (2.0 * (hr * cr + hi * ci) - level) / (2.0 * pp)
+        for j in range(n):
+            step[j] = wr * p[j] + wi * q[j] + b * perp[j]
+            step[n + j] = wi * p[j] - wr * q[j] + b * perp[n + j]
+    if (
+        pp > varieties._RANK_MARGIN * zz
+        and np.finfo(float).tiny <= gg < math.inf
+        and all(math.isfinite(value) for value in step)
+    ):
+        return step
+    step, *_ = np.linalg.lstsq(_real_jacobian(z, h_grad), -residual, rcond=None)
+    return step
 
 
 def _scaled_residual(residual: np.ndarray, epsilon: float, h_scale: float) -> float:
@@ -385,8 +429,8 @@ def per_draw_hypersurface_samples(
 
     Each draw is two ``standard_normal(n)`` calls, real part first, solved
     by damped Gauss–Newton on ``(Re h, Im h, rho - epsilon)`` with scalar
-    polynomial evaluation and one ``lstsq`` per iteration; the budget, the
-    tolerances and the acceptance tests are the package's.
+    polynomial evaluation and one :func:`gauss_newton_step` per iteration;
+    the budget, the tolerances and the acceptance tests are the package's.
     """
     n = surface.ambient_dim
     h_scale = surface.defining_scale(epsilon)
@@ -397,14 +441,14 @@ def per_draw_hypersurface_samples(
         best_z = None
         best_scaled = math.inf
         for _ in range(varieties._MAX_ITERATIONS):
-            residual, jacobian = _real_system(surface, epsilon, z)
+            residual, h_grad = _real_system(surface, epsilon, z)
             scaled = _scaled_residual(residual, epsilon, h_scale)
             if scaled < best_scaled:
                 best_scaled = scaled
                 best_z = z
             if scaled <= varieties._NEWTON_TOLERANCE:
                 break
-            step, *_ = np.linalg.lstsq(jacobian, -residual, rcond=None)
+            step = gauss_newton_step(z, residual, h_grad)
             delta = step[:n] + 1j * step[n:]
             size = float(np.linalg.norm(residual))
             factor = 1.0
@@ -422,13 +466,12 @@ def per_draw_hypersurface_samples(
         if best_z is None:
             return None
         z = best_z
-        residual, _ = _real_system(surface, epsilon, z)
+        residual, gradient = _real_system(surface, epsilon, z)
         h_size = abs(complex(residual[0], residual[1]))
         if h_size > varieties._RESIDUAL_TOLERANCE * h_scale:
             return None
         if abs(residual[2]) > varieties._LEVEL_TOLERANCE * epsilon:
             return None
-        gradient = np.array([g.evaluate(z) for g in surface.defining.gradient()])
         if np.linalg.norm(gradient) < gradient_floor:
             return None
         return z, _kernel_bases(gradient[None])[0], float(np.sum(np.abs(z) ** 2))

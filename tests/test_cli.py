@@ -461,12 +461,15 @@ class TestDeterminism:
         assert out_a == out_b
 
     def test_seed_changes_samples_not_shape(self, capsys):
-        base = ["contact", "spsh", "--hypersurface", "z0^2 + z1^3 + z2^5",
-                "--samples", "30", "--format", "structured"]
+        # A minimum over the samples, not a quantity that is constant on the
+        # link (the Levi quotient is 4 at every point of a hypersurface, so
+        # two seeds could tell it apart only in the last bits): seeds 0 and
+        # 1 give 10.216 and 10.128.
+        base = ["contact", "criterion", "--hypersurface", "z0^2 + z1^2 + z2^2 + z3^3",
+                "--f", "z0", "--mesh", "200", "--format", "structured"]
         _, out_a, _ = run(capsys, *base, "--seed", "0")
         _, out_b, _ = run(capsys, *base, "--seed", "1")
-        doc_a, doc_b = json.loads(out_a), json.loads(out_b)
-        assert doc_a["result"]["min_levi_quotient"] != doc_b[
-            "result"
-        ]["min_levi_quotient"]
-        assert set(doc_a["result"]) == set(doc_b["result"])
+        result_a, result_b = json.loads(out_a)["result"], json.loads(out_b)["result"]
+        low, high = sorted((result_a["min_dtheta_norm"], result_b["min_dtheta_norm"]))
+        assert high - low > 1e-3 * high
+        assert set(result_a) == set(result_b)

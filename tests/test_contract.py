@@ -4,7 +4,7 @@ Identical invocations print byte-identical reports on one host.  Across
 commits, a report's exit code and every field that is not a float (pass
 flags, counts, ``k is None``) stay equal, and every float stays within the
 bound :data:`BOUNDS` gives its field; the README holds the same table.  The
-reports are those of the thirteen ``contact`` invocations the CI
+reports are those of the fifteen ``contact`` invocations the CI
 determinism step runs, the README's two examples among them, compared with
 ``contract_reports.json``, which holds the reports of commit 2e6de2a and was
 written from a checkout of it by
@@ -67,6 +67,9 @@ INVOCATIONS = {
                         "--f", "z0^2 + z1^3"],
     "criterion-mesh": ["criterion", "--ambient", "2", "--f", "z0^2 + z1^3",
                        "--mesh", "100000"],
+    "criterion-eta": ["criterion", "--hypersurface", "z0^2 + z1^3 + z2^5", "--f", "z1",
+                      "--mesh", "2000", "--eta", "1e-3"],
+    "line-cone": ["cone", "--ambient", "1", "--f", "z0 + 0.3*z0^2"],
 }
 
 

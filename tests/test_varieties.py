@@ -1,6 +1,7 @@
 """Level-set sampling on charts and hypersurfaces."""
 
 import tracemalloc
+from fractions import Fraction
 from functools import lru_cache
 from unittest.mock import patch
 
@@ -25,6 +26,7 @@ from oracles import (
 )
 
 BRIESKORN = Hypersurface(parse_polynomial("z0^2 + z1^3 + z2^5", 3))
+QUADRIC = Hypersurface(parse_polynomial("z0^2 + z1^2 + z2^2 + z3^3", 4))
 
 # Identity charts of C^1..C^3, the two maps of the benchmark's chart jobs,
 # and a map of degree 5 with complex coefficients.
@@ -383,10 +385,10 @@ class TestHypersurfaceBlockSolve:
 
 
 class TestStackedLeastSquares:
-    """Each Gauss–Newton iteration solves the steps of all live draws with
-    one call of the ``lstsq`` gufunc; row by row it must return the bits of
-    the public ``np.linalg.lstsq``, so that a NumPy release that changes
-    them fails here instead of moving the samples silently."""
+    """The Gauss–Newton rows too close to rank deficiency are solved with one
+    call of the ``lstsq`` gufunc; row by row it must return the bits of the
+    public ``np.linalg.lstsq``, so that a NumPy release that changes them
+    fails here instead of moving the samples silently."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_steps_match_per_system_lstsq(self, n):
@@ -421,39 +423,188 @@ class TestStackedLeastSquares:
             varieties._least_squares(matrices, rhs)
         assert str(stacked.value) == str(public.value)
 
-    def test_one_stacked_call_per_iteration(self):
-        stacked = varieties._LSTSQ
-        make_step = varieties._hypersurface_step
-        blocks = []
 
-        def counting(matrices, *args, **kwargs):
-            blocks[-1][1].append(len(matrices))
-            return stacked(matrices, *args, **kwargs)
+def sampler_systems(n: int, count: int, seed: int, epsilon: float = 0.01):
+    """Rows ``(z, residual, gradient)`` shaped like the sampler's: ``z`` on
+    the sphere ``|z|^2 = epsilon``, gradients over six decades, residuals
+    from 1e-12 to 1e-2, and a rank margin ``|z_perp|^2 / |z|^2`` spread
+    log-uniformly from 1 down to 1.26e-6, just above ``_RANK_MARGIN``."""
+    rng = np.random.default_rng(seed)
 
-        def recording_step(surface, epsilon):
-            step = make_step(surface, epsilon)
+    def complex_normal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-            def recorded(raw, norms):
-                blocks.append((len(raw), []))
-                return step(raw, norms)
+    gradient = complex_normal(count, n) * 10.0 ** rng.uniform(-3, 3, (count, 1))
+    along = gradient.conj() / np.linalg.norm(gradient, axis=1)[:, None]
+    across = complex_normal(count, n)
+    across -= np.sum(along.conj() * across, axis=1)[:, None] * along
+    across /= np.linalg.norm(across, axis=1)[:, None]
+    margin = 10.0 ** rng.uniform(-5.9, 0, (count, 1))
+    phase = np.exp(2j * np.pi * rng.uniform(size=(count, 1)))
+    z = np.sqrt(epsilon) * (
+        np.sqrt(1 - margin) * phase * along + np.sqrt(margin) * across
+    )
+    residual = rng.standard_normal((count, 3))
+    residual *= 10.0 ** rng.uniform(-12, -2, (count, 3))
+    return z, residual, gradient
 
-            return recorded
+
+def per_system_lstsq(z, residual, gradient) -> np.ndarray:
+    jacobians = varieties._real_jacobians(z, gradient)
+    return np.array(
+        [np.linalg.lstsq(a, -b, rcond=None)[0] for a, b in zip(jacobians, residual)]
+    )
+
+
+def exact_minimum_norm_step(jacobian, residual) -> np.ndarray:
+    """``J^T (J J^T)^{-1} (-r)`` in rational arithmetic, rounded once."""
+    rows = [[Fraction(float(x)) for x in row] for row in jacobian]
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
+    system = [gram[i] + [-Fraction(float(residual[i]))] for i in range(3)]
+    for c in range(3):
+        pivot = next(i for i in range(c, 3) if system[i][c] != 0)
+        system[c], system[pivot] = system[pivot], system[c]
+        for i in range(3):
+            if i != c:
+                ratio = system[i][c] / system[c][c]
+                system[i] = [a - ratio * b for a, b in zip(system[i], system[c])]
+    y = [system[i][3] / system[i][i] for i in range(3)]
+    return np.array([float(sum(y[i] * rows[i][k] for i in range(3)))
+                     for k in range(len(rows[0]))])
+
+
+class CountingGufunc:
+    """Stands in for ``varieties._LSTSQ`` and records every stack it solves."""
+
+    def __init__(self):
+        self.stacks = []
+
+    def __call__(self, matrices, *args, **kwargs):
+        self.stacks.append(matrices.copy())
+        return STACKED_LSTSQ(matrices, *args, **kwargs)
+
+
+STACKED_LSTSQ = varieties._LSTSQ
+
+
+class TestClosedFormSteps:
+    """The Gauss–Newton steps are a closed form on the block; the rows too
+    close to rank deficiency, and only those, go to one ``lstsq`` gufunc
+    call, which gives them ``np.linalg.lstsq``'s bits."""
+
+    # Both routes are measured within 5e-13 of the exact step on these
+    # systems (margins down to 1.26e-6 cost about three digits).
+    BOUND = 1e-11
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_closed_form_meets_per_system_lstsq(self, n):
+        z, residual, gradient = sampler_systems(n, 3000, seed=n)
+        gufunc = CountingGufunc()
+        with patch.object(varieties, "_LSTSQ", gufunc):
+            steps = varieties._gauss_newton_steps(z, residual, gradient)
+        assert gufunc.stacks == []
+        expected = per_system_lstsq(z, residual, gradient)
+        error = np.linalg.norm(steps - expected, axis=1)
+        assert np.all(error <= self.BOUND * np.linalg.norm(expected, axis=1))
+
+    def test_closed_form_meets_the_exact_step(self):
+        for n in (2, 3, 4):
+            z, residual, gradient = sampler_systems(n, 40, seed=10 + n)
+            steps = varieties._gauss_newton_steps(z, residual, gradient)
+            jacobians = varieties._real_jacobians(z, gradient)
+            for step, jacobian, r in zip(steps, jacobians, residual):
+                exact = exact_minimum_norm_step(jacobian, r)
+                assert np.linalg.norm(step - exact) <= 1e-12 * np.linalg.norm(exact)
+
+    def solve_with_special_rows(self, z, residual, gradient, special):
+        """Steps of ordinary sampler rows with the given rows put at
+        ``special``; checks that one gufunc call solved exactly those rows
+        and returns the steps."""
+        gufunc = CountingGufunc()
+        with patch.object(varieties, "_LSTSQ", gufunc):
+            steps = varieties._gauss_newton_steps(z, residual, gradient)
+        assert len(gufunc.stacks) == 1
+        jacobians = varieties._real_jacobians(z, gradient)
+        assert gufunc.stacks[0].tobytes() == jacobians[special].tobytes()
+        expected = per_system_lstsq(z, residual, gradient)
+        assert steps[special].tobytes() == expected[special].tobytes()
+        ordinary = np.setdiff1d(np.arange(len(z)), special)
+        error = np.linalg.norm(steps[ordinary] - expected[ordinary], axis=1)
+        assert np.all(error <= self.BOUND * np.linalg.norm(expected[ordinary], axis=1))
+        return steps
+
+    @pytest.mark.parametrize("epsilon", [1e-6, 0.01, 1.0])
+    def test_rows_along_the_conjugate_gradient_take_the_gufunc(self, epsilon):
+        """``h = z0^2 + z1^2`` at ``z = (e^{i t} sqrt(epsilon), 0)``: ``g = 2 z``
+        and ``z = e^{2 i t} conj(g) / 2``, so ``J`` has rank two."""
+        surface = Hypersurface(parse_polynomial("z0^2 + z1^2", 2))
+        z, residual, gradient = sampler_systems(2, 30, seed=7, epsilon=epsilon)
+        special = np.array([0, 4, 11, 29])
+        angles = np.array([0.0, 0.5, 2.0, np.pi])
+        z[special] = np.stack(
+            [np.sqrt(epsilon) * np.exp(1j * angles), np.zeros(4)], axis=1
+        )
+        values = surface._system_block.evaluate(z[special])
+        residual[special] = np.stack(
+            [values[:, 0].real, values[:, 0].imag,
+             np.sum(np.abs(z[special]) ** 2, axis=1) - epsilon], axis=1
+        )
+        gradient[special] = values[:, 1:]
+        steps = self.solve_with_special_rows(z, residual, gradient, special)
+        assert np.all(np.isfinite(steps))
+
+    def test_rows_with_a_vanishing_gradient_take_the_gufunc(self):
+        z, residual, gradient = sampler_systems(3, 30, seed=8)
+        special = np.array([2, 3, 17])
+        gradient[special] = 0.0
+        gradient[17, 1] = 1e-170  # |g|^2 underflows to zero
+        residual[special, :2] = 0.0
+        self.solve_with_special_rows(z, residual, gradient, special)
+
+    def test_rows_whose_gradient_norm_is_not_normal_take_the_gufunc(self):
+        """``|g|^2`` subnormal (digits lost) or overflowing (``c`` and
+        ``h / |g|^2`` flush to zero): the closed form would return a finite,
+        wrong step."""
+        z, residual, gradient = sampler_systems(3, 30, seed=9)
+        special = np.array([5, 21])
+        gradient[5] = 1e-160 * np.array([1.0, 1j, 0.5 - 0.5j])
+        gradient[21] = 1e160 * np.array([1.0, 1j, 0.5 - 0.5j])
+        residual[5, :2] = 0.0
+        steps = self.solve_with_special_rows(z, residual, gradient, special)
+        assert np.all(np.isfinite(steps))
+
+    def test_at_most_one_stacked_call_per_iteration(self):
+        """With the margin raised to 0.5, some of the sampler's rows on a
+        germ whose gradient is about ``2 z`` (32 of 463 steps) fall back:
+        every iteration sends them in one call, and only them."""
+        make_steps = varieties._gauss_newton_steps
+        iterations = []
+
+        def recording(z, residual, gradient):
+            gufunc = CountingGufunc()
+            with patch.object(varieties, "_LSTSQ", gufunc):
+                steps = make_steps(z, residual, gradient)
+            iterations.append((len(z), gufunc.stacks))
+            return steps
 
         def per_draw(*args, **kwargs):
             raise AssertionError("the sampler called np.linalg.lstsq")
 
-        with patch.object(varieties, "_LSTSQ", counting), \
-                patch.object(varieties, "_hypersurface_step", recording_step), \
+        with patch.object(varieties, "_gauss_newton_steps", recording), \
                 patch.object(np.linalg, "lstsq", per_draw), \
+                patch.object(varieties, "_RANK_MARGIN", 0.5), \
                 patch.object(varieties, "_DRAWS_PER_BLOCK", 25):
-            assert len(sample_points(BRIESKORN, 0.01, 100, seed=1)) == 100
-        assert len(blocks) >= 4
-        for draws, sizes in blocks:
-            # The first iteration solves every draw of the block at once,
-            # each later one the draws still iterating.
-            assert 1 <= len(sizes) <= varieties._MAX_ITERATIONS
-            assert sizes[0] == draws
-            assert sizes == sorted(sizes, reverse=True)
+            assert len(sample_points(QUADRIC, 0.01, 100, seed=1)) == 100
+        assert all(len(stacks) <= 1 for _, stacks in iterations)
+        solved = [stack for _, stacks in iterations for stack in stacks]
+        assert solved and sum(map(len, solved)) < sum(live for live, _ in iterations)
+        for jacobian in np.concatenate(solved):
+            # The squared distance of row 2 = 2 z from the span of the
+            # orthogonal rows 0 and 1, against |2 z|^2.
+            g_row, ig_row, z_row = jacobian
+            along = (z_row @ g_row) ** 2 + (z_row @ ig_row) ** 2
+            margin = z_row @ z_row - along / (g_row @ g_row)
+            assert margin <= 0.5 * (1 + 1e-9) * (z_row @ z_row)
 
 
 class TestDrawNorms:
