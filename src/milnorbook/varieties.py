@@ -407,49 +407,57 @@ def _real_jacobians(z: np.ndarray, gradient: np.ndarray) -> np.ndarray:
 def _gauss_newton_steps(
     z: np.ndarray, residual: np.ndarray, gradient: np.ndarray
 ) -> np.ndarray:
-    """Minimum-norm real steps ``(dx, dy)`` solving ``J @ step = -residual``,
-    ``J`` the :func:`_real_jacobians` at the rows ``z`` with ``dh = gradient``.
+    """Minimum-norm complex steps ``delta = dx + i dy`` with ``J @ (dx, dy) =
+    -residual``, ``J`` the :func:`_real_jacobians` at the rows ``z`` with
+    ``dh = gradient``.
 
     Rows 0 and 1 of ``J`` are ``conj(g)`` and ``i conj(g)`` read as real
     vectors, orthogonal and of norm ``|g|``; row 2 is ``2 z``.  With ``c =
     sum_j g_j z_j / |g|^2`` and ``z_perp = z - c conj(g)``, orthogonal to both,
     the step in their span is ``-(h / |g|^2) conj(g) + b z_perp`` with ``b =
-    (2 Re(h conj(c)) - (rho - epsilon)) / (2 |z_perp|^2)``.  It is taken in
-    real arithmetic, every sum over the columns left to right, so a loop over
-    single draws repeats its bits.  Rows with ``|z_perp|^2 <= _RANK_MARGIN
-    |z|^2`` (``z`` nearly parallel to ``conj(g)``; also ``g = 0``), with
-    ``|g|^2`` outside the normal range, or whose step is not finite are
-    solved instead by one :func:`_least_squares` call, for which alone a
-    Jacobian is built.
+    (2 Re(h conj(c)) - (rho - epsilon)) / (2 |z_perp|^2)``.  The sums are
+    taken in real arithmetic over the columns left to right; complex arrays
+    are only added, subtracted and multiplied by a real factor or ``1j``,
+    which rounds each part as the real product does.  So a loop over single
+    draws in real arithmetic repeats the bits.  Rows with ``|z_perp|^2 <=
+    _RANK_MARGIN |z|^2`` (``z`` nearly parallel to ``conj(g)``; also ``g =
+    0``), with ``|g|^2`` outside the normal range, or whose step is not
+    finite are solved instead by one :func:`_least_squares` call, for which
+    alone a Jacobian is built; their steps are its solutions' halves.
     """
-    n = z.shape[1]
+    k, n = z.shape
     x, y, p, q = z.real, z.imag, gradient.real, gradient.imag
     hr, hi, level = residual.T
-    gg = zz = sr = si = pp = 0.0
-    steps = np.empty((len(z), 2 * n))
-    perp = np.empty_like(steps)
+    terms = np.empty((4, k, n))
+
+    def total(columns):
+        sums = columns[..., 0]
+        for j in range(1, n):
+            sums = sums + columns[..., j]
+        return sums
+
     with np.errstate(all="ignore"):  # the rows this touches are solved again
-        for j in range(n):
-            gg = gg + (p[:, j] * p[:, j] + q[:, j] * q[:, j])
-            zz = zz + (x[:, j] * x[:, j] + y[:, j] * y[:, j])
-            sr = sr + (p[:, j] * x[:, j] - q[:, j] * y[:, j])
-            si = si + (p[:, j] * y[:, j] + q[:, j] * x[:, j])
-        cr, ci, wr, wi = sr / gg, si / gg, -hr / gg, -hi / gg
-        for j in range(n):
-            perp[:, j] = x[:, j] - (cr * p[:, j] + ci * q[:, j])
-            perp[:, n + j] = y[:, j] - (ci * p[:, j] - cr * q[:, j])
-            pp = pp + (perp[:, j] * perp[:, j] + perp[:, n + j] * perp[:, n + j])
-        b = (2.0 * (hr * cr + hi * ci) - level) / (2.0 * pp)
-        for j in range(n):
-            steps[:, j] = wr * p[:, j] + wi * q[:, j] + b * perp[:, j]
-            steps[:, n + j] = wi * p[:, j] - wr * q[:, j] + b * perp[:, n + j]
+        # Per column: |g_j|^2, |z_j|^2, Re(g_j z_j) and Im(g_j z_j).
+        np.add(p * p, q * q, out=terms[0])
+        np.add(x * x, y * y, out=terms[1])
+        np.subtract(p * x, q * y, out=terms[2])
+        np.add(p * y, q * x, out=terms[3])
+        gg, zz, sr, si = total(terms)
+        cr, ci, wr, wi = (np.stack((sr, si, -hr, -hi)) / gg)[:, :, None]
+        conj = gradient.conj()
+        turned = conj * 1j
+        perp = z - (cr * conj + ci * turned)
+        pp = total(perp.real * perp.real + perp.imag * perp.imag)
+        b = (2.0 * (hr * cr[:, 0] + hi * ci[:, 0]) - level) / (2.0 * pp)
+        delta = wr * conj + wi * turned + b[:, None] * perp
         solved = (pp > _RANK_MARGIN * zz) & (gg >= np.finfo(float).tiny) & (gg < np.inf)
-    rows = np.flatnonzero(~(solved & np.isfinite(steps).all(axis=1)))
+    rows = np.flatnonzero(~(solved & np.isfinite(delta).all(axis=1)))
     if rows.size:
-        steps[rows] = _least_squares(
+        solutions = _least_squares(
             _real_jacobians(z[rows], gradient[rows]), -residual[rows]
         )
-    return steps
+        delta.real[rows], delta.imag[rows] = solutions[:, :n], solutions[:, n:]
+    return delta
 
 
 def _kernel_bases(gradients: np.ndarray) -> np.ndarray:
@@ -484,14 +492,14 @@ def _hypersurface_step(surface: Hypersurface, epsilon: float):
     """Block step for hypersurfaces: damped Gauss–Newton on
     ``(Re h, Im h, rho - epsilon)`` from every draw of the block at once.
 
-    Each draw keeps its own iterate, best point and line-search factor; the
+    Each draw keeps its own iterate, best point (with its residual and
+    gradient, so it is not evaluated again) and line-search factor; the
     draws still iterating are evaluated together, and every pending
     line-search trial of an iteration too.  The minimum-norm steps of all
     live draws come from :func:`_gauss_newton_steps`: a closed form on the
     block, and at most one stacked least-squares call per iteration, for
     the rows too close to rank deficiency.
     """
-    n = surface.ambient_dim
     h_scale = surface.defining_scale(epsilon)
     gradient_floor = 1e-8 * h_scale / math.sqrt(epsilon)
 
@@ -514,20 +522,23 @@ def _hypersurface_step(surface: Hypersurface, epsilon: float):
         best = np.empty_like(z)
         best_scaled = np.full(len(z), math.inf)
         residual, gradient = system(z)
+        best_residual, best_gradient = np.empty_like(residual), np.empty_like(gradient)
         live = np.arange(len(z))
         for _ in range(_MAX_ITERATIONS):
             scaled = scaled_residuals(residual)
             better = scaled < best_scaled[live]
-            best_scaled[live[better]] = scaled[better]
-            best[live[better]] = z[better]
+            improved = live[better]
+            best_scaled[improved] = scaled[better]
+            best[improved] = z[better]
+            best_residual[improved] = residual[better]
+            best_gradient[improved] = gradient[better]
             going = ~(scaled <= _NEWTON_TOLERANCE)
             live, z, residual, gradient = (
                 live[going], z[going], residual[going], gradient[going]
             )
             if not live.size:
                 break
-            steps = _gauss_newton_steps(z, residual, gradient)
-            delta = steps[:, :n] + 1j * steps[:, n:]
+            delta = _gauss_newton_steps(z, residual, gradient)
             size = _row_norms(residual)
             factor = np.ones(live.size)
             moved = np.zeros(live.size, dtype=bool)
@@ -548,7 +559,7 @@ def _hypersurface_step(surface: Hypersurface, epsilon: float):
                 live[moved], z[moved], residual[moved], gradient[moved]
             )
         found = np.flatnonzero(best_scaled < math.inf)
-        residual, gradient = system(best[found])
+        residual, gradient = best_residual[found], best_gradient[found]
         kept = (
             ~(np.hypot(residual[:, 0], residual[:, 1]) > _RESIDUAL_TOLERANCE * h_scale)
             & ~(np.abs(residual[:, 2]) > _LEVEL_TOLERANCE * epsilon)

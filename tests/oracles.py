@@ -381,38 +381,44 @@ def _real_jacobian(z: np.ndarray, h_grad: np.ndarray) -> np.ndarray:
 def gauss_newton_step(
     z: np.ndarray, residual: np.ndarray, h_grad: np.ndarray
 ) -> np.ndarray:
-    """One draw's minimum-norm step ``(dx, dy)``, by the closed form of
-    ``varieties._gauss_newton_steps`` on NumPy scalars, one operation at a
-    time in that function's order, or by ``np.linalg.lstsq`` on the row that
-    function leaves to the gufunc."""
+    """One draw's minimum-norm complex step ``dx + i dy``: the closed form of
+    ``varieties._gauss_newton_steps`` in real scalar arithmetic, one operation
+    at a time in that function's order, or, on a draw that function leaves to
+    the gufunc, the halves of ``np.linalg.lstsq``'s solution as its real and
+    imaginary parts."""
     n = z.size
     x, y, p, q = z.real, z.imag, h_grad.real, h_grad.imag
     hr, hi, level = residual
-    gg = zz = sr = si = pp = 0.0
-    step = np.empty(2 * n)
-    perp = np.empty(2 * n)
+    step = np.empty(n, dtype=complex)
     with np.errstate(all="ignore"):
-        for j in range(n):
-            gg = gg + (p[j] * p[j] + q[j] * q[j])
-            zz = zz + (x[j] * x[j] + y[j] * y[j])
-            sr = sr + (p[j] * x[j] - q[j] * y[j])
-            si = si + (p[j] * y[j] + q[j] * x[j])
+        terms = [
+            (p[j] * p[j] + q[j] * q[j], x[j] * x[j] + y[j] * y[j],
+             p[j] * x[j] - q[j] * y[j], p[j] * y[j] + q[j] * x[j])
+            for j in range(n)
+        ]
+        gg, zz, sr, si = terms[0]
+        for g_sq, z_sq, s_re, s_im in terms[1:]:
+            gg, zz, sr, si = gg + g_sq, zz + z_sq, sr + s_re, si + s_im
         cr, ci, wr, wi = sr / gg, si / gg, -hr / gg, -hi / gg
-        for j in range(n):
-            perp[j] = x[j] - (cr * p[j] + ci * q[j])
-            perp[n + j] = y[j] - (ci * p[j] - cr * q[j])
-            pp = pp + (perp[j] * perp[j] + perp[n + j] * perp[n + j])
+        perp = [
+            (x[j] - (cr * p[j] + ci * q[j]), y[j] - (ci * p[j] - cr * q[j]))
+            for j in range(n)
+        ]
+        pp = perp[0][0] * perp[0][0] + perp[0][1] * perp[0][1]
+        for re, im in perp[1:]:
+            pp = pp + (re * re + im * im)
         b = (2.0 * (hr * cr + hi * ci) - level) / (2.0 * pp)
-        for j in range(n):
-            step[j] = wr * p[j] + wi * q[j] + b * perp[j]
-            step[n + j] = wi * p[j] - wr * q[j] + b * perp[n + j]
+        for j, (re, im) in enumerate(perp):
+            step[j] = complex(wr * p[j] + wi * q[j] + b * re,
+                              wi * p[j] - wr * q[j] + b * im)
     if (
         pp > varieties._RANK_MARGIN * zz
         and np.finfo(float).tiny <= gg < math.inf
-        and all(math.isfinite(value) for value in step)
+        and np.isfinite(step).all()
     ):
         return step
-    step, *_ = np.linalg.lstsq(_real_jacobian(z, h_grad), -residual, rcond=None)
+    solution, *_ = np.linalg.lstsq(_real_jacobian(z, h_grad), -residual, rcond=None)
+    step.real, step.imag = solution[:n], solution[n:]
     return step
 
 
@@ -448,8 +454,7 @@ def per_draw_hypersurface_samples(
                 best_z = z
             if scaled <= varieties._NEWTON_TOLERANCE:
                 break
-            step = gauss_newton_step(z, residual, h_grad)
-            delta = step[:n] + 1j * step[n:]
+            delta = gauss_newton_step(z, residual, h_grad)
             size = float(np.linalg.norm(residual))
             factor = 1.0
             moved = False

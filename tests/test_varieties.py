@@ -20,6 +20,7 @@ from milnorbook.errors import InputError, SamplingFailed
 from milnorbook.polynomials import parse_map
 from oracles import (
     _radial_profile,
+    _real_jacobian,
     _solve_radial,
     per_draw_chart_samples,
     per_draw_hypersurface_samples,
@@ -449,11 +450,20 @@ def sampler_systems(n: int, count: int, seed: int, epsilon: float = 0.01):
     return z, residual, gradient
 
 
+def real_jacobians(z, gradient) -> np.ndarray:
+    return np.array([_real_jacobian(row, g) for row, g in zip(z, gradient)])
+
+
 def per_system_lstsq(z, residual, gradient) -> np.ndarray:
-    jacobians = varieties._real_jacobians(z, gradient)
+    jacobians = real_jacobians(z, gradient)
     return np.array(
         [np.linalg.lstsq(a, -b, rcond=None)[0] for a, b in zip(jacobians, residual)]
     )
+
+
+def real_parts(steps) -> np.ndarray:
+    """Complex steps as the real solutions ``(dx, dy)``, bit for bit."""
+    return np.concatenate((steps.real, steps.imag), axis=1)
 
 
 def exact_minimum_norm_step(jacobian, residual) -> np.ndarray:
@@ -473,6 +483,9 @@ def exact_minimum_norm_step(jacobian, residual) -> np.ndarray:
                      for k in range(len(rows[0]))])
 
 
+STACKED_LSTSQ = varieties._LSTSQ
+
+
 class CountingGufunc:
     """Stands in for ``varieties._LSTSQ`` and records every stack it solves."""
 
@@ -482,9 +495,6 @@ class CountingGufunc:
     def __call__(self, matrices, *args, **kwargs):
         self.stacks.append(matrices.copy())
         return STACKED_LSTSQ(matrices, *args, **kwargs)
-
-
-STACKED_LSTSQ = varieties._LSTSQ
 
 
 class TestClosedFormSteps:
@@ -501,7 +511,7 @@ class TestClosedFormSteps:
         z, residual, gradient = sampler_systems(n, 3000, seed=n)
         gufunc = CountingGufunc()
         with patch.object(varieties, "_LSTSQ", gufunc):
-            steps = varieties._gauss_newton_steps(z, residual, gradient)
+            steps = real_parts(varieties._gauss_newton_steps(z, residual, gradient))
         assert gufunc.stacks == []
         expected = per_system_lstsq(z, residual, gradient)
         error = np.linalg.norm(steps - expected, axis=1)
@@ -510,8 +520,8 @@ class TestClosedFormSteps:
     def test_closed_form_meets_the_exact_step(self):
         for n in (2, 3, 4):
             z, residual, gradient = sampler_systems(n, 40, seed=10 + n)
-            steps = varieties._gauss_newton_steps(z, residual, gradient)
-            jacobians = varieties._real_jacobians(z, gradient)
+            steps = real_parts(varieties._gauss_newton_steps(z, residual, gradient))
+            jacobians = real_jacobians(z, gradient)
             for step, jacobian, r in zip(steps, jacobians, residual):
                 exact = exact_minimum_norm_step(jacobian, r)
                 assert np.linalg.norm(step - exact) <= 1e-12 * np.linalg.norm(exact)
@@ -522,9 +532,9 @@ class TestClosedFormSteps:
         and returns the steps."""
         gufunc = CountingGufunc()
         with patch.object(varieties, "_LSTSQ", gufunc):
-            steps = varieties._gauss_newton_steps(z, residual, gradient)
+            steps = real_parts(varieties._gauss_newton_steps(z, residual, gradient))
         assert len(gufunc.stacks) == 1
-        jacobians = varieties._real_jacobians(z, gradient)
+        jacobians = real_jacobians(z, gradient)
         assert gufunc.stacks[0].tobytes() == jacobians[special].tobytes()
         expected = per_system_lstsq(z, residual, gradient)
         assert steps[special].tobytes() == expected[special].tobytes()
