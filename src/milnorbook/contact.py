@@ -293,8 +293,8 @@ def _magnitude_bounds(f: Polynomial, radii: np.ndarray) -> tuple[np.ndarray, np.
     """``f.magnitude_bound`` at each of ``radii``, bit for bit: powers from
     ``np.float_power`` (libm's pow, as Python's float ``**``) summed in term
     order; and where Python raises OverflowError instead: a power infinite
-    at a finite radius, or ``abs`` of a coefficient infinite (at every
-    radius)."""
+    at a finite radius, ``abs`` of a coefficient infinite (at every radius),
+    or a bound not finite at a finite radius."""
     bounds = np.zeros(len(radii))
     overflow = np.zeros(len(radii), dtype=bool)
     finite = np.isfinite(radii)
@@ -304,6 +304,7 @@ def _magnitude_bounds(f: Polynomial, radii: np.ndarray) -> tuple[np.ndarray, np.
         overflow |= np.isinf(power) & finite
         overflow |= np.isinf(size) & cmath.isfinite(coefficient)
         bounds += size * power
+    overflow |= ~np.isfinite(bounds) & finite
     return bounds, overflow
 
 

@@ -15,6 +15,7 @@ it obviously means).  Error positions are 0-based character offsets.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -123,8 +124,15 @@ class Polynomial:
         return tuple(self.derivative(j) for j in range(self.n_vars))
 
     def magnitude_bound(self, radius: float) -> float:
-        """Upper bound for |value| on the closed ball of the given radius."""
-        return sum(abs(c) * radius ** sum(e) for e, c in self.terms)
+        """Upper bound for |value| on the closed ball of the given radius.
+
+        Raises OverflowError where the bound is not finite: an infinite bound
+        would make every tolerance scaled by it vacuous.
+        """
+        bound = sum(abs(c) * radius ** sum(e) for e, c in self.terms)
+        if not math.isfinite(bound):
+            raise OverflowError("the magnitude bound is not finite")
+        return bound
 
     def __str__(self) -> str:
         if not self.terms:
@@ -289,8 +297,11 @@ class _Parser:
         match = _NUMBER.match(self.text, self.pos)
         if not match:
             self.error("expected a number")
+        value = float(match.group())
+        if not math.isfinite(value):
+            self.error("number out of the floating-point range")
         self.pos = match.end()
-        return float(match.group())
+        return value
 
     def read_index(self) -> int:
         self.skip_space()

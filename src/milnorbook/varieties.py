@@ -30,8 +30,9 @@ polishing, as array Horner loops); for
 hypersurfaces it runs a damped Gauss–Newton iteration on ``(Re h, Im h,
 rho - epsilon)`` for all draws of the block together, each with its own
 line search, and the minimum-norm steps of all live draws in closed form,
-a few array operations per iteration; only rows too close to rank
-deficiency go to one stacked least-squares call.  Polynomials are evaluated
+a few array operations per iteration; rows too close to rank deficiency
+take the same closed form again, rescaled, with its ``z_perp`` term dropped
+where the margin still fails.  Polynomials are evaluated
 on the whole block by :class:`~milnorbook.polynomials.PolynomialBlock`.
 Sampling is bitwise deterministic for a fixed seed, and independent of the
 block size: every block operation is one a loop over single draws repeats
@@ -45,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import InputError, SamplingFailed
 from .polynomials import Polynomial, PolynomialBlock
@@ -87,12 +87,8 @@ _MAX_ITERATIONS = 50
 _DAMPING = 0.5
 
 # A Gauss–Newton step whose rank margin ``|z_perp|^2`` is at most this share
-# of ``|z|^2`` is left to the ``lstsq`` gufunc (see _gauss_newton_steps).
+# of ``|z|^2`` drops its ``z_perp`` term (see _gauss_newton_steps).
 _RANK_MARGIN = 1e-6
-
-# The generalized ufunc behind ``np.linalg.lstsq`` (NumPy 2): one call
-# solves a whole stack of systems.
-_LSTSQ = _umath_linalg.lstsq
 
 
 def _read_only_identity(dim: int) -> np.ndarray:
@@ -367,64 +363,11 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_squares(rows))
 
 
-def _raise_lstsq_error(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-
-def _least_squares(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Minimum-norm solutions of the real systems ``matrices[i] @ x = rhs[i]``.
-
-    One call of the ``lstsq`` gufunc over the ``(k, m, d)`` stack, with the
-    arguments and the floating-point error handling ``np.linalg.lstsq(a, b,
-    rcond=None)`` uses, so row ``i`` holds that call's bits for system
-    ``i``, and an SVD that does not converge raises its ``LinAlgError``.
-    """
-    m, d = matrices.shape[-2:]
-    with np.errstate(call=_raise_lstsq_error, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        solutions, _, _, _ = _LSTSQ(
-            matrices, rhs[:, :, None], np.finfo(float).eps * max(m, d),
-            signature="ddd->ddid",
-        )
-    return solutions[:, :, 0]
-
-
-def _real_jacobians(z: np.ndarray, gradient: np.ndarray) -> np.ndarray:
-    """The real ``3 x 2n`` Jacobians of ``(Re h, Im h, rho - epsilon)`` in the
-    unknowns ``(x, y)``, ``z = x + i y``: for holomorphic ``h`` the real
-    partials are ``dh/dx_j = h_j`` and ``dh/dy_j = i h_j``."""
-    n = z.shape[1]
-    jacobian = np.empty((len(z), 3, 2 * n))
-    jacobian[:, 0, :n] = gradient.real
-    jacobian[:, 0, n:] = -gradient.imag
-    jacobian[:, 1, :n] = gradient.imag
-    jacobian[:, 1, n:] = gradient.real
-    jacobian[:, 2, :n] = 2.0 * z.real
-    jacobian[:, 2, n:] = 2.0 * z.imag
-    return jacobian
-
-
-def _gauss_newton_steps(
-    z: np.ndarray, residual: np.ndarray, gradient: np.ndarray
-) -> np.ndarray:
-    """Minimum-norm complex steps ``delta = dx + i dy`` with ``J @ (dx, dy) =
-    -residual``, ``J`` the :func:`_real_jacobians` at the rows ``z`` with
-    ``dh = gradient``.
-
-    Rows 0 and 1 of ``J`` are ``conj(g)`` and ``i conj(g)`` read as real
-    vectors, orthogonal and of norm ``|g|``; row 2 is ``2 z``.  With ``c =
-    sum_j g_j z_j / |g|^2`` and ``z_perp = z - c conj(g)``, orthogonal to both,
-    the step in their span is ``-(h / |g|^2) conj(g) + b z_perp`` with ``b =
-    (2 Re(h conj(c)) - (rho - epsilon)) / (2 |z_perp|^2)``.  The sums are
-    taken in real arithmetic over the columns left to right; complex arrays
-    are only added, subtracted and multiplied by a real factor or ``1j``,
-    which rounds each part as the real product does.  So a loop over single
-    draws in real arithmetic repeats the bits.  Rows with ``|z_perp|^2 <=
-    _RANK_MARGIN |z|^2`` (``z`` nearly parallel to ``conj(g)``; also ``g =
-    0``), with ``|g|^2`` outside the normal range, or whose step is not
-    finite are solved instead by one :func:`_least_squares` call, for which
-    alone a Jacobian is built; their steps are its solutions' halves.
-    """
+def _closed_form(z: np.ndarray, residual: np.ndarray, gradient: np.ndarray):
+    """The two parts of each row's step, ``-(h / |g|^2) conj(g)`` (which
+    solves the ``h`` rows alone) and ``b z_perp``, with ``|g|^2``, ``|z|^2``
+    and ``|z_perp|^2``; ``c = w = 0`` where ``g = 0`` (see
+    :func:`_gauss_newton_steps`)."""
     k, n = z.shape
     x, y, p, q = z.real, z.imag, gradient.real, gradient.imag
     hr, hi, level = residual.T
@@ -436,27 +379,63 @@ def _gauss_newton_steps(
             sums = sums + columns[..., j]
         return sums
 
-    with np.errstate(all="ignore"):  # the rows this touches are solved again
-        # Per column: |g_j|^2, |z_j|^2, Re(g_j z_j) and Im(g_j z_j).
-        np.add(p * p, q * q, out=terms[0])
-        np.add(x * x, y * y, out=terms[1])
-        np.subtract(p * x, q * y, out=terms[2])
-        np.add(p * y, q * x, out=terms[3])
-        gg, zz, sr, si = total(terms)
-        cr, ci, wr, wi = (np.stack((sr, si, -hr, -hi)) / gg)[:, :, None]
-        conj = gradient.conj()
-        turned = conj * 1j
-        perp = z - (cr * conj + ci * turned)
-        pp = total(perp.real * perp.real + perp.imag * perp.imag)
-        b = (2.0 * (hr * cr[:, 0] + hi * ci[:, 0]) - level) / (2.0 * pp)
-        delta = wr * conj + wi * turned + b[:, None] * perp
-        solved = (pp > _RANK_MARGIN * zz) & (gg >= np.finfo(float).tiny) & (gg < np.inf)
-    rows = np.flatnonzero(~(solved & np.isfinite(delta).all(axis=1)))
-    if rows.size:
-        solutions = _least_squares(
-            _real_jacobians(z[rows], gradient[rows]), -residual[rows]
-        )
-        delta.real[rows], delta.imag[rows] = solutions[:, :n], solutions[:, n:]
+    # Per column: |g_j|^2, |z_j|^2, Re(g_j z_j) and Im(g_j z_j).
+    np.add(p * p, q * q, out=terms[0])
+    np.add(x * x, y * y, out=terms[1])
+    np.subtract(p * x, q * y, out=terms[2])
+    np.add(p * y, q * x, out=terms[3])
+    gg, zz, sr, si = total(terms)
+    ratios = np.divide(np.stack((sr, si, -hr, -hi)), gg, out=np.zeros((4, k)),
+                       where=gg != 0.0)
+    cr, ci, wr, wi = ratios[:, :, None]
+    conj = gradient.conj()
+    turned = conj * 1j
+    perp = z - (cr * conj + ci * turned)
+    pp = total(perp.real * perp.real + perp.imag * perp.imag)
+    b = (2.0 * (hr * cr[:, 0] + hi * ci[:, 0]) - level) / (2.0 * pp)
+    return wr * conj + wi * turned, b[:, None] * perp, gg, zz, pp
+
+
+def _gauss_newton_steps(
+    z: np.ndarray, residual: np.ndarray, gradient: np.ndarray
+) -> np.ndarray:
+    """Minimum-norm complex steps ``delta = dx + i dy`` with ``J @ (dx, dy) =
+    -residual``, ``J`` the real ``3 x 2n`` Jacobian of ``(Re h, Im h, rho -
+    epsilon)`` at the rows ``z`` with ``dh = gradient``.
+
+    Rows 0 and 1 of ``J`` are ``conj(g)`` and ``i conj(g)`` read as real
+    vectors, orthogonal and of norm ``|g|``; row 2 is ``2 z``.  With ``c =
+    sum_j g_j z_j / |g|^2`` and ``z_perp = z - c conj(g)``, orthogonal to both,
+    the step in their span is ``-(h / |g|^2) conj(g) + b z_perp`` with ``b =
+    (2 Re(h conj(c)) - (rho - epsilon)) / (2 |z_perp|^2)``.  The sums are
+    taken in real arithmetic over the columns left to right; complex arrays
+    are only added, subtracted and multiplied by a real factor or ``1j``,
+    which rounds each part as the real product does.  So a loop over single
+    draws in real arithmetic repeats the bits.  Rows with ``|z_perp|^2 <=
+    _RANK_MARGIN |z|^2`` (``z`` nearly parallel to ``conj(g)``, which it
+    never is on the link), with ``|g|^2`` outside the normal range, or whose
+    step is not finite take the closed form again with ``h`` and ``g``
+    scaled by ``2^-k``, ``k`` the binary exponent of the largest ``|Re g_j|``
+    or ``|Im g_j|``, which leaves the step as it is.  Where ``g = 0`` it is
+    ``-(rho - epsilon) z / (2 |z|^2)``, as least squares gives; where the
+    margin still fails, the ``z_perp`` term is dropped; a step still not
+    finite is NaN, which the line search never takes.
+    """
+    with np.errstate(all="ignore"):  # rows with errors are solved again or NaN
+        along, across, gg, zz, pp = _closed_form(z, residual, gradient)
+        delta = along + across
+        normal = (gg >= np.finfo(float).tiny) & (gg < np.inf)
+        solved = normal & (pp > _RANK_MARGIN * zz) & np.isfinite(delta).all(axis=1)
+        rows = np.flatnonzero(~solved)
+        if rows.size:
+            parts, r = gradient[rows].view(float), residual[rows]
+            shift = -np.frexp(np.abs(parts).max(axis=1))[1][:, None]
+            r[:, :2] = np.ldexp(r[:, :2], shift)
+            scaled = np.ldexp(parts, shift).view(complex)
+            along, across, _, zz, pp = _closed_form(z[rows], r, scaled)
+            steps = np.where((pp > _RANK_MARGIN * zz)[:, None], along + across, along)
+            steps[~np.isfinite(steps).all(axis=1)] = np.nan
+            delta[rows] = steps
     return delta
 
 
@@ -496,9 +475,9 @@ def _hypersurface_step(surface: Hypersurface, epsilon: float):
     gradient, so it is not evaluated again) and line-search factor; the
     draws still iterating are evaluated together, and every pending
     line-search trial of an iteration too.  The minimum-norm steps of all
-    live draws come from :func:`_gauss_newton_steps`: a closed form on the
-    block, and at most one stacked least-squares call per iteration, for
-    the rows too close to rank deficiency.
+    live draws come from :func:`_gauss_newton_steps`, a closed form on the
+    block; a draw whose step is NaN is never moved.  Norms that overflow
+    are infinite and warn of nothing.
     """
     h_scale = surface.defining_scale(epsilon)
     gradient_floor = 1e-8 * h_scale / math.sqrt(epsilon)
@@ -539,14 +518,16 @@ def _hypersurface_step(surface: Hypersurface, epsilon: float):
             if not live.size:
                 break
             delta = _gauss_newton_steps(z, residual, gradient)
-            size = _row_norms(residual)
+            with np.errstate(over="ignore"):  # an infinite norm never decreases
+                size = _row_norms(residual)
             factor = np.ones(live.size)
             moved = np.zeros(live.size, dtype=bool)
             pending = np.arange(live.size)
             while pending.size:
                 candidate = z[pending] + factor[pending, None] * delta[pending]
                 trial, trial_gradient = system(candidate)
-                down = _row_norms(trial) < size[pending]
+                with np.errstate(over="ignore"):
+                    down = _row_norms(trial) < size[pending]
                 taken = pending[down]
                 z[taken] = candidate[down]
                 residual[taken] = trial[down]
@@ -560,10 +541,12 @@ def _hypersurface_step(surface: Hypersurface, epsilon: float):
             )
         found = np.flatnonzero(best_scaled < math.inf)
         residual, gradient = best_residual[found], best_gradient[found]
+        with np.errstate(over="ignore"):  # an infinite gradient norm passes
+            steep = ~(_row_norms(gradient) < gradient_floor)
         kept = (
             ~(np.hypot(residual[:, 0], residual[:, 1]) > _RESIDUAL_TOLERANCE * h_scale)
             & ~(np.abs(residual[:, 2]) > _LEVEL_TOLERANCE * epsilon)
-            & ~(_row_norms(gradient) < gradient_floor)
+            & steep
         )
         points = best[found[kept]]
         rho_values = np.sum(np.abs(points) ** 2, axis=1)

@@ -378,48 +378,68 @@ def _real_jacobian(z: np.ndarray, h_grad: np.ndarray) -> np.ndarray:
     return jacobian
 
 
-def gauss_newton_step(
-    z: np.ndarray, residual: np.ndarray, h_grad: np.ndarray
-) -> np.ndarray:
-    """One draw's minimum-norm complex step ``dx + i dy``: the closed form of
-    ``varieties._gauss_newton_steps`` in real scalar arithmetic, one operation
-    at a time in that function's order, or, on a draw that function leaves to
-    the gufunc, the halves of ``np.linalg.lstsq``'s solution as its real and
-    imaginary parts."""
+def _closed_form(z: np.ndarray, residual: np.ndarray, h_grad: np.ndarray):
+    """One draw's closed-form step in real scalar arithmetic, one operation at
+    a time in ``varieties._closed_form``'s order: the parts ``-(h / |g|^2)
+    conj(g)`` and ``b z_perp`` as lists of ``(re, im)``, with ``|g|^2``,
+    ``|z|^2`` and ``|z_perp|^2``."""
     n = z.size
     x, y, p, q = z.real, z.imag, h_grad.real, h_grad.imag
     hr, hi, level = residual
-    step = np.empty(n, dtype=complex)
-    with np.errstate(all="ignore"):
-        terms = [
-            (p[j] * p[j] + q[j] * q[j], x[j] * x[j] + y[j] * y[j],
-             p[j] * x[j] - q[j] * y[j], p[j] * y[j] + q[j] * x[j])
-            for j in range(n)
-        ]
-        gg, zz, sr, si = terms[0]
-        for g_sq, z_sq, s_re, s_im in terms[1:]:
-            gg, zz, sr, si = gg + g_sq, zz + z_sq, sr + s_re, si + s_im
+    terms = [
+        (p[j] * p[j] + q[j] * q[j], x[j] * x[j] + y[j] * y[j],
+         p[j] * x[j] - q[j] * y[j], p[j] * y[j] + q[j] * x[j])
+        for j in range(n)
+    ]
+    gg, zz, sr, si = terms[0]
+    for g_sq, z_sq, s_re, s_im in terms[1:]:
+        gg, zz, sr, si = gg + g_sq, zz + z_sq, sr + s_re, si + s_im
+    if gg == 0:
+        cr = ci = wr = wi = 0.0
+    else:
         cr, ci, wr, wi = sr / gg, si / gg, -hr / gg, -hi / gg
-        perp = [
-            (x[j] - (cr * p[j] + ci * q[j]), y[j] - (ci * p[j] - cr * q[j]))
-            for j in range(n)
-        ]
-        pp = perp[0][0] * perp[0][0] + perp[0][1] * perp[0][1]
-        for re, im in perp[1:]:
-            pp = pp + (re * re + im * im)
-        b = (2.0 * (hr * cr + hi * ci) - level) / (2.0 * pp)
-        for j, (re, im) in enumerate(perp):
-            step[j] = complex(wr * p[j] + wi * q[j] + b * re,
-                              wi * p[j] - wr * q[j] + b * im)
-    if (
-        pp > varieties._RANK_MARGIN * zz
-        and np.finfo(float).tiny <= gg < math.inf
-        and np.isfinite(step).all()
-    ):
-        return step
-    solution, *_ = np.linalg.lstsq(_real_jacobian(z, h_grad), -residual, rcond=None)
-    step.real, step.imag = solution[:n], solution[n:]
-    return step
+    perp = [
+        (x[j] - (cr * p[j] + ci * q[j]), y[j] - (ci * p[j] - cr * q[j]))
+        for j in range(n)
+    ]
+    pp = perp[0][0] * perp[0][0] + perp[0][1] * perp[0][1]
+    for re, im in perp[1:]:
+        pp = pp + (re * re + im * im)
+    b = (2.0 * (hr * cr + hi * ci) - level) / (2.0 * pp)
+    along = [(wr * p[j] + wi * q[j], wi * p[j] - wr * q[j]) for j in range(n)]
+    return along, [(b * re, b * im) for re, im in perp], gg, zz, pp
+
+
+def gauss_newton_step(
+    z: np.ndarray, residual: np.ndarray, h_grad: np.ndarray
+) -> np.ndarray:
+    """One draw's minimum-norm complex step ``dx + i dy``, taking the branches
+    of ``varieties._gauss_newton_steps`` one scalar at a time: the closed
+    form; on a draw that function solves again, the closed form with ``h``
+    and ``g`` scaled by ``2^-k`` (``k`` the binary exponent of the largest
+    ``|Re g_j|`` or ``|Im g_j|``), without its ``z_perp`` term where the rank
+    margin fails; NaN where the step is still not finite."""
+    with np.errstate(all="ignore"):
+        along, across, gg, zz, pp = _closed_form(z, residual, h_grad)
+        step = np.array([complex(a_re + c_re, a_im + c_im)
+                         for (a_re, a_im), (c_re, c_im) in zip(along, across)])
+        if (
+            pp > varieties._RANK_MARGIN * zz
+            and np.finfo(float).tiny <= gg < math.inf
+            and np.isfinite(step).all()
+        ):
+            return step
+        shift = -np.frexp(max(max(abs(g.real), abs(g.imag)) for g in h_grad))[1]
+        scaled = np.array([complex(np.ldexp(g.real, shift), np.ldexp(g.imag, shift))
+                           for g in h_grad])
+        hr, hi, level = residual
+        residual = np.array([np.ldexp(hr, shift), np.ldexp(hi, shift), level])
+        along, across, gg, zz, pp = _closed_form(z, residual, scaled)
+        if pp > varieties._RANK_MARGIN * zz:
+            along = [(a_re + c_re, a_im + c_im)
+                     for (a_re, a_im), (c_re, c_im) in zip(along, across)]
+        step = np.array([complex(re, im) for re, im in along])
+    return step if np.isfinite(step).all() else np.full(z.size, np.nan + 0j)
 
 
 def _scaled_residual(residual: np.ndarray, epsilon: float, h_scale: float) -> float:

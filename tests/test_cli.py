@@ -117,8 +117,15 @@ class TestExitCodes:
             # |f|^2 squared as Python squares, in the mesh and the weights.
             ["criterion", "--ambient", "2", "--f", "1e160 z0"],
             ["identity", "--ambient", "2", "--f", "1e160 z0", "--c", "1"],
+            # Finite terms whose sum, the |h| or |f| bound, is infinite: an
+            # infinite bound would pass every residual test or put every
+            # sample on the binding.
+            ["spsh", "--hypersurface", "1e300 z0^2 + z1^2 + z2^2", "--epsilon", "1e9"],
+            ["cone", "--ambient", "2", "--f", "1e300 z0 + z1", "--epsilon", "1e18",
+             "--samples", "20"],
         ],
-        ids=["magnitude_bound", "evaluate", "exp", "square-mesh", "square-weight"],
+        ids=["magnitude_bound", "evaluate", "exp", "square-mesh", "square-weight",
+             "bound-sum-h", "bound-sum-f"],
     )
     def test_overflow_is_a_numerical_finding(self, capsys, args):
         code, out, err = run(capsys, "contact", *args)
@@ -133,17 +140,51 @@ class TestExitCodes:
 
     def test_an_infinite_chart_level_warns_of_nothing(self):
         # The level |1e200 z0|^2 + |z1|^2 overflows and the sampler rejects
-        # it; the only line on stderr is the finding.  Warnings are not
-        # captured by capsys, so the CLI runs in a child process.
-        argv = ["contact", "spsh", "--ambient", "2", "--map", "1e200 z0, z1"]
+        # it; so do the hypersurface sampler's residual and gradient norms on
+        # the other germs.  The only line on stderr is the finding.  Warnings
+        # are not captured by capsys, so the CLI runs in a child process.
+        invocations = [
+            (["--ambient", "2", "--map", "1e200 z0, z1"], 200),
+            (["--hypersurface", "1e200 z0^2 + z1^2 + z2^2", "--epsilon", "1"], 200),
+            (["--hypersurface", "1e308 z0^2 + z1^3", "--samples", "5"], 5),
+        ]
+        for argv, count in invocations:
+            result = subprocess.run(
+                [sys.executable, "-m", "milnorbook.cli", "contact", "spsh", *argv],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert (result.returncode, result.stdout) == (4, ""), argv
+            assert result.stderr == (
+                f"numerical finding: only 0 of {count} requested samples converged "
+                f"after {10 * count} draws (rate below 10%)\n"
+            ), argv
+
+    def test_an_infinite_gradient_reaches_no_lapack_call(self):
+        # |dh| overflows on the sphere: the Gauss–Newton steps are NaN and the
+        # draws are rejected, where a least-squares call once printed
+        # LAPACK's DLASCL complaint and never returned.
+        argv = ["contact", "spsh", "--hypersurface", "1e308 z0^2 + z1^3",
+                "--samples", "5"]
         result = subprocess.run(
             [sys.executable, "-m", "milnorbook.cli", *argv],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=60,
         )
-        assert (result.returncode, result.stdout) == (4, "")
-        assert result.stderr == (
-            "numerical finding: only 0 of 200 requested samples converged "
-            "after 2000 draws (rate below 10%)\n"
+        assert result.returncode == 4
+        assert "DLASCL" not in result.stdout + result.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spsh", "--hypersurface", "1e400 z0^2 + z1^2 + z2^2"],
+            ["cone", "--ambient", "2", "--f", "1e400 z0 + z1"],
+        ],
+        ids=["hypersurface", "f"],
+    )
+    def test_a_literal_beyond_the_float_range_exits_one(self, capsys, args):
+        code, out, err = run(capsys, "contact", *args)
+        assert (code, out) == (1, "")
+        assert err == (
+            "input error: number out of the floating-point range (position 0)\n"
         )
 
     def test_an_enormous_f_turns_no_product_infinite(self):

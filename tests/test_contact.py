@@ -811,6 +811,20 @@ class TestBindingBand:
                 assert bounds.tobytes() == scalar.tobytes()
                 assert not overflow.any()
 
+    def test_an_infinite_bound_is_an_overflow(self):
+        """Finite products whose sum is infinite: the block rule flags the
+        radii where the scalar bound raises, and agrees elsewhere."""
+        f = parse_polynomial("1e308 z0^2 + 1e308 z1", 2)
+        radii = np.array([0.25, 0.5, 1.0, 1.2, 2.0])
+        with np.errstate(all="ignore"):  # as the block rule calls it
+            bounds, overflow = contact._magnitude_bounds(f, radii)
+        assert overflow.tolist() == [False, False, True, True, True]
+        for radius, bound in zip(radii[:2].tolist(), bounds[:2].tolist()):
+            assert bound == f.magnitude_bound(radius)
+        for radius in radii[2:].tolist():
+            with pytest.raises(OverflowError):
+                f.magnitude_bound(radius)
+
     def test_mesh_criterion_calls_no_scalar_rule(self):
         calls = []
         scalar = contact._on_binding

@@ -46,6 +46,10 @@ class TestGrammar:
             ("(1+2i z0", 1, 6),
             ("3*", 1, 1),  # position rewinds to the checkpoint before '*'
             ("+ + z0", 1, 2),
+            # Literals beyond the float range are refused, not read as inf.
+            ("1e400 z0 + z1", 2, 0),
+            ("z0 - 2e308", 1, 5),
+            ("(1+1e999i) z0", 1, 3),
         ],
     )
     def test_syntax_error_positions(self, text, n, position):
@@ -103,6 +107,13 @@ class TestCalculus:
         for angle in np.linspace(0, 2 * np.pi, 17):
             z = radius * np.exp(1j * angle)
             assert abs(poly.evaluate((z,))) <= bound + 1e-12
+
+    def test_an_infinite_magnitude_bound_raises(self):
+        # Every product is finite; their sum is not.
+        poly = parse_polynomial("1e308 z0^2 + 1e308 z1", 2)
+        assert poly.magnitude_bound(0.5) == 0.75e308
+        with pytest.raises(OverflowError):
+            poly.magnitude_bound(1.0)
 
     def test_constructors_and_properties(self):
         assert Polynomial.constant(2, 0).is_zero

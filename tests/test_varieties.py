@@ -22,12 +22,12 @@ from oracles import (
     _radial_profile,
     _real_jacobian,
     _solve_radial,
+    gauss_newton_step,
     per_draw_chart_samples,
     per_draw_hypersurface_samples,
 )
 
 BRIESKORN = Hypersurface(parse_polynomial("z0^2 + z1^3 + z2^5", 3))
-QUADRIC = Hypersurface(parse_polynomial("z0^2 + z1^2 + z2^2 + z3^3", 4))
 
 # Identity charts of C^1..C^3, the two maps of the benchmark's chart jobs,
 # and a map of degree 5 with complex coefficients.
@@ -385,46 +385,6 @@ class TestHypersurfaceBlockSolve:
             assert samples.rho_values.tobytes() == np.array(rho_values).tobytes()
 
 
-class TestStackedLeastSquares:
-    """The Gauss–Newton rows too close to rank deficiency are solved with one
-    call of the ``lstsq`` gufunc; row by row it must return the bits of the
-    public ``np.linalg.lstsq``, so that a NumPy release that changes them
-    fails here instead of moving the samples silently."""
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_steps_match_per_system_lstsq(self, n):
-        rng = np.random.default_rng(n)
-        matrices = rng.standard_normal((700, 3, 2 * n))
-        rhs = rng.standard_normal((700, 3))
-        # Every seventh system has rank two: its last row is a combination
-        # of the first two.
-        matrices[::7, 2] = 2.0 * matrices[::7, 0] - 0.5 * matrices[::7, 1]
-        # All-zero rows: a vanishing gradient of h, and a zero system.
-        matrices[3, :2] = 0.0
-        matrices[5] = 0.0
-        # Singular values 1, 1 and 3.5 eps: the default rcond, eps * 2n,
-        # cuts the last one, and a cutoff of eps * 3 would not.
-        matrices[6] = 0.0
-        matrices[6, [0, 1, 2], [0, 1, 2]] = (1.0, 1.0, 3.5 * np.finfo(float).eps)
-        steps = varieties._least_squares(matrices, rhs)
-        expected = np.array(
-            [np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(matrices, rhs)]
-        )
-        assert (steps.shape, steps.dtype) == (expected.shape, expected.dtype)
-        assert steps.tobytes() == expected.tobytes()
-
-    def test_unconverged_svd_raises_as_lstsq_does(self):
-        rng = np.random.default_rng(0)
-        matrices = rng.standard_normal((5, 3, 6))
-        rhs = rng.standard_normal((5, 3))
-        matrices[2, 1] = np.nan
-        with pytest.raises(np.linalg.LinAlgError) as public:
-            np.linalg.lstsq(matrices[2], rhs[2], rcond=None)
-        with pytest.raises(np.linalg.LinAlgError) as stacked:
-            varieties._least_squares(matrices, rhs)
-        assert str(stacked.value) == str(public.value)
-
-
 def sampler_systems(n: int, count: int, seed: int, epsilon: float = 0.01):
     """Rows ``(z, residual, gradient)`` shaped like the sampler's: ``z`` on
     the sphere ``|z|^2 = epsilon``, gradients over six decades, residuals
@@ -483,24 +443,10 @@ def exact_minimum_norm_step(jacobian, residual) -> np.ndarray:
                      for k in range(len(rows[0]))])
 
 
-STACKED_LSTSQ = varieties._LSTSQ
-
-
-class CountingGufunc:
-    """Stands in for ``varieties._LSTSQ`` and records every stack it solves."""
-
-    def __init__(self):
-        self.stacks = []
-
-    def __call__(self, matrices, *args, **kwargs):
-        self.stacks.append(matrices.copy())
-        return STACKED_LSTSQ(matrices, *args, **kwargs)
-
-
 class TestClosedFormSteps:
     """The Gauss–Newton steps are a closed form on the block; the rows too
-    close to rank deficiency, and only those, go to one ``lstsq`` gufunc
-    call, which gives them ``np.linalg.lstsq``'s bits."""
+    close to rank deficiency, with ``|g|^2`` outside the normal range or with
+    a step that is not finite take it again, rescaled, and those alone."""
 
     # Both routes are measured within 5e-13 of the exact step on these
     # systems (margins down to 1.26e-6 cost about three digits).
@@ -509,10 +455,7 @@ class TestClosedFormSteps:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_closed_form_meets_per_system_lstsq(self, n):
         z, residual, gradient = sampler_systems(n, 3000, seed=n)
-        gufunc = CountingGufunc()
-        with patch.object(varieties, "_LSTSQ", gufunc):
-            steps = real_parts(varieties._gauss_newton_steps(z, residual, gradient))
-        assert gufunc.stacks == []
+        steps = real_parts(varieties._gauss_newton_steps(z, residual, gradient))
         expected = per_system_lstsq(z, residual, gradient)
         error = np.linalg.norm(steps - expected, axis=1)
         assert np.all(error <= self.BOUND * np.linalg.norm(expected, axis=1))
@@ -528,25 +471,24 @@ class TestClosedFormSteps:
 
     def solve_with_special_rows(self, z, residual, gradient, special):
         """Steps of ordinary sampler rows with the given rows put at
-        ``special``; checks that one gufunc call solved exactly those rows
-        and returns the steps."""
-        gufunc = CountingGufunc()
-        with patch.object(varieties, "_LSTSQ", gufunc):
-            steps = real_parts(varieties._gauss_newton_steps(z, residual, gradient))
-        assert len(gufunc.stacks) == 1
-        jacobians = real_jacobians(z, gradient)
-        assert gufunc.stacks[0].tobytes() == jacobians[special].tobytes()
-        expected = per_system_lstsq(z, residual, gradient)
-        assert steps[special].tobytes() == expected[special].tobytes()
+        ``special``: the ordinary rows keep the bits they have alone, and
+        every row has the values of the per-draw oracle, which takes the
+        same branches (its real products may give a zero the other sign)."""
+        steps = varieties._gauss_newton_steps(z, residual, gradient)
         ordinary = np.setdiff1d(np.arange(len(z)), special)
-        error = np.linalg.norm(steps[ordinary] - expected[ordinary], axis=1)
-        assert np.all(error <= self.BOUND * np.linalg.norm(expected[ordinary], axis=1))
+        alone = varieties._gauss_newton_steps(
+            z[ordinary], residual[ordinary], gradient[ordinary]
+        )
+        assert steps[ordinary].tobytes() == alone.tobytes()
+        per_draw = [gauss_newton_step(*row) for row in zip(z, residual, gradient)]
+        assert np.array_equal(steps, per_draw, equal_nan=True)
         return steps
 
     @pytest.mark.parametrize("epsilon", [1e-6, 0.01, 1.0])
     def test_rows_along_the_conjugate_gradient_take_the_gufunc(self, epsilon):
         """``h = z0^2 + z1^2`` at ``z = (e^{i t} sqrt(epsilon), 0)``: ``g = 2 z``
-        and ``z = e^{2 i t} conj(g) / 2``, so ``J`` has rank two."""
+        and ``z = e^{2 i t} conj(g) / 2``, so ``J`` has rank two and the step
+        is exactly ``-(h / |g|^2) conj(g)``, which solves the ``h`` rows."""
         surface = Hypersurface(parse_polynomial("z0^2 + z1^2", 2))
         z, residual, gradient = sampler_systems(2, 30, seed=7, epsilon=epsilon)
         special = np.array([0, 4, 11, 29])
@@ -561,60 +503,53 @@ class TestClosedFormSteps:
         )
         gradient[special] = values[:, 1:]
         steps = self.solve_with_special_rows(z, residual, gradient, special)
-        assert np.all(np.isfinite(steps))
+        g = gradient[special]
+        size = np.sum(g.real * g.real + g.imag * g.imag, axis=1)
+        wr, wi = (-residual[special, :2] / size[:, None]).T[:, :, None]
+        expected = (wr * g.real + wi * g.imag) + 1j * (wi * g.real - wr * g.imag)
+        assert np.array_equal(steps[special], expected)
 
     def test_rows_with_a_vanishing_gradient_take_the_gufunc(self):
+        """``g = 0``: the step ``-(rho - epsilon) z / (2 |z|^2)`` is least
+        squares' step.  A gradient whose ``|g|^2`` underflows is not zero:
+        rescaled, its step is the exact one, where least squares truncates
+        it as zero."""
         z, residual, gradient = sampler_systems(3, 30, seed=8)
         special = np.array([2, 3, 17])
         gradient[special] = 0.0
         gradient[17, 1] = 1e-170  # |g|^2 underflows to zero
         residual[special, :2] = 0.0
-        self.solve_with_special_rows(z, residual, gradient, special)
+        steps = real_parts(self.solve_with_special_rows(z, residual, gradient, special))
+        expected = per_system_lstsq(z, residual, gradient)
+        for row in (2, 3):
+            error = np.linalg.norm(steps[row] - expected[row])
+            assert error <= 1e-14 * np.linalg.norm(expected[row])
+        exact = exact_minimum_norm_step(_real_jacobian(z[17], gradient[17]), residual[17])
+        assert np.linalg.norm(steps[17] - exact) <= 1e-14 * np.linalg.norm(exact)
 
     def test_rows_whose_gradient_norm_is_not_normal_take_the_gufunc(self):
         """``|g|^2`` subnormal (digits lost) or overflowing (``c`` and
-        ``h / |g|^2`` flush to zero): the closed form would return a finite,
-        wrong step."""
+        ``h / |g|^2`` flush to zero), where ``np.linalg.lstsq`` loses digits
+        too: the rescaled closed form meets the exact step."""
         z, residual, gradient = sampler_systems(3, 30, seed=9)
         special = np.array([5, 21])
         gradient[5] = 1e-160 * np.array([1.0, 1j, 0.5 - 0.5j])
         gradient[21] = 1e160 * np.array([1.0, 1j, 0.5 - 0.5j])
         residual[5, :2] = 0.0
+        steps = real_parts(self.solve_with_special_rows(z, residual, gradient, special))
+        for row, jacobian in zip(special, real_jacobians(z[special], gradient[special])):
+            exact = exact_minimum_norm_step(jacobian, residual[row])
+            assert np.linalg.norm(steps[row] - exact) <= 1e-14 * np.linalg.norm(exact)
+
+    def test_rows_that_stay_infinite_are_nan(self):
+        """An infinite gradient entry: no scaling makes the step finite, so it
+        is NaN, which the line search never takes."""
+        z, residual, gradient = sampler_systems(3, 30, seed=10)
+        special = np.array([1, 6])
+        gradient[1, 0] = np.inf
+        gradient[6, 2] = complex(0.0, -np.inf)
         steps = self.solve_with_special_rows(z, residual, gradient, special)
-        assert np.all(np.isfinite(steps))
-
-    def test_at_most_one_stacked_call_per_iteration(self):
-        """With the margin raised to 0.5, some of the sampler's rows on a
-        germ whose gradient is about ``2 z`` (32 of 463 steps) fall back:
-        every iteration sends them in one call, and only them."""
-        make_steps = varieties._gauss_newton_steps
-        iterations = []
-
-        def recording(z, residual, gradient):
-            gufunc = CountingGufunc()
-            with patch.object(varieties, "_LSTSQ", gufunc):
-                steps = make_steps(z, residual, gradient)
-            iterations.append((len(z), gufunc.stacks))
-            return steps
-
-        def per_draw(*args, **kwargs):
-            raise AssertionError("the sampler called np.linalg.lstsq")
-
-        with patch.object(varieties, "_gauss_newton_steps", recording), \
-                patch.object(np.linalg, "lstsq", per_draw), \
-                patch.object(varieties, "_RANK_MARGIN", 0.5), \
-                patch.object(varieties, "_DRAWS_PER_BLOCK", 25):
-            assert len(sample_points(QUADRIC, 0.01, 100, seed=1)) == 100
-        assert all(len(stacks) <= 1 for _, stacks in iterations)
-        solved = [stack for _, stacks in iterations for stack in stacks]
-        assert solved and sum(map(len, solved)) < sum(live for live, _ in iterations)
-        for jacobian in np.concatenate(solved):
-            # The squared distance of row 2 = 2 z from the span of the
-            # orthogonal rows 0 and 1, against |2 z|^2.
-            g_row, ig_row, z_row = jacobian
-            along = (z_row @ g_row) ** 2 + (z_row @ ig_row) ** 2
-            margin = z_row @ z_row - along / (g_row @ g_row)
-            assert margin <= 0.5 * (1 + 1e-9) * (z_row @ z_row)
+        assert np.all(np.isnan(steps[special]))
 
 
 class TestDrawNorms:
