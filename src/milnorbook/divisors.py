@@ -180,14 +180,26 @@ _SCAN_ROWS = 2**14
 
 
 def _grid_bytes(r: int, grid_rows: int) -> int:
-    """Bytes the oracle holds for a grid of ``grid_rows`` rows on r vertices.
+    """Bytes the oracle holds for a grid of ``grid_rows`` rows on r vertices,
+    counted at 8 bytes per value.
 
     The grid of coordinates 1..r-2 and one slack row per vertex take 16 r
-    bytes per grid row, the interval bounds and masks beside them a few
-    dozen more.  16 r + 36 bounds the ``tracemalloc`` peaks per grid row
-    from above: 99, 108, 124, 140 and 156 bytes for r = 4..8.
+    bytes per grid row in int64, the interval bounds and masks beside them
+    a few dozen more.  16 r + 36 bounds the int64 ``tracemalloc`` peaks per
+    grid row from above: 99, 108, 124, 140 and 156 bytes for r = 4..8.  The
+    scan holds its values in the narrowest type that fits them, often 2 or
+    4 bytes, so this count bounds its peak from above.
     """
     return grid_rows * (16 * r + 36)
+
+
+def _value_type(reach: int):
+    """The first of int16, int32 and int64 whose maximum is at least
+    ``reach``, or None when no 64-bit integer holds it."""
+    for dtype in (np.int16, np.int32, np.int64):
+        if np.iinfo(dtype).max >= reach:
+            return dtype
+    return None
 
 
 def _narrow(coeff, part, lo, hi, ok):
@@ -221,8 +233,15 @@ def oracle_minimal_divisor(g: PlumbingGraph, bound: int) -> Divisor:
     verifies that this minimum is itself feasible, which is the lattice
     min-closure property the descent's canonicity rests on.  Memory is
     bounded by the grid, whatever the bound; boxes whose arrays would take
-    more than ``_GRID_BYTES`` bytes are refused before anything is
-    allocated.
+    more than ``_GRID_BYTES`` bytes at 8 bytes per value are refused before
+    anything is allocated.
+
+    No value the scan holds exceeds reach = max(bound + 1, max_i(|c_i| +
+    bound * sum_j |I_ij|)) in size: not the grid, the partial sums of a
+    row's part, the interval bounds nor the bound + 1 fill.  Every array
+    is held in the narrowest of int16, int32 and int64 that fits reach, so
+    the answer is exact in any of them; a box whose reach exceeds int64 is
+    refused before anything is allocated.
     """
     if bound < 1:
         raise InputError("search bound must be at least 1")
@@ -242,17 +261,28 @@ def oracle_minimal_divisor(g: PlumbingGraph, bound: int) -> Divisor:
             f"{_GRID_BYTES}"
         )
     c = constraint_vector(g).bounds
-    rows = np.array(intersection_matrix(g), dtype=np.int64)
-    grid = np.indices((bound + 1,) * dims, dtype=np.int64).reshape(dims, grid_rows)
+    matrix = intersection_matrix(g)
+    reach = max(
+        bound + 1,
+        max(abs(k) + bound * sum(map(abs, row)) for k, row in zip(c, matrix)),
+    )
+    dtype = _value_type(reach)
+    if dtype is None:
+        raise InputError(
+            f"box [0, {bound}]^{r} holds values up to {reach}, beyond the "
+            "64-bit integers of the scan"
+        )
+    rows = np.array(matrix, dtype=dtype)
+    grid = np.indices((bound + 1,) * dims, dtype=dtype).reshape(dims, grid_rows)
     slack = rows[:, 1:last] @ grid
-    np.subtract(np.array(c, dtype=np.int64)[:, None], slack, out=slack)
+    np.subtract(np.array(c, dtype=dtype)[:, None], slack, out=slack)
     # A single vertex has no coordinate 0 apart from its last one: one run
     # with a zero coefficient stands in for it.
-    lead = rows[:, 0] if last else np.zeros(1, dtype=np.int64)
+    lead = rows[:, 0] if last else np.zeros(1, dtype=dtype)
     span = bound + 1 if last else 1
     # Rows that do not see coordinate 0 narrow the interval once, on the grid.
-    fixed_lo = np.zeros(grid_rows, dtype=np.int64)
-    fixed_hi = np.full(grid_rows, bound, dtype=np.int64)
+    fixed_lo = np.zeros(grid_rows, dtype=dtype)
+    fixed_hi = np.full(grid_rows, bound, dtype=dtype)
     fixed_ok = np.ones(grid_rows, dtype=bool)
     for i in np.flatnonzero(lead == 0):
         _narrow(rows[i, last], slack[i].copy(), fixed_lo, fixed_hi, fixed_ok)
@@ -260,14 +290,14 @@ def oracle_minimal_divisor(g: PlumbingGraph, bound: int) -> Divisor:
     step = max(1, _SCAN_ROWS // grid_rows)
     # One set of block buffers per call: every block reuses them in place.
     shape = (min(step, span), grid_rows)
-    lo_buf, hi_buf, part_buf = (np.empty(shape, dtype=np.int64) for _ in range(3))
+    lo_buf, hi_buf, part_buf = (np.empty(shape, dtype=dtype) for _ in range(3))
     ok_buf = np.empty(shape, dtype=bool)
 
     lead_min = None
     last_min = bound + 1
     seen = np.zeros(grid_rows, dtype=bool)
     for start in range(0, span, step):
-        values = np.arange(start, min(start + step, span), dtype=np.int64)
+        values = np.arange(start, min(start + step, span), dtype=dtype)
         n = len(values)
         lo, hi, ok, part = lo_buf[:n], hi_buf[:n], ok_buf[:n], part_buf[:n]
         np.copyto(lo, fixed_lo)

@@ -300,6 +300,37 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("input error: box [0, 40]^7 is too large")
 
+    @pytest.mark.parametrize(
+        "weights, bound, divisor",
+        [
+            ([-2], "100000000000000000000", [1]),
+            ([-(10**19), -2], None, [1, 1]),
+            ([-4 * 10**18, -2, -2], None, [1, 3, 2]),
+        ],
+        ids=["bound-1e20", "euler-1e19", "euler-4e18"],
+    )
+    def test_oracle_values_beyond_int64_exit_one(
+        self, capsys, tmp_path, weights, bound, divisor
+    ):
+        """The oracle is integer arithmetic: a box whose values no 64-bit
+        integer holds is an input error, not a numerical finding, while the
+        descent answers the same graph exactly."""
+        path = tmp_path / "heavy.json"
+        save_graph(chain_graph(weights), path)
+        argv = ["divisor", str(path), "--format", "structured"]
+        code, out, err = run(
+            capsys, *argv, "--oracle", *(["--bound", bound] if bound else [])
+        )
+        assert code == 1
+        assert out == ""
+        box = f"box [0, {bound or 40}]^{len(weights)} holds values up to "
+        assert err.startswith("input error: " + box)
+        assert err.rstrip().endswith("beyond the 64-bit integers of the scan")
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["result"]["divisor"] == divisor
+
 
 SCALARS = (
     st.none()

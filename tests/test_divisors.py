@@ -51,6 +51,57 @@ def small_nd_graphs():
 D4 = star_graph(-2, [-2, -2, -2])
 # Warm-started at ceil(I^-1 c) = (8, 15, 20), the descent repairs four times.
 FOUR_REPAIRS = PlumbingGraph((1, 1, 0), (-3, -3, -2), ((0, 2), (1, 2), (1, 2)))
+# Least divisor (25, 22, 9, 15, 6, 14): the benchmark's largest oracle box
+# is this tree at bound 30, the CLI's default is bound 40.
+SIX_VERTEX_TREE = PlumbingGraph(
+    (1, 1, 0, 0, 1, 1),
+    (-2, -2, -3, -2, -3, -2),
+    ((0, 1), (0, 2), (0, 5), (1, 3), (3, 4)),
+)
+
+
+def _scan_reach(g, bound):
+    """max(bound + 1, max_i(|c_i| + bound * sum_j |I_ij|)), read off the
+    weights and valencies."""
+    c = constraint_vector(g).bounds
+    return max(
+        bound + 1,
+        max(
+            abs(k) + bound * (abs(e) + sum(neighbours.values()))
+            for k, e, neighbours in zip(c, g.euler, g.adjacency)
+        ),
+    )
+
+
+def _dtype_boundaries():
+    """Chains with one heavy vertex whose oracle reach is the largest at or
+    below each type's maximum, and the next one above it.  A heavy vertex
+    of weight -E and valency v reaches v + bound (E + v); the chains whose
+    least divisor has an entry 3 are too small at bound 2."""
+    shapes = [  # (bound, weights), None marking the heavy vertex
+        (2, (None, -2)),
+        (2, (-2, None)),
+        (2, (-2, None, -2)),
+        (2, (None, -2, -2)),
+        (3, (None, -2, -2)),
+        (3, (-2, -2, None)),
+    ]
+    for limit, narrow, wide in ((2**15 - 1, np.int16, np.int32),
+                                (2**31 - 1, np.int32, np.int64)):
+        for bound, shape in shapes:
+            heavy = shape.index(None)
+            v = (heavy > 0) + (heavy < len(shape) - 1)
+            below, above = (
+                chain_graph([-e if w is None else w for w in shape])
+                for e in ((limit - v) // bound - v + k for k in (0, 1))
+            )
+            assert limit - bound < _scan_reach(below, bound) <= limit
+            assert limit < _scan_reach(above, bound) <= limit + bound
+            yield below, bound, narrow
+            yield above, bound, wide
+
+
+DTYPE_BOUNDARIES = list(_dtype_boundaries())
 
 
 # Frozen examples -------------------------------------------------------------
@@ -246,6 +297,69 @@ class TestOracle:
             tracemalloc.stop()
         assert d.multiplicities == (1, 1)
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize(
+        "g, bound, dtype",
+        DTYPE_BOUNDARIES,
+        ids=[f"{g.euler}-bound{b}" for g, b, _ in DTYPE_BOUNDARIES],
+    )
+    def test_value_type_boundaries_match_naive_grid(self, g, bound, dtype):
+        """Boxes whose reach sits just below and just above 2^15 - 1 and
+        2^31 - 1 take the narrower and the wider type, and both answer as
+        the nested-loop scan does, infeasibility included."""
+        assert divisors._value_type(_scan_reach(g, bound)) is dtype
+        naive = brute_force_minimal_divisor(g, bound)
+        if naive is None:
+            with pytest.raises(BoundTooSmall):
+                oracle_minimal_divisor(g, bound)
+        else:
+            assert oracle_minimal_divisor(g, bound).multiplicities == naive
+
+    def test_value_type_is_the_narrowest_that_fits(self):
+        assert divisors._value_type(2) is np.int16
+        assert divisors._value_type(2**15 - 1) is np.int16
+        assert divisors._value_type(2**15) is np.int32
+        assert divisors._value_type(2**31 - 1) is np.int32
+        assert divisors._value_type(2**31) is np.int64
+        assert divisors._value_type(2**63 - 1) is np.int64
+        assert divisors._value_type(2**63) is None
+
+    @pytest.mark.parametrize(
+        "g, bound, message",
+        [
+            (chain_graph([-2]), 10**20, r"box \[0, 100000000000000000000\]\^1 holds"),
+            (chain_graph([-(10**19), -2]), 40, r"box \[0, 40\]\^2 holds"),
+            # Its int64 products v * lead passed 2^63 and wrapped unseen.
+            (chain_graph([-4 * 10**18, -2, -2]), 40, r"box \[0, 40\]\^3 holds"),
+        ],
+        ids=["bound-1e20", "euler-1e19", "euler-4e18"],
+    )
+    def test_values_beyond_int64_are_an_input_error(self, g, bound, message):
+        """A box whose values no 64-bit integer holds is refused before
+        anything is allocated; the descent still answers it exactly."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=message + " values up to \\d+, beyond"):
+                oracle_minimal_divisor(g, bound)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert minimal_divisor(g) == Divisor(
+            brute_force_minimal_divisor(g, 3)
+        )
+
+    def test_six_vertices_at_bound_30_hold_narrow_values(self):
+        """The benchmark's largest box: in int16 its peak is under half the
+        8-bytes-per-value budget, which int64 arrays would exceed."""
+        tracemalloc.start()
+        try:
+            d = oracle_minimal_divisor(SIX_VERTEX_TREE, 30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d.multiplicities == (25, 22, 9, 15, 6, 14)
+        assert peak < divisors._grid_bytes(6, 31**4) / 2
 
     @given(small_nd_graphs())
     @settings(max_examples=40)
