@@ -91,9 +91,10 @@ def _dtype_boundaries():
         for bound, shape in shapes:
             heavy = shape.index(None)
             v = (heavy > 0) + (heavy < len(shape) - 1)
+            heaviest = (limit - v) // bound - v
             below, above = (
                 chain_graph([-e if w is None else w for w in shape])
-                for e in ((limit - v) // bound - v + k for k in (0, 1))
+                for e in (heaviest, heaviest + 1)
             )
             assert limit - bound < _scan_reach(below, bound) <= limit
             assert limit < _scan_reach(above, bound) <= limit + bound
@@ -314,15 +315,6 @@ class TestOracle:
                 oracle_minimal_divisor(g, bound)
         else:
             assert oracle_minimal_divisor(g, bound).multiplicities == naive
-
-    def test_value_type_is_the_narrowest_that_fits(self):
-        assert divisors._value_type(2) is np.int16
-        assert divisors._value_type(2**15 - 1) is np.int16
-        assert divisors._value_type(2**15) is np.int32
-        assert divisors._value_type(2**31 - 1) is np.int32
-        assert divisors._value_type(2**31) is np.int64
-        assert divisors._value_type(2**63 - 1) is np.int64
-        assert divisors._value_type(2**63) is None
 
     @pytest.mark.parametrize(
         "g, bound, message",
