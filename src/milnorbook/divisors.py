@@ -165,8 +165,11 @@ def minimal_divisor(
             products[j] += k
 
 
-# Boxes with more prefixes than this would take too long to scan.
-_ABSURD_ROWS = 5_000_000_000
+# Boxes with more prefixes than this would take too long to scan.  It
+# admits r = 6 at bound 40 (41^5, about 1.16e8 prefixes) and refuses the
+# two-vertex box at bound 4e9, whose 4e9 values of coordinate 0 are not
+# bounded by the grid budget below.
+_ABSURD_ROWS = 2**28
 # Byte budget for the arrays of one call, checked against _grid_bytes
 # before anything is allocated.  It admits r = 6 at bound 40 (41^4 grid
 # rows, about 373 MB) and refuses r = 7 at bound 24 (25^5 rows, 1.45 GB).

@@ -271,12 +271,18 @@ def _form_product(g: PlumbingGraph, m: Sequence[int]) -> list[int]:
     ]
 
 
+def _form_rows(euler, adjacency) -> list[dict[int, int]]:
+    """Sparse rows ``{column: entry}`` of the form with diagonal ``euler``
+    and off-diagonal entries ``adjacency``, a validated graph's."""
+    return [{i: e, **near} for i, (e, near) in enumerate(zip(euler, adjacency))]
+
+
 def _as_rows(m) -> list[dict[int, int]]:
     """Sparse rows ``{column: entry}`` of a form, diagonal included: a
     validated graph's read off its adjacency, raw rows checked to be
     integer, square and symmetric."""
     if isinstance(m, PlumbingGraph):
-        return [{i: e, **near} for i, (e, near) in enumerate(zip(m.euler, m.adjacency))]
+        return _form_rows(m.euler, m.adjacency)
     rows = [[_integer(x, "matrix entry") for x in row] for row in m]
     r = len(rows)
     for row in rows:

@@ -252,9 +252,7 @@ class PolynomialBlock:
                 raise OverflowError("complex exponentiation")
             slots_re = np.zeros((k, len(self.polys) * self._width))
             slots_im = np.zeros_like(slots_re)
-            for slots, factors, c_re, c_im in self._groups:
-                t_re = np.broadcast_to(c_re, (k, c_re.size))
-                t_im = np.broadcast_to(c_im, (k, c_im.size))
+            for slots, factors, t_re, t_im in self._groups:
                 for column in factors.T:
                     p_re, p_im = re[:, column], im[:, column]
                     t_re, t_im = t_re * p_re - t_im * p_im, t_re * p_im + t_im * p_re

@@ -8,15 +8,26 @@ one representative per isomorphism class gives full coverage of the family;
 the enumeration therefore yields canonical representatives only.  Coverage
 is itself certified in the tests by an orbit-size count against the labeled
 family and by a relabeling-equivariance property test.
+
+A tuple is orbit-minimal when no permutation in its layer's group maps it
+to a lexicographically smaller tuple.  Each vertex permutation's action on
+multiplicity and weight vectors is an index map built once per vertex
+count and applied as one ``operator.itemgetter`` call; the identity is
+never applied.  Definiteness depends on edges and Euler weights only, so
+:func:`iter_suite` decides it once per (edges, euler) pair, before genus
+is expanded, by eliminating the pair's form directly
+(``graphs._eliminate``) on rows read off the adjacency of one validated
+graph per edge configuration; no graph is built for the probe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .graphs import PlumbingGraph, is_negative_definite
+from .graphs import PlumbingGraph, _eliminate, _form_rows
 
 __all__ = ["SuiteSpec", "iter_suite", "labeled_connected_count"]
 
@@ -46,42 +57,62 @@ def _connected(r: int, pairs: Sequence[tuple[int, int]], mult: Sequence[int]) ->
     return len({find(i) for i in range(r)}) == 1
 
 
-def _permuted_edges(
-    mult: Sequence[int],
-    sigma: Sequence[int],
-    pairs: Sequence[tuple[int, int]],
-    index: dict[tuple[int, int], int],
-) -> tuple[int, ...]:
-    out = [0] * len(pairs)
-    for (a, b), k in zip(pairs, mult):
-        ia, ib = sigma[a], sigma[b]
-        out[index[(min(ia, ib), max(ia, ib))]] = k
-    return tuple(out)
+def _action(images: Sequence[int]):
+    """The push-forward of vectors along the bijection p -> images[p], or
+    None for the identity, which fixes every vector.
 
-
-def _permuted_weights(weights: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(weights)
-    for i, w in enumerate(weights):
-        out[sigma[i]] = w
-    return tuple(out)
+    The image of ``v`` has ``v[p]`` at ``images[p]``, so it is one
+    ``itemgetter`` call on the inverse index map, built here once.  A
+    bijection that moves an index moves at least two, so the getter holds
+    two indices or more and returns a tuple, never a bare entry.
+    """
+    if all(p == q for p, q in enumerate(images)):
+        return None
+    return itemgetter(*sorted(range(len(images)), key=images.__getitem__))
 
 
 def _iter_edge_classes(r: int, spec: SuiteSpec):
-    """Canonical connected edge configurations with their stabilizers."""
+    """Canonical connected edge configurations with their stabilizers.
+
+    A vertex permutation sigma acts on multiplicity vectors through its
+    permutation of the pairs and on weight vectors through itself; both
+    actions are built once per permutation.  The stabilizer lists each
+    sigma that fixes the configuration, in lexicographic order, with its
+    action on weights.
+    """
     pairs = list(combinations(range(r), 2))
     index = {p: i for i, p in enumerate(pairs)}
-    perms = list(permutations(range(r)))
+    group = []
+    for sigma in permutations(range(r)):
+        moved = [
+            index[min(sigma[a], sigma[b]), max(sigma[a], sigma[b])] for a, b in pairs
+        ]
+        group.append((sigma, _action(moved), _action(sigma)))
     for mult in product(range(spec.max_edge_multiplicity + 1), repeat=len(pairs)):
         if not _connected(r, pairs, mult):
             continue
-        images = [(sigma, _permuted_edges(mult, sigma, pairs, index)) for sigma in perms]
-        if min(img for _, img in images) < mult:
+        images = [on_edges(mult) if on_edges else mult for _, on_edges, _ in group]
+        if min(images) < mult:
             continue
-        stabilizer = [sigma for sigma, img in images if img == mult]
+        stabilizer = [
+            (sigma, on_weights)
+            for (sigma, _, on_weights), image in zip(group, images)
+            if image == mult
+        ]
         edges = tuple(
             pair for pair, k in zip(pairs, mult) for _ in range(k)
         )
         yield edges, stabilizer
+
+
+def _euler_classes(r: int, stabilizer, spec: SuiteSpec):
+    """Euler weight vectors that ``stabilizer`` maps to none smaller, each
+    with the part of ``stabilizer`` that fixes it."""
+    for euler in product(spec.euler_values, repeat=r):
+        images = [act(euler) if act else euler for _, act in stabilizer]
+        if min(images) < euler:
+            continue
+        yield euler, [g for g, image in zip(stabilizer, images) if image == euler]
 
 
 def iter_edge_euler_classes(r: int, spec: SuiteSpec):
@@ -89,14 +120,12 @@ def iter_edge_euler_classes(r: int, spec: SuiteSpec):
 
     Genus plays no role in definiteness, so callers filtering on the
     intersection form can prune at this level before expanding genus.
+    Each residual stabilizer lists the fixing vertex permutations as
+    tuples, in lexicographic order.
     """
     for edges, stabilizer in _iter_edge_classes(r, spec):
-        for euler in product(spec.euler_values, repeat=r):
-            images = [(s, _permuted_weights(euler, s)) for s in stabilizer]
-            if min(img for _, img in images) < euler:
-                continue
-            residual = [s for s, img in images if img == euler]
-            yield edges, euler, residual
+        for euler, residual in _euler_classes(r, stabilizer, spec):
+            yield edges, euler, [sigma for sigma, _ in residual]
 
 
 def iter_suite(
@@ -113,15 +142,19 @@ def iter_suite(
     """
     spec = spec or SuiteSpec()
     for r in range(1, spec.max_vertices + 1):
-        for edges, euler, residual in iter_edge_euler_classes(r, spec):
-            if negative_definite_only:
-                probe = PlumbingGraph((0,) * r, euler, edges)
-                if not is_negative_definite(probe):
+        zeros = (0,) * r
+        for edges, stabilizer in _iter_edge_classes(r, spec):
+            adjacency = PlumbingGraph(zeros, zeros, edges).adjacency
+            for euler, residual in _euler_classes(r, stabilizer, spec):
+                if negative_definite_only and (
+                    _eliminate(_form_rows(euler, adjacency), None) is None
+                ):
                     continue
-            for genus in product(spec.genus_values, repeat=r):
-                if any(_permuted_weights(genus, s) < genus for s in residual):
-                    continue
-                yield PlumbingGraph(genus, euler, edges)
+                moving = [act for _, act in residual if act]
+                for genus in product(spec.genus_values, repeat=r):
+                    if any(act(genus) < genus for act in moving):
+                        continue
+                    yield PlumbingGraph(genus, euler, edges)
 
 
 def labeled_connected_count(r: int, spec: SuiteSpec | None = None) -> int:

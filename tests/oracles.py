@@ -19,9 +19,12 @@ one sample at a time; the package's block solves and block records must
 reproduce them bit for bit, not merely agree with them.  The adaptation
 search's verification, one point at a time, is the reference its block
 form must meet within the report contract of ``tests/test_contract.py``.
-The automorphism group is listed with the package's own backtracking
-search, which the package itself only ever asks for one solution at a
-time.  And :func:`eval_forms` reads the package's point record at one
+The suite enumeration's reference is the package's former enumeration,
+kept verbatim: it permutes weight and multiplicity vectors one entry at a
+time and probes definiteness on a validated graph per (edges, euler)
+pair; the package's enumeration must yield the same sequence.  The
+automorphism group is listed with the package's own backtracking search,
+which the package itself only ever asks for one solution at a time.  And :func:`eval_forms` reads the package's point record at one
 sample, named for the hand checks; :func:`gradient_identity_residuals`
 tests that record's hermitian form against finite differences of the
 functions.
@@ -33,8 +36,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, permutations, product
 from math import ceil
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +50,7 @@ from milnorbook import (
     VertexPermutation,
     constraint_vector,
     intersection_matrix,
+    is_negative_definite,
     iter_suite,
 )
 from milnorbook import varieties
@@ -62,7 +67,7 @@ from milnorbook.contact import (
 from milnorbook.errors import NumericalFinding, SingularMetric
 from milnorbook.graphs import _cell_members, _isomorphisms, _search_order
 from milnorbook.polynomials import PolynomialBlock
-from milnorbook.suites import iter_edge_euler_classes
+from milnorbook.suites import _connected, iter_edge_euler_classes
 from milnorbook.varieties import (
     _ATTEMPTS_PER_SAMPLE,
     _MAX_DOUBLINGS,
@@ -210,6 +215,86 @@ def rational_least_point(g: PlumbingGraph) -> tuple[Fraction, ...] | None:
 
 def rational_ceiling(values) -> tuple[int, ...]:
     return tuple(int(ceil(v)) for v in values)
+
+
+# Suite enumeration reference --------------------------------------------------
+
+def _permuted_edges(
+    mult: Sequence[int],
+    sigma: Sequence[int],
+    pairs: Sequence[tuple[int, int]],
+    index: dict[tuple[int, int], int],
+) -> tuple[int, ...]:
+    out = [0] * len(pairs)
+    for (a, b), k in zip(pairs, mult):
+        ia, ib = sigma[a], sigma[b]
+        out[index[(min(ia, ib), max(ia, ib))]] = k
+    return tuple(out)
+
+
+def _permuted_weights(weights: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...]:
+    out = [0] * len(weights)
+    for i, w in enumerate(weights):
+        out[sigma[i]] = w
+    return tuple(out)
+
+
+def _reference_edge_classes(r: int, spec: SuiteSpec):
+    """Canonical connected edge configurations with their stabilizers."""
+    pairs = list(combinations(range(r), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    perms = list(permutations(range(r)))
+    for mult in product(range(spec.max_edge_multiplicity + 1), repeat=len(pairs)):
+        if not _connected(r, pairs, mult):
+            continue
+        images = [(sigma, _permuted_edges(mult, sigma, pairs, index)) for sigma in perms]
+        if min(img for _, img in images) < mult:
+            continue
+        stabilizer = [sigma for sigma, img in images if img == mult]
+        edges = tuple(
+            pair for pair, k in zip(pairs, mult) for _ in range(k)
+        )
+        yield edges, stabilizer
+
+
+def reference_edge_euler_classes(r: int, spec: SuiteSpec):
+    """Canonical (edges, euler) pairs with residual stabilizers.
+
+    Genus plays no role in definiteness, so callers filtering on the
+    intersection form can prune at this level before expanding genus.
+    """
+    for edges, stabilizer in _reference_edge_classes(r, spec):
+        for euler in product(spec.euler_values, repeat=r):
+            images = [(s, _permuted_weights(euler, s)) for s in stabilizer]
+            if min(img for _, img in images) < euler:
+                continue
+            residual = [s for s, img in images if img == euler]
+            yield edges, euler, residual
+
+
+def reference_suite(
+    spec: SuiteSpec | None = None,
+    *,
+    negative_definite_only: bool = True,
+) -> Iterator[PlumbingGraph]:
+    """One representative per isomorphism class of the family.
+
+    Canonical forms are computed in layers: edge configuration up to the
+    symmetric group, Euler weights up to the edge stabilizer, genus weights
+    up to the (edges, euler) stabilizer.  Each layer keeps the orbit-minimal
+    tuple, so the composite is a canonical form for the weighted graph.
+    """
+    spec = spec or SuiteSpec()
+    for r in range(1, spec.max_vertices + 1):
+        for edges, euler, residual in reference_edge_euler_classes(r, spec):
+            if negative_definite_only:
+                probe = PlumbingGraph((0,) * r, euler, edges)
+                if not is_negative_definite(probe):
+                    continue
+            for genus in product(spec.genus_values, repeat=r):
+                if any(_permuted_weights(genus, s) < genus for s in residual):
+                    continue
+                yield PlumbingGraph(genus, euler, edges)
 
 
 # Cached corpora --------------------------------------------------------------

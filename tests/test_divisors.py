@@ -286,6 +286,7 @@ class TestOracle:
         streamed boxes and r = 6 at the CLI's default bound are admitted."""
         grid_rows = (bound + 1) ** (r - 2)
         assert divisors._grid_bytes(r, grid_rows) <= divisors._GRID_BYTES
+        assert (bound + 1) ** (r - 1) <= divisors._ABSURD_ROWS
 
     def test_memory_does_not_grow_with_the_bound(self):
         """The values of coordinate 0 are scanned in blocks, so a two-vertex
@@ -298,6 +299,22 @@ class TestOracle:
             tracemalloc.stop()
         assert d.multiplicities == (1, 1)
         assert peak < 4 * 2**20
+
+    def test_two_vertex_box_at_bound_4e9_refused_before_allocating(self):
+        """Two vertices have no grid, so the byte budget does not bound
+        them: at bound 4e9 the 4e9 values of coordinate 0 would be scanned
+        in about 244,000 blocks.  They are prefixes beyond _ABSURD_ROWS,
+        and the box is refused before anything is allocated."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                InputError, match=r"^box \[0, 4000000000\]\^2 is too large to enumerate$"
+            ):
+                oracle_minimal_divisor(chain_graph([-2, -2]), 4 * 10**9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize(
         "g, bound, dtype",

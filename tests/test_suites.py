@@ -1,5 +1,6 @@
 """Verification corpora: completeness, canonicity, and equivariance."""
 
+from dataclasses import replace
 from math import factorial
 
 import pytest
@@ -12,8 +13,32 @@ from milnorbook import (
     labeled_connected_count,
     minimal_divisor,
 )
+from milnorbook.suites import iter_edge_euler_classes
 
-from oracles import automorphism_group, full_suite, nd_suite
+from oracles import (
+    automorphism_group,
+    full_suite,
+    nd_suite,
+    reference_edge_euler_classes,
+    reference_suite,
+)
+
+# Specs the enumeration is pinned on against the reference: the default
+# family, an Euler window with indefinite classes, three genus values,
+# multiplicity 3, and a family of at most two vertices, where a pair vector
+# has at most one entry and a weight vector at most two.
+REFERENCE_SPECS = {
+    "default": SuiteSpec(),
+    "euler-window": SuiteSpec(max_vertices=3, euler_values=(-3, -2, -1, 0, 1)),
+    "genus-3": SuiteSpec(genus_values=(0, 1, 2)),
+    "multiplicity-3": SuiteSpec(max_edge_multiplicity=3),
+    "two-vertices": SuiteSpec(
+        max_vertices=2,
+        euler_values=(-3, -2, -1, 0, 1),
+        genus_values=(0, 1, 2),
+        max_edge_multiplicity=3,
+    ),
+}
 
 
 class TestEnumeration:
@@ -102,3 +127,34 @@ class TestEquivariance:
         assert len(automorphism_group(g)) == len(
             automorphism_group(g.relabel(sigma))
         )
+
+
+class TestReference:
+    """The enumeration yields the former enumeration's sequence, kept
+    verbatim in ``oracles`` as the reference."""
+
+    @pytest.mark.parametrize("name", REFERENCE_SPECS)
+    def test_edge_euler_classes_match_the_reference(self, name):
+        """Same (edges, euler) pairs in the same order, each with the same
+        residual stabilizer, on every vertex count."""
+        spec = REFERENCE_SPECS[name]
+        for r in range(1, spec.max_vertices + 1):
+            got = list(iter_edge_euler_classes(r, spec))
+            assert got == list(reference_edge_euler_classes(r, spec))
+            assert all(residual[0] == tuple(range(r)) for _, _, residual in got)
+
+    @pytest.mark.parametrize("definite", [True, False], ids=["definite", "all"])
+    @pytest.mark.parametrize("name", REFERENCE_SPECS)
+    def test_suite_matches_the_reference(self, name, definite):
+        """Same graphs in the same order.  Four vertices with three genus
+        values or multiplicity 3 give 5.7e5 and 6.9e5 classes in all, so
+        those families are compared in full on three vertices."""
+        spec = REFERENCE_SPECS[name]
+        if name == "default":
+            got = nd_suite() if definite else full_suite()
+        else:
+            if not definite:
+                spec = replace(spec, max_vertices=min(spec.max_vertices, 3))
+            got = tuple(iter_suite(spec, negative_definite_only=definite))
+        assert got == tuple(reference_suite(spec, negative_definite_only=definite))
+        assert {g.vertex_count for g in got} == set(range(1, spec.max_vertices + 1))
