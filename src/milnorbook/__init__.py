@@ -45,7 +45,6 @@ from .graphs import (
     Divisor,
     PlumbingGraph,
     VertexPermutation,
-    canonical_degree,
     chain_graph,
     e8_graph,
     find_isomorphism,
@@ -63,9 +62,7 @@ from .graphs import (
     vertex_orbits,
 )
 from .divisors import (
-    ConstraintVector,
     DivisorReport,
-    MultiplicityVector,
     binding_multiplicities,
     check_theorem_conditions,
     constraint_vector,
@@ -76,7 +73,6 @@ from .divisors import (
 from .openbooks import (
     DecoratedLinkGraph,
     OpenBookReport,
-    decorate,
     decorated_isomorphic,
     ubiquitous_open_book,
 )

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 
@@ -38,7 +39,7 @@ from .errors import (
     NegativeVerdict,
     NumericalFinding,
 )
-from .graphs import is_milnor_fillable, load_graph
+from .graphs import graph_to_dict, is_milnor_fillable, load_graph
 from .openbooks import ubiquitous_open_book
 from .polynomials import parse_map, parse_polynomial
 from .varieties import Hypersurface, SmoothChart, sample_points
@@ -204,7 +205,7 @@ def _cmd_divisor(args):
     result = report.to_dict()
     lines = [
         f"divisor: {list(divisor.multiplicities)}",
-        f"multiplicities: {list(report.multiplicities.counts)}",
+        f"multiplicities: {list(report.multiplicities)}",
         f"slack: {list(report.inequality_slack)}",
         f"automorphism invariant: {report.aut_invariant}",
     ]
@@ -235,18 +236,9 @@ def _cmd_openbook(args):
     ]
     lines.extend("  " + line for line in report.graph.to_text().splitlines())
     if args.emit == "graph":
-        decorated = {
-            "vertices": [
-                {
-                    "id": i,
-                    "genus": report.graph.base.genus[i],
-                    "euler": report.graph.base.euler[i],
-                    "arrowheads": report.graph.arrowheads[i],
-                }
-                for i in range(report.graph.base.vertex_count)
-            ],
-            "edges": [list(edge) for edge in report.graph.base.edges],
-        }
+        decorated = graph_to_dict(report.graph.base)
+        for vertex, n in zip(decorated["vertices"], report.graph.arrowheads):
+            vertex["arrowheads"] = n
         result["decorated_graph"] = decorated
         lines.append("decorated graph JSON:")
         lines.append(json.dumps(decorated, sort_keys=True))
@@ -403,6 +395,9 @@ _CONTACT_SUBCHECKS = {
 
 
 def _cmd_contact(args):
+    for flag, value in (("--c", args.c), ("--eta", args.eta)):
+        if value is not None and not math.isfinite(value):
+            raise InputError(f"{flag} must be finite, got {value!r}")
     variety, n_vars = _build_variety(args)
     config = {
         "subcheck": args.subcheck,

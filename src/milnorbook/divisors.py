@@ -40,8 +40,6 @@ from .graphs import (
 )
 
 __all__ = [
-    "ConstraintVector",
-    "MultiplicityVector",
     "DivisorReport",
     "constraint_vector",
     "minimal_divisor",
@@ -57,28 +55,12 @@ REPAIR_CAP = 10**6
 
 
 @dataclass(frozen=True)
-class ConstraintVector:
-    """Per-vertex bounds c_i = -(v_i + 2 g_i); never positive."""
-
-    bounds: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MultiplicityVector:
-    """Binding multiplicities n_i = -D . E_i; solver outputs have n_i >= 1."""
-
-    counts: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-
-@dataclass(frozen=True)
 class DivisorReport:
-    """Certificate bundle for one divisor against one graph."""
+    """Certificate bundle for one divisor against one graph; the binding
+    multiplicities are n_i = -D . E_i."""
 
     divisor: Divisor
-    multiplicities: MultiplicityVector
+    multiplicities: tuple[int, ...]
     inequality_slack: tuple[int, ...]
     aut_invariant: bool
     zero_divisor: bool
@@ -88,7 +70,7 @@ class DivisorReport:
     def to_dict(self) -> dict:
         return {
             "divisor": list(self.divisor.multiplicities),
-            "multiplicities": list(self.multiplicities.counts),
+            "multiplicities": list(self.multiplicities),
             "slack": list(self.inequality_slack),
             "aut_invariant": self.aut_invariant,
             "zero_divisor": self.zero_divisor,
@@ -97,18 +79,16 @@ class DivisorReport:
         }
 
 
-def constraint_vector(g: PlumbingGraph) -> ConstraintVector:
-    """c_i = -(v_i + 2 g_i).
+def constraint_vector(g: PlumbingGraph) -> tuple[int, ...]:
+    """The bounds c_i = -(v_i + 2 g_i), never positive.
 
     Feasibility D . E_i <= c_i is the inequality (D + E + K) . E_i + 2 <= 0
     rewritten through adjunction: E . E_i = e_i + v_i and K . E_i =
     2 g_i - 2 - e_i, so the Euler weights cancel.
     """
-    return ConstraintVector(
-        tuple(
-            -(sum(neighbours.values()) + 2 * k)
-            for neighbours, k in zip(g.adjacency, g.genus)
-        )
+    return tuple(
+        -(sum(neighbours.values()) + 2 * k)
+        for neighbours, k in zip(g.adjacency, g.genus)
     )
 
 
@@ -138,7 +118,7 @@ def minimal_divisor(
     default takes the lowest index.  The result does not depend on this
     choice (a tested property).
     """
-    c = constraint_vector(g).bounds
+    c = constraint_vector(g)
     lower = solve_exact(g, c, require_negative_definite=True)
     if lower is None:
         raise NotNegativeDefinite("descent requires a negative definite graph")
@@ -263,7 +243,7 @@ def oracle_minimal_divisor(g: PlumbingGraph, bound: int) -> Divisor:
             f"{grid_rows} rows needs about {need} bytes, above the budget of "
             f"{_GRID_BYTES}"
         )
-    c = constraint_vector(g).bounds
+    c = constraint_vector(g)
     matrix = intersection_matrix(g)
     reach = max(
         bound + 1,
@@ -339,7 +319,7 @@ def oracle_minimal_divisor(g: PlumbingGraph, bound: int) -> Divisor:
     return result
 
 
-def binding_multiplicities(g: PlumbingGraph, d: Divisor) -> MultiplicityVector:
+def binding_multiplicities(g: PlumbingGraph, d: Divisor) -> tuple[int, ...]:
     """n_i = -(I . m)_i, the number of binding circles over vertex i.
 
     For the minimal divisor these satisfy n_i >= v_i + 2 g_i, and n_i >= 1
@@ -353,10 +333,10 @@ def binding_multiplicities(g: PlumbingGraph, d: Divisor) -> MultiplicityVector:
     if d.is_zero:
         raise InputError("binding multiplicities need a non-zero divisor")
     products = _form_product(g, d.multiplicities)
-    return MultiplicityVector(tuple(-p for p in products))
+    return tuple(-p for p in products)
 
 
-def divisor_from_multiplicities(g: PlumbingGraph, n: MultiplicityVector) -> Divisor:
+def divisor_from_multiplicities(g: PlumbingGraph, n: Sequence[int]) -> Divisor:
     """Exact inverse of the multiplicity map: solve I . m = -n.
 
     Succeeds only when the rational solution is integral and effective,
@@ -368,7 +348,7 @@ def divisor_from_multiplicities(g: PlumbingGraph, n: MultiplicityVector) -> Divi
             f"multiplicity vector of length {len(n)} against "
             f"{g.vertex_count} vertices"
         )
-    rhs = [-k for k in n.counts]  # a definite form is solved sparse, not squared
+    rhs = [-k for k in n]  # a definite form is solved sparse, not squared
     solution = solve_exact(g, rhs, require_negative_definite=True) or solve_exact(g, rhs)
     for i, value in enumerate(solution):
         if value.denominator != 1:
@@ -392,15 +372,15 @@ def check_theorem_conditions(g: PlumbingGraph, d: Divisor) -> DivisorReport:
         raise DimensionMismatch(
             f"divisor of length {len(d)} against {g.vertex_count} vertices"
         )
-    c = constraint_vector(g).bounds
+    c = constraint_vector(g)
     products = _form_product(g, d.multiplicities)
     slack = tuple(c[i] - products[i] for i in range(g.vertex_count))
-    counts = MultiplicityVector(tuple(-p for p in products))
+    counts = tuple(-p for p in products)
     orbits = vertex_orbits(g)
     aut_invariant = all(
         m == d.multiplicities[orbits[i]] for i, m in enumerate(d.multiplicities)
     )
-    positive = all(k >= 1 for k in counts.counts)
+    positive = all(k >= 1 for k in counts)
     return DivisorReport(
         divisor=d,
         multiplicities=counts,

@@ -1,5 +1,5 @@
 """Plumbing graphs: weighted multigraphs, intersection forms, exact
-definiteness and solves, adjunction degrees, and weighted automorphisms.
+definiteness and solves, valencies, and weighted automorphisms.
 
 A plumbing graph is a finite connected multigraph whose vertices carry a
 genus g_i >= 0 and an integer Euler weight e_i.  Loops are forbidden: the
@@ -42,7 +42,6 @@ __all__ = [
     "solve_exact",
     "is_milnor_fillable",
     "valency",
-    "canonical_degree",
     "vertex_orbits",
     "find_isomorphism",
     "graph_from_dict",
@@ -108,14 +107,6 @@ class PlumbingGraph:
     def vertex_count(self) -> int:
         return len(self.genus)
 
-    def edge_multiplicities(self) -> dict[tuple[int, int], int]:
-        return {
-            (a, b): k
-            for a, neighbours in enumerate(self.adjacency)
-            for b, k in neighbours.items()
-            if a < b
-        }
-
     def relabel(self, images: Sequence[int]) -> "PlumbingGraph":
         """Push the graph forward along vertex map i -> images[i]."""
         r = self.vertex_count
@@ -164,20 +155,6 @@ class VertexPermutation:
 
     def __call__(self, i: int) -> int:
         return self.images[i]
-
-    def compose(self, other: "VertexPermutation") -> "VertexPermutation":
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        return VertexPermutation(tuple(self.images[j] for j in other.images))
-
-    def inverse(self) -> "VertexPermutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return VertexPermutation(tuple(inv))
-
-    def fixes_vector(self, values: Sequence) -> bool:
-        """True iff the coordinate vector is constant on every orbit."""
-        return all(values[self.images[i]] == values[i] for i in range(len(values)))
 
 
 def _integer(value, what: str) -> int:
@@ -421,13 +398,6 @@ def valency(g: PlumbingGraph, i: int) -> int:
     if not 0 <= i < g.vertex_count:
         raise InputError(f"no vertex {i}")
     return sum(g.adjacency[i].values())
-
-
-def canonical_degree(g: PlumbingGraph, i: int) -> int:
-    """Adjunction degree K . E_i = 2 g_i - 2 - e_i."""
-    if not 0 <= i < g.vertex_count:
-        raise InputError(f"no vertex {i}")
-    return 2 * g.genus[i] - 2 - g.euler[i]
 
 
 def _equitable_cells(adjacency: Sequence[Mapping[int, int]], labels) -> list[int]:

@@ -20,18 +20,12 @@ from .errors import (
     NotMilnorFillable,
     NotNegativeDefinite,
 )
-from .divisors import (
-    MultiplicityVector,
-    check_theorem_conditions,
-    constraint_vector,
-    minimal_divisor,
-)
+from .divisors import check_theorem_conditions, constraint_vector, minimal_divisor
 from .graphs import Divisor, PlumbingGraph, find_isomorphism
 
 __all__ = [
     "DecoratedLinkGraph",
     "OpenBookReport",
-    "decorate",
     "ubiquitous_open_book",
     "decorated_isomorphic",
 ]
@@ -49,8 +43,8 @@ class DecoratedLinkGraph:
 
     Arrowheads are a multiset per vertex (generic fibers are
     interchangeable), so only counts are stored.  At least one arrowhead is
-    required; vertices with zero arrowheads are legal but flagged, since
-    uniqueness of the horizontal open book needs every count positive.
+    required; vertices with zero arrowheads are legal, although uniqueness
+    of the horizontal open book needs every count positive.
     """
 
     base: PlumbingGraph
@@ -71,10 +65,6 @@ class DecoratedLinkGraph:
     @property
     def binding_components(self) -> int:
         return sum(self.arrowheads)
-
-    @property
-    def has_zero_arrowheads(self) -> bool:
-        return any(n == 0 for n in self.arrowheads)
 
     def to_text(self) -> str:
         """Vertex list with (genus, euler, arrows) labels plus edges."""
@@ -122,15 +112,6 @@ class OpenBookReport:
         }
 
 
-def decorate(g: PlumbingGraph, n: MultiplicityVector) -> DecoratedLinkGraph:
-    """Attach n_i arrowheads at vertex i; the base graph is unchanged."""
-    if len(n) != g.vertex_count:
-        raise DimensionMismatch(
-            f"{len(n)} arrowhead counts for {g.vertex_count} vertices"
-        )
-    return DecoratedLinkGraph(g, tuple(n.counts))
-
-
 def ubiquitous_open_book(g: PlumbingGraph) -> OpenBookReport:
     """Fillability check, minimal divisor, binding data, certificates.
 
@@ -148,16 +129,16 @@ def ubiquitous_open_book(g: PlumbingGraph) -> OpenBookReport:
         ) from None
     certificates = check_theorem_conditions(g, divisor)
     counts = certificates.multiplicities
-    decorated = decorate(g, counts)
+    decorated = DecoratedLinkGraph(g, counts)
     # Valencies v_i = -c_i - 2 g_i, read off the constraint vector.
-    bounds = constraint_vector(g).bounds
+    bounds = constraint_vector(g)
     per_vertex = tuple(
         (
             -bounds[i] - 2 * g.genus[i],
             g.genus[i],
             g.euler[i],
             divisor.multiplicities[i],
-            counts.counts[i],
+            counts[i],
             certificates.inequality_slack[i],
         )
         for i in range(g.vertex_count)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -406,8 +407,13 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
     return parser.parse()
 
 
-def parse_map(texts: Sequence[str] | str, n_vars: int) -> tuple[Polynomial, ...]:
-    """Parse a comma-separated list (or sequence) of polynomial expressions."""
-    if isinstance(texts, str):
-        texts = [piece for piece in texts.split(",")]
-    return tuple(parse_polynomial(piece, n_vars) for piece in texts)
+def parse_map(text: str, n_vars: int) -> tuple[Polynomial, ...]:
+    """Parse comma-separated polynomial expressions.  Error positions count
+    from the start of ``text``: each component is parsed behind as many
+    blanks as characters precede it, which the parser skips."""
+    pieces = text.split(",")
+    starts = accumulate((len(piece) + 1 for piece in pieces), initial=0)
+    return tuple(
+        parse_polynomial(" " * start + piece, n_vars)
+        for start, piece in zip(starts, pieces)
+    )

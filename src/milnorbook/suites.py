@@ -76,9 +76,9 @@ def _iter_edge_classes(r: int, spec: SuiteSpec):
 
     A vertex permutation sigma acts on multiplicity vectors through its
     permutation of the pairs and on weight vectors through itself; both
-    actions are built once per permutation.  The stabilizer lists each
-    sigma that fixes the configuration, in lexicographic order, with its
-    action on weights.
+    actions are built once per permutation.  The stabilizer lists the
+    actions on weights of every sigma other than the identity that fixes
+    the configuration.
     """
     pairs = list(combinations(range(r), 2))
     index = {p: i for i, p in enumerate(pairs)}
@@ -87,17 +87,17 @@ def _iter_edge_classes(r: int, spec: SuiteSpec):
         moved = [
             index[min(sigma[a], sigma[b]), max(sigma[a], sigma[b])] for a, b in pairs
         ]
-        group.append((sigma, _action(moved), _action(sigma)))
+        group.append((_action(moved), _action(sigma)))
     for mult in product(range(spec.max_edge_multiplicity + 1), repeat=len(pairs)):
         if not _connected(r, pairs, mult):
             continue
-        images = [on_edges(mult) if on_edges else mult for _, on_edges, _ in group]
+        images = [on_edges(mult) if on_edges else mult for on_edges, _ in group]
         if min(images) < mult:
             continue
         stabilizer = [
-            (sigma, on_weights)
-            for (sigma, _, on_weights), image in zip(group, images)
-            if image == mult
+            on_weights
+            for (_, on_weights), image in zip(group, images)
+            if on_weights and image == mult
         ]
         edges = tuple(
             pair for pair, k in zip(pairs, mult) for _ in range(k)
@@ -109,23 +109,10 @@ def _euler_classes(r: int, stabilizer, spec: SuiteSpec):
     """Euler weight vectors that ``stabilizer`` maps to none smaller, each
     with the part of ``stabilizer`` that fixes it."""
     for euler in product(spec.euler_values, repeat=r):
-        images = [act(euler) if act else euler for _, act in stabilizer]
-        if min(images) < euler:
+        images = [act(euler) for act in stabilizer]
+        if images and min(images) < euler:
             continue
-        yield euler, [g for g, image in zip(stabilizer, images) if image == euler]
-
-
-def iter_edge_euler_classes(r: int, spec: SuiteSpec):
-    """Canonical (edges, euler) pairs with residual stabilizers.
-
-    Genus plays no role in definiteness, so callers filtering on the
-    intersection form can prune at this level before expanding genus.
-    Each residual stabilizer lists the fixing vertex permutations as
-    tuples, in lexicographic order.
-    """
-    for edges, stabilizer in _iter_edge_classes(r, spec):
-        for euler, residual in _euler_classes(r, stabilizer, spec):
-            yield edges, euler, [sigma for sigma, _ in residual]
+        yield euler, [act for act, image in zip(stabilizer, images) if image == euler]
 
 
 def iter_suite(
@@ -150,9 +137,8 @@ def iter_suite(
                     _eliminate(_form_rows(euler, adjacency), None) is None
                 ):
                     continue
-                moving = [act for _, act in residual if act]
                 for genus in product(spec.genus_values, repeat=r):
-                    if any(act(genus) < genus for act in moving):
+                    if any(act(genus) < genus for act in residual):
                         continue
                     yield PlumbingGraph(genus, euler, edges)
 

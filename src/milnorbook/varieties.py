@@ -116,8 +116,6 @@ class SmoothChart:
     assumed globally; it is rank-tested where the forms are evaluated.
     """
 
-    kind = "chart"
-
     def __init__(self, dim: int, components: tuple[Polynomial, ...] | list[Polynomial]):
         if dim < 1:
             raise InputError("chart dimension must be at least 1")
@@ -178,8 +176,6 @@ class Hypersurface:
     a smooth point is the kernel of the differential ``dh``.
     """
 
-    kind = "hypersurface"
-
     def __init__(self, defining: Polynomial):
         if defining.n_vars < 2:
             raise InputError("a hypersurface needs at least two variables")
@@ -192,10 +188,6 @@ class Hypersurface:
 
     @property
     def ambient_dim(self) -> int:
-        return self.defining.n_vars
-
-    @property
-    def target_dim(self) -> int:
         return self.defining.n_vars
 
     def phi_block(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -67,7 +67,7 @@ from milnorbook.contact import (
 from milnorbook.errors import NumericalFinding, SingularMetric
 from milnorbook.graphs import _cell_members, _isomorphisms, _search_order
 from milnorbook.polynomials import PolynomialBlock
-from milnorbook.suites import _connected, iter_edge_euler_classes
+from milnorbook.suites import _connected
 from milnorbook.varieties import (
     _ATTEMPTS_PER_SAMPLE,
     _MAX_DOUBLINGS,
@@ -159,7 +159,7 @@ def brute_force_feasible_points(g: PlumbingGraph, bound: int):
 
     Pure nested-loop scan; exponential, so callers keep r and bound tiny.
     """
-    c = constraint_vector(g).bounds
+    c = constraint_vector(g)
     r = g.vertex_count
     feasible = []
     for m in product(range(bound + 1), repeat=r):
@@ -210,7 +210,7 @@ def rational_least_point(g: PlumbingGraph) -> tuple[Fraction, ...] | None:
     integer divisor therefore dominates the componentwise ceiling of this
     vector, with equality whenever the solution is already integral.
     """
-    return rational_solution(intersection_matrix(g), constraint_vector(g).bounds)
+    return rational_solution(intersection_matrix(g), constraint_vector(g))
 
 
 def rational_ceiling(values) -> tuple[int, ...]:
@@ -313,14 +313,9 @@ def full_suite() -> tuple[PlumbingGraph, ...]:
 
 @lru_cache(maxsize=1)
 def suite_matrices() -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Distinct intersection matrices of the family (genus plays no role)."""
-    spec = SuiteSpec()
-    out = []
-    for r in range(1, spec.max_vertices + 1):
-        for edges, euler, _ in iter_edge_euler_classes(r, spec):
-            probe = PlumbingGraph((0,) * r, euler, edges)
-            out.append(intersection_matrix(probe))
-    return tuple(out)
+    """Distinct intersection matrices of the family (genus plays no role):
+    the forms of its all-genus-0 classes, one per (edges, euler) class."""
+    return tuple(intersection_matrix(g) for g in full_suite() if not any(g.genus))
 
 
 def random_weighted_graph(rng, max_vertices=6, euler_range=(-5, 3), max_mult=3):

@@ -13,7 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from milnorbook import cli
 from milnorbook.errors import InternalInvariantError
-from milnorbook.graphs import PlumbingGraph, chain_graph, save_graph
+from milnorbook.graphs import (
+    PlumbingGraph,
+    chain_graph,
+    graph_from_dict,
+    load_graph,
+    save_graph,
+)
 from milnorbook.polynomials import Polynomial
 
 
@@ -230,6 +236,21 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("input error:")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("flag", ["--c", "--eta"])
+    @pytest.mark.parametrize("subcheck", sorted(cli._CONTACT_SUBCHECKS))
+    def test_non_finite_c_or_eta_exits_one_for_every_subcheck(
+        self, capsys, subcheck, flag, value
+    ):
+        """argparse's float reads 1e400 as inf: neither may reach a report,
+        whose JSON would hold NaN or Infinity."""
+        code, out, err = run(
+            capsys, "contact", subcheck, "--f", "z0", "--samples", "5",
+            "--mesh", "50", f"{flag}={value}", "--format", "structured",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"input error: {flag} must be finite")
+
     def test_failed_check_exits_four_with_report(self, capsys):
         code, out, _ = run(
             capsys,
@@ -439,8 +460,23 @@ class TestReports:
         )
         assert code == 0
         decorated = json.loads(out)["result"]["decorated_graph"]
+        assert graph_from_dict(decorated) == load_graph(a3_file)
         assert [v["arrowheads"] for v in decorated["vertices"]] == [1, 2, 1]
-        assert decorated["edges"] == [[0, 1], [1, 2]]
+
+    def test_openbook_emit_graph_text_line_is_pinned(self, capsys, tmp_path):
+        """A double edge is listed twice, and the keys are sorted."""
+        path = tmp_path / "double.json"
+        save_graph(PlumbingGraph((0, 1, 0), (-3, -3, -2), ((0, 1), (0, 1), (1, 2))), path)
+        code, out, _ = run(capsys, "openbook", str(path), "--emit", "graph")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-2] == "decorated graph JSON:"
+        assert lines[-1] == (
+            '{"edges": [[0, 1], [0, 1], [1, 2]], "vertices": ['
+            '{"arrowheads": 4, "euler": -3, "genus": 0, "id": 0}, '
+            '{"arrowheads": 5, "euler": -3, "genus": 1, "id": 1}, '
+            '{"arrowheads": 1, "euler": -2, "genus": 0, "id": 2}]}'
+        )
 
     def test_identity_unscaled_is_exact(self, capsys):
         code, out, _ = run(

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 import milnorbook.divisors as divisors
 from milnorbook import (
     Divisor,
-    MultiplicityVector,
     binding_multiplicities,
     chain_graph,
     check_theorem_conditions,
@@ -63,7 +62,7 @@ SIX_VERTEX_TREE = PlumbingGraph(
 def _scan_reach(g, bound):
     """max(bound + 1, max_i(|c_i| + bound * sum_j |I_ij|)), read off the
     weights and valencies."""
-    c = constraint_vector(g).bounds
+    c = constraint_vector(g)
     return max(
         bound + 1,
         max(
@@ -122,7 +121,7 @@ class TestFrozenExamples:
     def test_divisor_and_multiplicities(self, graph, divisor, counts):
         d = minimal_divisor(graph)
         assert d.multiplicities == divisor
-        assert binding_multiplicities(graph, d).counts == counts
+        assert binding_multiplicities(graph, d) == counts
 
     def test_d4_oracle_confirms_frozen_value(self):
         assert oracle_minimal_divisor(D4, 12).multiplicities == (9, 5, 5, 5)
@@ -136,7 +135,7 @@ class TestFrozenExamples:
         assert d.multiplicities == (57, 113, 167, 219, 269, 181, 91, 135)
         report = check_theorem_conditions(g, d)
         assert report.inequality_slack == (0,) * 8
-        assert report.multiplicities.counts == tuple(
+        assert report.multiplicities == tuple(
             valency(g, i) for i in range(8)
         )
         exact = rational_least_point(g)
@@ -144,11 +143,11 @@ class TestFrozenExamples:
         assert tuple(int(v) for v in exact) == d.multiplicities
 
     def test_constraint_vector_examples(self):
-        assert constraint_vector(D4).bounds == (-3, -1, -1, -1)
-        assert constraint_vector(e8_graph()).bounds == (
+        assert constraint_vector(D4) == (-3, -1, -1, -1)
+        assert constraint_vector(e8_graph()) == (
             -1, -2, -2, -2, -3, -2, -1, -1,
         )
-        assert constraint_vector(chain_graph([-3], genus=[1])).bounds == (-2,)
+        assert constraint_vector(chain_graph([-3], genus=[1])) == (-2,)
 
 
 # Descent behavior ------------------------------------------------------------
@@ -379,7 +378,7 @@ class TestOracle:
         if len(points) < 2:
             return
         sample = points[:: max(1, len(points) // 12)]
-        c = constraint_vector(g).bounds
+        c = constraint_vector(g)
         for p, q in combinations(sample, 2):
             met = tuple(min(a, b) for a, b in zip(p, q))
             products = dense_form_product(g, met)
@@ -413,24 +412,18 @@ class TestMultiplicities:
         with pytest.raises(DimensionMismatch):
             binding_multiplicities(chain_graph([-2]), Divisor((1, 1)))
         with pytest.raises(DimensionMismatch):
-            divisor_from_multiplicities(
-                chain_graph([-2]), MultiplicityVector((1, 1))
-            )
+            divisor_from_multiplicities(chain_graph([-2]), (1, 1))
         with pytest.raises(DimensionMismatch):
             check_theorem_conditions(chain_graph([-2]), Divisor((1, 1)))
 
     def test_non_integral_solution_reported(self):
         with pytest.raises(NonIntegralSolution) as info:
-            divisor_from_multiplicities(
-                chain_graph([-2]), MultiplicityVector((1,))
-            )
+            divisor_from_multiplicities(chain_graph([-2]), (1,))
         assert info.value.vertex == 0
 
     def test_non_effective_solution_reported(self):
         with pytest.raises(NonEffectiveSolution):
-            divisor_from_multiplicities(
-                chain_graph([-2, -2]), MultiplicityVector((-3, 3))
-            )
+            divisor_from_multiplicities(chain_graph([-2, -2]), (-3, 3))
 
     @given(small_nd_graphs(), st.data())
     @settings(max_examples=60)
@@ -460,9 +453,7 @@ class TestMultiplicities:
         """I = [[0, 1], [1, -1]] is nonsingular although its first leading
         minor vanishes; the solve exchanges rows instead of failing."""
         g = chain_graph([0, -1])
-        assert divisor_from_multiplicities(
-            g, MultiplicityVector((-2, -1))
-        ).multiplicities == (3, 2)
+        assert divisor_from_multiplicities(g, (-2, -1)).multiplicities == (3, 2)
 
     def test_a_definite_round_trip_is_not_squared(self):
         """On the 200-leg star the definite elimination stays sparse; the

@@ -12,7 +12,6 @@ from milnorbook import (
     Divisor,
     PlumbingGraph,
     VertexPermutation,
-    canonical_degree,
     chain_graph,
     e8_graph,
     graph_from_dict,
@@ -130,7 +129,8 @@ class TestValidation:
 
     def test_multi_edge_multiplicities(self):
         g = PlumbingGraph((0, 0), (-3, -3), ((0, 1), (1, 0)))
-        assert g.edge_multiplicities() == {(0, 1): 2}
+        assert g.edges == ((0, 1), (0, 1))
+        assert g.adjacency == ({1: 2}, {0: 2})
 
     def test_adjacency_is_derived_and_not_compared(self):
         g = PlumbingGraph((0, 0, 0), (-2, -3, -2), ((1, 0), (0, 1), (1, 2)))
@@ -408,15 +408,11 @@ class TestVertexQuantities:
     def test_valency_of_star_center(self):
         assert valency(star_graph(-2, [-2, -2, -2]), 0) == 3
 
-    def test_canonical_degree(self):
-        g = PlumbingGraph((2,), (-3,), ())
-        assert canonical_degree(g, 0) == 2 * 2 - 2 - (-3)
-
     def test_bad_vertex_index(self):
         with pytest.raises(InputError):
             valency(chain_graph([-2]), 1)
         with pytest.raises(InputError):
-            canonical_degree(chain_graph([-2]), -1)
+            valency(chain_graph([-2]), -1)
 
 
 # Automorphisms ---------------------------------------------------------------
@@ -449,9 +445,10 @@ class TestAutomorphisms:
         images = {sigma.images for sigma in group}
         assert tuple(range(g.vertex_count)) in images
         for sigma in group:
-            assert sigma.inverse().images in images
+            inverse = sorted(range(g.vertex_count), key=sigma)
+            assert tuple(inverse) in images
             for tau in group:
-                assert sigma.compose(tau).images in images
+                assert tuple(sigma(j) for j in tau.images) in images
 
     @given(plumbing_graphs(max_vertices=4))
     def test_automorphisms_fix_the_graph(self, g):
@@ -509,17 +506,13 @@ class TestAutomorphisms:
         g = star_graph(-13, [-2] * 12)
         assert vertex_orbits(g) == (0,) + (1,) * 12
 
-    def test_fixes_vector(self):
-        sigma = VertexPermutation((1, 0, 2))
-        assert sigma.fixes_vector((5, 5, 7)) is True
-        assert sigma.fixes_vector((5, 6, 7)) is False
-
     @given(plumbing_graphs(), st.data())
     def test_relabel_roundtrip_through_inverse(self, g, data):
         sigma = VertexPermutation(
             tuple(data.draw(permutations_of(g.vertex_count)))
         )
-        assert g.relabel(sigma.inverse().images).relabel(sigma.images) == g
+        inverse = sorted(range(g.vertex_count), key=sigma)
+        assert g.relabel(inverse).relabel(sigma.images) == g
 
 
 # Serialization ---------------------------------------------------------------

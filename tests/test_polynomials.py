@@ -78,9 +78,18 @@ class TestGrammar:
         assert len(components) == 2
         assert components[1].evaluate((0, 3)) == 9
 
-    def test_parse_map_sequence(self):
-        components = parse_map(["z0", "z0^3"], 1)
-        assert [p.total_degree for p in components] == [1, 3]
+    def test_parse_map_unknown_variable_position_counts_from_the_start(self):
+        with pytest.raises(UnknownVariable) as info:
+            parse_map("z0, z1 + z2", 2)
+        assert (info.value.index, info.value.position) == (2, 9)
+
+    def test_parse_map_syntax_error_position_counts_from_the_start(self):
+        with pytest.raises(PolynomialSyntaxError) as info:
+            parse_map("z0,z1 +", 2)
+        assert info.value.position == 7
+        with pytest.raises(PolynomialSyntaxError) as info:
+            parse_map("z0,,z1", 2)
+        assert str(info.value) == "empty expression (position 3)"
 
 
 class TestCalculus:
