@@ -21,7 +21,7 @@ from .errors import (
     NotNegativeDefinite,
 )
 from .divisors import check_theorem_conditions, constraint_vector, minimal_divisor
-from .graphs import Divisor, PlumbingGraph, find_isomorphism
+from .graphs import Divisor, PlumbingGraph, _integer, find_isomorphism
 
 __all__ = [
     "DecoratedLinkGraph",
@@ -57,7 +57,7 @@ class DecoratedLinkGraph:
                 f"{self.base.vertex_count} vertices"
             )
         for i, n in enumerate(self.arrowheads):
-            if n < 0:
+            if _integer(n, f"arrowhead count n_{i}") < 0:
                 raise InputError(f"arrowhead count n_{i} = {n} is negative")
         if all(n == 0 for n in self.arrowheads):
             raise AllZero("an open book needs at least one binding component")

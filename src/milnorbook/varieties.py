@@ -24,9 +24,10 @@ level set or rejects it, and returns the accepted rows' arrays, which the
 loop copies into arrays preallocated for the requested count and the model
 turns into one :class:`Samples` record.  For charts the step builds the
 radial profiles of the whole block, one stacked product per lag of the
-autocorrelation, and finds their roots together (bracket doubling, at most
-80 bisections, stopping once every bracket has stalled, and Newton
-polishing, as array Horner loops); for
+autocorrelation, and finds their roots together (a bracket search that
+doubles or halves the top from ``t = 1``, then one safeguarded Newton loop
+that falls back to the midpoint and stops each row once its step is below
+4 ulp, as array Horner loops); for
 hypersurfaces it runs a damped Gauss–Newton iteration on ``(Re h, Im h,
 rho - epsilon)`` for all draws of the block together, each with its own
 line search, and the minimum-norm steps of all live draws in closed form,
@@ -58,7 +59,8 @@ __all__ = [
 ]
 
 # Maximum times the radial bracket is doubled before a direction is
-# declared degenerate (the potential never reaches the target level).
+# declared degenerate (the potential never reaches the target level), and
+# halved before the search settles for a bracket from 0.
 _MAX_DOUBLINGS = 300
 
 # Draws solved together by one step of the accept loop, and samples the
@@ -77,8 +79,11 @@ _ATTEMPTS_PER_SAMPLE = 10
 _LEVEL_TOLERANCE = 1e-10
 _RESIDUAL_TOLERANCE = 1e-10
 
-# Scaled residual at which Newton polishing of a radial root, and the
-# Gauss–Newton iteration of a hypersurface draw, stop.
+# Rounds of the safeguarded Newton loop per radial root.
+_ROOT_ROUNDS = 80
+
+# Scaled residual at which the Gauss–Newton iteration of a hypersurface draw
+# stops.
 _NEWTON_TOLERANCE = 1e-12
 
 # Gauss–Newton iterations per hypersurface draw, and the factor each
@@ -280,58 +285,67 @@ def _radial_profiles(chart: SmoothChart, directions: np.ndarray) -> np.ndarray:
 def _radial_roots(profiles: np.ndarray, epsilon: float) -> np.ndarray:
     """Smallest ``t > 0`` with ``profile(t) = epsilon`` per row, NaN if none.
 
-    Bracket doubling, at most 80 bisections, stopping once every bracket has
-    stalled, and at most 8 Newton steps, with the stopping rules applied row
-    by row; values come from ``polyval`` on columns of coefficients, the same
-    Horner steps as for one profile.  A stalled bracket, whose midpoint is
-    one of its ends, never moves again, so stopping early keeps the bits of
-    the full 80 steps.
+    A bracket search from ``t = 1``, doubling the top while the profile is
+    below the level and halving it while it is not, at most
+    ``_MAX_DOUBLINGS`` times, gives each row a bracket ``[2^k, 2^(k+1)]``
+    (``[0, 2^k]`` if the halvings run out).  Then one safeguarded Newton
+    loop (``rtsafe``, Numerical Recipes 9.4) starts from its midpoint: each
+    round evaluates the profile and its derivative at the live rows,
+    narrows the bracket by the side of the level the value lies on (a NaN
+    value counts as past it), and takes the Newton step where the slope is
+    finite and non-zero and the step stays inside the bracket, else the
+    midpoint.  A row stops when its step moves less than 4 ulp, when its
+    bracket has stalled (its midpoint is one of its ends), or after
+    ``_ROOT_ROUNDS`` rounds.  Values come from ``polyval`` on columns of
+    coefficients, the same Horner steps as for one profile, and every other
+    operation is elementwise, so a row's root does not depend on the block.
     """
     # Looked up here: NumPy imports its polynomial package on first use.
     polyval = np.polynomial.polynomial.polyval
     polyder = np.polynomial.polynomial.polyder
     coefficients = profiles.T
-    high = np.ones(len(profiles))
-    bracketed = np.zeros(len(profiles), dtype=bool)
+    probe = np.ones(len(profiles))
+    low, high = np.zeros(len(profiles)), np.full(len(profiles), np.inf)
     live = np.arange(len(profiles))
-    for _ in range(_MAX_DOUBLINGS):
-        values = polyval(high[live], coefficients[:, live], tensor=False)
-        past = ~(values < epsilon)  # NaN from overflow counts as "past the level"
-        bracketed[live[past]] = True
-        live = live[~past]
-        if not live.size:
-            break
-        high[live] *= 2.0
-    roots = np.full(len(profiles), np.nan)
-    rows = np.flatnonzero(bracketed)
-    if not rows.size:
-        return roots
-    coefficients = coefficients[:, rows]
-    low, high = np.zeros(rows.size), high[rows]
-    for _ in range(80):
-        mid = 0.5 * (low + high)
-        # A bracket whose midpoint is one of its ends has stalled: low stays
-        # below the level and high does not, so neither end moves again.
-        if not np.any((mid != low) & (mid != high)):
-            break
-        below = polyval(mid, coefficients, tensor=False) < epsilon
-        low = np.where(below, mid, low)
-        high = np.where(below, high, mid)
-    t = 0.5 * (low + high)
-    derivative = polyder(coefficients)
-    tolerance = 0.5 * _NEWTON_TOLERANCE * epsilon
-    live = np.arange(rows.size)
-    for _ in range(8):
-        residual = polyval(t[live], coefficients[:, live], tensor=False) - epsilon
-        slope = polyval(t[live], derivative[:, live], tensor=False)
-        moving = (
-            ~(np.abs(residual) <= tolerance) & (slope != 0.0) & np.isfinite(slope)
-        )
-        live = live[moving]
-        if not live.size:
-            break
-        t[live] -= residual[moving] / slope[moving]
-    roots[rows] = np.where((t > 0.0) & np.isfinite(t), t, np.nan)
+    with np.errstate(all="ignore"):  # inf and NaN values fall back to the midpoint
+        for _ in range(_MAX_DOUBLINGS):
+            t = probe[live]
+            below = polyval(t, coefficients[:, live], tensor=False) < epsilon
+            low[live] = np.where(below, t, low[live])
+            high[live] = np.where(below, high[live], t)
+            searching = (low[live] == 0.0) | (high[live] == np.inf)
+            live = live[searching]
+            if not live.size:
+                break
+            probe[live] = np.where(below[searching], 2.0, 0.5) * t[searching]
+        roots = np.full(len(profiles), np.nan)
+        rows = np.flatnonzero(high < np.inf)
+        if not rows.size:
+            return roots
+        coefficients = coefficients[:, rows]
+        derivative = polyder(coefficients)
+        low, high = low[rows], high[rows]
+        t = 0.5 * (low + high)
+        live = np.arange(rows.size)
+        for _ in range(_ROOT_ROUNDS):
+            x = t[live]
+            value = polyval(x, coefficients[:, live], tensor=False)
+            slope = polyval(x, derivative[:, live], tensor=False)
+            below = value < epsilon
+            lo = np.where(below, x, low[live])
+            hi = np.where(below, high[live], x)
+            low[live], high[live] = lo, hi
+            mid = 0.5 * (lo + hi)
+            newton = x - (value - epsilon) / slope
+            inside = (slope != 0.0) & np.isfinite(slope) & (lo <= newton)
+            inside &= newton <= hi
+            step = np.where(inside, newton, mid)
+            t[live] = step
+            moving = ~(np.abs(step - x) < 4.0 * np.spacing(x)) & (mid != lo) & (mid != hi)
+            live = live[moving]
+            if not live.size:
+                break
+    roots[rows] = np.where(t > 0.0, t, np.nan)
     return roots
 
 

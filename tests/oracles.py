@@ -16,7 +16,9 @@ time with scalar arithmetic (a radial root-find for charts, damped
 Gauss–Newton for hypersurfaces, whose closed-form step is the package's
 formula taken one scalar at a time), and the contact point record is built
 one sample at a time; the package's block solves and block records must
-reproduce them bit for bit, not merely agree with them.  The adaptation
+reproduce them bit for bit, not merely agree with them; the former
+radial root-find, a fixed-step bisection, is kept as the reference the
+safeguarded Newton loop must agree with to a few ulp.  The adaptation
 search's verification, one point at a time, is the reference its block
 form must meet within the report contract of ``tests/test_contract.py``.
 The suite enumeration's reference is the package's former enumeration,
@@ -362,7 +364,53 @@ def _radial_profile(chart: SmoothChart, direction: np.ndarray) -> np.ndarray:
 
 
 def _solve_radial(profile: np.ndarray, epsilon: float):
-    """Smallest ``t > 0`` with ``profile(t) = epsilon``, or None."""
+    """Smallest ``t > 0`` with ``profile(t) = epsilon``, or None: the
+    package's bracket search and safeguarded Newton loop, one draw at a
+    time in scalar arithmetic."""
+
+    def value(t: float) -> float:
+        return float(np.polynomial.polynomial.polyval(t, profile))
+
+    probe, low, high = 1.0, 0.0, math.inf
+    for _ in range(_MAX_DOUBLINGS):
+        below = value(probe) < epsilon  # NaN from overflow is past the level
+        if below:
+            low = probe
+        else:
+            high = probe
+        if low > 0.0 and high < math.inf:
+            break
+        probe = 2.0 * probe if below else 0.5 * probe
+    if high == math.inf:
+        return None
+    derivative = np.polynomial.polynomial.polyder(profile)
+    t = 0.5 * (low + high)
+    for _ in range(varieties._ROOT_ROUNDS):
+        x = t
+        v = value(x)
+        slope = float(np.polynomial.polynomial.polyval(x, derivative))
+        if v < epsilon:
+            low = x
+        else:
+            high = x
+        mid = 0.5 * (low + high)
+        t = mid
+        if slope != 0.0 and math.isfinite(slope):
+            newton = x - (v - epsilon) / slope
+            if low <= newton <= high:
+                t = newton
+        if abs(t - x) < 4.0 * math.ulp(x) or mid == low or mid == high:
+            break
+    if t <= 0.0:
+        return None
+    return t
+
+
+def bisect_radial(profile: np.ndarray, epsilon: float):
+    """Smallest ``t > 0`` with ``profile(t) = epsilon``, or None, by the
+    package's former root-find: bracket doubling from ``t = 1``, 80
+    fixed bisection steps and at most 8 Newton steps.  The accuracy
+    reference of the safeguarded Newton loop."""
 
     def value(t: float) -> float:
         return float(np.polynomial.polynomial.polyval(t, profile))
@@ -386,7 +434,7 @@ def _solve_radial(profile: np.ndarray, epsilon: float):
     derivative = np.polynomial.polynomial.polyder(profile)
     for _ in range(8):
         residual = value(t) - epsilon
-        if abs(residual) <= 0.5 * varieties._NEWTON_TOLERANCE * epsilon:
+        if abs(residual) <= 0.5 * 1e-12 * epsilon:
             break
         slope = float(np.polynomial.polynomial.polyval(t, derivative))
         if slope == 0.0 or not math.isfinite(slope):
@@ -401,7 +449,7 @@ def per_draw_chart_samples(chart: SmoothChart, epsilon: float, count: int, seed:
     """``(point, rho_value)`` of the chart sampler run one draw at a time.
 
     Each draw is two ``standard_normal(n)`` calls, real part first, solved
-    by the scalar radial profile and bisection above; the budget and the
+    by the scalar radial profile and root-find above; the budget and the
     level test are the package's.
     """
     n = chart.ambient_dim

@@ -227,6 +227,19 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("input error: level value must be positive")
 
+    @pytest.mark.parametrize(
+        "variety", [[], ["--map", "z0,z1,z0^2 + z1^3"]], ids=["plane", "map"]
+    )
+    def test_a_tiny_chart_level_is_sampled(self, capsys, variety):
+        # The radial root 1e-30 lies below 2^-80, past the reach of a
+        # bisection from [0, 1].
+        code, out, err = run(
+            capsys, "contact", "spsh", "--ambient", "2", *variety,
+            "--epsilon", "1e-60", "--format", "structured",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["pass"] is True
+
     @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
     def test_non_finite_rescaling_constant_exits_one(self, capsys, c):
         code, out, err = run(

@@ -30,6 +30,11 @@ class TestDecoratedGraph:
         with pytest.raises(InputError):
             DecoratedLinkGraph(chain_graph([-2]), (-1,))
 
+    @pytest.mark.parametrize("count", [1.5, True, "2"])
+    def test_non_integer_arrowheads_rejected(self, count):
+        with pytest.raises(InputError, match=r"arrowhead count n_1 must be an integer"):
+            DecoratedLinkGraph(chain_graph([-2, -2]), (1, count))
+
     def test_all_zero_rejected(self):
         with pytest.raises(AllZero):
             DecoratedLinkGraph(chain_graph([-2, -2]), (0, 0))

@@ -22,10 +22,13 @@ from oracles import (
     _radial_profile,
     _real_jacobian,
     _solve_radial,
+    bisect_radial,
     gauss_newton_step,
     per_draw_chart_samples,
     per_draw_hypersurface_samples,
 )
+
+polyval = np.polynomial.polynomial.polyval
 
 BRIESKORN = Hypersurface(parse_polynomial("z0^2 + z1^3 + z2^5", 3))
 
@@ -228,6 +231,20 @@ class TestChartSampling:
         c = sample_points(chart, 0.01, 25, seed=8)
         assert not np.array_equal(a.points[0], c.points[0])
 
+    @pytest.mark.parametrize(
+        "chart", [REFERENCE_CHARTS["C2"], REFERENCE_CHARTS["z0,z1,z0^2 + z1^3"]],
+        ids=["plane", "benchmark-map"],
+    )
+    @pytest.mark.parametrize("epsilon", [1e-60, 1e-100])
+    def test_small_levels_are_bracketed_from_above(self, chart, epsilon):
+        # The root sqrt(epsilon) lies below 2^-80, which 80 bisections from
+        # [0, 1] cannot resolve; halving the top brackets it.
+        samples = sample_points(chart, epsilon, 40, seed=2)
+        assert len(samples) == 40
+        for point, rho_value in zip(samples.points, samples.rho_values):
+            assert abs(rho(chart, point) - epsilon) <= 1e-10 * epsilon
+            assert abs(rho_value - epsilon) <= 1e-10 * epsilon
+
 
 class TestBlockSolve:
     """The chart sampler solves blocks of draws at once; it must return
@@ -325,40 +342,55 @@ class TestRadialSolve:
         special[5, 3] = np.inf  # inf at every t > 0, NaN-free
         return np.concatenate([charted, special])
 
-    @pytest.mark.parametrize("epsilon", [1e-6, 0.01, 30.0])
-    def test_roots_match_the_fixed_step_bisection(self, epsilon):
-        profiles = self.profiles()
+    @staticmethod
+    def per_draw_roots(find, profiles, epsilon) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            roots = varieties._radial_roots(profiles, epsilon)
-            expected = [_solve_radial(profile, epsilon) for profile in profiles]
+            roots = [find(profile, epsilon) for profile in profiles]
+        return np.array([np.nan if t is None else t for t in roots])
+
+    @pytest.mark.parametrize("epsilon", [1e-6, 0.01, 30.0])
+    def test_roots_match_the_per_draw_root_find(self, epsilon):
+        profiles = self.profiles()
+        roots = varieties._radial_roots(profiles, epsilon)
         assert np.isnan(roots[-3])  # the all-zero profile has no bracket
-        expected = np.array([np.nan if t is None else t for t in expected])
+        expected = self.per_draw_roots(_solve_radial, profiles, epsilon)
         assert roots.tobytes() == expected.tobytes()
 
-    def test_bisection_stops_when_every_bracket_stalls(self):
-        # Each profile reaches 0.01 before t = 1, so polyval is called once
-        # for the bracket, then once per bisection until polyder is.
-        calls, bisections = [], []
-        polyval = np.polynomial.polynomial.polyval
-        polyder = np.polynomial.polynomial.polyder
+    @pytest.mark.parametrize("epsilon", [1e-6, 0.01, 30.0])
+    def test_roots_agree_with_the_fixed_step_bisection(self, epsilon):
+        """The safeguarded Newton loop accepts the rows the former
+        bisection accepted, at roots within 4 ulp of its roots."""
+        profiles = self.profiles()
+        roots = varieties._radial_roots(profiles, epsilon)
+        bisected = self.per_draw_roots(bisect_radial, profiles, epsilon)
+
+        def accepted(ts):
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = np.array([polyval(t, p) for t, p in zip(ts, profiles)])
+            return np.abs(values - epsilon) <= varieties._LEVEL_TOLERANCE * epsilon
+
+        rows = accepted(roots)
+        assert rows.sum() > 200
+        assert np.array_equal(rows, accepted(bisected))
+        assert np.all(np.abs(roots - bisected)[rows] <= 4 * np.spacing(bisected[rows]))
+
+    def test_root_find_makes_at_most_20_block_evaluations(self):
+        # Each profile reaches 0.01 between t = 1/16 and t = 1: the bracket
+        # search halves the top at most four times, and every round of the
+        # Newton loop evaluates the profile and its derivative.
+        calls = []
 
         def counting_polyval(*args, **kwargs):
             calls.append(None)
             return polyval(*args, **kwargs)
 
-        def marking_polyder(*args, **kwargs):
-            bisections.append(len(calls) - 1)
-            return polyder(*args, **kwargs)
-
         profiles = varieties._radial_profiles(
             REFERENCE_CHARTS["z0,z1,z0^2 + z1^3"], unit_directions(300, 6)
         )
-        with patch.object(np.polynomial.polynomial, "polyval", counting_polyval), \
-                patch.object(np.polynomial.polynomial, "polyder", marking_polyder):
+        with patch.object(np.polynomial.polynomial, "polyval", counting_polyval):
             roots = varieties._radial_roots(profiles, 0.01)
-        assert bisections and bisections[0] < 80
-        expected = [_solve_radial(profile, 0.01) for profile in profiles]
-        assert roots.tolist() == expected
+        assert len(calls) <= 20
+        assert roots.tolist() == [_solve_radial(profile, 0.01) for profile in profiles]
 
 
 class TestHypersurfaceBlockSolve:
