@@ -120,7 +120,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_c = sub.add_parser(
-        "contact", parents=[common], help="numerical contact-boundary checks"
+        "contact",
+        parents=[common],
+        help="numerical contact-boundary checks",
+        epilog=(
+            "reeb bounds |omega(R, v)| by an absolute 1e-8, while its rounding "
+            "grows about like epsilon^(-1/2): on the plane and on the chart "
+            "'z0,z1,z0^2 + z1^3' (200 samples, seed 0) it passes from "
+            "--epsilon 1e-14 up and fails on rounding alone from 5e-15 down."
+        ),
     )
     p_c.add_argument(
         "subcheck",

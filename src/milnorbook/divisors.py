@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +34,6 @@ from .graphs import (
     Divisor,
     PlumbingGraph,
     _form_product,
-    intersection_matrix,
     is_milnor_fillable,
     solve_exact,
     vertex_orbits,
@@ -147,18 +147,19 @@ def minimal_divisor(
 
 # Boxes with more prefixes than this would take too long to scan.  It
 # admits r = 6 at bound 40 (41^5, about 1.16e8 prefixes) and refuses the
-# two-vertex box at bound 4e9, whose 4e9 values of coordinate 0 are not
-# bounded by the grid budget below.
+# two-vertex box at bound 4e9, whose 4e9 values of u are not bounded by
+# the grid budget below.
 _ABSURD_ROWS = 2**28
 # Byte budget for the arrays of one call, checked against _grid_bytes
 # before anything is allocated.  It admits r = 6 at bound 40 (41^4 grid
 # rows, about 373 MB) and refuses r = 7 at bound 24 (25^5 rows, 1.45 GB).
 _GRID_BYTES = 2**29
-# Runs of coordinate 0 are scanned against the grid about this many rows
-# at a time (at least one value per run), in buffers allocated once per
-# call and reused in place.  Arrays allocated afresh for every block, or
-# blocks of 2^15 rows and more, had their pages faulted in again on every
-# call: at bound 40 that cost more than the scan itself.
+# Runs of values of u are scanned against the surviving grid rows about
+# this many rows at a time (at least one value per run), in buffers
+# allocated once per call and reused in place.  Arrays allocated afresh
+# for every block, or blocks of 2^15 rows and more, had their pages
+# faulted in again on every call: at bound 40 that cost more than the
+# scan itself.
 _SCAN_ROWS = 2**14
 
 
@@ -166,12 +167,16 @@ def _grid_bytes(r: int, grid_rows: int) -> int:
     """Bytes the oracle holds for a grid of ``grid_rows`` rows on r vertices,
     counted at 8 bytes per value.
 
-    The grid of coordinates 1..r-2 and one slack row per vertex take 16 r
-    bytes per grid row in int64, the interval bounds and masks beside them
-    a few dozen more.  16 r + 36 bounds the int64 ``tracemalloc`` peaks per
-    grid row from above: 99, 108, 124, 140 and 156 bytes for r = 4..8.  The
-    scan holds its values in the narrowest type that fits them, often 2 or
-    4 bytes, so this count bounds its peak from above.
+    The grid itself is never stored: each constraint row's slack is built
+    on it from broadcast coordinate ranges.  The two intervals, the mask,
+    the row being built and the coupled rows' slacks, then the scan
+    buffers over the surviving grid rows, take at most 16 r + 36 bytes per
+    grid row in int64.  The int64 ``tracemalloc`` peaks per grid row are
+    49 bytes on -2 chains, 57 on stars with -2 legs and 49 to 57 on -3
+    cycles for r = 4..8, and 8 r + 52 (84 to 116) on complete graphs,
+    whose every row is coupled and scanned.  The scan holds its values in
+    the narrowest type that fits them, often 2 or 4 bytes, so this count
+    bounds its peak from above.
     """
     return grid_rows * (16 * r + 36)
 
@@ -186,10 +191,10 @@ def _value_type(reach: int):
 
 
 def _narrow(coeff, part, lo, hi, ok):
-    """Narrow, in place, the interval [lo, hi] of the last coordinate x and
-    the mask ``ok`` by one constraint ``coeff * x <= part``; ``part`` is
-    overwritten.  Only the last vertex's own row has ``coeff < 0``, a lower
-    bound; a row through an edge to it bounds x from above; any other row
+    """Narrow, in place, the interval [lo, hi] of one coordinate x and the
+    mask ``ok`` by one constraint ``coeff * x <= part``; ``part`` is
+    overwritten.  Only x's own row has ``coeff < 0``, a lower bound; a row
+    through an edge to x bounds it from above; a row that does not see x
     holds or fails."""
     if coeff == 0:
         ok &= part >= 0
@@ -202,26 +207,58 @@ def _narrow(coeff, part, lo, hi, ok):
         np.minimum(hi, part, out=hi)
 
 
+def _coupling_pair(g: PlumbingGraph) -> tuple[int, int]:
+    """The first pair (u, x), u < x, that the fewest constraint rows see
+    together, a pair of non-adjacent vertices before an adjacent one.
+    Row i sees vertex j when I_ij != 0, so the rows that see j are j
+    itself and its neighbours."""
+    rows_seeing = [{j, *neighbours} for j, neighbours in enumerate(g.adjacency)]
+
+    def coupling(pair):
+        u, x = pair
+        return len(rows_seeing[u] & rows_seeing[x]), x in g.adjacency[u]
+
+    return min(combinations(range(g.vertex_count), 2), key=coupling)
+
+
 def oracle_minimal_divisor(g: PlumbingGraph, bound: int) -> Divisor:
     """Exhaustive search over 0 <= m_i <= bound, independent of the descent.
 
-    Scans every lattice point of the box.  The coordinates 1..r-2 form a
-    grid built once per call, with each constraint row's part on it; the
-    values of coordinate 0 run against that grid in blocks of about
-    ``_SCAN_ROWS`` rows.  For each prefix the admissible values of the last
-    coordinate form an interval computed directly from the constraint rows
-    (the last diagonal entry is negative, so its row bounds the coordinate
-    from below; rows through an edge to the last vertex bound it from
-    above).  Returns the componentwise minimum of the feasible set and
-    verifies that this minimum is itself feasible, which is the lattice
-    min-closure property the descent's canonicity rests on.  Memory is
-    bounded by the grid, whatever the bound; boxes whose arrays would take
-    more than ``_GRID_BYTES`` bytes at 8 bytes per value are refused before
-    anything is allocated.
+    Covers every lattice point of the box.  Two vertices u and x are read
+    as intervals, the other r - 2 coordinates form the grid.  A row sees
+    vertex j when I_ij != 0, and a row that sees both u and x is
+    *coupled*; the pair is the one with the fewest coupled rows, a pair
+    of non-adjacent vertices before an adjacent one (``_coupling_pair``).
+    Each row's slack c_i - sum_j I_ij m_j over the grid is built once per
+    call, one multiply-add per grid coordinate that the row sees.  On the
+    grid, a row that sees neither u nor x narrows the mask, and a row that
+    sees only one of them narrows that coordinate's interval (a vertex's
+    own row bounds it from below, a row through an edge to it from
+    above).
+
+    When u and x are not adjacent, neither one's own row is coupled, so
+    every coupled row bounds them jointly from above: a grid row is
+    feasible exactly when its least point (lo_u, lo_x) is, and the minima
+    of u, x and the grid come straight off the grid, with no work per
+    value.  When they are adjacent (of the small suite's classes, only the
+    complete graphs), the values of u run against the grid rows that
+    survive, in blocks of about ``_SCAN_ROWS`` rows, and only the coupled
+    rows are evaluated per value.  The zero divisor satisfies a row only
+    on a single genus-0 vertex: for r >= 2 every c_i <= -1.  Returns the
+    componentwise minimum of the feasible set and verifies that this
+    minimum is itself feasible, which is the lattice min-closure property
+    the descent's canonicity rests on.
+
+    Memory is bounded by the grid, whatever the bound.  The grid itself is
+    never stored; the arrays held are the two intervals, the mask and the
+    coupled rows' slacks over it, then the scan buffers over the
+    surviving rows.  Boxes whose arrays would take more than
+    ``_GRID_BYTES`` bytes at 8 bytes per value (``_grid_bytes``) are
+    refused before anything is allocated.
 
     No value the scan holds exceeds reach = max(bound + 1, max_i(|c_i| +
     bound * sum_j |I_ij|)) in size: not the grid, the partial sums of a
-    row's part, the interval bounds nor the bound + 1 fill.  Every array
+    row's slack, the interval bounds nor the bound + 1 fill.  Every array
     is held in the narrowest of int16, int32 and int64 that fits reach, so
     the answer is exact in any of them; a box whose reach exceeds int64 is
     refused before anything is allocated.
@@ -244,10 +281,12 @@ def oracle_minimal_divisor(g: PlumbingGraph, bound: int) -> Divisor:
             f"{_GRID_BYTES}"
         )
     c = constraint_vector(g)
-    matrix = intersection_matrix(g)
     reach = max(
         bound + 1,
-        max(abs(k) + bound * sum(map(abs, row)) for k, row in zip(c, matrix)),
+        max(
+            abs(k) + bound * (abs(e) + sum(neighbours.values()))
+            for k, e, neighbours in zip(c, g.euler, g.adjacency)
+        ),
     )
     dtype = _value_type(reach)
     if dtype is None:
@@ -255,57 +294,113 @@ def oracle_minimal_divisor(g: PlumbingGraph, bound: int) -> Divisor:
             f"box [0, {bound}]^{r} holds values up to {reach}, beyond the "
             "64-bit integers of the scan"
         )
-    rows = np.array(matrix, dtype=dtype)
-    grid = np.indices((bound + 1,) * dims, dtype=dtype).reshape(dims, grid_rows)
-    slack = rows[:, 1:last] @ grid
-    np.subtract(np.array(c, dtype=dtype)[:, None], slack, out=slack)
-    # A single vertex has no coordinate 0 apart from its last one: one run
-    # with a zero coefficient stands in for it.
-    lead = rows[:, 0] if last else np.zeros(1, dtype=dtype)
-    span = bound + 1 if last else 1
-    # Rows that do not see coordinate 0 narrow the interval once, on the grid.
-    fixed_lo = np.zeros(grid_rows, dtype=dtype)
-    fixed_hi = np.full(grid_rows, bound, dtype=dtype)
-    fixed_ok = np.ones(grid_rows, dtype=bool)
-    for i in np.flatnonzero(lead == 0):
-        _narrow(rows[i, last], slack[i].copy(), fixed_lo, fixed_hi, fixed_ok)
-    varying = np.flatnonzero(lead)
-    step = max(1, _SCAN_ROWS // grid_rows)
-    # One set of block buffers per call: every block reuses them in place.
-    shape = (min(step, span), grid_rows)
-    lo_buf, hi_buf, part_buf = (np.empty(shape, dtype=dtype) for _ in range(3))
-    ok_buf = np.empty(shape, dtype=bool)
-
-    lead_min = None
-    last_min = bound + 1
-    seen = np.zeros(grid_rows, dtype=bool)
-    for start in range(0, span, step):
-        values = np.arange(start, min(start + step, span), dtype=dtype)
-        n = len(values)
-        lo, hi, ok, part = lo_buf[:n], hi_buf[:n], ok_buf[:n], part_buf[:n]
-        np.copyto(lo, fixed_lo)
-        np.copyto(hi, fixed_hi)
-        np.copyto(ok, fixed_ok)
-        for i in varying:
-            np.subtract(slack[i], values[:, None] * lead[i], out=part)
-            _narrow(rows[i, last], part, lo, hi, ok)
-        if start == 0:
-            # The zero divisor is the first row of the first block.
-            lo[0, 0] = max(lo[0, 0], 1)
-        ok &= lo <= hi
-        hits = ok.any(axis=1)
-        if not hits.any():
-            continue
-        if lead_min is None:
-            lead_min = start + int(np.argmax(hits))
-        seen |= ok.any(axis=0)
-        part.fill(bound + 1)
-        np.copyto(part, lo, where=ok)
-        last_min = min(last_min, int(part.min()))
-    if lead_min is None:
-        raise BoundTooSmall(f"no feasible divisor with all m_i <= {bound}")
-    grid_mins = grid[:, seen].min(axis=1).tolist()
-    result = Divisor(tuple(([lead_min] if last else []) + grid_mins + [last_min]))
+    # A single vertex is read as x alone, with no u.
+    u, x = _coupling_pair(g) if r > 1 else (None, 0)
+    inner = [j for j in range(r) if j not in (u, x)]
+    shape = (bound + 1,) * dims
+    # Grid coordinate j as a range that broadcasts along its own axis.
+    ranges = {
+        j: np.arange(bound + 1, dtype=dtype).reshape(
+            tuple(-1 if b == a else 1 for b in range(dims))
+        )
+        for a, j in enumerate(inner)
+    }
+    lo_u, lo_x = (np.zeros(grid_rows, dtype=dtype) for _ in range(2))
+    hi_u, hi_x = (np.full(grid_rows, bound, dtype=dtype) for _ in range(2))
+    ok = np.ones(grid_rows, dtype=bool)
+    coupled = []
+    for i, neighbours in enumerate(g.adjacency):
+        row = {i: g.euler[i], **neighbours}
+        slack = np.full(grid_rows, c[i], dtype=dtype)
+        view = slack.reshape(shape)
+        for j in inner:
+            if j in row:
+                np.subtract(view, row[j] * ranges[j], out=view)
+        at_u, at_x = row.get(u, 0), row.get(x, 0)
+        if at_u and at_x:
+            coupled.append((at_u, at_x, slack))
+        elif at_u:
+            _narrow(at_u, slack, lo_u, hi_u, ok)
+        else:
+            _narrow(at_x, slack, lo_x, hi_x, ok)
+    del slack, view
+    if r == 1:
+        np.maximum(lo_x, 1, out=lo_x)  # the zero divisor is not a solution
+    ok &= lo_u <= hi_u
+    ok &= lo_x <= hi_x
+    if coupled and x not in g.adjacency[u]:
+        # Neither u's row nor x's is coupled, so every coupled row bounds u
+        # and x jointly from above: a grid row is feasible when its least
+        # point (lo_u, lo_x) is.  Capping both at the bound changes no
+        # surviving row and keeps every product within reach.
+        np.minimum(lo_u, bound, out=lo_u)
+        np.minimum(lo_x, bound, out=lo_x)
+        for at_u, at_x, slack in coupled:
+            slack -= at_u * lo_u
+            slack -= at_x * lo_x
+            ok &= slack >= 0
+        coupled = []
+    if not coupled:
+        if not ok.any():
+            raise BoundTooSmall(f"no feasible divisor with all m_i <= {bound}")
+        u_min, x_min = int(lo_u[ok].min()), int(lo_x[ok].min())
+        seen = ok
+    else:
+        # Only the surviving grid rows are scanned, one array at a time so
+        # that no two full-grid copies of one array are held at once.  u's
+        # own row is coupled, so nothing on the grid bounds u from below.
+        del lo_u
+        hi_u = hi_u[ok]
+        lo_x = lo_x[ok]
+        hi_x = hi_x[ok]
+        for n, (at_u, at_x, slack) in enumerate(coupled):
+            coupled[n] = (at_u, at_x, slack[ok])
+        del slack
+        live = len(hi_u)
+        if not live:
+            raise BoundTooSmall(f"no feasible divisor with all m_i <= {bound}")
+        span = int(hi_u.max()) + 1
+        step = max(1, _SCAN_ROWS // live)
+        # One set of block buffers per call: every block reuses them in place.
+        block = (min(step, span), live)
+        lo_buf, hi_buf, part_buf = (np.empty(block, dtype=dtype) for _ in range(3))
+        ok_buf = np.empty(block, dtype=bool)
+        u_min = None
+        x_min = bound + 1
+        seen_live = np.zeros(live, dtype=bool)
+        for start in range(0, span, step):
+            values = np.arange(start, min(start + step, span), dtype=dtype)[:, None]
+            n = len(values)
+            lo, hi, hit, part = lo_buf[:n], hi_buf[:n], ok_buf[:n], part_buf[:n]
+            np.less_equal(values, hi_u, out=hit)
+            np.copyto(lo, lo_x)
+            np.copyto(hi, hi_x)
+            for at_u, at_x, slack in coupled:
+                np.subtract(slack, values * at_u, out=part)
+                _narrow(at_x, part, lo, hi, hit)
+            hit &= lo <= hi
+            hits = hit.any(axis=1)
+            if not hits.any():
+                continue
+            if u_min is None:
+                u_min = start + int(np.argmax(hits))
+            seen_live |= hit.any(axis=0)
+            part.fill(bound + 1)
+            np.copyto(part, lo, where=hit)
+            x_min = min(x_min, int(part.min()))
+        if u_min is None:
+            raise BoundTooSmall(f"no feasible divisor with all m_i <= {bound}")
+        seen = np.zeros(grid_rows, dtype=bool)
+        seen[ok] = seen_live
+    m = [0] * r
+    m[x] = x_min
+    if u is not None:
+        m[u] = u_min
+    seen = seen.reshape(shape)
+    for a, j in enumerate(inner):
+        others = tuple(b for b in range(dims) if b != a)
+        m[j] = int(np.argmax(seen.any(axis=others)))
+    result = Divisor(tuple(m))
 
     products = _form_product(g, result.multiplicities)
     feasible = not result.is_zero and all(

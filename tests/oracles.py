@@ -181,6 +181,32 @@ def brute_force_minimal_divisor(g: PlumbingGraph, bound: int):
     return tuple(min(p[i] for p in feasible) for i in range(g.vertex_count))
 
 
+def box_scan_minimal_divisor(g: PlumbingGraph, bound: int, *, inner: int = 4):
+    """:func:`brute_force_minimal_divisor` for boxes too large to loop over.
+
+    Every point of the box is still checked in full: the last ``inner``
+    coordinates form one NumPy array of points per point of the others,
+    and every product I . m is taken over the dense rows.
+    """
+    rows = np.array(intersection_matrix(g), dtype=np.int64)
+    c = np.array(constraint_vector(g), dtype=np.int64)[:, None]
+    r = g.vertex_count
+    k = min(r, inner)
+    tail = np.indices((bound + 1,) * k).reshape(k, -1)
+    tail_products = rows[:, r - k:] @ tail
+    least = None
+    for head in product(range(bound + 1), repeat=r - k):
+        products = tail_products + (rows[:, : r - k] @ np.array(head, dtype=np.int64))[:, None]
+        feasible = (products <= c).all(axis=0)
+        if not any(head):
+            feasible[0] = False  # the zero divisor
+        if not feasible.any():
+            continue
+        point = list(head) + tail[:, feasible].min(axis=1).tolist()
+        least = point if least is None else [min(a, b) for a, b in zip(least, point)]
+    return None if least is None else tuple(least)
+
+
 def rational_solution(rows, rhs) -> tuple[Fraction, ...] | None:
     """Exact solution of rows . x = rhs, or None when rows is singular.
 

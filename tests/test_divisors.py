@@ -34,6 +34,7 @@ from milnorbook.errors import (
 )
 
 from oracles import (
+    box_scan_minimal_divisor,
     brute_force_feasible_points,
     brute_force_minimal_divisor,
     dense_form_product,
@@ -57,6 +58,39 @@ SIX_VERTEX_TREE = PlumbingGraph(
     (-2, -2, -3, -2, -3, -2),
     ((0, 1), (0, 2), (0, 5), (1, 3), (3, 4)),
 )
+
+# Centre -3 with five -2 legs: every pair of legs shares the centre's row.
+# Least divisor (15, 8, 8, 8, 8, 8).
+SIX_VERTEX_STAR = star_graph(-3, [-2] * 5)
+
+# One graph per path through the oracle, with its least divisor and bounds
+# below and above that divisor's largest entry (a least entry 1 has no
+# bound below it).
+SCAN_SHAPES = [
+    # The zero divisor satisfies the only row and must be left out.
+    ("genus-0-vertex", PlumbingGraph((0,), (-2,), ()), (1,), (1, 4)),
+    ("genus-3-vertex", PlumbingGraph((3,), (-2,), ()), (3,), (2, 3, 5)),
+    # Adjacent pairs: every row is coupled and scanned value by value.
+    ("chain-2-2", chain_graph([-2, -2]), (1, 1), (1, 4)),
+    ("chain-2-2-genus-1", PlumbingGraph((1, 1), (-2, -2), ((0, 1),)), (3, 3), (2, 3, 6)),
+    ("triangle-double-edge",
+     PlumbingGraph((1, 0, 0), (-4, -4, -3), ((0, 1), (0, 1), (1, 2), (0, 2))),
+     (5, 5, 4), (4, 5, 8)),
+    # K_{3,3}: the least coupled pairs are adjacent, and the rows through
+    # u's other edges bound u from above on the grid.
+    ("k33-adjacent-pair",
+     PlumbingGraph((0, 0, 1, 0, 0, 0), (-4, -6, -4, -5, -4, -5),
+                   tuple((a, b) for a in range(3) for b in range(3, 6))),
+     (3, 2, 4, 3, 3, 3), (3, 4, 5)),
+    # A pair that no row couples; its zero grid row must stay masked.
+    ("trap-path", PlumbingGraph((0, 0, 0, 1), (-4,) * 4, ((0, 3), (1, 2), (2, 3))),
+     (1, 1, 2, 2), (1, 3, 8)),
+    # Non-adjacent pairs whose coupled rows are read at the least point.
+    ("four-cycle-two-coupled",
+     PlumbingGraph((1, 0, 0, 0), (-2, -3, -2, -3), ((0, 1), (1, 2), (2, 3), (0, 3))),
+     (7, 5, 6, 5), (6, 7, 9)),
+    ("six-vertex-star", SIX_VERTEX_STAR, (15, 8, 8, 8, 8, 8), (8, 15)),
+]
 
 
 def _scan_reach(g, bound):
@@ -253,6 +287,31 @@ class TestOracle:
             else:
                 assert oracle_minimal_divisor(g, bound).multiplicities == naive
 
+    @pytest.mark.parametrize(
+        "g, least, bounds",
+        [shape[1:] for shape in SCAN_SHAPES],
+        ids=[shape[0] for shape in SCAN_SHAPES],
+    )
+    def test_every_scan_shape_matches_the_brute_force(self, g, least, bounds):
+        """Each path through the oracle answers as the brute force does,
+        BoundTooSmall included, whatever the number of rows scanned per
+        block.  Six vertices are checked by the vectorised box scan, which
+        agrees with the nested-loop scan on the smaller shapes."""
+        for bound in bounds:
+            expected = least if bound >= max(least) else None
+            if g.vertex_count > 4:
+                assert box_scan_minimal_divisor(g, bound) == expected
+            else:
+                assert brute_force_minimal_divisor(g, bound) == expected
+                assert box_scan_minimal_divisor(g, bound) == expected
+            for scan_rows in (divisors._SCAN_ROWS, 7, 1):
+                with patch.object(divisors, "_SCAN_ROWS", scan_rows):
+                    if expected is None:
+                        with pytest.raises(BoundTooSmall):
+                            oracle_minimal_divisor(g, bound)
+                    else:
+                        assert oracle_minimal_divisor(g, bound).multiplicities == expected
+
     def test_streamed_block_size_is_capped(self, monkeypatch):
         """A grid of (bound + 1)^(r - 2) rows whose arrays would exceed the
         byte budget is refused before it is allocated; at the budget it
@@ -367,6 +426,19 @@ class TestOracle:
         finally:
             tracemalloc.stop()
         assert d.multiplicities == (25, 22, 9, 15, 6, 14)
+        assert peak < divisors._grid_bytes(6, 31**4) / 2
+
+    def test_six_vertex_star_at_bound_30_holds_narrow_values(self):
+        """The six-vertex star, whose every pair of legs shares a coupled
+        row, stays under the same limit as the tree, which has a pair no
+        row couples."""
+        tracemalloc.start()
+        try:
+            d = oracle_minimal_divisor(SIX_VERTEX_STAR, 30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d.multiplicities == (15, 8, 8, 8, 8, 8)
         assert peak < divisors._grid_bytes(6, 31**4) / 2
 
     @given(small_nd_graphs())
