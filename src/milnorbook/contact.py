@@ -272,13 +272,11 @@ def _im_covector(ell: np.ndarray) -> np.ndarray:
     return np.concatenate([ell.imag, ell.real], axis=-1)
 
 
-def _real_blocks(hermitian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real matrices of ``g = Re h`` and ``omega = Im h`` on ``(a; b)``."""
+def _real_omega(hermitian: np.ndarray) -> np.ndarray:
+    """Real matrix of ``omega = Im h`` on ``(a; b)``."""
     g_block = hermitian.real
     w_block = hermitian.imag
-    metric = np.block([[g_block, -w_block], [w_block, g_block]])
-    omega = np.block([[w_block, g_block], [-g_block, w_block]])
-    return metric, omega
+    return np.block([[w_block, g_block], [-g_block, w_block]])
 
 
 def _level_basis(ell: np.ndarray) -> np.ndarray:
@@ -329,7 +327,7 @@ def reeb_contract_deviations(v, samples: Samples) -> tuple[float, float]:
     for start in range(0, len(samples), _DRAWS_PER_BLOCK):
         block = _Block(v, samples[start : start + _DRAWS_PER_BLOCK], None, True)
         block.check(range(len(block.samples)), True)
-        _, omega = _real_blocks(block.hermitian)
+        omega = _real_omega(block.hermitian)
         reeb_real = np.concatenate([block.reeb.real, block.reeb.imag], axis=1)
         alpha = _im_covector(block.ell)[:, None, :] @ reeb_real[:, :, None]
         max_alpha = _fold(max, max_alpha, np.abs(alpha[:, 0, 0] - 1.0))
@@ -361,7 +359,7 @@ def fd_omega_deviation(v, p: Samples, step_scale: float = _FD_STEP) -> float:
     block = _Block(v, p, None, False)
     block.check((0,), False)
     hermitian = block.hermitian[0]
-    _, omega = _real_blocks(hermitian)
+    omega = _real_omega(hermitian)
     m = hermitian.shape[0]
     ambient, step, shifted = _stencil(p, step_scale)
     if step == 0.0:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,12 +92,7 @@ def constraint_vector(g: PlumbingGraph) -> tuple[int, ...]:
     )
 
 
-def minimal_divisor(
-    g: PlumbingGraph,
-    *,
-    selection: Callable[[Sequence[int]], int] | None = None,
-    cap: int = REPAIR_CAP,
-) -> Divisor:
+def minimal_divisor(g: PlumbingGraph) -> Divisor:
     """Componentwise-least effective D != 0 with D . E_i <= c_i for all i.
 
     One exact elimination decides definiteness and solves I x* = c.  The
@@ -111,12 +106,9 @@ def minimal_divisor(
     increment is forced (any feasible divisor dominating the current one
     must exceed it at the violated vertex, because off-diagonal
     intersection numbers are >= 0), so the iterate stays a lower bound of
-    the feasible set and the first feasible iterate is the least element.
-    ``cap`` bounds the number of repair steps.
-
-    ``selection`` picks the vertex to bump among the violated ones; the
-    default takes the lowest index.  The result does not depend on this
-    choice (a tested property).
+    the feasible set and the first feasible iterate is the least element,
+    whichever violated vertex is raised; this one raises the lowest index.
+    ``REPAIR_CAP`` bounds the number of repair steps.
     """
     c = constraint_vector(g)
     lower = solve_exact(g, c, require_negative_definite=True)
@@ -127,15 +119,12 @@ def minimal_divisor(
     products = _form_product(g, m)
     repairs = 0
     while True:
-        violated = [i for i in range(r) if products[i] > c[i]]
-        if not violated:
+        i = next((i for i in range(r) if products[i] > c[i]), None)
+        if i is None:
             return Divisor(tuple(m))
-        i = violated[0] if selection is None else selection(violated)
-        if i not in violated:
-            raise InputError("selection returned a non-violated vertex")
-        if repairs == cap:
+        if repairs == REPAIR_CAP:
             raise IterationCapExceeded(
-                f"descent needed more than {cap} repair steps above the "
+                f"descent needed more than {REPAIR_CAP} repair steps above the "
                 "rational lower bound"
             )
         m[i] += 1

@@ -1,5 +1,7 @@
 """Complex polynomials in variables z0..z{n-1}: parsing, printing, calculus,
-and evaluation on blocks of points (:class:`PolynomialBlock`).
+and evaluation on blocks of points (:class:`PolynomialBlock`, the one place
+complex powers are formed: its terms serve both the values of ``Phi``, ``f``
+and their partials and the radial profiles of a chart).
 
 Grammar
     expression  ::= term (('+'|'-') term)*
@@ -30,10 +32,12 @@ __all__ = ["Polynomial", "PolynomialBlock", "parse_polynomial"]
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _INTEGER = re.compile(r"\d+")
 
-# CPython raises a complex number to an integer power up to this one by
-# binary exponentiation (``c_powu`` in Objects/complexobject.c), and to
-# larger ones by the general ``c_pow``, which PolynomialBlock does not replay.
-_MAX_REPLAYED_EXPONENT = 100
+# NumPy raises a complex number to an integer power below this one by
+# binary exponentiation (``npy_cpow``), as CPython does up to and including
+# it (``c_powu`` in Objects/complexobject.c); each takes other powers by
+# another algorithm, so PolynomialBlock.evaluate hands a set holding one to
+# the scalar loop.
+_SCALAR_EXPONENT = 100
 
 
 def _format_real(x: float) -> str:
@@ -164,17 +168,22 @@ class PolynomialBlock:
     """Polynomials in the same variables, evaluated together on blocks of
     points with the bits of :meth:`Polynomial.evaluate`.
 
-    The scalar loop runs CPython complex arithmetic: ``z ** e`` by binary
-    exponentiation (``r = 1+0j``, then ``r = r*p`` on each set bit of ``e``
-    and ``p = p*p``), then ``term *= z ** e`` variable by variable and
-    ``value += term`` term by term, each a fixed sequence of float
-    operations.  Here the same operations run on float64 arrays of real and
-    imaginary parts, in the same order, for all points at once: complex
-    NumPy products, ``einsum`` and ``np.power`` round differently and are
-    not used.  Each distinct power is built once per call, and terms with
-    the same number of factors are multiplied together.  A set holding an
-    exponent above 100 is evaluated by the scalar loop, row by row, since
-    CPython takes such powers by another algorithm.
+    The scalar loop runs CPython complex arithmetic: ``z ** e``, then
+    ``term *= z ** e`` variable by variable and ``value += term`` term by
+    term.  Here every distinct power comes from one call of NumPy's ``power``.
+    Below 100, NumPy's ``npy_cpow`` takes it one element at a time by the
+    binary exponentiation of CPython's ``c_powu``, except that its
+    shortcuts for the exponents 1, 2 and 3 skip CPython's first product by
+    ``1+0j``.  At a finite point that product changes only the sign of a
+    zero, which the sums absorb since they start at +0.0, or turns a square
+    whose two parts overflowed into NaN; :meth:`terms` takes it on squares.
+    The term products then run on float64 arrays of real and imaginary
+    parts, in the scalar loop's order, for all points at once (complex
+    NumPy products of two general factors and ``einsum`` may round
+    differently), and terms with the same number of factors are multiplied
+    together.  CPython takes ``z ** 100`` by ``c_powu`` and NumPy does not,
+    so :meth:`evaluate` takes a set holding an exponent of 100 or more by
+    the scalar loop, row by row.
     """
 
     def __init__(self, polys: Sequence[Polynomial]):
@@ -190,14 +199,11 @@ class PolynomialBlock:
                 if e
             }
         )
-        self._scalar = any(e > _MAX_REPLAYED_EXPONENT for _, e in powers)
-        if self._scalar:
-            return
+        self._scalar = any(e >= _SCALAR_EXPONENT for _, e in powers)
         column = {power: c for c, power in enumerate(powers)}
-        exponents = np.array([e for _, e in powers], dtype=np.int64)
-        top = int(exponents.max(initial=0))
         self._bases = np.array([j for j, _ in powers], dtype=np.intp)
-        self._bits = [(exponents >> b) & 1 == 1 for b in range(top.bit_length())]
+        self._exponents = np.array([e for _, e in powers], dtype=np.int64)
+        self._squares = np.flatnonzero(self._exponents == 2)
         # A term's value goes to slot (polynomial, position) of a zero-padded
         # table; adding a padding +0.0 leaves a sum that started at +0.0 as it is.
         self._width = max(len(poly.terms) for poly in self.polys)
@@ -220,51 +226,51 @@ class PolynomialBlock:
             for count, group in sorted(by_factors.items())
         ]
 
+    def terms(self, points: np.ndarray) -> np.ndarray:
+        """Every term at each row of ``(k, n_vars)`` points, as a ``(k,
+        len(polys), width)`` table: slot ``(i, t)`` holds term ``t`` of
+        polynomial ``i``, and zero past its last term.  NumPy takes every
+        power, whatever its exponent.
+
+        Raises OverflowError where a power has an infinite part.
+        """
+        points = np.asarray(points, dtype=complex)
+        k = len(points)
+        # Python floats overflow and turn NaN without a warning; so do these.
+        with np.errstate(all="ignore"):
+            powers = np.power(points[:, self._bases], self._exponents)
+            # CPython takes z ** 2 as (1+0j) * (z * z), NumPy as z * z.
+            powers[:, self._squares] *= 1
+            re, im = powers.real, powers.imag
+            if np.isinf(re).any() or np.isinf(im).any():
+                raise OverflowError("complex exponentiation")
+            table = np.zeros((k, len(self.polys) * self._width), dtype=complex)
+            for slots, factors, t_re, t_im in self._groups:
+                for column in factors.T:
+                    p_re, p_im = re[:, column], im[:, column]
+                    t_re, t_im = t_re * p_re - t_im * p_im, t_re * p_im + t_im * p_re
+                table.real[:, slots] = t_re
+                table.imag[:, slots] = t_im
+        return table.reshape(k, len(self.polys), self._width)
+
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Values at each row of ``(k, n_vars)`` points, as ``(k, len(polys))``.
+        """Values at each row of ``(k, n_vars)`` points, as ``(k, len(polys))``:
+        the sums of :meth:`terms` in term order, from +0.0.
 
         Raises OverflowError where :meth:`Polynomial.evaluate` would: when
         a power is infinite.
         """
         points = np.asarray(points, dtype=complex)
-        k = len(points)
         if self._scalar:
             return np.array(
                 [[poly.evaluate(row) for poly in self.polys] for row in points],
                 dtype=complex,
-            ).reshape(k, len(self.polys))
-        # Python floats overflow and turn NaN without a warning; so do these.
+            ).reshape(len(points), len(self.polys))
+        table = self.terms(points)
+        values = np.zeros(table.shape[:2], dtype=complex)
         with np.errstate(all="ignore"):
-            base_re = points.real[:, self._bases]
-            base_im = points.imag[:, self._bases]
-            re = np.ones_like(base_re)
-            im = np.zeros_like(base_im)
-            for b, bit in enumerate(self._bits):
-                if b:
-                    base_re, base_im = (
-                        base_re * base_re - base_im * base_im,
-                        base_re * base_im + base_im * base_re,
-                    )
-                re, im = (
-                    np.where(bit, re * base_re - im * base_im, re),
-                    np.where(bit, re * base_im + im * base_re, im),
-                )
-            if np.isinf(re).any() or np.isinf(im).any():
-                raise OverflowError("complex exponentiation")
-            slots_re = np.zeros((k, len(self.polys) * self._width))
-            slots_im = np.zeros_like(slots_re)
-            for slots, factors, t_re, t_im in self._groups:
-                for column in factors.T:
-                    p_re, p_im = re[:, column], im[:, column]
-                    t_re, t_im = t_re * p_re - t_im * p_im, t_re * p_im + t_im * p_re
-                slots_re[:, slots] = t_re
-                slots_im[:, slots] = t_im
-            slots_re = slots_re.reshape(k, len(self.polys), self._width)
-            slots_im = slots_im.reshape(k, len(self.polys), self._width)
-            values = np.zeros((k, len(self.polys)), dtype=complex)
             for t in range(self._width):
-                values.real += slots_re[:, :, t]
-                values.imag += slots_im[:, :, t]
+                values += table[:, :, t]
         return values
 
 

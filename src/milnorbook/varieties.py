@@ -243,32 +243,21 @@ def _radial_profiles(chart: SmoothChart, directions: np.ndarray) -> np.ndarray:
     coefficients equal to the autocorrelation of the coefficient vector,
     and ``rho`` along the ray is the sum over components.
 
-    The monomials are formed for the whole block in real arithmetic, powers
-    by ``np.power``: this reproduces the scalar complex products bit for bit,
-    where complex array products and ``array ** 2`` differ from them in the
-    last bit for a large share of entries.  Lag ``k`` of the autocorrelation
-    is one stacked ``@`` of each row's overlap with its reversed conjugate:
-    the dot product ``np.convolve(row, np.conj(row))`` takes for that lag,
-    over the same terms in the same order, so it keeps the bits (a
-    zero-padded product adds terms and lets BLAS sum in another order).
+    The monomials are the components block's :meth:`~milnorbook.polynomials.
+    PolynomialBlock.terms`, added into their degree slots in term order.
+    Lag ``k`` of the autocorrelation is one stacked ``@`` of each row's
+    overlap with its reversed conjugate: the dot product
+    ``np.convolve(row, np.conj(row))`` takes for that lag, over the same
+    terms in the same order, so it keeps the bits (a zero-padded product
+    adds terms and lets BLAS sum in another order).
     """
     max_degree = max(poly.total_degree for poly in chart.components)
     profiles = np.zeros((len(directions), 2 * max_degree + 1))
-    powers: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    for poly in chart.components:
+    terms = chart._components_block.terms(directions)
+    for i, poly in enumerate(chart.components):
         coeffs = np.zeros((len(directions), max_degree + 1), dtype=complex)
-        for exponents, coefficient in poly.terms:
-            re, im = coefficient.real, coefficient.imag
-            for j, power in enumerate(exponents):
-                if power:
-                    if (j, power) not in powers:
-                        base = np.power(directions[:, j], power)
-                        powers[j, power] = (base.real.copy(), base.imag.copy())
-                    base_re, base_im = powers[j, power]
-                    re, im = re * base_re - im * base_im, re * base_im + im * base_re
-            degree = sum(exponents)
-            coeffs.real[:, degree] += re
-            coeffs.imag[:, degree] += im
+        for t, (exponents, _) in enumerate(poly.terms):
+            coeffs[:, sum(exponents)] += terms[:, i, t]
         # Lag k sums coeffs[j] * conj(coeffs[k - j]) for j ascending over
         # lo <= j < hi; reversed_conj[:, max_degree - k + j] is the conjugate.
         reversed_conj = np.conj(coeffs[:, ::-1]).copy()

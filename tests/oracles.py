@@ -63,7 +63,7 @@ from milnorbook.contact import (
     _Block,
     _im_covector,
     _on_binding,
-    _real_blocks,
+    _real_omega,
     _stencil,
 )
 from milnorbook.errors import NumericalFinding, SingularMetric
@@ -784,11 +784,11 @@ def eval_forms(v, p: Samples) -> FormsAtPoint:
     """
     block = _Block(v, p, None, True)
     block.check((0,), True)
-    metric, omega = _real_blocks(block.hermitian[0])
+    g_block, w_block = block.hermitian[0].real, block.hermitian[0].imag
     return FormsAtPoint(
         alpha=_im_covector(block.ell[0]),
-        omega=omega,
-        metric_g=metric,
+        omega=_real_omega(block.hermitian[0]),
+        metric_g=np.block([[g_block, -w_block], [w_block, g_block]]),
         hermitian_h=block.hermitian[0],
         grad_rho=block.gradient[0],
         reeb=block.reeb[0],

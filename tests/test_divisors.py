@@ -194,9 +194,11 @@ class TestDescent:
     def test_iteration_cap(self):
         """The cap bounds repair steps above the rational lower bound, which
         this graph needs four of (D4 needs none)."""
-        assert minimal_divisor(FOUR_REPAIRS, cap=4).multiplicities == (9, 16, 22)
-        with pytest.raises(IterationCapExceeded, match="more than 3 repair"):
-            minimal_divisor(FOUR_REPAIRS, cap=3)
+        with patch.object(divisors, "REPAIR_CAP", 4):
+            assert minimal_divisor(FOUR_REPAIRS).multiplicities == (9, 16, 22)
+        with patch.object(divisors, "REPAIR_CAP", 3):
+            with pytest.raises(IterationCapExceeded, match="more than 3 repair"):
+                minimal_divisor(FOUR_REPAIRS)
 
     def test_long_chain_returns_its_divisor(self):
         """A_185's least divisor has mass about 10^6.  It is
@@ -211,25 +213,8 @@ class TestDescent:
     def test_huge_genus_vertex_returns_its_divisor(self):
         """m = ceil(2g / |e|) with g = 10^6, e = -1, reached with no repair."""
         g = PlumbingGraph((10**6,), (-1,), ())
-        assert minimal_divisor(g, cap=0).multiplicities == (2_000_000,)
-
-    def test_selection_must_pick_violated_vertex(self):
-        with pytest.raises(InputError, match="non-violated"):
-            minimal_divisor(
-                FOUR_REPAIRS,
-                selection=lambda violated: next(
-                    i for i in range(3) if i not in violated
-                ),
-            )
-
-    @given(small_nd_graphs(), st.integers(0, 2**32 - 1))
-    @settings(max_examples=50)
-    def test_result_independent_of_selection_order(self, g, seed):
-        rng = np.random.default_rng(seed)
-        randomized = minimal_divisor(
-            g, selection=lambda violated: violated[int(rng.integers(len(violated)))]
-        )
-        assert randomized == minimal_divisor(g)
+        with patch.object(divisors, "REPAIR_CAP", 0):
+            assert minimal_divisor(g).multiplicities == (2_000_000,)
 
     @given(small_nd_graphs())
     @settings(max_examples=50)

@@ -236,6 +236,18 @@ class TestPolynomialBlock:
         with pytest.raises(OverflowError):
             PolynomialBlock((poly,)).evaluate(point)
 
+    @pytest.mark.parametrize("text", ["z0^2 + z1", "(1+1i)*z0^2 + z1", "z1 - z0^2*z1"])
+    def test_overflowed_squares_are_nan_like_the_scalar_loop(self, text):
+        """CPython multiplies ``z * z`` by ``1+0j``, which turns a square
+        with two overflowed parts into NaN, so no OverflowError is raised;
+        ``np.power`` alone would leave an infinite part."""
+        poly = parse_polynomial(text, 2)
+        points = np.array([[1e200 + 1e200j, 1.0], [1e200 + 1e150j, 1.0]])
+        values = PolynomialBlock((poly,)).evaluate(points)
+        expected = np.array([[poly.evaluate(row)] for row in points])
+        assert np.isnan(expected[0, 0])
+        assert values.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("constants", [(0, 2 - 3j), (0,)])
     def test_zero_and_constant_polynomials(self, constants):
         polys = tuple(Polynomial.constant(2, c) for c in constants)

@@ -310,8 +310,13 @@ class TestRadialSolve:
     the autocorrelation profile and the radial root-find."""
 
     @pytest.mark.parametrize(
-        "chart", [HIGH_DEGREE_CHART, REFERENCE_CHARTS["z0,z1,z0^2 + z1^3"]],
-        ids=["degree-40", "benchmark-map"],
+        "chart",
+        [
+            HIGH_DEGREE_CHART,
+            REFERENCE_CHARTS["z0,z1,z0^2 + z1^3"],
+            SmoothChart(2, parse_map("z0 + z0^100, z1", 2)),
+        ],
+        ids=["degree-40", "benchmark-map", "exponent-100"],
     )
     def test_profiles_match_with_signed_zeros(self, chart):
         directions = signed_zero_directions(400, 3)
