@@ -31,9 +31,13 @@ Every check reads one point record per ``_DRAWS_PER_BLOCK`` rows of the
 samples, in stages of arrays over the rows: tangent (``H``, ``d rho``, the
 condition of ``H`` from the singular values of ``A_T``), Reeb (``grad rho``,
 ``R``) and, for ``theta = arg f``, theta (``f(p)``, ``df``, ``grad theta``,
-``pr_xi grad theta``), from ``phi_block``, ``PolynomialBlock``, one stacked
-SVD of ``A_T``, stacked solves and batched products, never per sample; the
-reports meet the README's tolerance contract, not the bits of a scalar loop.
+``pr_xi grad theta``), from ``phi_block``, ``PolynomialBlock``, stacked
+solves and batched products, never per sample.  The singular values of
+``A_T`` come from one stacked SVD, except on a model whose
+``orthonormal_frames`` holds, where they are all 1; the level bases are
+Householder reflectors and the criterion's operator norms a closed form on
+2 x 2 Gram matrices.  The reports meet the README's tolerance contract, not
+the bits of a scalar loop.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from .polynomials import Polynomial, PolynomialBlock
 from .varieties import (
     _DRAWS_PER_BLOCK,
     Samples,
+    _kernel_bases,
     _row_norms,
     _row_squares,
     sample_points,
@@ -116,8 +121,11 @@ class _Block:
 
     Tangent stage: ``hermitian`` (``H``); ``ell`` with ``d rho(w) = Re(ell .
     w)`` and ``alpha(w) = Im(ell . w)``; ``condition``, the squared condition
-    of ``A_T`` (infinite when ``A_T`` is wide).  Reeb stage, with ``reeb``:
-    ``gradient`` (``grad rho``), its squared h-norm ``norm_sq`` and ``reeb``.
+    of ``A_T`` (infinite when ``A_T`` is wide).  Where the model's
+    ``orthonormal_frames`` holds, ``A_T`` has orthonormal columns, its
+    singular values are taken as 1 and no row fails the rank test.  Reeb
+    stage, with ``reeb``: ``gradient`` (``grad rho``), its squared h-norm
+    ``norm_sq`` and ``reeb``.
     With ``f``: ``values`` and ``f_rows`` (``df`` in tangent coordinates).  A
     failed row keeps its error in ``failures``, raised by :meth:`check`.
     """
@@ -127,8 +135,11 @@ class _Block:
         points, bases = samples.points, samples.bases
         values, jacobians = v.phi_block(points)
         a_t = jacobians @ bases
-        singular = np.linalg.svd(a_t, compute_uv=False)
-        largest, smallest = singular[:, 0], singular[:, -1]
+        if v.orthonormal_frames:
+            largest = smallest = np.ones(len(samples))
+        else:
+            singular = np.linalg.svd(a_t, compute_uv=False)
+            largest, smallest = singular[:, 0], singular[:, -1]
         degenerate = (largest == 0.0) | (smallest <= _RANK_TOLERANCE * largest)
         self.failures: dict[int, Exception] = {
             row: DegenerateTangent(
@@ -280,11 +291,20 @@ def _real_omega(hermitian: np.ndarray) -> np.ndarray:
 
 
 def _level_basis(ell: np.ndarray) -> np.ndarray:
-    """Euclidean-orthonormal real bases of ``ker d(rho)``, ``(k, 2m, 2m-1)``,
-    by one stacked SVD.  Products with the bases round as one sample's do
-    only on this strided view, not on a contiguous copy."""
-    _, _, vh = np.linalg.svd(_re_covector(ell)[:, None, :])
-    return vh[:, 1:].swapaxes(1, 2)
+    """Euclidean-orthonormal real bases of ``ker d(rho)``, ``(k, 2m, 2m-1)``:
+    the Householder bases of the kernel of its real covector
+    (:func:`~milnorbook.varieties._kernel_bases`)."""
+    return _kernel_bases(_re_covector(ell))
+
+
+def _operator_norms(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The operator norm of each ``2 x n`` matrix with rows ``first[i]`` and
+    ``second[i]``: the square root of the largest eigenvalue ``(a + c)/2 +
+    hypot((a - c)/2, b)`` of its Gram matrix ``[[a, b], [b, c]]``, in which
+    no term cancels."""
+    a, c = _row_squares(first), _row_squares(second)
+    b = (first[:, None, :] @ second[:, :, None])[:, 0, 0]
+    return np.sqrt((a + c) / 2.0 + np.hypot((a - c) / 2.0, b))
 
 
 def _magnitude_bounds(f: Polynomial, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -710,11 +730,9 @@ def openbook_criterion_check(
         min_dtheta = _fold(min, min_dtheta, norms)
 
         row_f, basis = block.f_rows[inner][:, None, :], level_basis[inner]
-        restricted = np.concatenate(
-            [_re_covector(row_f) @ basis, _im_covector(row_f) @ basis], axis=1
+        norms = _operator_norms(
+            (_re_covector(row_f) @ basis)[:, 0], (_im_covector(row_f) @ basis)[:, 0]
         )
-        # The operator norm, as np.linalg.norm(ord=2) takes it.
-        norms = np.linalg.svd(restricted, compute_uv=False).max(axis=1)
         min_df = _fold(min, min_df, norms)
     return OpenBookCriterionReport(
         epsilon=epsilon,

@@ -33,8 +33,10 @@ rho - epsilon)`` for all draws of the block together, each with its own
 line search, and the minimum-norm steps of all live draws in closed form,
 a few array operations per iteration; rows too close to rank deficiency
 take the same closed form again, rescaled, with its ``z_perp`` term dropped
-where the margin still fails.  Polynomials are evaluated
-on the whole block by :class:`~milnorbook.polynomials.PolynomialBlock`.
+where the margin still fails; each accepted point's tangent basis is the
+Householder basis of the kernel of ``dh`` (:func:`_kernel_bases`, which
+the contact checks also take for their level bases).  Polynomials are
+evaluated on the whole block by :class:`~milnorbook.polynomials.PolynomialBlock`.
 Sampling is bitwise deterministic for a fixed seed, and independent of the
 block size: every block operation is one a loop over single draws repeats
 in the same order, ``|h|`` included (``np.hypot`` is libm's ``hypot``, as
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -118,7 +121,9 @@ class SmoothChart:
     Points live in the domain ``C^dim``.  The potential is
     ``rho(p) = sum_k |phi_k(p)|^2`` and the tangent basis at every point is
     the identity basis of the domain.  Injectivity of ``dPhi`` is not
-    assumed globally; it is rank-tested where the forms are evaluated.
+    assumed globally; it is rank-tested where the forms are evaluated,
+    except where the components are the coordinates (see
+    :attr:`orthonormal_frames`).
     """
 
     def __init__(self, dim: int, components: tuple[Polynomial, ...] | list[Polynomial]):
@@ -140,6 +145,16 @@ class SmoothChart:
             [partial for poly in components for partial in poly.gradient()]
         )
         self._identity = _read_only_identity(dim)
+        self._orthonormal_frames = components == tuple(
+            Polynomial.variable(dim, i) for i in range(dim)
+        )
+
+    @property
+    def orthonormal_frames(self) -> bool:
+        """Whether every ``A_T`` has orthonormal columns: here, whether the
+        components are the coordinates, so that the Jacobian and the tangent
+        basis are both the identity."""
+        return self._orthonormal_frames
 
     @classmethod
     def identity(cls, dim: int) -> "SmoothChart":
@@ -194,6 +209,12 @@ class Hypersurface:
     @property
     def ambient_dim(self) -> int:
         return self.defining.n_vars
+
+    @property
+    def orthonormal_frames(self) -> bool:
+        """True: the Jacobian is the identity and the tangent bases are
+        orthonormal, so every ``A_T`` has orthonormal columns."""
+        return True
 
     def phi_block(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The points, and the one read-only identity broadcast as each Jacobian."""
@@ -434,15 +455,35 @@ def _gauss_newton_steps(
     return delta
 
 
-def _kernel_bases(gradients: np.ndarray) -> np.ndarray:
-    """Orthonormal bases of the kernel of each row of ``gradients``.
+def _kernel_bases(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the kernel of each row ``g``, real or complex:
+    columns 1.. of the Householder reflector ``H`` of ``a = conj(g)``.
 
-    One stacked SVD, which returns the bits of one SVD per row.  Basis
-    ``i`` is ``result[i]`` (columns), laid out as ``vh[1:].conj().T`` of a
-    single SVD.
+    ``H = I - tau v v^H`` with ``H^H a = beta e_0``, in the convention of
+    LAPACK's ``dlarfg`` and ``zlarfg``, whose reflector the SVD of the one
+    row takes: ``beta = -copysign(|a|, Re a_0)``, ``tau = (beta - a_0) /
+    beta`` and ``v = (1, a[1:] / (a_0 - beta))``.  That is ``I - 2 w w^H /
+    (w . w)`` for ``w = a + sign(Re a_0) |a| e_0`` (signed zeros included),
+    scaled so that ``w_0 = 1`` and every ``|v_i|`` is at most 1.  ``|a|`` is
+    ``hypot`` folded over the moduli, so only a row whose norm nears the
+    float maximum overflows; a zero or infinite row gives NaN.  Basis ``i``
+    is ``result[i]`` (columns), the transpose of a C-contiguous ``(k, n - 1,
+    n)`` array whose row ``j - 1`` is column ``j``: products with the bases
+    round as one row's do only on this layout.
     """
-    _, _, vh = np.linalg.svd(gradients[:, None, :])
-    return vh[:, 1:].conj().swapaxes(1, 2)
+    k, n = rows.shape
+    a = rows.conj()
+    alpha = a[:, 0]
+    beta = -np.copysign(reduce(np.hypot, np.abs(a).T), alpha.real)
+    tau = (beta - alpha) / beta
+    v = a[:, 1:] / (alpha - beta)[:, None]
+    # Column j is e_j - tau conj(v_j) v, and v_0 = 1.
+    scaled = -tau[:, None] * v.conj()
+    bases = np.empty((k, n - 1, n), dtype=a.dtype)
+    bases[:, :, 0] = scaled
+    bases[:, :, 1:] = scaled[:, :, None] * v[:, None, :]
+    bases[:, :, 1:] += np.eye(n - 1)
+    return bases.swapaxes(1, 2)
 
 
 def _chart_step(chart: SmoothChart, epsilon: float):

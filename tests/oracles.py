@@ -16,9 +16,12 @@ time with scalar arithmetic (a radial root-find for charts, damped
 Gauss–Newton for hypersurfaces, whose closed-form step is the package's
 formula taken one scalar at a time), and the contact point record is built
 one sample at a time; the package's block solves and block records must
-reproduce them bit for bit, not merely agree with them; the former
-radial root-find, a fixed-step bisection, is kept as the reference the
-safeguarded Newton loop must agree with to a few ulp.  The adaptation
+reproduce them bit for bit, not merely agree with them.  Their tangent and
+level bases are the package's Householder forms, taken one row at a time
+with the same operations; the SVD bases those forms replaced are kept here
+as the reference (:func:`svd_kernel_bases`).  The former radial root-find,
+a fixed-step bisection, is kept as the reference the safeguarded Newton
+loop must agree with to a few ulp.  The adaptation
 search's verification, one point at a time, is the reference its block
 form must meet within the report contract of ``tests/test_contract.py``.
 The suite enumeration's reference is the package's former enumeration,
@@ -37,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
 from math import ceil
 from typing import Iterator, Sequence
@@ -75,7 +78,6 @@ from milnorbook.varieties import (
     _MAX_DOUBLINGS,
     Hypersurface,
     SmoothChart,
-    _kernel_bases,
 )
 
 
@@ -653,7 +655,7 @@ def per_draw_hypersurface_samples(
             return None
         if np.linalg.norm(gradient) < gradient_floor:
             return None
-        return z, _kernel_bases(gradient[None])[0], float(np.sum(np.abs(z) ** 2))
+        return z, householder_kernel_basis(gradient), float(np.sum(np.abs(z) ** 2))
 
     rng = np.random.default_rng(seed)
     accepted = []
@@ -671,15 +673,43 @@ def per_draw_hypersurface_samples(
     return accepted
 
 
+def householder_kernel_basis(row: np.ndarray) -> np.ndarray:
+    """The orthonormal kernel basis of one row ``g``, real or complex, ``(n, n
+    - 1)``: columns 1.. of the Householder reflector of ``conj(g)``, with the
+    operations of ``varieties._kernel_bases`` on one row, in its layout (the
+    transpose of a C-contiguous array)."""
+    n = len(row)
+    a = row.conj()
+    alpha = a[:1]
+    beta = -np.copysign(reduce(np.hypot, np.abs(a)), alpha.real)
+    tau = (beta - alpha) / beta
+    v = a[1:] / (alpha - beta)
+    scaled = -tau * v.conj()
+    basis = np.empty((n - 1, n), dtype=a.dtype)
+    basis[:, 0] = scaled
+    basis[:, 1:] = scaled[:, None] * v[None, :]
+    basis[:, 1:] += np.eye(n - 1)
+    return basis.T
+
+
+def svd_kernel_bases(rows: np.ndarray) -> np.ndarray:
+    """The kernel bases of ``rows``, real or complex, from one stacked SVD,
+    ``vh[1:].conj().T`` of each row's: the reference of the Householder
+    form."""
+    _, _, vh = np.linalg.svd(rows[:, None, :])
+    return vh[:, 1:].conj().swapaxes(1, 2)
+
+
 def per_sample_contact_record(v, point, f) -> dict:
     """The contact point record at one sample point, stage by stage, with one
-    SVD, solve and product per sample and ``f`` evaluated term by term.
+    solve and product per sample and ``f`` evaluated term by term.
 
     The tangent basis is built here, not read from a sample record: a new
     identity for a chart, and for a hypersurface the kernel basis of the
-    scalar-evaluated ``dh`` in the layout of one single-row
-    :func:`_kernel_bases` (a C-contiguous copy rounds ``df``'s products
-    differently in four variables).
+    scalar-evaluated ``dh`` from :func:`householder_kernel_basis`, in the
+    package's layout (a C-contiguous copy rounds ``df``'s products
+    differently in four variables).  The singular values of ``A_T`` are 1
+    on a model with ``orthonormal_frames``, else those of one SVD.
 
     Tangent stage: ``H = 4 A_T^H A_T``, the row ``ell`` of ``d rho`` and
     ``alpha``, its scale and the condition of ``H``; Reeb stage: ``grad rho``,
@@ -690,17 +720,20 @@ def per_sample_contact_record(v, point, f) -> dict:
         basis = np.eye(v.dim, dtype=complex)
     else:
         gradient = np.array([g.evaluate(point) for g in v.defining.gradient()])
-        basis = _kernel_bases(gradient[None])[0]
+        basis = householder_kernel_basis(gradient)
     values, jacobians = v.phi_block(point[None])
     a_t = jacobians[0] @ basis
-    singular = np.linalg.svd(a_t, compute_uv=False)
+    if v.orthonormal_frames:
+        largest = smallest = 1.0
+    else:
+        singular = np.linalg.svd(a_t, compute_uv=False)
+        largest, smallest = float(singular[0]), float(singular[-1])
     hermitian = 4.0 * (a_t.conj().T @ a_t)
     ell = 2.0 * (values[0].conj() @ a_t)
     wide = a_t.shape[0] < a_t.shape[1]
     gradient = np.linalg.solve(hermitian, ell.conj())
     norm_sq = float(np.real(ell @ gradient))
     reeb = 1j * gradient / norm_sq
-    _, _, vh = np.linalg.svd(np.concatenate([ell.real, -ell.imag]).reshape(1, -1))
 
     value = f.evaluate(point)
     row = np.array([g.evaluate(point) for g in f.gradient()]) @ basis
@@ -710,12 +743,12 @@ def per_sample_contact_record(v, point, f) -> dict:
     return {
         "hermitian": hermitian,
         "ell": ell,
-        "ell_scale": 2.0 * float(np.linalg.norm(values[0])) * float(singular[0]),
-        "condition": math.inf if wide else float(singular[0] / singular[-1]) ** 2,
+        "ell_scale": 2.0 * float(np.linalg.norm(values[0])) * largest,
+        "condition": math.inf if wide else (largest / smallest) ** 2,
         "gradient": gradient,
         "norm_sq": norm_sq,
         "reeb": reeb,
-        "level_basis": vh[1:].T,
+        "level_basis": householder_kernel_basis(np.concatenate([ell.real, -ell.imag])),
         "f_row": row,
         "grad_theta": grad_theta,
         "projected": projected,

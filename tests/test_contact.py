@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import milnorbook.contact as contact
+import milnorbook.varieties as varieties
 from milnorbook import (
     Hypersurface,
     Polynomial,
@@ -25,6 +26,7 @@ from milnorbook import (
     rescaled_reeb_identity,
     sample_points,
 )
+from milnorbook import cli
 from milnorbook.contact import DEFAULT_ETA_FRACTION
 from oracles import (
     OnBinding,
@@ -32,6 +34,7 @@ from oracles import (
     gradient_identity_residuals,
     per_point_rescaled_dtheta,
     per_sample_contact_record,
+    svd_kernel_bases,
 )
 from test_contract import BOUNDS
 from milnorbook.errors import (
@@ -432,6 +435,192 @@ class TestBlockRecord:
             for name, value in expected.items():
                 value, other = np.asarray(value), np.asarray(got[name])
                 assert (other.shape, other.tobytes()) == (value.shape, value.tobytes()), name
+
+
+def basis_rows() -> dict[str, np.ndarray]:
+    """Complex rows ``g`` (gradients, or ``ell`` for the level bases) of 2 to
+    5 entries: random rows at magnitudes from 1e-300 to 1e300, rows whose
+    entries spread over 1e-150 to 1e150, real rows, rows whose leading
+    entry is a signed zero, and rows with one nonzero entry at each place."""
+    rng = np.random.default_rng(25)
+    corpus = {}
+    for n in (2, 3, 4, 5):
+        g = rng.standard_normal((2000, n)) + 1j * rng.standard_normal((2000, n))
+        corpus[f"random-{n}"] = g * 10.0 ** rng.uniform(-300.0, 300.0, (2000, 1))
+        corpus[f"spread-{n}"] = g * 10.0 ** rng.uniform(-150.0, 150.0, (2000, n))
+        corpus[f"real-{n}"] = rng.standard_normal((200, n)) + 0j
+        signed = g[:4].copy()
+        signed[:, 0] = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+        corpus[f"signed-zero-{n}"] = signed
+        single = np.zeros((n, n), dtype=complex)
+        single[np.arange(n), np.arange(n)] = 3.0 - 4.0j
+        corpus[f"one-entry-{n}"] = single
+    return corpus
+
+
+BASIS_ROWS = basis_rows()
+
+
+class TestHouseholderBases:
+    """The tangent bases of the hypersurface sampler and the level bases of
+    the contact checks are Householder reflectors, not SVDs.  Against the
+    SVD bases they replace (``tests/oracles.py``), entry by entry: at most
+    1.3e-15 apart on this corpus, pinned at 2e-15.  No entry overflows."""
+
+    BOUND = 2e-15
+
+    @staticmethod
+    def bases(form, rows):
+        with np.errstate(all="raise", under="ignore"):
+            return form(rows)
+
+    @staticmethod
+    def assert_orthonormal_kernel(bases, covectors):
+        """Orthonormal columns that ``covectors`` annihilate, relative to
+        each covector's largest entry (both at most 9.1e-16 off here)."""
+        gram = bases.conj().swapaxes(1, 2) @ bases
+        assert np.abs(gram - np.eye(bases.shape[2])).max() <= 2e-15
+        scale = np.abs(covectors).max(axis=1)[:, None]
+        products = (covectors[:, None, :] / scale[:, :, None] @ bases)[:, 0]
+        assert np.abs(products).max() <= 2e-15
+
+    @pytest.mark.parametrize("name", BASIS_ROWS)
+    def test_kernel_bases_are_the_svd_bases(self, name):
+        g = BASIS_ROWS[name]
+        bases = self.bases(varieties._kernel_bases, g)
+        assert bases.shape == (len(g), g.shape[1], g.shape[1] - 1)
+        assert bases.swapaxes(1, 2).flags.c_contiguous
+        assert np.abs(bases - svd_kernel_bases(g)).max() <= self.BOUND
+        self.assert_orthonormal_kernel(bases, g)
+
+    @pytest.mark.parametrize("name", BASIS_ROWS)
+    def test_level_bases_are_the_svd_bases(self, name):
+        ell = BASIS_ROWS[name]
+        bases = self.bases(contact._level_basis, ell)
+        assert bases.shape == (len(ell), 2 * ell.shape[1], 2 * ell.shape[1] - 1)
+        covectors = contact._re_covector(ell)
+        assert np.abs(bases - svd_kernel_bases(covectors)).max() <= self.BOUND
+        self.assert_orthonormal_kernel(bases, covectors)
+
+    def test_a_gradient_entry_whose_square_overflows(self):
+        """``|dh|^2`` overflows on ``1e200 z1``; the row norm folded by
+        ``hypot`` does not, so the bases and the Reeb check stay finite."""
+        surface = Hypersurface(parse_polynomial("z0^2 + 1e200 z1 + z2^2", 3))
+        samples = sample_points(surface, 0.01, 20, seed=0)
+        assert np.isfinite(samples.bases).all()
+        assert max(reeb_contract_deviations(surface, samples)) < 1e-12
+
+    @pytest.mark.parametrize("place", range(3))
+    @pytest.mark.parametrize("entry", [math.inf, complex(0.0, -math.inf)])
+    def test_an_infinite_entry_gives_nan(self, place, entry):
+        """As the SVD's bases do, except the real level basis's SVD for an
+        infinite leading entry, which returns the coordinate vectors."""
+        g = np.array([[1.0 + 1.0j, 2.0, 3.0j]])
+        g[0, place] = entry
+        with np.errstate(all="ignore"):
+            assert np.isnan(varieties._kernel_bases(g)).all()
+            assert np.isnan(svd_kernel_bases(g)).any()
+            assert np.isnan(contact._level_basis(g)).any()
+
+
+# Each subcheck's arguments, with f, at sizes that take one block.
+SUBCHECKS = {
+    "spsh": ["--samples", "20"],
+    "reeb": ["--samples", "20"],
+    "identity": ["--samples", "20"],
+    "cone": ["--samples", "20"],
+    "adapt": ["--mesh", "200"],
+    "criterion": ["--mesh", "200"],
+}
+
+
+def run_subcheck(subcheck, variety_argv, f) -> int:
+    argv = ["contact", subcheck, *variety_argv, *SUBCHECKS[subcheck], "--format", "structured"]
+    if subcheck not in ("spsh", "reeb"):
+        argv += ["--f", f]
+    return cli.main(argv)
+
+
+class TestNoSVDOnOrthonormalFrames:
+    """A hypersurface and a chart whose components are the coordinates have
+    tangent frames that are orthonormal by construction: no subcheck takes
+    an SVD on them.  Any other chart keeps the SVD of ``A_T`` and its rank
+    test."""
+
+    def test_the_models_say_which_frames_are_orthonormal(self):
+        assert BRIESKORN.orthonormal_frames and PLANE.orthonormal_frames
+        assert SmoothChart(2, parse_map("z0, z1", 2)).orthonormal_frames
+        assert not SmoothChart(2, parse_map("z1, z0", 2)).orthonormal_frames
+        assert not SmoothChart(2, parse_map("z0,z1,z0*z1", 2)).orthonormal_frames
+        with pytest.raises(AttributeError):
+            PLANE.orthonormal_frames = False
+
+    @pytest.mark.parametrize("subcheck", SUBCHECKS)
+    @pytest.mark.parametrize(
+        "variety_argv, f",
+        [(["--hypersurface", "z0^2 + z1^3 + z2^5"], "z1"), (["--ambient", "2"], "z0^2 + z1^3")],
+        ids=["hypersurface", "identity-chart"],
+    )
+    def test_no_svd_runs(self, subcheck, variety_argv, f):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.svd was called")
+
+        with patch.object(np.linalg, "svd", refuse):
+            assert run_subcheck(subcheck, variety_argv, f) == 0
+
+    @pytest.mark.parametrize("subcheck", SUBCHECKS)
+    def test_other_charts_keep_the_svd_of_a_t(self, subcheck):
+        shapes = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape[1:])
+            return svd(a, *args, **kwargs)
+
+        with patch.object(np.linalg, "svd", counting):
+            code = run_subcheck(subcheck, ["--ambient", "2", "--map", "z0,z1,z0*z1"], "z0")
+        assert code == 0
+        # The SVD of A_T (three components by two coordinates) and no other.
+        assert shapes and set(shapes) == {(3, 2)}
+
+
+class TestOperatorNorms:
+    """The criterion's norm of ``df`` on the level tangent space is the
+    closed form from the 2 x 2 Gram matrix.  ``np.linalg.norm(ord=2)`` meets
+    it within relative 9.9e-16 on this corpus, pinned at 2e-15."""
+
+    @staticmethod
+    def pairs():
+        rng = np.random.default_rng(5)
+        pairs = []
+        for n in (1, 3, 5):  # --ambient 1, 2 and 3
+            first = rng.standard_normal((500, n)) * 10.0 ** rng.uniform(-8, 8, (500, 1))
+            second = rng.standard_normal((500, n)) * 10.0 ** rng.uniform(-8, 8, (500, 1))
+            pairs.append((first, second))
+            pairs.append((first, -2.5 * first))  # parallel rows
+            pairs.append((first, np.zeros_like(first)))  # a zero row
+            pairs.append((np.zeros_like(first), first))
+        # Orthogonal rows of equal norm.
+        pairs.append((np.array([[3.0, 4.0, 0.0], [1.0, 0.0, 0.0]]),
+                      np.array([[-4.0, 3.0, 0.0], [0.0, 1.0, 0.0]])))
+        return pairs
+
+    def test_closed_form_is_the_spectral_norm(self):
+        for first, second in self.pairs():
+            norms = contact._operator_norms(first, second)
+            expected = np.linalg.norm(np.stack((first, second), axis=1), ord=2, axis=(1, 2))
+            np.testing.assert_allclose(norms, expected, rtol=2e-15, atol=0.0)
+
+    def test_orthogonal_rows_of_equal_norm(self):
+        first = np.array([[3.0, 4.0, 0.0]])
+        second = np.array([[-4.0, 3.0, 0.0]])
+        assert contact._operator_norms(first, second).tolist() == [5.0]
+
+    def test_criterion_on_the_line(self):
+        """``--ambient 1``: the restriction of ``df`` is 2 x 1."""
+        f = parse_polynomial("z0 + 0.3*z0^2", 1)
+        report = openbook_criterion_check(LINE, f, 0.01, 0.5, 50, seed=0)
+        assert report.inside_count == 50 and report.min_df_norm > 0.0
 
 
 class TestFindings:
