@@ -134,10 +134,12 @@ class _Block:
         self.samples = samples
         points, bases = samples.points, samples.bases
         values, jacobians = v.phi_block(points)
-        a_t = jacobians @ bases
         if v.orthonormal_frames:
+            # A_T is the basis, in a product's C layout (the products below need it).
+            a_t = np.ascontiguousarray(bases)
             largest = smallest = np.ones(len(samples))
         else:
+            a_t = jacobians @ bases
             singular = np.linalg.svd(a_t, compute_uv=False)
             largest, smallest = singular[:, 0], singular[:, -1]
         degenerate = (largest == 0.0) | (smallest <= _RANK_TOLERANCE * largest)

@@ -181,9 +181,11 @@ class PolynomialBlock:
     parts, in the scalar loop's order, for all points at once (complex
     NumPy products of two general factors and ``einsum`` may round
     differently), and terms with the same number of factors are multiplied
-    together.  CPython takes ``z ** 100`` by ``c_powu`` and NumPy does not,
-    so :meth:`evaluate` takes a set holding an exponent of 100 or more by
-    the scalar loop, row by row.
+    together.  A value is its first term plus +0.0 (the scalar loop's ``0j
+    + term``), then the others in term order, under one ``errstate``.
+    CPython takes ``z ** 100`` by ``c_powu`` and NumPy does not, so
+    :meth:`evaluate` takes a set holding an exponent of 100 or more by the
+    scalar loop, row by row.
     """
 
     def __init__(self, polys: Sequence[Polynomial]):
@@ -205,8 +207,8 @@ class PolynomialBlock:
         self._exponents = np.array([e for _, e in powers], dtype=np.int64)
         self._squares = np.flatnonzero(self._exponents == 2)
         # A term's value goes to slot (polynomial, position) of a zero-padded
-        # table; adding a padding +0.0 leaves a sum that started at +0.0 as it is.
-        self._width = max(len(poly.terms) for poly in self.polys)
+        # table, at least one wide; a padding +0.0 leaves a sum as it is.
+        self._width = max(1, *(len(poly.terms) for poly in self.polys))
         by_factors: dict[int, list] = {}
         for p, poly in enumerate(self.polys):
             for t, (term_exponents, coeff) in enumerate(poly.terms):
@@ -230,27 +232,26 @@ class PolynomialBlock:
         """Every term at each row of ``(k, n_vars)`` points, as a ``(k,
         len(polys), width)`` table: slot ``(i, t)`` holds term ``t`` of
         polynomial ``i``, and zero past its last term.  NumPy takes every
-        power, whatever its exponent.
+        power, whatever its exponent.  Python floats overflow and turn NaN
+        without a warning: call it under ``np.errstate(all="ignore")``.
 
         Raises OverflowError where a power has an infinite part.
         """
         points = np.asarray(points, dtype=complex)
         k = len(points)
-        # Python floats overflow and turn NaN without a warning; so do these.
-        with np.errstate(all="ignore"):
-            powers = np.power(points[:, self._bases], self._exponents)
-            # CPython takes z ** 2 as (1+0j) * (z * z), NumPy as z * z.
-            powers[:, self._squares] *= 1
-            re, im = powers.real, powers.imag
-            if np.isinf(re).any() or np.isinf(im).any():
-                raise OverflowError("complex exponentiation")
-            table = np.zeros((k, len(self.polys) * self._width), dtype=complex)
-            for slots, factors, t_re, t_im in self._groups:
-                for column in factors.T:
-                    p_re, p_im = re[:, column], im[:, column]
-                    t_re, t_im = t_re * p_re - t_im * p_im, t_re * p_im + t_im * p_re
-                table.real[:, slots] = t_re
-                table.imag[:, slots] = t_im
+        powers = np.power(points[:, self._bases], self._exponents)
+        # CPython takes z ** 2 as (1+0j) * (z * z), NumPy as z * z.
+        powers[:, self._squares] *= 1
+        if np.isinf(powers).any():
+            raise OverflowError("complex exponentiation")
+        re, im = powers.real, powers.imag
+        table = np.zeros((k, len(self.polys) * self._width), dtype=complex)
+        for slots, factors, t_re, t_im in self._groups:
+            for column in factors.T:
+                p_re, p_im = re[:, column], im[:, column]
+                t_re, t_im = t_re * p_re - t_im * p_im, t_re * p_im + t_im * p_re
+            table.real[:, slots] = t_re
+            table.imag[:, slots] = t_im
         return table.reshape(k, len(self.polys), self._width)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
@@ -266,10 +267,10 @@ class PolynomialBlock:
                 [[poly.evaluate(row) for poly in self.polys] for row in points],
                 dtype=complex,
             ).reshape(len(points), len(self.polys))
-        table = self.terms(points)
-        values = np.zeros(table.shape[:2], dtype=complex)
         with np.errstate(all="ignore"):
-            for t in range(self._width):
+            table = self.terms(points)
+            values = table[:, :, 0] + 0.0
+            for t in range(1, self._width):
                 values += table[:, :, t]
         return values
 

@@ -27,12 +27,12 @@ radial profiles of the whole block, one stacked product per lag of the
 autocorrelation, and finds their roots together (a bracket search that
 doubles or halves the top from ``t = 1``, then one safeguarded Newton loop
 that falls back to the midpoint and stops each row once its step is below
-4 ulp, as array Horner loops); for
-hypersurfaces it runs a damped Gauss–Newton iteration on ``(Re h, Im h,
-rho - epsilon)`` for all draws of the block together, each with its own
-line search, and the minimum-norm steps of all live draws in closed form,
-a few array operations per iteration; rows too close to rank deficiency
-take the same closed form again, rescaled, with its ``z_perp`` term dropped
+4 ulp, as array Horner loops); for hypersurfaces it runs a damped
+Gauss–Newton iteration on ``(Re h, Im h, rho - epsilon)`` for all draws of
+the block together, each draw one packed float row, with one line-search
+factor per round, and the minimum-norm steps of all live draws in closed
+form, a few array operations per iteration; rows too close to rank
+deficiency take it again, rescaled, with its ``z_perp`` term dropped
 where the margin still fails; each accepted point's tangent basis is the
 Householder basis of the kernel of ``dh`` (:func:`_kernel_bases`, which
 the contact checks also take for their level bases).  Polynomials are
@@ -171,10 +171,13 @@ class SmoothChart:
         return len(self.components)
 
     def phi_block(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``Phi`` and its ``N x dim`` Jacobian at each row of ``(k, dim)`` points."""
-        jacobians = self._jacobian_block.evaluate(points)
+        """``Phi`` and its ``N x dim`` Jacobian at each row of ``(k, dim)`` points;
+        with :attr:`orthonormal_frames`, the one read-only identity, broadcast."""
+        values = self._components_block.evaluate(points)
+        if self._orthonormal_frames:
+            return values, np.broadcast_to(self._identity, (len(points), self.dim, self.dim))
         shape = (len(points), self.target_dim, self.dim)
-        return self._components_block.evaluate(points), jacobians.reshape(shape)
+        return values, self._jacobian_block.evaluate(points).reshape(shape)
 
     def _samples(self, points, rho_values) -> Samples:
         """The record of the accepted rows; every basis is the one read-only
@@ -203,7 +206,7 @@ class Hypersurface:
             raise InputError("the defining polynomial must be nonconstant")
         _require_vanishing_at_origin(defining, "the defining polynomial")
         self.defining = defining
-        self._system_block = PolynomialBlock((defining, *defining.gradient()))
+        self._system_block = PolynomialBlock((*defining.gradient(), defining))
         self._identity = _read_only_identity(defining.n_vars)
 
     @property
@@ -274,7 +277,8 @@ def _radial_profiles(chart: SmoothChart, directions: np.ndarray) -> np.ndarray:
     """
     max_degree = max(poly.total_degree for poly in chart.components)
     profiles = np.zeros((len(directions), 2 * max_degree + 1))
-    terms = chart._components_block.terms(directions)
+    with np.errstate(all="ignore"):  # as Python floats, which warn of nothing
+        terms = chart._components_block.terms(directions)
     for i, poly in enumerate(chart.components):
         coeffs = np.zeros((len(directions), max_degree + 1), dtype=complex)
         for t, (exponents, _) in enumerate(poly.terms):
@@ -366,7 +370,7 @@ def _row_squares(rows: np.ndarray) -> np.ndarray:
     views (which also gives ``np.vdot(x, x).real``).  A batched ``@`` with
     the same strides reproduces it; ``norm(axis=1)`` rounds differently.
     """
-    if np.iscomplexobj(rows):
+    if rows.dtype.kind == "c":
         re, im = rows.real, rows.imag
         squares = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
     else:
@@ -389,26 +393,27 @@ def _closed_form(z: np.ndarray, residual: np.ndarray, gradient: np.ndarray):
     hr, hi, level = residual.T
     terms = np.empty((4, k, n))
 
-    def total(columns):
-        sums = columns[..., 0]
-        for j in range(1, n):
-            sums = sums + columns[..., j]
-        return sums
+    def total(columns, out):
+        np.add(columns[..., 0], columns[..., 1], out=out)
+        for j in range(2, n):
+            out += columns[..., j]
+        return out
 
-    # Per column: |g_j|^2, |z_j|^2, Re(g_j z_j) and Im(g_j z_j).
+    # Per column: |g_j|^2, |z_j|^2, Re(g_j z_j) and Im(g_j z_j), summed; -h after.
     np.add(p * p, q * q, out=terms[0])
     np.add(x * x, y * y, out=terms[1])
     np.subtract(p * x, q * y, out=terms[2])
     np.add(p * y, q * x, out=terms[3])
-    gg, zz, sr, si = total(terms)
-    ratios = np.divide(np.stack((sr, si, -hr, -hi)), gg, out=np.zeros((4, k)),
-                       where=gg != 0.0)
+    sums = np.empty((6, k))
+    gg, zz = total(terms, sums[:4])[:2]
+    np.negative(residual[:, :2].T, out=sums[4:])
+    ratios = np.divide(sums[2:], gg, out=np.zeros((4, k)), where=gg != 0.0)
     cr, ci, wr, wi = ratios[:, :, None]
     conj = gradient.conj()
     turned = conj * 1j
     perp = z - (cr * conj + ci * turned)
-    pp = total(perp.real * perp.real + perp.imag * perp.imag)
-    b = (2.0 * (hr * cr[:, 0] + hi * ci[:, 0]) - level) / (2.0 * pp)
+    pp = total(perp.real * perp.real + perp.imag * perp.imag, np.empty(k))
+    b = (2.0 * (hr * ratios[0] + hi * ratios[1]) - level) / (2.0 * pp)
     return wr * conj + wi * turned, b[:, None] * perp, gg, zz, pp
 
 
@@ -507,25 +512,30 @@ def _hypersurface_step(surface: Hypersurface, epsilon: float):
     """Block step for hypersurfaces: damped Gauss–Newton on
     ``(Re h, Im h, rho - epsilon)`` from every draw of the block at once.
 
-    Each draw keeps its own iterate, best point (with its residual and
-    gradient, so it is not evaluated again) and line-search factor; the
-    draws still iterating are evaluated together, and every pending
-    line-search trial of an iteration too.  The minimum-norm steps of all
-    live draws come from :func:`_gauss_newton_steps`, a closed form on the
-    block; a draw whose step is NaN is never moved.  Norms that overflow
+    A draw is one packed float row ``(z | dh | Re h, Im h, rho - epsilon)``:
+    its iterate, best row (not evaluated again) and accepted trial each move
+    by one fancy index.  Live draws are evaluated together, and a round's
+    pending trials too, with one line-search factor: each has been halved as
+    often.  The steps come from :func:`_gauss_newton_steps`, a closed form on
+    the block; a draw whose step is NaN is never moved.  Norms that overflow
     are infinite and warn of nothing.
     """
+    n = surface.ambient_dim
     h_scale = surface.defining_scale(epsilon)
     gradient_floor = 1e-8 * h_scale / math.sqrt(epsilon)
 
-    def system(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Residuals ``(Re h, Im h, rho - epsilon)`` and gradients of ``h``."""
-        values = surface._system_block.evaluate(z)
-        residual = np.empty((len(z), 3))
-        residual[:, 0] = values[:, 0].real
-        residual[:, 1] = values[:, 0].imag
-        residual[:, 2] = np.sum(np.abs(z) ** 2, axis=1) - epsilon
-        return residual, values[:, 1:]
+    def system(z: np.ndarray) -> np.ndarray:
+        """The packed row of each row of ``z``."""
+        rows = np.empty((len(z), 4 * n + 3))
+        rows[:, : 2 * n].view(complex)[:] = z
+        rows[:, 2 * n : -1].view(complex)[:] = surface._system_block.evaluate(z)
+        rows[:, -1] = np.add.reduce(np.abs(z) ** 2, axis=1) - epsilon
+        return rows
+
+    def parts(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Views ``z``, ``dh`` and ``(Re h, Im h, rho - epsilon)`` of packed rows."""
+        z, gradient = rows[:, : 2 * n].view(complex), rows[:, 2 * n : 4 * n].view(complex)
+        return z, gradient, rows[:, 4 * n :]
 
     def scaled_residuals(residual: np.ndarray) -> np.ndarray:
         h_part = np.hypot(residual[:, 0], residual[:, 1]) / h_scale
@@ -533,50 +543,37 @@ def _hypersurface_step(surface: Hypersurface, epsilon: float):
         return np.where(level_part > h_part, level_part, h_part)
 
     def step(raw: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, ...]:
-        z = math.sqrt(epsilon) * raw / norms[:, None]
-        best = np.empty_like(z)
-        best_scaled = np.full(len(z), math.inf)
-        residual, gradient = system(z)
-        best_residual, best_gradient = np.empty_like(residual), np.empty_like(gradient)
-        live = np.arange(len(z))
+        rows = system(math.sqrt(epsilon) * raw / norms[:, None])
+        best = np.empty_like(rows)
+        best_scaled = np.full(len(rows), math.inf)
+        live = np.arange(len(rows))
         for _ in range(_MAX_ITERATIONS):
-            scaled = scaled_residuals(residual)
+            scaled = scaled_residuals(rows[:, 4 * n :])
             better = scaled < best_scaled[live]
             improved = live[better]
             best_scaled[improved] = scaled[better]
-            best[improved] = z[better]
-            best_residual[improved] = residual[better]
-            best_gradient[improved] = gradient[better]
+            best[improved] = rows[better]
             going = ~(scaled <= _NEWTON_TOLERANCE)
-            live, z, residual, gradient = (
-                live[going], z[going], residual[going], gradient[going]
-            )
+            live, rows = live[going], rows[going]
             if not live.size:
                 break
+            z, gradient, residual = parts(rows)
             delta = _gauss_newton_steps(z, residual, gradient)
             with np.errstate(over="ignore"):  # an infinite norm never decreases
                 size = _row_norms(residual)
-            factor = np.ones(live.size)
-            moved = np.zeros(live.size, dtype=bool)
             pending = np.arange(live.size)
-            while pending.size:
-                candidate = z[pending] + factor[pending, None] * delta[pending]
-                trial, trial_gradient = system(candidate)
+            factor = 1.0
+            while pending.size and factor > 1e-6:
+                trial = system(z[pending] + factor * delta[pending])
                 with np.errstate(over="ignore"):
-                    down = _row_norms(trial) < size[pending]
-                taken = pending[down]
-                z[taken] = candidate[down]
-                residual[taken] = trial[down]
-                gradient[taken] = trial_gradient[down]
-                moved[taken] = True
+                    down = _row_norms(trial[:, 4 * n :]) < size[pending]
+                rows[pending[down]] = trial[down]
                 pending = pending[~down]
-                factor[pending] *= _DAMPING
-                pending = pending[factor[pending] > 1e-6]
-            live, z, residual, gradient = (
-                live[moved], z[moved], residual[moved], gradient[moved]
-            )
-        found = np.flatnonzero(best_scaled < math.inf)
-        residual, gradient = best_residual[found], best_gradient[found]
+                factor *= _DAMPING
+            moved = np.ones(live.size, dtype=bool)
+            moved[pending] = False
+            live, rows = live[moved], rows[moved]
+        z, gradient, residual = parts(best[best_scaled < math.inf])
         with np.errstate(over="ignore"):  # an infinite gradient norm passes
             steep = ~(_row_norms(gradient) < gradient_floor)
         kept = (
@@ -584,9 +581,8 @@ def _hypersurface_step(surface: Hypersurface, epsilon: float):
             & ~(np.abs(residual[:, 2]) > _LEVEL_TOLERANCE * epsilon)
             & steep
         )
-        points = best[found[kept]]
-        rho_values = np.sum(np.abs(points) ** 2, axis=1)
-        return points, rho_values, gradient[kept]
+        points = z[kept]
+        return points, np.sum(np.abs(points) ** 2, axis=1), gradient[kept]
 
     return step
 

@@ -227,10 +227,21 @@ class TestPolynomialBlock:
         expected = np.array([[p.evaluate(row) for p in polys] for row in points])
         assert values.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("text", ["z0^100 + z1", "z0^101 + z1"])
-    def test_infinite_power_raises_like_the_scalar_loop(self, text):
+    @pytest.mark.parametrize(
+        "text, z0",
+        [
+            ("z0^100 + z1", 1e4),
+            ("z0^101 + z1", 1e4),
+            # Below 100 the block takes the power itself: only the real
+            # part, or only the imaginary part, is infinite.
+            ("z0^3 + z1", 1e103),
+            ("z0^3 + z1", 1e103j),
+        ],
+        ids=["z0^100 + z1", "z0^101 + z1", "z0^3 + z1-real", "z0^3 + z1-imaginary"],
+    )
+    def test_infinite_power_raises_like_the_scalar_loop(self, text, z0):
         poly = parse_polynomial(text, 2)
-        point = np.array([[1e4 + 0j, 1.0]])
+        point = np.array([[z0, 1.0]], dtype=complex)
         with pytest.raises(OverflowError):
             poly.evaluate(point[0])
         with pytest.raises(OverflowError):

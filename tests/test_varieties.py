@@ -66,8 +66,10 @@ def rho(v, point) -> float:
 
 
 def defining_row(surface, point) -> np.ndarray:
-    """``h`` and its gradient at ``point``, from the model's one-row block."""
-    return surface._system_block.evaluate(np.asarray(point)[None])[0]
+    """``h`` and its gradient at ``point``, from the model's one-row block
+    (which holds the gradient first)."""
+    values = surface._system_block.evaluate(np.asarray(point)[None])[0]
+    return np.roll(values, 1)
 
 
 @lru_cache(maxsize=None)
@@ -422,6 +424,62 @@ class TestHypersurfaceBlockSolve:
             assert samples.rho_values.tobytes() == np.array(rho_values).tobytes()
 
 
+class TestLineSearchStop:
+    """A draw whose line search rejects every factor from 1 down to 2^-19
+    leaves the Gauss–Newton loop there, in the block as in the per-draw
+    oracle (``while factor > 1e-6``).  On ``z0 z1`` at seed 3 one such draw
+    occurs at every level tried."""
+
+    @staticmethod
+    def exhausted_draws(surface, epsilon, seed):
+        """Samples of the block sampler, and how many of its draws rejected
+        every factor of a line search.  The acceptance test is replayed from
+        the norms the step takes: per round, the residual norms of the live
+        draws, then those of each batch of pending trials."""
+        rounds = []
+        steps, norms = varieties._gauss_newton_steps, varieties._row_norms
+
+        def mark_round(*args):
+            rounds.append([])
+            return steps(*args)
+
+        def record(rows):
+            out = norms(rows)
+            if rounds and not np.iscomplexobj(rows):
+                rounds[-1].append(out)
+            return out
+
+        with patch.object(varieties, "_gauss_newton_steps", mark_round), \
+                patch.object(varieties, "_row_norms", record):
+            samples = sample_points(surface, epsilon, 40, seed)
+        exhausted = 0
+        for size, *trials in rounds:
+            assert len(trials) <= 20
+            pending = np.arange(len(size))
+            for trial in trials:
+                pending = pending[~(trial < size[pending])]
+            if pending.size:
+                # Every factor from 1 down to 2^-19 was tried and rejected.
+                assert len(trials) == 20
+                exhausted += pending.size
+        return samples, exhausted
+
+    @pytest.mark.parametrize(
+        "block", [varieties._DRAWS_PER_BLOCK, 7], ids=["default", "7"]
+    )
+    @pytest.mark.parametrize("epsilon", [1e-6, 0.01, 1.0])
+    def test_exhausted_draws_match_per_draw_reference(self, block, epsilon):
+        surface = REFERENCE_HYPERSURFACES["z0 z1"]
+        with patch.object(varieties, "_DRAWS_PER_BLOCK", block):
+            samples, exhausted = self.exhausted_draws(surface, epsilon, seed=3)
+        assert exhausted >= 1
+        reference = _hypersurface_reference("z0 z1", epsilon, 3)
+        points, bases, rho_values = zip(*reference)
+        assert samples.points.tobytes() == np.array(points).tobytes()
+        assert samples.bases.tobytes() == np.array(bases).tobytes()
+        assert samples.rho_values.tobytes() == np.array(rho_values).tobytes()
+
+
 def sampler_systems(n: int, count: int, seed: int, epsilon: float = 0.01):
     """Rows ``(z, residual, gradient)`` shaped like the sampler's: ``z`` on
     the sphere ``|z|^2 = epsilon``, gradients over six decades, residuals
@@ -535,10 +593,10 @@ class TestClosedFormSteps:
         )
         values = surface._system_block.evaluate(z[special])
         residual[special] = np.stack(
-            [values[:, 0].real, values[:, 0].imag,
+            [values[:, -1].real, values[:, -1].imag,
              np.sum(np.abs(z[special]) ** 2, axis=1) - epsilon], axis=1
         )
-        gradient[special] = values[:, 1:]
+        gradient[special] = values[:, :-1]
         steps = self.solve_with_special_rows(z, residual, gradient, special)
         g = gradient[special]
         size = np.sum(g.real * g.real + g.imag * g.imag, axis=1)
