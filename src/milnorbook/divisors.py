@@ -134,22 +134,16 @@ def minimal_divisor(g: PlumbingGraph) -> Divisor:
             products[j] += k
 
 
-# Boxes with more prefixes than this would take too long to scan.  It
+# Boxes with more prefixes than this would take too long to search.  It
 # admits r = 6 at bound 40 (41^5, about 1.16e8 prefixes) and refuses the
-# two-vertex box at bound 4e9, whose 4e9 values of u are not bounded by
-# the grid budget below.
+# two-vertex box at bound 4e9.  A two-vertex box has a grid of one row, so
+# the grid budget below does not bound it; this cap bounds its rounds,
+# 2 (bound + 1) at most.
 _ABSURD_ROWS = 2**28
 # Byte budget for the arrays of one call, checked against _grid_bytes
 # before anything is allocated.  It admits r = 6 at bound 40 (41^4 grid
 # rows, about 373 MB) and refuses r = 7 at bound 24 (25^5 rows, 1.45 GB).
 _GRID_BYTES = 2**29
-# Runs of values of u are scanned against the surviving grid rows about
-# this many rows at a time (at least one value per run), in buffers
-# allocated once per call and reused in place.  Arrays allocated afresh
-# for every block, or blocks of 2^15 rows and more, had their pages
-# faulted in again on every call: at bound 40 that cost more than the
-# scan itself.
-_SCAN_ROWS = 2**14
 
 
 def _grid_bytes(r: int, grid_rows: int) -> int:
@@ -158,14 +152,13 @@ def _grid_bytes(r: int, grid_rows: int) -> int:
 
     The grid itself is never stored: each constraint row's slack is built
     on it from broadcast coordinate ranges.  The two intervals, the mask,
-    the row being built and the coupled rows' slacks, then the scan
-    buffers over the surviving grid rows, take at most 16 r + 36 bytes per
-    grid row in int64.  The int64 ``tracemalloc`` peaks per grid row are
-    49 bytes on -2 chains, 57 on stars with -2 legs and 49 to 57 on -3
-    cycles for r = 4..8, and 8 r + 52 (84 to 116) on complete graphs,
-    whose every row is coupled and scanned.  The scan holds its values in
-    the narrowest type that fits them, often 2 or 4 bytes, so this count
-    bounds its peak from above.
+    the row being built and the coupled rows' slacks take at most
+    16 r + 36 bytes per grid row in int64.  The int64 ``tracemalloc`` peaks
+    per grid row are 49 bytes on -2 chains, 57 on stars with -2 legs and
+    49 to 57 on -3 cycles for r = 4..8, and 8 r + 43 (75 to 107) on
+    complete graphs, whose every row is coupled.  The oracle holds its
+    values in the narrowest type that fits them, often 2 or 4 bytes, so
+    this count bounds its peak from above.
     """
     return grid_rows * (16 * r + 36)
 
@@ -225,32 +218,41 @@ def oracle_minimal_divisor(g: PlumbingGraph, bound: int) -> Divisor:
     own row bounds it from below, a row through an edge to it from
     above).
 
-    When u and x are not adjacent, neither one's own row is coupled, so
-    every coupled row bounds them jointly from above: a grid row is
-    feasible exactly when its least point (lo_u, lo_x) is, and the minima
-    of u, x and the grid come straight off the grid, with no work per
-    value.  When they are adjacent (of the small suite's classes, only the
-    complete graphs), the values of u run against the grid rows that
-    survive, in blocks of about ``_SCAN_ROWS`` rows, and only the coupled
-    rows are evaluated per value.  The zero divisor satisfies a row only
-    on a single genus-0 vertex: for r >= 2 every c_i <= -1.  Returns the
+    Every grid row is then read at its least point, by one rule that rests
+    on the signs of the definite form.  Only u's own row (diagonal
+    e_u < 0) bounds u from below, by a non-decreasing function of x, and
+    likewise for x; every other coupled row bounds both u and x from
+    above.  Starting at (lo_u, lo_x), each of u and x is raised, in
+    rounds, to its own row's bound at the other's value until nothing
+    moves.  Every point that meets both own rows lies above each iterate,
+    so where the result is still at most (hi_u, hi_x) it is the grid row's
+    least such point, and the grid row is feasible exactly when the
+    coupled rows hold there.  When u and x are not adjacent no own row is
+    coupled and no round runs; when they are (of the small suite's
+    classes, only the complete graphs), the rounds run on the surviving
+    grid rows.  Each round raises some value or is the last, and values
+    are capped at the bound, so there are at most 2 (bound + 1) rounds.
+    The minima of u, x and the grid come straight off the least points of
+    the feasible grid rows.  The zero divisor satisfies a row only on a
+    single genus-0 vertex: for r >= 2 every c_i <= -1.  Returns the
     componentwise minimum of the feasible set and verifies that this
     minimum is itself feasible, which is the lattice min-closure property
     the descent's canonicity rests on.
 
     Memory is bounded by the grid, whatever the bound.  The grid itself is
     never stored; the arrays held are the two intervals, the mask and the
-    coupled rows' slacks over it, then the scan buffers over the
-    surviving rows.  Boxes whose arrays would take more than
+    coupled rows' slacks over it.  Boxes whose arrays would take more than
     ``_GRID_BYTES`` bytes at 8 bytes per value (``_grid_bytes``) are
     refused before anything is allocated.
 
-    No value the scan holds exceeds reach = max(bound + 1, max_i(|c_i| +
+    No value the oracle holds exceeds reach = max(bound + 1, max_i(|c_i| +
     bound * sum_j |I_ij|)) in size: not the grid, the partial sums of a
-    row's slack, the interval bounds nor the bound + 1 fill.  Every array
-    is held in the narrowest of int16, int32 and int64 that fits reach, so
-    the answer is exact in any of them; a box whose reach exceeds int64 is
-    refused before anything is allocated.
+    row's slack, the interval bounds, nor a coupled row's slack less
+    at_u * u + at_x * x, which a round reads as slack - k x, because u and
+    x are capped at the bound first.  Every array is held in the narrowest
+    of int16, int32 and int64 that fits reach, so the answer is exact in
+    any of them; a box whose reach exceeds int64 is refused before
+    anything is allocated.
     """
     if bound < 1:
         raise InputError("search bound must be at least 1")
@@ -317,75 +319,64 @@ def oracle_minimal_divisor(g: PlumbingGraph, bound: int) -> Divisor:
         np.maximum(lo_x, 1, out=lo_x)  # the zero divisor is not a solution
     ok &= lo_u <= hi_u
     ok &= lo_x <= hi_x
-    if coupled and x not in g.adjacency[u]:
-        # Neither u's row nor x's is coupled, so every coupled row bounds u
-        # and x jointly from above: a grid row is feasible when its least
-        # point (lo_u, lo_x) is.  Capping both at the bound changes no
-        # surviving row and keeps every product within reach.
-        np.minimum(lo_u, bound, out=lo_u)
-        np.minimum(lo_x, bound, out=lo_x)
-        for at_u, at_x, slack in coupled:
-            slack -= at_u * lo_u
-            slack -= at_x * lo_x
-            ok &= slack >= 0
-        coupled = []
-    if not coupled:
-        if not ok.any():
-            raise BoundTooSmall(f"no feasible divisor with all m_i <= {bound}")
-        u_min, x_min = int(lo_u[ok].min()), int(lo_x[ok].min())
-        seen = ok
-    else:
-        # Only the surviving grid rows are scanned, one array at a time so
-        # that no two full-grid copies of one array are held at once.  u's
-        # own row is coupled, so nothing on the grid bounds u from below.
-        del lo_u
-        hi_u = hi_u[ok]
-        lo_x = lo_x[ok]
-        hi_x = hi_x[ok]
+    # Capping both at the bound changes no surviving row and keeps every
+    # product within reach.
+    np.minimum(lo_u, bound, out=lo_u)
+    np.minimum(lo_x, bound, out=lo_x)
+    live = None
+    if coupled and x in g.adjacency[u]:
+        # u's own row and x's are coupled: the rounds run on the surviving
+        # grid rows only, compressed one array at a time so that no two
+        # full-grid copies of one array are held at once.
+        live = ok
+        lo_u = lo_u[live]
+        hi_u = hi_u[live]
+        lo_x = lo_x[live]
+        hi_x = hi_x[live]
         for n, (at_u, at_x, slack) in enumerate(coupled):
-            coupled[n] = (at_u, at_x, slack[ok])
+            coupled[n] = (at_u, at_x, slack[live])
         del slack
-        live = len(hi_u)
-        if not live:
-            raise BoundTooSmall(f"no feasible divisor with all m_i <= {bound}")
-        span = int(hi_u.max()) + 1
-        step = max(1, _SCAN_ROWS // live)
-        # One set of block buffers per call: every block reuses them in place.
-        block = (min(step, span), live)
-        lo_buf, hi_buf, part_buf = (np.empty(block, dtype=dtype) for _ in range(3))
-        ok_buf = np.empty(block, dtype=bool)
-        u_min = None
-        x_min = bound + 1
-        seen_live = np.zeros(live, dtype=bool)
-        for start in range(0, span, step):
-            values = np.arange(start, min(start + step, span), dtype=dtype)[:, None]
-            n = len(values)
-            lo, hi, hit, part = lo_buf[:n], hi_buf[:n], ok_buf[:n], part_buf[:n]
-            np.less_equal(values, hi_u, out=hit)
-            np.copyto(lo, lo_x)
-            np.copyto(hi, hi_x)
-            for at_u, at_x, slack in coupled:
-                np.subtract(slack, values * at_u, out=part)
-                _narrow(at_x, part, lo, hi, hit)
-            hit &= lo <= hi
-            hits = hit.any(axis=1)
-            if not hits.any():
-                continue
-            if u_min is None:
-                u_min = start + int(np.argmax(hits))
-            seen_live |= hit.any(axis=0)
-            part.fill(bound + 1)
-            np.copyto(part, lo, where=hit)
-            x_min = min(x_min, int(part.min()))
-        if u_min is None:
-            raise BoundTooSmall(f"no feasible divisor with all m_i <= {bound}")
-        seen = np.zeros(grid_rows, dtype=bool)
-        seen[ok] = seen_live
+        ok = np.ones(len(lo_u), dtype=bool)
+        own = [
+            (at_u, slack, lo_u, at_x, lo_x) if at_u < 0 else (at_x, slack, lo_x, at_u, lo_u)
+            for at_u, at_x, slack in coupled
+            if min(at_u, at_x) < 0
+        ]
+        part = np.empty_like(lo_u)
+        moved = np.empty(len(lo_u), dtype=bool)
+        while True:
+            raised = False
+            for at_own, slack, lo, at_other, other in own:
+                # lo >= ceil((at_other * other - slack) / |at_own|), capped.
+                np.multiply(other, at_other, out=part)
+                np.subtract(slack, part, out=part)
+                np.floor_divide(part, -at_own, out=part)
+                np.negative(part, out=part)
+                np.minimum(part, bound, out=part)
+                np.greater(part, lo, out=moved)
+                if moved.any():
+                    raised = True
+                    np.maximum(lo, part, out=lo)
+            if not raised:
+                break
+        del part, moved
+        ok &= lo_u <= hi_u
+        ok &= lo_x <= hi_x
+    for at_u, at_x, slack in coupled:
+        slack -= at_u * lo_u
+        slack -= at_x * lo_x
+        ok &= slack >= 0
+    if not ok.any():
+        raise BoundTooSmall(f"no feasible divisor with all m_i <= {bound}")
+    u_min, x_min = int(lo_u[ok].min()), int(lo_x[ok].min())
+    if live is not None:
+        live[live] = ok  # back onto the grid
+        ok = live
     m = [0] * r
     m[x] = x_min
     if u is not None:
         m[u] = u_min
-    seen = seen.reshape(shape)
+    seen = ok.reshape(shape)
     for a, j in enumerate(inner):
         others = tuple(b for b in range(dims) if b != a)
         m[j] = int(np.argmax(seen.any(axis=others)))

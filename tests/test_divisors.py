@@ -70,7 +70,8 @@ SCAN_SHAPES = [
     # The zero divisor satisfies the only row and must be left out.
     ("genus-0-vertex", PlumbingGraph((0,), (-2,), ()), (1,), (1, 4)),
     ("genus-3-vertex", PlumbingGraph((3,), (-2,), ()), (3,), (2, 3, 5)),
-    # Adjacent pairs: every row is coupled and scanned value by value.
+    # Adjacent pairs: every row is coupled, and the rounds raise the least
+    # point.
     ("chain-2-2", chain_graph([-2, -2]), (1, 1), (1, 4)),
     ("chain-2-2-genus-1", PlumbingGraph((1, 1), (-2, -2), ((0, 1),)), (3, 3), (2, 3, 6)),
     ("triangle-double-edge",
@@ -82,6 +83,16 @@ SCAN_SHAPES = [
      PlumbingGraph((0, 0, 1, 0, 0, 0), (-4, -6, -4, -5, -4, -5),
                    tuple((a, b) for a in range(3) for b in range(3, 6))),
      (3, 2, 4, 3, 3, 3), (3, 4, 5)),
+    # K5: every row is coupled, so the least point comes from the rounds
+    # alone.
+    ("k5", PlumbingGraph((0,) * 5, (-5,) * 5, tuple(combinations(range(5), 2))),
+     (4, 4, 4, 4, 4), (3, 4)),
+    # K_{3,3} with an edge inside one part: the least coupled pair (0, 5)
+    # is adjacent, and rows 3 and 4 see u = 0 but not x = 5.
+    ("k33-inner-edge-adjacent-pair",
+     PlumbingGraph((1, 0, 0, 0, 0, 0), (-5,) * 6,
+                   tuple((a, b) for a in range(3) for b in range(3, 6)) + ((3, 4),)),
+     (4, 3, 3, 4, 4, 3), (3, 4, 6)),
     # A pair that no row couples; its zero grid row must stay masked.
     ("trap-path", PlumbingGraph((0, 0, 0, 1), (-4,) * 4, ((0, 3), (1, 2), (2, 3))),
      (1, 1, 2, 2), (1, 3, 8)),
@@ -255,22 +266,23 @@ class TestOracle:
         with pytest.raises(BoundTooSmall):
             oracle_minimal_divisor(D4, 8)
 
-    @pytest.mark.parametrize(
-        "scan_rows", [divisors._SCAN_ROWS, 7, 1], ids=["default", "7", "1"]
-    )
+    @pytest.mark.parametrize("pinned", [None, 7, 1], ids=["default", "7", "1"])
     @given(g=small_nd_graphs(), bound=st.integers(2, 6))
     @settings(max_examples=40)
-    def test_interval_scan_matches_naive_grid(self, scan_rows, g, bound):
+    def test_interval_scan_matches_naive_grid(self, pinned, g, bound):
         """The interval-collapse search agrees point for point with a
-        nested-loop scan of the same box, including infeasibility, whatever
-        the number of rows scanned per block."""
+        nested-loop scan of the same box, including infeasibility.  The
+        default id draws the bound; the others pin it at 7, above the drawn
+        range, and at 1, the smallest box, where most graphs have no
+        feasible point."""
+        if pinned is not None:
+            bound = pinned
         naive = brute_force_minimal_divisor(g, bound)
-        with patch.object(divisors, "_SCAN_ROWS", scan_rows):
-            if naive is None:
-                with pytest.raises(BoundTooSmall):
-                    oracle_minimal_divisor(g, bound)
-            else:
-                assert oracle_minimal_divisor(g, bound).multiplicities == naive
+        if naive is None:
+            with pytest.raises(BoundTooSmall):
+                oracle_minimal_divisor(g, bound)
+        else:
+            assert oracle_minimal_divisor(g, bound).multiplicities == naive
 
     @pytest.mark.parametrize(
         "g, least, bounds",
@@ -279,9 +291,9 @@ class TestOracle:
     )
     def test_every_scan_shape_matches_the_brute_force(self, g, least, bounds):
         """Each path through the oracle answers as the brute force does,
-        BoundTooSmall included, whatever the number of rows scanned per
-        block.  Six vertices are checked by the vectorised box scan, which
-        agrees with the nested-loop scan on the smaller shapes."""
+        BoundTooSmall included.  Five and six vertices are checked by the
+        vectorised box scan, which agrees with the nested-loop scan on the
+        smaller shapes."""
         for bound in bounds:
             expected = least if bound >= max(least) else None
             if g.vertex_count > 4:
@@ -289,13 +301,54 @@ class TestOracle:
             else:
                 assert brute_force_minimal_divisor(g, bound) == expected
                 assert box_scan_minimal_divisor(g, bound) == expected
-            for scan_rows in (divisors._SCAN_ROWS, 7, 1):
-                with patch.object(divisors, "_SCAN_ROWS", scan_rows):
-                    if expected is None:
-                        with pytest.raises(BoundTooSmall):
-                            oracle_minimal_divisor(g, bound)
-                    else:
-                        assert oracle_minimal_divisor(g, bound).multiplicities == expected
+            if expected is None:
+                with pytest.raises(BoundTooSmall):
+                    oracle_minimal_divisor(g, bound)
+            else:
+                assert oracle_minimal_divisor(g, bound).multiplicities == expected
+
+    def test_adjacent_shapes_take_an_adjacent_pair(self):
+        """The shapes the rounds serve: their least coupled pair is
+        adjacent, and on the inner-edge K_{3,3} u keeps rows that do not see
+        x."""
+        shapes = {name: g for name, g, _, _ in SCAN_SHAPES}
+        for name in ("k5", "k33-adjacent-pair", "k33-inner-edge-adjacent-pair"):
+            g = shapes[name]
+            u, x = divisors._coupling_pair(g)
+            assert x in g.adjacency[u], name
+        g = shapes["k33-inner-edge-adjacent-pair"]
+        assert divisors._coupling_pair(g) == (0, 5)
+        assert {0, *g.adjacency[0]} - {5, *g.adjacency[5]} == {3, 4}
+
+    @pytest.mark.parametrize("k", [2, 10, 30])
+    def test_slow_contraction_pair_matches_the_descent(self, k):
+        """Two vertices joined by k edges, weights -1 and -(k^2 + 1): each
+        round raises x by about one, so the least divisor
+        (k^3 + k^2 + k, k^2 + k) takes about k^2 rounds at bound 10^6;
+        one below its larger entry the box holds no feasible point."""
+        g = PlumbingGraph((0, 0), (-1, -(k * k + 1)), ((0, 1),) * k)
+        d = minimal_divisor(g)
+        assert d.multiplicities == (k**3 + k * k + k, k * k + k)
+        assert oracle_minimal_divisor(g, 10**6) == d
+        with pytest.raises(BoundTooSmall):
+            oracle_minimal_divisor(g, max(d.multiplicities) - 1)
+
+    def test_rounds_stop_at_the_bound(self, monkeypatch):
+        """Values are capped at the bound, so the k = 30 pair, whose least
+        divisor takes about 900 rounds, takes at most 2 (bound + 1) at
+        bound 10: two own-row divisions per round."""
+        g = PlumbingGraph((0, 0), (-1, -901), ((0, 1),) * 30)
+        divisions = []
+        floor_divide = np.floor_divide
+
+        def counted(*args, **kwargs):
+            divisions.append(1)
+            return floor_divide(*args, **kwargs)
+
+        monkeypatch.setattr(np, "floor_divide", counted)
+        with pytest.raises(BoundTooSmall):
+            oracle_minimal_divisor(g, 10)
+        assert 0 < len(divisions) <= 2 * 2 * (10 + 1)
 
     def test_streamed_block_size_is_capped(self, monkeypatch):
         """A grid of (bound + 1)^(r - 2) rows whose arrays would exceed the
@@ -326,14 +379,15 @@ class TestOracle:
     @pytest.mark.parametrize("r, bound", [(4, 40), (4, 365), (5, 40), (6, 30), (6, 40)])
     def test_routine_boxes_fit_the_budget(self, r, bound):
         """The suite's bound-40 and straggler boxes, the benchmark's largest
-        streamed boxes and r = 6 at the CLI's default bound are admitted."""
+        boxes and r = 6 at the CLI's default bound are admitted."""
         grid_rows = (bound + 1) ** (r - 2)
         assert divisors._grid_bytes(r, grid_rows) <= divisors._GRID_BYTES
         assert (bound + 1) ** (r - 1) <= divisors._ABSURD_ROWS
 
     def test_memory_does_not_grow_with_the_bound(self):
-        """The values of coordinate 0 are scanned in blocks, so a two-vertex
-        box of 10^6 values per coordinate needs no array of that length."""
+        """A two-vertex box has a grid of one row, whose least point the
+        rounds raise in place, so a box of 10^6 values per coordinate needs
+        no array of that length."""
         tracemalloc.start()
         try:
             d = oracle_minimal_divisor(chain_graph([-2, -2]), 10**6)
@@ -344,10 +398,10 @@ class TestOracle:
         assert peak < 4 * 2**20
 
     def test_two_vertex_box_at_bound_4e9_refused_before_allocating(self):
-        """Two vertices have no grid, so the byte budget does not bound
-        them: at bound 4e9 the 4e9 values of coordinate 0 would be scanned
-        in about 244,000 blocks.  They are prefixes beyond _ABSURD_ROWS,
-        and the box is refused before anything is allocated."""
+        """Two vertices have a grid of one row, so the byte budget does not
+        bound them: at bound 4e9 the rounds could number up to 8e9.  The
+        box's 4e9 prefixes are beyond _ABSURD_ROWS, and it is refused
+        before anything is allocated."""
         tracemalloc.start()
         try:
             with pytest.raises(
