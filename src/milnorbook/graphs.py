@@ -103,6 +103,26 @@ class PlumbingGraph:
         if len(reached) != self.vertex_count:
             raise Disconnected(min(set(range(self.vertex_count)).difference(reached)))
 
+    def _reweighted(self, genus, euler) -> "PlumbingGraph":
+        """This graph's edges with the weights ``genus`` and ``euler``.
+
+        Only the weights are checked, as the constructor checks them (both
+        lists must have one entry per vertex); the edges and the adjacency
+        do not depend on them, so they are shared with this graph, not
+        normalized, sorted and searched again.
+        """
+        if len(euler) != len(genus) or len(genus) != self.vertex_count:
+            raise InputError("genus and euler weight lists differ in length")
+        for i, g in enumerate(genus):
+            if g < 0:
+                raise NegativeGenus(i, g)
+        graph = object.__new__(PlumbingGraph)
+        object.__setattr__(graph, "genus", genus)
+        object.__setattr__(graph, "euler", euler)
+        object.__setattr__(graph, "edges", self.edges)
+        object.__setattr__(graph, "adjacency", self.adjacency)
+        return graph
+
     @property
     def vertex_count(self) -> int:
         return len(self.genus)

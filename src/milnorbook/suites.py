@@ -13,18 +13,28 @@ A tuple is orbit-minimal when no permutation in its layer's group maps it
 to a lexicographically smaller tuple.  Each vertex permutation's action on
 multiplicity and weight vectors is an index map built once per vertex
 count and applied as one ``operator.itemgetter`` call; the identity is
-never applied.  Definiteness depends on edges and Euler weights only, so
-:func:`iter_suite` decides it once per (edges, euler) pair, before genus
-is expanded, by eliminating the pair's form directly
-(``graphs._eliminate``) on rows read off the adjacency of one validated
-graph per edge configuration; no graph is built for the probe.
+never applied.
+
+Definiteness depends on edges and Euler weights only, so :func:`iter_suite`
+decides it once per (edges, euler) pair, before genus is expanded, by
+eliminating the pair's form directly (``graphs._eliminate``) on rows read
+off the adjacency of one validated template graph per edge configuration.
+It is monotone in the Euler weights: if ``diag(e) + K`` is not negative
+definite and ``e' >= e`` componentwise, then ``diag(e') + K`` adds a
+positive semidefinite matrix to it and is not negative definite either.
+So within one edge configuration every Euler vector that dominates the
+last refuted one is skipped without a probe; the test is componentwise,
+so it holds for any order of the Euler window.  Every yielded graph is the
+template reweighted (``PlumbingGraph._reweighted``): only its weights are
+checked, since the edges and their connectivity were checked once on the
+template.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from operator import itemgetter
+from operator import ge, itemgetter
 from typing import Iterator, Sequence
 
 from .graphs import PlumbingGraph, _eliminate, _form_rows
@@ -126,21 +136,31 @@ def iter_suite(
     symmetric group, Euler weights up to the edge stabilizer, genus weights
     up to the (edges, euler) stabilizer.  Each layer keeps the orbit-minimal
     tuple, so the composite is a canonical form for the weighted graph.
+
+    With ``negative_definite_only``, an Euler vector that dominates the
+    last one refuted on the same edge configuration is skipped unprobed:
+    raising diagonal entries adds a positive semidefinite matrix, so a form
+    that is not negative definite stays so.  Every graph shares the edges
+    and adjacency of one template graph per edge configuration, validated
+    once; only the weights are checked per graph.
     """
     spec = spec or SuiteSpec()
     for r in range(1, spec.max_vertices + 1):
         zeros = (0,) * r
         for edges, stabilizer in _iter_edge_classes(r, spec):
-            adjacency = PlumbingGraph(zeros, zeros, edges).adjacency
+            template = PlumbingGraph(zeros, zeros, edges)
+            refuted = None
             for euler, residual in _euler_classes(r, stabilizer, spec):
-                if negative_definite_only and (
-                    _eliminate(_form_rows(euler, adjacency), None) is None
-                ):
-                    continue
+                if negative_definite_only:
+                    if refuted and all(map(ge, euler, refuted)):
+                        continue
+                    if _eliminate(_form_rows(euler, template.adjacency), None) is None:
+                        refuted = euler
+                        continue
                 for genus in product(spec.genus_values, repeat=r):
                     if any(act(genus) < genus for act in residual):
                         continue
-                    yield PlumbingGraph(genus, euler, edges)
+                    yield template._reweighted(genus, euler)
 
 
 def labeled_connected_count(r: int, spec: SuiteSpec | None = None) -> int:

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from milnorbook import (
+    PlumbingGraph,
     SuiteSpec,
     is_milnor_fillable,
     iter_suite,
     labeled_connected_count,
     minimal_divisor,
 )
+from milnorbook.errors import InputError, NegativeGenus
 from milnorbook.suites import _euler_classes, _iter_edge_classes
 
 from oracles import (
@@ -24,12 +26,16 @@ from oracles import (
 )
 
 # Specs the enumeration is pinned on against the reference: the default
-# family, an Euler window with indefinite classes, three genus values,
-# multiplicity 3, and a family of at most two vertices, where a pair vector
-# has at most one entry and a weight vector at most two.
+# family, an Euler window with indefinite classes, an unsorted window with a
+# nonnegative weight (the only window that does not ascend, so vectors below
+# a refuted one follow it, and a pruning test that compared the wrong way
+# would show), three genus values, multiplicity 3, and a family of at most
+# two vertices, where a pair vector has at most one entry and a weight
+# vector at most two.
 REFERENCE_SPECS = {
     "default": SuiteSpec(),
     "euler-window": SuiteSpec(max_vertices=3, euler_values=(-3, -2, -1, 0, 1)),
+    "euler-unsorted": SuiteSpec(euler_values=(-1, -4, 0, -2)),
     "genus-3": SuiteSpec(genus_values=(0, 1, 2)),
     "multiplicity-3": SuiteSpec(max_edge_multiplicity=3),
     "two-vertices": SuiteSpec(
@@ -97,6 +103,34 @@ class TestEnumeration:
             factorial(4) // len(automorphism_group(g)) for g in classes
         )
         assert total == labeled_connected_count(4, spec)
+
+
+class TestSharedEdges:
+    """Suite graphs share one validated template per edge configuration."""
+
+    def test_adjacency_matches_a_fresh_construction(self):
+        """``adjacency`` takes no part in equality, so the reference
+        comparison cannot see it; compare it with a constructed graph's."""
+        pool = [g for g in nd_suite() + full_suite() if g.vertex_count <= 3]
+        assert pool
+        for g in pool:
+            assert g.adjacency == PlumbingGraph(g.genus, g.euler, g.edges).adjacency
+
+    def test_negative_genus_is_still_refused(self):
+        with pytest.raises(NegativeGenus, match=r"^vertex 0 has genus -1 < 0$"):
+            next(iter_suite(SuiteSpec(genus_values=(-1, 0))))
+
+    @pytest.mark.parametrize(
+        "genus, euler",
+        [((0, 0), (-2,)), ((0,), (-2, -2)), ((0,), (-2,)), ((0, 0, 0), (-2, -2, -2))],
+        ids=["short-euler", "short-genus", "both-short", "both-long"],
+    )
+    def test_reweighted_refuses_wrong_lengths(self, genus, euler):
+        template = PlumbingGraph((0, 0), (0, 0), ((0, 1),))
+        with pytest.raises(
+            InputError, match=r"^genus and euler weight lists differ in length$"
+        ):
+            template._reweighted(genus, euler)
 
 
 class TestEquivariance:
