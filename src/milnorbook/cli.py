@@ -202,8 +202,8 @@ def _cmd_check(args):
         if fillable
         else "not Milnor fillable (intersection form not negative definite)"
     )
-    lines = [f"verdict: {verdict}"]
-    return {"file": args.file}, result, lines, EXIT_OK if fillable else EXIT_VERDICT
+    code = EXIT_OK if fillable else EXIT_VERDICT
+    return {"file": args.file}, result, lambda: [f"verdict: {verdict}"], code
 
 
 def _cmd_divisor(args):
@@ -211,12 +211,6 @@ def _cmd_divisor(args):
     divisor = minimal_divisor(graph)
     report = check_theorem_conditions(graph, divisor)
     result = report.to_dict()
-    lines = [
-        f"divisor: {list(divisor.multiplicities)}",
-        f"multiplicities: {list(report.multiplicities)}",
-        f"slack: {list(report.inequality_slack)}",
-        f"automorphism invariant: {report.aut_invariant}",
-    ]
     if args.oracle:
         oracle = oracle_minimal_divisor(graph, args.bound)
         if oracle != divisor:
@@ -225,7 +219,18 @@ def _cmd_divisor(args):
                 f"bound-{args.bound} search found {list(oracle.multiplicities)}"
             )
         result["oracle"] = {"bound": args.bound, "agrees": True}
-        lines.append(f"oracle (bound {args.bound}): agrees")
+
+    def lines():
+        text = [
+            f"divisor: {list(divisor.multiplicities)}",
+            f"multiplicities: {list(report.multiplicities)}",
+            f"slack: {list(report.inequality_slack)}",
+            f"automorphism invariant: {report.aut_invariant}",
+        ]
+        if args.oracle:
+            text.append(f"oracle (bound {args.bound}): agrees")
+        return text
+
     config = {"file": args.file, "oracle": args.oracle, "bound": args.bound}
     return config, result, lines, EXIT_OK
 
@@ -234,22 +239,27 @@ def _cmd_openbook(args):
     graph = load_graph(args.file)
     report = ubiquitous_open_book(graph)
     result = report.to_dict()
-    lines = [
-        f"binding components: {report.binding_components}",
-        f"divisor: {list(report.divisor.multiplicities)}",
-        f"arrowheads: {list(report.graph.arrowheads)}",
-        f"automorphism invariant: {report.aut_invariant}",
-        f"commentary: {report.commentary}",
-        "decorated graph:",
-    ]
-    lines.extend("  " + line for line in report.graph.to_text().splitlines())
     if args.emit == "graph":
         decorated = graph_to_dict(report.graph.base)
         for vertex, n in zip(decorated["vertices"], report.graph.arrowheads):
             vertex["arrowheads"] = n
         result["decorated_graph"] = decorated
-        lines.append("decorated graph JSON:")
-        lines.append(json.dumps(decorated, sort_keys=True))
+
+    def lines():
+        text = [
+            f"binding components: {report.binding_components}",
+            f"divisor: {list(report.divisor.multiplicities)}",
+            f"arrowheads: {list(report.graph.arrowheads)}",
+            f"automorphism invariant: {report.aut_invariant}",
+            f"commentary: {report.commentary}",
+            "decorated graph:",
+        ]
+        text.extend("  " + line for line in report.graph.to_text().splitlines())
+        if args.emit == "graph":
+            text.append("decorated graph JSON:")
+            text.append(json.dumps(decorated, sort_keys=True))
+        return text
+
     config = {"file": args.file, "emit": args.emit}
     return config, result, lines, EXIT_OK
 
@@ -264,12 +274,11 @@ def _contact_spsh(args, variety, f):
         "trials": SPSH_TRIALS,
         "pass": passed,
     }
-    lines = [
+    return result, lambda: [
         f"min Levi quotient over {len(samples)} samples x {SPSH_TRIALS} "
         f"directions: {minimum!r}",
         f"strictly plurisubharmonic on the sample set: {passed}",
     ]
-    return result, lines
 
 
 def _contact_reeb(args, variety, f):
@@ -287,14 +296,13 @@ def _contact_reeb(args, variety, f):
         "samples": len(samples),
         "pass": passed,
     }
-    lines = [
+    return result, lambda: [
         f"max |alpha(R) - 1| over {len(samples)} samples: {max_alpha!r} "
         f"(tolerance {alpha_tol!r})",
         f"max |omega(R, v)| over level-tangent directions: {max_omega!r} "
         f"(tolerance {OMEGA_TOL!r})",
         f"Reeb contract satisfied: {passed}",
     ]
-    return result, lines
 
 
 def _contact_identity(args, variety, f):
@@ -312,12 +320,11 @@ def _contact_identity(args, variety, f):
         "skipped_on_binding": skipped,
         "pass": passed,
     }
-    lines = [
+    return result, lambda: [
         f"max rescaled-Reeb identity residual over {len(residuals)} "
         f"samples (c={args.c!r}): {worst!r} (tolerance {tolerance!r})",
         f"identity satisfied: {passed}",
     ]
-    return result, lines
 
 
 def _contact_adapt(args, variety, f):
@@ -326,7 +333,7 @@ def _contact_adapt(args, variety, f):
     )
     result = report.to_dict()
     result["pass"] = report.verified
-    lines = [
+    return result, lambda: [
         f"adaptation constant c = {report.c!r} (m = {report.m!r}, "
         f"k = {report.k!r})",
         f"retained {report.retained} of {report.mesh} mesh points "
@@ -335,7 +342,6 @@ def _contact_adapt(args, variety, f):
         f"min d theta(R_c) = {report.min_dtheta_rescaled!r}",
         f"verified d theta(R_c) > 0 everywhere: {report.verified}",
     ]
-    return result, lines
 
 
 def _contact_cone(args, variety, f):
@@ -345,19 +351,15 @@ def _contact_cone(args, variety, f):
     )
     result = report.to_dict()
     result["pass"] = report.all_positive is not False
-    lines = [
+    return result, lambda: [
         f"qualifying samples: {report.qualifying} of {report.total} "
         f"(proportionality tolerance {report.proportionality_tol!r}, "
         f"{report.skipped_on_binding} skipped on the binding)",
-    ]
-    if report.qualifying:
-        lines.append(f"min Re lambda = {report.min_re_lambda!r}")
-        lines.append(f"max |arg lambda| = {report.max_abs_arg_lambda!r}")
-        lines.append(f"all qualifying lambda in the right half plane: "
-                     f"{report.all_positive}")
-    else:
-        lines.append(report.note)
-    return result, lines
+    ] + ([
+        f"min Re lambda = {report.min_re_lambda!r}",
+        f"max |arg lambda| = {report.max_abs_arg_lambda!r}",
+        f"all qualifying lambda in the right half plane: {report.all_positive}",
+    ] if report.qualifying else [report.note])
 
 
 def _vacuous_or(vacuous: bool, value) -> str:
@@ -377,7 +379,7 @@ def _contact_criterion(args, variety, f):
     )
     result = report.to_dict()
     result["pass"] = not failed
-    lines = [
+    return result, lambda: [
         f"mesh {report.mesh} at epsilon {report.epsilon!r}, eta {report.eta!r}",
         "min ||d theta|level|| on {|f|^2 >= eta}: "
         + _vacuous_or(report.first_vacuous, report.min_dtheta_norm)
@@ -387,11 +389,10 @@ def _contact_criterion(args, variety, f):
         + f" ({report.inside_count} points)",
         f"open-book transversality certified on the mesh: {not failed}",
     ]
-    return result, lines
 
 
 # Subcheck -> (handler, whether it needs --f).  A handler returns its result,
-# whose "pass" flag sets the exit code, and its text lines.
+# whose "pass" flag sets the exit code, and its text lines as a thunk.
 _CONTACT_SUBCHECKS = {
     "spsh": (_contact_spsh, False),
     "reeb": (_contact_reeb, False),
@@ -440,6 +441,7 @@ _HANDLERS = {
 
 
 def _emit(command, config, result, lines, fmt, stream):
+    """Write the report; only the text format calls ``lines`` to build its lines."""
     if fmt == "structured":
         document = {
             "version": __version__,
@@ -455,7 +457,7 @@ def _emit(command, config, result, lines, fmt, stream):
         )
         stream.write(header + "\n")
         stream.write(f"config: {rendered_config}\n")
-        for line in lines:
+        for line in lines():
             stream.write(line + "\n")
 
 

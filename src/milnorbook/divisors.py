@@ -13,7 +13,7 @@ arithmetic; no floating point.
 
 from __future__ import annotations
 
-import math
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -33,6 +33,7 @@ from .errors import (
 from .graphs import (
     Divisor,
     PlumbingGraph,
+    _eliminate,
     _form_product,
     is_milnor_fillable,
     solve_exact,
@@ -95,43 +96,51 @@ def constraint_vector(g: PlumbingGraph) -> tuple[int, ...]:
 def minimal_divisor(g: PlumbingGraph) -> Divisor:
     """Componentwise-least effective D != 0 with D . E_i <= c_i for all i.
 
-    One exact elimination decides definiteness and solves I x* = c.  The
-    negative of I is inverse-positive (a definite matrix with non-negative
-    off-diagonal entries), so every feasible divisor m, having I m <= c,
-    dominates x*; it also has m_i >= 1: for r >= 2 each c_i <= -1 while
-    m_i = 0 would give D . E_i >= 0, and for r = 1 effectivity plus D != 0
-    forces m >= 1.  The descent therefore starts at max(1, ceil(x*_i)) and
-    repairs: while some vertex violates its constraint, it raises that
-    vertex's multiplicity by one (Laufer's computation sequence).  Each
-    increment is forced (any feasible divisor dominating the current one
-    must exceed it at the violated vertex, because off-diagonal
-    intersection numbers are >= 0), so the iterate stays a lower bound of
-    the feasible set and the first feasible iterate is the least element,
-    whichever violated vertex is raised; this one raises the lowest index.
-    ``REPAIR_CAP`` bounds the number of repair steps.
+    One exact elimination decides definiteness and solves I x* = c as
+    x* = y / det, y integer.  The negative of I is inverse-positive (a
+    definite matrix with non-negative off-diagonal entries), so every
+    feasible divisor m, having I m <= c, dominates x*; it also has m_i >= 1:
+    for r >= 2 each c_i <= -1 while m_i = 0 would give D . E_i >= 0, and for
+    r = 1 effectivity plus D != 0 forces m >= 1.  The descent therefore
+    starts at max(1, ceil(x*_i)) = max(1, -(-y_i // det)) and repairs:
+    while some vertex violates its constraint, it raises that vertex's
+    multiplicity by one (Laufer's computation sequence).  Each increment is
+    forced (any feasible divisor dominating the current one must exceed it
+    at the violated vertex, because off-diagonal intersection numbers are
+    >= 0), so the iterate stays a lower bound of the feasible set and the
+    first feasible iterate is the least element, whichever violated vertex
+    is raised; this one raises the lowest index.
+    A raise lowers only the raised vertex's product and raises only its
+    neighbours', so a vertex stays violated until it is raised: a heap fed
+    by the raised vertex and its neighbours holds the violated vertices, and
+    no repair scans all r of them.  ``REPAIR_CAP`` bounds the repair steps.
     """
     c = constraint_vector(g)
-    lower = solve_exact(g, c, require_negative_definite=True)
-    if lower is None:
+    solved = _eliminate(g.adjacency, g.euler, c)
+    if solved is None:
         raise NotNegativeDefinite("descent requires a negative definite graph")
-    r = g.vertex_count
-    m = [max(1, math.ceil(x)) for x in lower]
+    numerators, det = solved
+    m = [max(1, -(-y // det)) for y in numerators]
     products = _form_product(g, m)
+    violated = [i for i, (p, k) in enumerate(zip(products, c)) if p > k]
     repairs = 0
-    while True:
-        i = next((i for i in range(r) if products[i] > c[i]), None)
-        if i is None:
-            return Divisor(tuple(m))
+    while violated:  # ascending, so already a heap
         if repairs == REPAIR_CAP:
             raise IterationCapExceeded(
                 f"descent needed more than {REPAIR_CAP} repair steps above the "
                 "rational lower bound"
             )
+        i = violated[0]
         m[i] += 1
         repairs += 1
         products[i] += g.euler[i]
+        if products[i] <= c[i]:
+            heapq.heappop(violated)
         for j, k in g.adjacency[i].items():
             products[j] += k
+            if c[j] < products[j] <= c[j] + k:  # violated by this raise
+                heapq.heappush(violated, j)
+    return Divisor(tuple(m))
 
 
 # Boxes with more prefixes than this would take too long to search.  It

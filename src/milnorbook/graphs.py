@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -86,15 +86,15 @@ class PlumbingGraph:
                 raise LoopEdge(a)
             if not (0 <= a < r and 0 <= b < r):
                 raise NonContiguousIds(f"edge [{a}, {b}] references an unknown vertex")
-            normalized.append((min(a, b), max(a, b)))
+            normalized.append((a, b) if a < b else (b, a))
         edges = tuple(sorted(normalized))
         object.__setattr__(self, "edges", edges)
         if r == 0:
             raise InputError("a plumbing graph needs at least one vertex")
         adjacency: list[dict[int, int]] = [{} for _ in range(r)]
         for a, b in edges:
-            adjacency[a][b] = adjacency[a].get(b, 0) + 1
-            adjacency[b][a] = adjacency[a][b]
+            k = adjacency[a].get(b, 0) + 1
+            adjacency[a][b] = adjacency[b][a] = k
         object.__setattr__(self, "adjacency", tuple(adjacency))
         self._check_connected()
 
@@ -204,39 +204,39 @@ def validate_graph(vertices: Iterable, edges: Iterable) -> PlumbingGraph:
     weight and edge end must be an ``int`` (not a ``bool``); anything else
     raises :class:`InputError`.
     """
-    triples = []
-    for entry in _items(vertices, "vertices"):
+    entries = _items(vertices, "vertices")
+    r = len(entries)
+    genus = [None] * r  # None until some vertex claims the id
+    euler = [0] * r
+    ids = []
+    for entry in entries:
         if isinstance(entry, Mapping):
             try:
-                fields = (entry["id"], entry["genus"], entry["euler"])
+                vid, g, e = entry["id"], entry["genus"], entry["euler"]
             except KeyError as missing:
                 raise InputError(f"vertex record lacks key {missing}") from None
         else:
             fields = _items(entry, "vertex entry")
             if len(fields) != 3:
                 raise InputError(f"vertex entry {entry!r} is not [id, genus, euler]")
-        triples.append(
-            tuple(
-                _integer(value, f"vertex {name}")
-                for value, name in zip(fields, ("id", "genus", "euler"))
-            )
-        )
-    ids = sorted(t[0] for t in triples)
-    r = len(triples)
-    if ids != list(range(r)):
+            vid, g, e = fields
+        vid = _integer(vid, "vertex id")
+        g = _integer(g, "vertex genus")
+        e = _integer(e, "vertex euler")
+        ids.append(vid)
+        if 0 <= vid < r and genus[vid] is None:
+            genus[vid] = g
+            euler[vid] = e
+    if None in genus:  # an id is repeated or out of range
+        ids.sort()
         # ids is sorted, so the first adjacent equal pair is the least duplicate.
         dupe = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
         if dupe is not None:
             raise NonContiguousIds(f"duplicate id {dupe}")
         raise NonContiguousIds(f"got ids {ids}")
-    genus = [0] * r
-    euler = [0] * r
-    for vid, g, e in triples:
-        genus[vid] = g
-        euler[vid] = e
     pairs = []
     for edge in _items(edges, "edges"):
-        seq = _items(edge, "edge")
+        seq = edge if type(edge) is list else _items(edge, "edge")
         if len(seq) != 2:
             raise InputError(f"edge {seq} is not a pair")
         pairs.append((_integer(seq[0], "edge end"), _integer(seq[1], "edge end")))
@@ -268,18 +268,13 @@ def _form_product(g: PlumbingGraph, m: Sequence[int]) -> list[int]:
     ]
 
 
-def _form_rows(euler, adjacency) -> list[dict[int, int]]:
-    """Sparse rows ``{column: entry}`` of the form with diagonal ``euler``
-    and off-diagonal entries ``adjacency``, a validated graph's."""
-    return [{i: e, **near} for i, (e, near) in enumerate(zip(euler, adjacency))]
-
-
-def _as_rows(m) -> list[dict[int, int]]:
-    """Sparse rows ``{column: entry}`` of a form, diagonal included: a
-    validated graph's read off its adjacency, raw rows checked to be
-    integer, square and symmetric."""
+def _as_rows(m) -> tuple:
+    """``(rows, diagonal)`` of a form: sparse off-diagonal rows
+    ``{column: entry}`` and the diagonal as a list, a validated graph's read
+    off its adjacency, raw rows checked to be integer, square and
+    symmetric."""
     if isinstance(m, PlumbingGraph):
-        return _form_rows(m.euler, m.adjacency)
+        return m.adjacency, m.euler
     rows = [[_integer(x, "matrix entry") for x in row] for row in m]
     r = len(rows)
     for row in rows:
@@ -289,71 +284,85 @@ def _as_rows(m) -> list[dict[int, int]]:
         for j in range(i + 1, r):
             if rows[i][j] != rows[j][i]:
                 raise InputError("matrix must be symmetric")
-    return [
-        {j: x for j, x in enumerate(row) if x or i == j} for i, row in enumerate(rows)
-    ]
+    return (
+        [{j: x for j, x in enumerate(row) if x and j != i} for i, row in enumerate(rows)],
+        [row[i] for i, row in enumerate(rows)],
+    )
 
 
-def _eliminate(rows, rhs):
-    """Fraction-free (Bareiss) symmetric elimination of sparse rows, each
-    holding its diagonal, which it consumes: ``(numerators, det)`` of the
-    solution of ``rows . x = rhs`` (numerators None without ``rhs``), or
-    None at the first pivot that refutes negative definiteness.
+def _eliminate(rows, diagonal, rhs):
+    """Fraction-free (Bareiss) symmetric elimination of the form with
+    off-diagonal rows ``rows`` (``{column: entry}``) and diagonal
+    ``diagonal``, neither of which it modifies: ``(numerators, det)`` of
+    the solution of ``form . x = rhs`` (numerators None without ``rhs``),
+    or None at the first pivot that refutes negative definiteness.
 
-    Each pivot is a remaining vertex with the fewest entries, so a tree's
-    leaves go first and nothing fills in (Parter, SIAM Review 3, 1961); its
-    pivot ratios are then Neumann's plumbing continued fractions.  Pivot
-    p_s is the leading minor of order s + 1 in pivot order, so by
-    Sylvester's law of inertia the form is negative definite iff every p_s
-    is nonzero with sign (-1)^(s+1).  A step that does not meet an entry
-    only rescales it by p_s / p_{s-1}; these factors telescope, so each
-    entry keeps the step it was last updated at (absent: 0) and is brought
-    up to date by one exact division when next read.  ``rhs`` borders the
-    form as a column r that is never pivoted; every ``x_i * det`` is an
-    integer (Cramer), so back substitution divides exactly.
+    Each pivot is a remaining vertex with the fewest off-diagonal entries,
+    so a tree's leaves go first and nothing fills in (Parter, SIAM Review
+    3, 1961); its pivot ratios are then Neumann's plumbing continued
+    fractions.  Pivot p_s is the leading minor of order s + 1 in pivot
+    order, so by Sylvester's law of inertia the form is negative definite
+    iff every p_s is nonzero with sign (-1)^(s+1).  A step that does not
+    meet an entry only rescales it by p_s / p_{s-1}; these factors
+    telescope, so each entry keeps the step it was last updated at and is
+    brought up to date by one exact division when next read.  The working
+    rows are ``dict`` copies of ``rows`` with one stamp dict each (absent:
+    0).  The diagonal and the right-hand side, which is never pivoted, are
+    plain integer lists; a step updates both at the same vertices, so they
+    share one stamp list.  Every ``x_i * det`` is an integer (Cramer), so
+    back substitution divides exactly.
     """
-    r = len(rows)
-    if rhs is not None:
-        rows.append({i: x for i, x in enumerate(rhs) if x})
-        for i, x in rows[r].items():
-            rows[i][r] = x
+    r = len(diagonal)
+    rows = [dict(row) for row in rows]
+    diagonal = list(diagonal)
+    b = None if rhs is None else list(rhs)
     stamp: list[dict[int, int]] = [{} for _ in rows]
-    heap = [(len(rows[i]), i) for i in range(r)]
+    at = [0] * r  # the step each diagonal and rhs entry was last updated at
+    heap = [(len(row), i) for i, row in enumerate(rows)]
     heapq.heapify(heap)
     pivots = [1]  # pivots[s] = p_{s-1}, with p_{-1} = 1
-    factor = []  # (pivot, p, [(neighbour, entry)]) per step
+    factor = []  # (pivot, p, [(neighbour, entry)], rhs entry) per step
     for s in range(r):
         degree, k = heapq.heappop(heap)
-        while degree != len(rows[k]):  # stale, or eliminated (emptied)
+        while rows[k] is None or degree != len(rows[k]):  # eliminated, or stale
             degree, k = heapq.heappop(heap)
-        row, rows[k], steps = rows[k], {}, stamp[k]
+        row, rows[k], steps = rows[k], None, stamp[k]
         down = pivots[s]
-        p, t = row.pop(k), steps.get(k, 0)
+        p, t = diagonal[k], at[k]
         p = p if t == s else p * down // pivots[t]
         if p == 0 or (p < 0) != (s % 2 == 0):
             return None
         pivots.append(p)
         near = []
+        if b is not None:
+            bk = b[k] if t == s else b[k] * down // pivots[t]
+            factor.append((k, p, near, bk))
         for j, x in row.items():
             del rows[j][k]
             t = steps.get(j, 0)
             near.append((j, x if t == s else x * down // pivots[t]))
-        factor.append((k, p, near))
         for n, (i, x) in enumerate(near):
+            z, t = diagonal[i], at[i]
+            z = z if t == s else z * down // pivots[t]
+            diagonal[i] = (z * p - x * x) // down
+            if b is not None:
+                z = b[i] if t == s else b[i] * down // pivots[t]
+                b[i] = (z * p - x * bk) // down
+            at[i] = s + 1
             entries, steps = rows[i], stamp[i]
-            for j, y in near[n:]:  # no later pair adds to rows[i]
+            for j, y in near[n + 1:]:  # no later pair adds to rows[i]
                 z, t = entries.get(j, 0), steps.get(j, 0)
                 z = z if t == s else z * down // pivots[t]
                 entries[j] = rows[j][i] = (z * p - x * y) // down
                 steps[j] = stamp[j][i] = s + 1
-            if i < r:
-                heapq.heappush(heap, (len(entries), i))
-    if rhs is None:
-        return None, pivots[r]
-    y = [0] * r + [-pivots[r]]
-    for k, p, near in reversed(factor):
-        y[k] = -sum(x * y[j] for j, x in near) // p
-    return y[:r], pivots[r]
+            heapq.heappush(heap, (len(entries), i))
+    det = pivots[r]
+    if b is None:
+        return None, det
+    y = [0] * r
+    for k, p, near, bk in reversed(factor):
+        y[k] = (det * bk - sum(x * y[j] for j, x in near)) // p
+    return y, det
 
 
 def is_negative_definite(m) -> bool:
@@ -366,7 +375,7 @@ def is_negative_definite(m) -> bool:
     floats, strings and bools raise :class:`InputError`, as do rows that
     are not square and symmetric.
     """
-    return _eliminate(_as_rows(m), None) is not None
+    return _eliminate(*_as_rows(m), None) is not None
 
 
 def solve_exact(
@@ -383,20 +392,23 @@ def solve_exact(
     ``m`` is nonsingular, and a singular ``m`` raises :class:`InputError`,
     as does any entry of ``m`` or ``rhs`` that is not an ``int``.
     """
-    rows = _as_rows(m)
+    rows, diagonal = _as_rows(m)
     rhs = [_integer(b, "right-hand side entry") for b in rhs]
-    if len(rhs) != len(rows):
+    if len(rhs) != len(diagonal):
         raise DimensionMismatch(
-            f"right-hand side of length {len(rhs)} against {len(rows)} rows"
+            f"right-hand side of length {len(rhs)} against {len(diagonal)} rows"
         )
     if not require_negative_definite:
-        square = [{} for _ in rows]
-        for entries, row in zip(square, rows):
+        full = [{i: d, **row} for i, (d, row) in enumerate(zip(diagonal, rows))]
+        square = [{} for _ in full]
+        for entries, row in zip(square, full):
             for k, x in row.items():
-                for j, y in rows[k].items():
+                for j, y in full[k].items():
                     entries[j] = entries.get(j, 0) - x * y
-        rows, rhs = square, [-sum(x * rhs[j] for j, x in row.items()) for row in rows]
-    solved = _eliminate(rows, rhs)
+        rhs = [-sum(x * rhs[j] for j, x in row.items()) for row in full]
+        diagonal = [entries.pop(i) for i, entries in enumerate(square)]
+        rows = square
+    solved = _eliminate(rows, diagonal, rhs)
     if solved is None:
         if require_negative_definite:
             return None

@@ -17,8 +17,9 @@ never applied.
 
 Definiteness depends on edges and Euler weights only, so :func:`iter_suite`
 decides it once per (edges, euler) pair, before genus is expanded, by
-eliminating the pair's form directly (``graphs._eliminate``) on rows read
-off the adjacency of one validated template graph per edge configuration.
+eliminating the pair's form directly (``graphs._eliminate``) on the
+adjacency of one validated template graph per edge configuration, with
+the Euler vector as its diagonal.
 It is monotone in the Euler weights: if ``diag(e) + K`` is not negative
 definite and ``e' >= e`` componentwise, then ``diag(e') + K`` adds a
 positive semidefinite matrix to it and is not negative definite either.
@@ -37,7 +38,7 @@ from itertools import combinations, permutations, product
 from operator import ge, itemgetter
 from typing import Iterator, Sequence
 
-from .graphs import PlumbingGraph, _eliminate, _form_rows
+from .graphs import PlumbingGraph, _eliminate
 
 __all__ = ["SuiteSpec", "iter_suite", "labeled_connected_count"]
 
@@ -154,7 +155,7 @@ def iter_suite(
                 if negative_definite_only:
                     if refuted and all(map(ge, euler, refuted)):
                         continue
-                    if _eliminate(_form_rows(euler, template.adjacency), None) is None:
+                    if _eliminate(template.adjacency, euler, None) is None:
                         refuted = euler
                         continue
                 for genus in product(spec.genus_values, repeat=r):

@@ -28,7 +28,13 @@ The suite enumeration's reference is the package's former enumeration,
 kept verbatim: it permutes weight and multiplicity vectors one entry at a
 time and probes definiteness on a validated graph per (edges, euler)
 pair; the package's enumeration must yield the same sequence.  The
-automorphism group is listed with the package's own backtracking search,
+former graph validator is kept verbatim too, and the package's one-pass
+validator must build the same graph or raise the same exception with the
+same message (:func:`reference_validate_graph`).  The sparse elimination is
+checked against dense LDL^T over Fractions (:func:`fraction_ldlt`), and
+the heap-fed descent against the former scan-based one, which reuses the
+package's rational solve for its warm start (:func:`scan_minimal_divisor`).
+The automorphism group is listed with the package's own backtracking search,
 which the package itself only ever asks for one solution at a time.  And :func:`eval_forms` reads the package's point record at one
 sample, named for the hand checks; :func:`gradient_identity_residuals`
 tests that record's hermitian form against finite differences of the
@@ -42,6 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
+import typing
 from math import ceil
 from typing import Iterator, Sequence
 
@@ -57,6 +64,7 @@ from milnorbook import (
     intersection_matrix,
     is_negative_definite,
     iter_suite,
+    solve_exact,
 )
 from milnorbook import varieties
 from milnorbook.contact import (
@@ -69,7 +77,7 @@ from milnorbook.contact import (
     _real_omega,
     _stencil,
 )
-from milnorbook.errors import NumericalFinding, SingularMetric
+from milnorbook.errors import InputError, NonContiguousIds, NumericalFinding, SingularMetric
 from milnorbook.graphs import _cell_members, _isomorphisms, _search_order
 from milnorbook.polynomials import PolynomialBlock
 from milnorbook.suites import _connected
@@ -245,6 +253,128 @@ def rational_least_point(g: PlumbingGraph) -> tuple[Fraction, ...] | None:
 
 def rational_ceiling(values) -> tuple[int, ...]:
     return tuple(int(ceil(v)) for v in values)
+
+
+# Validation, elimination and descent references ------------------------------
+
+def _reference_integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _reference_items(value, what: str) -> list:
+    if isinstance(value, (str, bytes, typing.Mapping)):
+        raise InputError(f"{what} must be a list, got {value!r}")
+    try:
+        return list(value)
+    except TypeError:
+        raise InputError(f"{what} must be a list, got {value!r}") from None
+
+
+def reference_validate_graph(vertices, edges) -> PlumbingGraph:
+    """The package's validator as it stood before its one-pass rewrite, kept
+    verbatim with its helpers: every vertex becomes a checked triple through
+    a generator, the ids are sorted and compared with 0..r-1, and every edge
+    is copied into a list before it is checked.  The rewrite must build the
+    same graph, or raise the same exception class with the same message."""
+    triples = []
+    for entry in _reference_items(vertices, "vertices"):
+        if isinstance(entry, typing.Mapping):
+            try:
+                fields = (entry["id"], entry["genus"], entry["euler"])
+            except KeyError as missing:
+                raise InputError(f"vertex record lacks key {missing}") from None
+        else:
+            fields = _reference_items(entry, "vertex entry")
+            if len(fields) != 3:
+                raise InputError(f"vertex entry {entry!r} is not [id, genus, euler]")
+        triples.append(
+            tuple(
+                _reference_integer(value, f"vertex {name}")
+                for value, name in zip(fields, ("id", "genus", "euler"))
+            )
+        )
+    ids = sorted(t[0] for t in triples)
+    r = len(triples)
+    if ids != list(range(r)):
+        dupe = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
+        if dupe is not None:
+            raise NonContiguousIds(f"duplicate id {dupe}")
+        raise NonContiguousIds(f"got ids {ids}")
+    genus = [0] * r
+    euler = [0] * r
+    for vid, g, e in triples:
+        genus[vid] = g
+        euler[vid] = e
+    pairs = []
+    for edge in _reference_items(edges, "edges"):
+        seq = _reference_items(edge, "edge")
+        if len(seq) != 2:
+            raise InputError(f"edge {seq} is not a pair")
+        pairs.append(
+            (_reference_integer(seq[0], "edge end"), _reference_integer(seq[1], "edge end"))
+        )
+    return PlumbingGraph(tuple(genus), tuple(euler), tuple(pairs))
+
+
+def fraction_ldlt(rows, rhs=None):
+    """``(negative_definite, det, solution)`` of a symmetric integer form by
+    dense LDL^T over Fractions, in index order, without pivoting.
+
+    The form is negative definite iff every D_k < 0, since D_k is the ratio
+    of consecutive leading minors; the elimination stops at the first D_k
+    that is not, and returns ``(False, None, None)``.  Otherwise det is the
+    product of the D_k, and the solution of ``rows . x = rhs`` (None without
+    ``rhs``) comes from the two triangular solves.  Only the nonzero entries
+    of a pivot row are read, so a form whose index order eliminates leaves
+    first costs O(r^2).
+    """
+    r = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    factors = []  # (k, D_k, [(i, L_ik)]) per step
+    det = Fraction(1)
+    for k in range(r):
+        d = a[k][k]
+        if d >= 0:
+            return False, None, None
+        det *= d
+        below = [(i, a[k][i]) for i in range(k + 1, r) if a[k][i]]
+        for i, x in below:
+            for j, y in below:
+                a[i][j] -= x * y / d
+        factors.append((k, d, [(i, x / d) for i, x in below]))
+    if rhs is None:
+        return True, det, None
+    z = [Fraction(b) for b in rhs]
+    for k, _, column in factors:  # L z = rhs
+        for i, ell in column:
+            z[i] -= ell * z[k]
+    x = [zk / d for zk, (_, d, _) in zip(z, factors)]
+    for k, _, column in reversed(factors):  # L^T x = D^-1 z
+        x[k] -= sum(ell * x[i] for i, ell in column)
+    return True, det, tuple(x)
+
+
+def scan_minimal_divisor(g: PlumbingGraph) -> tuple[tuple[int, ...], int]:
+    """The descent as it stood before its heap, with its repair count: the
+    warm start is the ceiling of the package's rational solution of
+    I x = c, and each repair scans all r vertices for the lowest-index
+    violated one, over the dense rows of the form."""
+    c = constraint_vector(g)
+    lower = solve_exact(g, c, require_negative_definite=True)
+    assert lower is not None, "the descent needs a negative definite graph"
+    rows = intersection_matrix(g)
+    m = [max(1, math.ceil(x)) for x in lower]
+    products = list(dense_form_product(g, m))
+    repairs = 0
+    while True:
+        i = next((i for i in range(g.vertex_count) if products[i] > c[i]), None)
+        if i is None:
+            return tuple(m), repairs
+        m[i] += 1
+        repairs += 1
+        products = [p + x for p, x in zip(products, rows[i])]
 
 
 # Suite enumeration reference --------------------------------------------------

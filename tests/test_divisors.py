@@ -1,12 +1,13 @@
 """Minimal divisors: descent, exhaustive oracle, certificates, inverses."""
 
+import random
 import tracemalloc
 from itertools import combinations
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import milnorbook.divisors as divisors
 from milnorbook import (
@@ -17,6 +18,7 @@ from milnorbook import (
     constraint_vector,
     divisor_from_multiplicities,
     e8_graph,
+    is_milnor_fillable,
     minimal_divisor,
     oracle_minimal_divisor,
     star_graph,
@@ -41,6 +43,7 @@ from oracles import (
     nd_suite,
     rational_ceiling,
     rational_least_point,
+    scan_minimal_divisor,
 )
 
 
@@ -249,6 +252,85 @@ class TestDescent:
         # zero solution is excluded by the nonzero requirement on divisors.
         if all(v.denominator == 1 for v in exact) and any(exact):
             assert d == floor
+
+
+def mixed_chain(rng: random.Random, n: int) -> PlumbingGraph:
+    """The benchmark's mixed chain: -2 runs of fixed lengths, each closed by
+    a -3, in seeded order, cut to n vertices."""
+    runs = [1, 2, 2, 3, 3, 4, 5, 6] * (n // 30 + 1)
+    rng.shuffle(runs)
+    eulers = []
+    for length in runs:
+        eulers += [-2] * length + [-3]
+    return chain_graph(eulers[:n])
+
+
+@st.composite
+def definite_trees(draw, max_vertices=12):
+    r = draw(st.integers(1, max_vertices))
+    edges = tuple((draw(st.integers(0, i - 1)), i) for i in range(1, r))
+    g = PlumbingGraph(
+        tuple(draw(st.lists(st.integers(0, 1), min_size=r, max_size=r))),
+        tuple(draw(st.lists(st.integers(-4, -1), min_size=r, max_size=r))),
+        edges,
+    )
+    assume(is_milnor_fillable(g))
+    return g
+
+
+@st.composite
+def definite_stars(draw):
+    """A centre with legs of one to three vertices each."""
+    genus, euler, edges = [draw(st.integers(0, 1))], [draw(st.integers(-9, -1))], []
+    for leg in draw(st.lists(st.lists(st.integers(-4, -2), min_size=1, max_size=3),
+                             min_size=1, max_size=8)):
+        previous = 0
+        for e in leg:
+            genus.append(0)
+            euler.append(e)
+            edges.append((previous, len(euler) - 1))
+            previous = len(euler) - 1
+    g = PlumbingGraph(tuple(genus), tuple(euler), tuple(edges))
+    assume(is_milnor_fillable(g))
+    return g
+
+
+class TestDescentReference:
+    """The heap-fed descent against the former scan-based one: the same
+    divisor after the same number of repairs, read off ``REPAIR_CAP``."""
+
+    @staticmethod
+    def check(g, repairs=None):
+        divisor, needed = scan_minimal_divisor(g)
+        if repairs is not None:
+            assert needed == repairs
+        with patch.object(divisors, "REPAIR_CAP", needed):
+            assert minimal_divisor(g).multiplicities == divisor
+        if needed:
+            with patch.object(divisors, "REPAIR_CAP", needed - 1):
+                with pytest.raises(IterationCapExceeded):
+                    minimal_divisor(g)
+
+    @given(definite_trees())
+    @settings(max_examples=150)
+    def test_random_definite_trees(self, g):
+        self.check(g)
+
+    @given(definite_stars())
+    @settings(max_examples=100)
+    def test_stars(self, g):
+        self.check(g)
+
+    def test_fixed_graphs(self):
+        for g in (FOUR_REPAIRS, SIX_VERTEX_TREE, D4, e8_graph()):
+            self.check(g)
+
+    def test_the_benchmark_mixed_chains(self):
+        """The two mixed chains of the large-graph benchmark workload at seed
+        53 take 51 and 84 repairs above the rational bound."""
+        rng = random.Random("plumbing-large:53")
+        for n, repairs in ((100, 51), (150, 84)):
+            self.check(mixed_chain(rng, n), repairs)
 
 
 # Exhaustive oracle -----------------------------------------------------------

@@ -1,12 +1,16 @@
 """Plumbing graphs: validation, exact definiteness, automorphisms, I/O."""
 
 import json
+import re
 import time
 import tracemalloc
+from collections import OrderedDict
+from fractions import Fraction
+from types import MappingProxyType
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from milnorbook import (
     Divisor,
@@ -41,10 +45,12 @@ from milnorbook.graphs import _form_product
 from oracles import (
     automorphism_group,
     dense_form_product,
+    fraction_ldlt,
     full_suite,
     principal_minor_signs_definite,
     rational_least_point,
     rational_solution,
+    reference_validate_graph,
 )
 
 
@@ -93,6 +99,105 @@ def symmetric_systems(draw, max_size=6):
             )
     rhs = draw(st.lists(st.integers(-5, 5), min_size=r, max_size=r))
     return rows, rhs
+
+
+# A value that is not an integer, or is a bool: validation must reject it.
+ODD_VALUES = (True, False, -2.0, -1.7, "0", "-2", None)
+# True once in 25 or in 6 draws, and False as the simplest example.
+RARELY = st.sampled_from([False] * 24 + [True])
+SOMETIMES = st.sampled_from([False] * 5 + [True])
+
+
+def _build(kind, payload):
+    """A fresh object from a recipe, so that generators can be read twice."""
+    if kind == "dict":
+        return dict(payload)
+    if kind == "ordered":
+        return OrderedDict(payload)
+    if kind == "proxy":
+        return MappingProxyType(dict(payload))
+    if kind == "list":
+        return list(payload)
+    if kind == "tuple":
+        return tuple(payload)
+    if kind == "generator":
+        return (x for x in payload)
+    return payload  # a bare value in place of a list
+
+
+def build_document(recipe):
+    """``(vertices, edges)`` from a recipe of :func:`graph_document_recipes`."""
+    return tuple(
+        _build(kind, [_build(*item) for item in items] if kind != "bare" else items)
+        for kind, items in recipe
+    )
+
+
+@st.composite
+def graph_document_recipes(draw):
+    """Recipes of JSON-like graph documents, mostly well formed.
+
+    Records are dicts, ordered dicts, mapping proxies, lists, tuples or
+    generators; now and then a record is a bare value, a list of two or
+    four fields or a mapping without a key, a field is a bool, a float, a
+    numeric string or None, an id is repeated or out of range, a genus is
+    negative, an edge is a loop, has an unknown end, is not a pair or not a
+    list, a tree edge is dropped (a disconnected graph), or a whole list is
+    a string, an integer or a mapping.
+    """
+    def rare():
+        return draw(RARELY)
+
+    r = draw(st.integers(0, 6))
+    ids = list(draw(st.permutations(range(r))))
+    if r and draw(SOMETIMES):
+        ids[draw(st.integers(0, r - 1))] = draw(st.sampled_from([ids[-1], r, r + 2, -1]))
+
+    def field(value):
+        return draw(st.sampled_from(ODD_VALUES)) if rare() else value
+
+    def sequence(items, extra, kinds=("list", "list", "tuple", "generator")):
+        """A list-like recipe of ``items``; now and then one item short, one
+        item ``extra`` long, or a bare value in its place."""
+        if not rare():
+            return draw(st.sampled_from(kinds)), items
+        return draw(st.sampled_from([
+            ("list", items[:-1]),
+            ("list", items + [extra]),
+            ("bare", "abc"), ("bare", 5), ("bare", None), ("bare", {"a": 1}),
+        ]))
+
+    vertices = []
+    for vid in ids:
+        genus = -1 if rare() else draw(st.integers(0, 2))
+        values = [field(vid), field(genus), field(draw(st.integers(-4, 1)))]
+        kind = draw(st.sampled_from(("dict", "ordered", "proxy", "list", "tuple", "generator")))
+        if kind in ("dict", "ordered", "proxy"):
+            pairs = list(zip(("id", "genus", "euler"), values))
+            if rare():
+                del pairs[draw(st.integers(0, 2))]
+            vertices.append((kind, draw(st.permutations(pairs))))
+        else:
+            vertices.append(sequence(values, 0, (kind,)))
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, r)]
+    if pairs and draw(SOMETIMES):
+        del pairs[draw(st.integers(0, len(pairs) - 1))]
+    if r and draw(SOMETIMES):
+        pairs.append(draw(st.sampled_from([(0, 0), (r - 1, r - 1), (0, r), (-1, 0)])))
+    ends = st.integers(0, max(r - 1, 0))
+    pairs += draw(st.lists(st.tuples(ends, ends).filter(lambda p: p[0] != p[1]), max_size=2))
+    edges = [sequence([field(a), field(b)], 0) for a, b in draw(st.permutations(pairs))]
+    return sequence(vertices, ("bare", 0)), sequence(edges, ("bare", 0))
+
+
+def _outcome(validate, recipe):
+    """The graph ``validate`` builds, or its exception's class and message
+    (object addresses, which differ between two builds of one generator,
+    masked)."""
+    try:
+        return validate(*build_document(recipe))
+    except Exception as exc:
+        return type(exc), re.sub(r"0x[0-9a-f]+", "0x?", str(exc))
 
 
 # Construction and validation -------------------------------------------------
@@ -203,6 +308,33 @@ class TestValidation:
     ):
         with pytest.raises(InputError):
             validate_graph(vertices, edges)
+
+    @given(graph_document_recipes())
+    @settings(max_examples=400)
+    def test_validation_matches_the_reference_validator(self, recipe):
+        """No input is coerced that the former validator rejected, and every
+        rejection keeps its exception class and message."""
+        found = _outcome(validate_graph, recipe)
+        assert found == _outcome(reference_validate_graph, recipe)
+        if isinstance(found, PlumbingGraph):
+            assert found.adjacency == reference_validate_graph(
+                *build_document(recipe)).adjacency
+
+    def test_validation_reads_every_record_and_list_kind(self):
+        vertices = [
+            {"id": 0, "genus": 0, "euler": -2},
+            OrderedDict([("euler", -3), ("id", 1), ("genus", 1)]),
+            MappingProxyType({"id": 2, "genus": 0, "euler": -2}),
+            [3, 0, -4],
+            (4, 0, -2),
+            (x for x in (5, 0, -2)),
+        ]
+        edges = ([0, 1], (1, 2), (x for x in (3, 2)), [3, 4], [5, 4])
+        g = validate_graph((v for v in vertices), edges)
+        assert g == PlumbingGraph(
+            (0, 1, 0, 0, 0, 0), (-2, -3, -2, -4, -2, -2),
+            ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)),
+        )
 
     def test_divisor_rejects_negative_multiplicity(self):
         with pytest.raises(InputError):
@@ -396,6 +528,67 @@ class TestIntersectionForm:
         assert minimal_divisor(definite).multiplicities == (3,) + (2,) * 1600
         assert vertex_orbits(definite) == (0,) + (1,) * 1600
         assert not is_milnor_fillable(star_graph(-800, [-2] * 1600))
+
+
+class TestEliminationReference:
+    """The sparse elimination against dense LDL^T over Fractions: the same
+    verdict, the same determinant and the same solutions."""
+
+    @staticmethod
+    def check(form, rows, rhs):
+        """``form`` (a graph or raw rows) and its dense ``rows`` give one
+        answer; the elimination leaves its inputs as they were."""
+        definite, det, solution = fraction_ldlt(rows, rhs)
+        sparse, diagonal = graphs._as_rows(form)
+        before = ([dict(row) for row in sparse], list(diagonal), list(rhs))
+        solved = graphs._eliminate(sparse, diagonal, rhs)
+        assert ([dict(row) for row in sparse], list(diagonal), list(rhs)) == before
+        assert graphs._eliminate(sparse, diagonal, None) == (
+            (None, det) if definite else None
+        )
+        assert (solved is not None) is definite
+        if definite:
+            numerators, found = solved
+            assert found == det
+            assert tuple(Fraction(y, det) for y in numerators) == solution
+        assert solve_exact(form, rhs, require_negative_definite=True) == solution
+        expected = solution if definite else rational_solution(rows, rhs)
+        if expected is None:
+            with pytest.raises(InputError, match="^intersection form is degenerate$"):
+                solve_exact(form, rhs)
+        else:
+            assert solve_exact(form, rhs) == expected
+
+    @given(symmetric_systems(max_size=8))
+    @settings(max_examples=200)
+    def test_raw_rows(self, system):
+        rows, rhs = system
+        self.check(rows, rows, rhs)
+
+    @given(plumbing_graphs(max_vertices=8), st.data())
+    def test_graphs(self, g, data):
+        rhs = data.draw(st.lists(st.integers(-5, 5), min_size=g.vertex_count,
+                                 max_size=g.vertex_count))
+        self.check(g, intersection_matrix(g), rhs)
+
+    def test_a200_and_a_200_leg_star(self):
+        """Dense LDL^T in index order eliminates the chain from one end and
+        the star, relabeled with its centre last, leaves first, so neither
+        fills in; the package pivots the star's leaves first as it is."""
+        chain = chain_graph([-2] * 200)
+        c = [-(valency(chain, i) + 2 * chain.genus[i]) for i in range(200)]
+        self.check(chain, intersection_matrix(chain), c)
+        star = star_graph(-101, [-2] * 200)
+        images = [200] + list(range(200))
+        moved = star.relabel(images)
+        c = [-(valency(star, i) + 2 * star.genus[i]) for i in range(201)]
+        definite, det, x = fraction_ldlt(intersection_matrix(moved), c[1:] + c[:1])
+        assert definite and det == -(2**200)  # (-2)^200 (e + 100), e = -101
+        assert graphs._eliminate(star.adjacency, star.euler, None) == (None, det)
+        solution = tuple(x[images[i]] for i in range(201))
+        assert solve_exact(star, c, require_negative_definite=True) == solution
+        assert solve_exact(star, c) == solution
+        assert not is_negative_definite(star_graph(-100, [-2] * 200))
 
 
 # Vertex quantities -----------------------------------------------------------
