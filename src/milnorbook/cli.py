@@ -23,15 +23,9 @@ import math
 import re
 import sys
 
-from . import __version__
-from .contact import (
-    check_spsh,
-    find_adaptation_constant,
-    lambda_cone_check,
-    openbook_criterion_check,
-    reeb_contract_deviations,
-    rescaled_reeb_identity,
-)
+# The numerical modules are held as module objects and read at call time:
+# binding their names here would load them, and NumPy, for every command.
+from . import __version__, contact, polynomials, varieties
 from .divisors import check_theorem_conditions, minimal_divisor, oracle_minimal_divisor
 from .errors import (
     InputError,
@@ -41,8 +35,6 @@ from .errors import (
 )
 from .graphs import graph_to_dict, is_milnor_fillable, load_graph
 from .openbooks import ubiquitous_open_book
-from .polynomials import parse_map, parse_polynomial
-from .varieties import Hypersurface, SmoothChart, sample_points
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -181,12 +173,12 @@ def _build_variety(args):
         raise InputError("choose either --hypersurface or --ambient/--map, not both")
     if args.hypersurface is not None:
         n = _infer_n_vars(args.hypersurface)
-        surface = Hypersurface(parse_polynomial(args.hypersurface, n))
-        return surface, n
+        defining = polynomials.parse_polynomial(args.hypersurface, n)
+        return varieties.Hypersurface(defining), n
     dim = args.ambient if args.ambient is not None else 2
     if args.map is not None:
-        return SmoothChart(dim, parse_map(args.map, dim)), dim
-    return SmoothChart.identity(dim), dim
+        return varieties.SmoothChart(dim, polynomials.parse_map(args.map, dim)), dim
+    return varieties.SmoothChart.identity(dim), dim
 
 
 def _cmd_check(args):
@@ -265,8 +257,8 @@ def _cmd_openbook(args):
 
 
 def _contact_spsh(args, variety, f):
-    samples = sample_points(variety, args.epsilon, args.samples, args.seed)
-    minimum = check_spsh(variety, samples, trials=SPSH_TRIALS, seed=args.seed)
+    samples = varieties.sample_points(variety, args.epsilon, args.samples, args.seed)
+    minimum = contact.check_spsh(variety, samples, trials=SPSH_TRIALS, seed=args.seed)
     passed = minimum > 0.0
     result = {
         "min_levi_quotient": minimum,
@@ -282,11 +274,13 @@ def _contact_spsh(args, variety, f):
 
 
 def _contact_reeb(args, variety, f):
-    samples = sample_points(variety, args.epsilon, args.samples, args.seed)
+    samples = varieties.sample_points(variety, args.epsilon, args.samples, args.seed)
     alpha_tol = (
-        ALPHA_TOL_HYPERSURFACE if isinstance(variety, Hypersurface) else ALPHA_TOL_CHART
+        ALPHA_TOL_HYPERSURFACE
+        if isinstance(variety, varieties.Hypersurface)
+        else ALPHA_TOL_CHART
     )
-    max_alpha, max_omega = reeb_contract_deviations(variety, samples)
+    max_alpha, max_omega = contact.reeb_contract_deviations(variety, samples)
     passed = max_alpha <= alpha_tol and max_omega <= OMEGA_TOL
     result = {
         "max_alpha_deviation": max_alpha,
@@ -306,8 +300,8 @@ def _contact_reeb(args, variety, f):
 
 
 def _contact_identity(args, variety, f):
-    samples = sample_points(variety, args.epsilon, args.samples, args.seed)
-    residuals, skipped = rescaled_reeb_identity(variety, f, args.c, samples)
+    samples = varieties.sample_points(variety, args.epsilon, args.samples, args.seed)
+    residuals, skipped = contact.rescaled_reeb_identity(variety, f, args.c, samples)
     if not residuals:
         raise NumericalFinding("every sample landed on the binding")
     tolerance = IDENTITY_TOL_UNSCALED if args.c == 0.0 else IDENTITY_TOL
@@ -328,7 +322,7 @@ def _contact_identity(args, variety, f):
 
 
 def _contact_adapt(args, variety, f):
-    report = find_adaptation_constant(
+    report = contact.find_adaptation_constant(
         variety, f, args.epsilon, args.eta, args.mesh, args.seed
     )
     result = report.to_dict()
@@ -345,8 +339,8 @@ def _contact_adapt(args, variety, f):
 
 
 def _contact_cone(args, variety, f):
-    samples = sample_points(variety, args.epsilon, args.samples, args.seed)
-    report = lambda_cone_check(
+    samples = varieties.sample_points(variety, args.epsilon, args.samples, args.seed)
+    report = contact.lambda_cone_check(
         variety, f, samples, proportionality_tol=CONE_PROPORTIONALITY_TOL
     )
     result = report.to_dict()
@@ -367,7 +361,7 @@ def _vacuous_or(vacuous: bool, value) -> str:
 
 
 def _contact_criterion(args, variety, f):
-    report = openbook_criterion_check(
+    report = contact.openbook_criterion_check(
         variety, f, args.epsilon, args.eta, args.mesh, args.seed
     )
     failed = (
@@ -425,7 +419,7 @@ def _cmd_contact(args):
     if needs_f:  # read before the handler samples
         if args.f is None:
             raise InputError(f"contact {args.subcheck} requires --f")
-        f = parse_polynomial(args.f, n_vars)
+        f = polynomials.parse_polynomial(args.f, n_vars)
         if f.is_zero:
             raise InputError("--f must not be the zero polynomial")
     result, lines = handler(args, variety, f)

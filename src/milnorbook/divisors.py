@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-import numpy as np
-
 from .errors import (
     BoundTooSmall,
     DimensionMismatch,
@@ -39,6 +37,9 @@ from .graphs import (
     solve_exact,
     vertex_orbits,
 )
+from ._lazy import lazy_import
+
+np = lazy_import("numpy")  # only the box oracle uses NumPy; it loads there
 
 __all__ = [
     "DivisorReport",
