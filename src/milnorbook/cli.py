@@ -434,6 +434,54 @@ _HANDLERS = {
 }
 
 
+# Exact-type leaves as json writes them; float's nan and inf become json's names.
+_encode_str = json.encoder.encode_basestring_ascii
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_LEAVES = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+    float: lambda x: _FLOAT_NAMES.get(text := float.__repr__(x), text),
+}
+
+
+def _structured(value, newline: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` with each line break
+    written as ``newline``, byte for byte.
+
+    With ``indent`` set, json runs its generator-based Python encoder; here a
+    non-empty exact ``dict`` with ``str`` keys, ``list`` or ``tuple`` is one
+    join of its items, and exact leaves come from ``_LEAVES``.  Anything else
+    (empty containers, other keys, subclasses, NumPy scalars) is left to
+    json, re-indented: an encoded string holds no raw newline.  A key that
+    is not a string fails to sort or to encode with a ``TypeError``, and so
+    does anything json cannot write; json then writes the whole dict, or
+    raises its own ``TypeError``.
+    """
+    kind = type(value)
+    leaf = _LEAVES.get(kind)
+    if leaf is not None:
+        return leaf(value)
+    inner = newline + "  "
+    if kind is dict and value:
+        try:
+            items = [
+                f"{_encode_str(key)}: {_structured(value[key], inner)}"
+                for key in sorted(value)
+            ]
+        except TypeError:
+            return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if (kind is list or kind is tuple) and value:
+        if all(type(item) is int for item in value):
+            items = map(int.__repr__, value)
+        else:
+            items = [_structured(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
+
+
 def _emit(command, config, result, lines, fmt, stream):
     """Write the report; only the text format calls ``lines`` to build its lines."""
     if fmt == "structured":
@@ -443,7 +491,7 @@ def _emit(command, config, result, lines, fmt, stream):
             "config": config,
             "result": result,
         }
-        stream.write(json.dumps(document, sort_keys=True, indent=2) + "\n")
+        stream.write(_structured(document, "\n") + "\n")
     else:
         header = f"milnorbook {__version__} {command}"
         rendered_config = " ".join(

@@ -433,8 +433,7 @@ def divisor_from_multiplicities(g: PlumbingGraph, n: Sequence[int]) -> Divisor:
             f"multiplicity vector of length {len(n)} against "
             f"{g.vertex_count} vertices"
         )
-    rhs = [-k for k in n]  # a definite form is solved sparse, not squared
-    solution = solve_exact(g, rhs, require_negative_definite=True) or solve_exact(g, rhs)
+    solution = solve_exact(g, [-k for k in n])
     for i, value in enumerate(solution):
         if value.denominator != 1:
             raise NonIntegralSolution(i, value)

@@ -210,7 +210,7 @@ def validate_graph(vertices: Iterable, edges: Iterable) -> PlumbingGraph:
     euler = [0] * r
     ids = []
     for entry in entries:
-        if isinstance(entry, Mapping):
+        if type(entry) is dict or isinstance(entry, Mapping):
             try:
                 vid, g, e = entry["id"], entry["genus"], entry["euler"]
             except KeyError as missing:
@@ -220,9 +220,10 @@ def validate_graph(vertices: Iterable, edges: Iterable) -> PlumbingGraph:
             if len(fields) != 3:
                 raise InputError(f"vertex entry {entry!r} is not [id, genus, euler]")
             vid, g, e = fields
-        vid = _integer(vid, "vertex id")
-        g = _integer(g, "vertex genus")
-        e = _integer(e, "vertex euler")
+        if not (type(vid) is int and type(g) is int and type(e) is int):
+            vid = _integer(vid, "vertex id")
+            g = _integer(g, "vertex genus")
+            e = _integer(e, "vertex euler")
         ids.append(vid)
         if 0 <= vid < r and genus[vid] is None:
             genus[vid] = g
@@ -239,7 +240,10 @@ def validate_graph(vertices: Iterable, edges: Iterable) -> PlumbingGraph:
         seq = edge if type(edge) is list else _items(edge, "edge")
         if len(seq) != 2:
             raise InputError(f"edge {seq} is not a pair")
-        pairs.append((_integer(seq[0], "edge end"), _integer(seq[1], "edge end")))
+        a, b = seq
+        if not (type(a) is int and type(b) is int):
+            a, b = _integer(a, "edge end"), _integer(b, "edge end")
+        pairs.append((a, b))
     return PlumbingGraph(tuple(genus), tuple(euler), tuple(pairs))
 
 
@@ -384,10 +388,11 @@ def solve_exact(
     """Exact rational solution of ``m . x = rhs``, for a graph's form or raw
     rows as in :func:`is_negative_definite`.
 
-    Uses the same elimination as :func:`is_negative_definite`.  With
-    ``require_negative_definite`` the answer is None unless ``m`` is
-    negative definite, so one elimination decides definiteness and solves.
-    Otherwise the elimination runs on the normal equations
+    Uses the same elimination as :func:`is_negative_definite`, sparse and
+    leaves first.  With ``require_negative_definite`` the answer is None
+    unless ``m`` is negative definite, so one elimination decides
+    definiteness and solves.  Otherwise, when that elimination meets a pivot
+    refuting definiteness, it runs again on the normal equations
     ``-m^2 . x = -m . rhs``, whose form is negative definite exactly when
     ``m`` is nonsingular, and a singular ``m`` raises :class:`InputError`,
     as does any entry of ``m`` or ``rhs`` that is not an ``int``.
@@ -398,7 +403,10 @@ def solve_exact(
         raise DimensionMismatch(
             f"right-hand side of length {len(rhs)} against {len(diagonal)} rows"
         )
-    if not require_negative_definite:
+    solved = _eliminate(rows, diagonal, rhs)
+    if solved is None:
+        if require_negative_definite:
+            return None
         full = [{i: d, **row} for i, (d, row) in enumerate(zip(diagonal, rows))]
         square = [{} for _ in full]
         for entries, row in zip(square, full):
@@ -407,12 +415,9 @@ def solve_exact(
                     entries[j] = entries.get(j, 0) - x * y
         rhs = [-sum(x * rhs[j] for j, x in row.items()) for row in full]
         diagonal = [entries.pop(i) for i, entries in enumerate(square)]
-        rows = square
-    solved = _eliminate(rows, diagonal, rhs)
-    if solved is None:
-        if require_negative_definite:
-            return None
-        raise InputError("intersection form is degenerate")
+        solved = _eliminate(square, diagonal, rhs)
+        if solved is None:
+            raise InputError("intersection form is degenerate")
     numerators, det = solved
     return tuple(Fraction(y, det) for y in numerators)
 

@@ -1,12 +1,15 @@
 """Command-line behavior: exit codes, report shape, determinism."""
 
 import contextlib
+import enum
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from collections import OrderedDict
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -523,6 +526,60 @@ class TestReports:
         result = json.loads(out)["result"]
         assert result["qualifying"] == 30
         assert result["all_positive"] is True
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**70
+
+
+_LEAF_VALUES = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f\n\t\u2028", "é ✓ 😀", ""]),
+    st.integers(),
+    st.integers(2**63, 2**200).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([-0.0, 1e16, float("nan"), float("inf"), float("-inf")]),
+    st.sampled_from(list(_Level)),
+)
+_DOCUMENTS = st.recursive(
+    _LEAF_VALUES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(st.integers(), max_size=4),
+        st.dictionaries(st.text(max_size=3), children, max_size=4),
+        st.dictionaries(st.text(max_size=3), children, max_size=4).map(OrderedDict),
+        st.dictionaries(st.integers(-3, 3), children, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+class TestStructuredWriter:
+    """``cli._structured`` writes what ``json.dumps(..., sort_keys=True,
+    indent=2)`` writes, byte for byte, and fails where json fails."""
+
+    @given(_DOCUMENTS)
+    @settings(max_examples=300)
+    def test_bytes_match_json(self, document):
+        assert cli._structured(document, "\n") == json.dumps(
+            document, sort_keys=True, indent=2
+        )
+
+    @pytest.mark.parametrize(
+        "document",
+        [Fraction(1, 2), {"a": {1, 2}}, [{"a": [Fraction(1, 3)]}], {"a": 1, 2: 3}],
+        ids=["fraction", "set", "nested-fraction", "mixed-keys"],
+    )
+    def test_unwritable_values_raise_the_type_error_of_json(self, document):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(document, sort_keys=True, indent=2)
+        with pytest.raises(TypeError) as found:
+            cli._structured(document, "\n")
+        assert str(found.value) == str(expected.value)
 
 
 SUBCHECK_ARGS = {

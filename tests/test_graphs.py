@@ -202,6 +202,10 @@ def _outcome(validate, recipe):
 
 # Construction and validation -------------------------------------------------
 
+class _Count(int):
+    """An int subclass that is not a bool."""
+
+
 class TestValidation:
     def test_loop_edge_rejected(self):
         with pytest.raises(LoopEdge):
@@ -335,6 +339,39 @@ class TestValidation:
             (0, 1, 0, 0, 0, 0), (-2, -3, -2, -4, -2, -2),
             ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)),
         )
+
+    @pytest.mark.parametrize("form", ["mapping", "triple"])
+    def test_an_int_subclass_is_accepted_as_itself(self, form):
+        """Exact ints take a fast path; any other int is still read through
+        the one check, and kept, not converted."""
+        zero, one, genus, euler = (_Count(x) for x in (0, 1, 2, -3))
+        records = [(zero, zero, -2), (one, genus, euler)]
+        if form == "mapping":
+            records = [dict(zip(("id", "genus", "euler"), r)) for r in records]
+        g = validate_graph(records, [[one, zero]])
+        assert g.genus == (0, 2) and g.euler == (-2, -3) and g.edges == ((0, 1),)
+        assert g.genus[0] is zero and g.genus[1] is genus and g.euler[1] is euler
+        assert g.edges[0][0] is zero and g.edges[0][1] is one
+
+    @pytest.mark.parametrize("form", ["mapping", "triple"])
+    @pytest.mark.parametrize("bad", [True, 1.0, "1"], ids=["bool", "float", "string"])
+    @pytest.mark.parametrize("field", ["id", "genus", "euler", 0, 1])
+    def test_a_non_integer_is_rejected_in_every_field(self, form, bad, field):
+        """One message per field, whether or not the other fields of the
+        record are exact ints."""
+        records = [[0, 0, -2], [1, 0, -2]]
+        edge = [0, 1]
+        if isinstance(field, str):
+            records[1][("id", "genus", "euler").index(field)] = bad
+            what = f"vertex {field}"
+        else:
+            edge[field] = bad
+            what = "edge end"
+        if form == "mapping":
+            records = [dict(zip(("id", "genus", "euler"), r)) for r in records]
+        message = f"{what} must be an integer, got {bad!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            validate_graph(records, [edge])
 
     def test_divisor_rejects_negative_multiplicity(self):
         with pytest.raises(InputError):
@@ -479,6 +516,17 @@ class TestIntersectionForm:
         assert solve_exact(last, c[1:] + c[:1], require_negative_definite=True) == (
             x[1:] + x[:1]
         )
+
+    def test_solve_exact_solves_a_definite_star_sparse(self):
+        """Without ``require_negative_definite`` a definite form is solved
+        sparse, leaves first: squared, the centre's row would couple every
+        pair of the 600 legs."""
+        star = star_graph(-301, [-2] * 600)
+        c = [-(valency(star, i) + 2 * star.genus[i]) for i in range(601)]
+        start = time.perf_counter()
+        x = solve_exact(star, c)
+        assert time.perf_counter() - start < 1.0
+        assert x == solve_exact(star, c, require_negative_definite=True)
 
     def test_solve_exact_pivots_past_a_zero_leading_minor(self):
         assert solve_exact([[0, 1], [1, 0]], [2, 3]) == (3, 2)
