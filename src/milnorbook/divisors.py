@@ -242,6 +242,15 @@ def oracle_minimal_divisor(g: PlumbingGraph, bound: int) -> Divisor:
     classes, only the complete graphs), the rounds run on the surviving
     grid rows.  Each round raises some value or is the last, and values
     are capped at the bound, so there are at most 2 (bound + 1) rounds.
+    They start higher, at the ceiling of the rational solution of the two
+    own rows taken as equalities, capped at the bound: their 2 x 2 block
+    is negative definite with off-diagonal entries >= 0, so its negative
+    is inverse-positive and every point that meets both own rows lies
+    above that solution.  A pair that contracts slowly, such as weights
+    -1 and -(k^2 + 1) joined by k edges, then takes a round or two, not
+    k^2 + k.  Its numerators are held exactly in the narrowest type that
+    fits their size, bounded through each own row's constant and grid
+    terms, and the start is skipped when no 64-bit integer does.
     The minima of u, x and the grid come straight off the least points of
     the feasible grid rows.  The zero divisor satisfies a row only on a
     single genus-0 vertex: for r >= 2 every c_i <= -1.  Returns the
@@ -352,6 +361,30 @@ def oracle_minimal_divisor(g: PlumbingGraph, bound: int) -> Divisor:
             for at_u, at_x, slack in coupled
             if min(at_u, at_x) < 0
         ]
+        # u < x, so u's own row comes first.  As equalities the own rows
+        # e_u u + k x = s_u and k u + e_x x = s_x give u = (e_x s_u - k s_x)
+        # / det and x = (e_u s_x - k s_u) / det.  A slack s_j is at most
+        # -c_j + bound * (v_j - k) in size: c_j less the grid's terms.
+        (e_u, s_u, _, k, _), (e_x, s_x, _, _, _) = own
+        size_u, size_x = (
+            -c[j] + bound * (sum(g.adjacency[j].values()) - k) for j in (u, x)
+        )
+        det = e_u * e_x - k * k
+        wide = _value_type(
+            max(bound, det, k * size_x - e_x * size_u, k * size_u - e_u * size_x)
+        )
+        if wide is not None:
+            for lo, mine, theirs, e_theirs in (
+                (lo_u, s_u, s_x, e_x),
+                (lo_x, s_x, s_u, e_u),
+            ):
+                start = np.multiply(mine, -e_theirs, dtype=wide)
+                start += np.multiply(theirs, k, dtype=wide)
+                np.floor_divide(start, det, out=start)
+                np.negative(start, out=start)
+                np.minimum(start, bound, out=start)
+                np.maximum(lo, start, out=lo)
+            del start
         part = np.empty_like(lo_u)
         moved = np.empty(len(lo_u), dtype=bool)
         while True:

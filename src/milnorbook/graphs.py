@@ -12,7 +12,8 @@ sparsely.  Negative definiteness of I is the fillability criterion and is
 decided in exact integer arithmetic, never floating point, by the one
 fraction-free elimination that also solves I x = rhs.  Vertex orbits and
 isomorphisms come from one backtracking search, pruned by the equitable
-partition of the weighted graph; a tree's orbits need no search.
+partition of the weighted graph; a tree's orbits come from its canonical
+labelling, with no refinement and no search.
 """
 
 from __future__ import annotations
@@ -594,22 +595,81 @@ def _cell_members(g: PlumbingGraph) -> list[list[int]]:
     return [members[c] for c in cells]
 
 
+def _tree_orbits(g: PlumbingGraph) -> tuple[int, ...]:
+    """``vertex_orbits`` of a tree, by the AHU canonical labelling rooted
+    at its centre, in one pass up and one down.
+
+    Leaves are peeled in FIFO order, one layer after another, so a vertex
+    is reached after all its children, and its one neighbour left then is
+    its parent; the last vertex reached is the centre.  When the two
+    vertices of the last layer are adjacent, the centre is that edge and
+    both ends are roots.  A vertex's code interns its weights with the
+    sorted codes of its children, so two vertices share a code exactly
+    when their rooted subtrees are isomorphic.  Going back down, a vertex's
+    key interns its parent's key with its own code.
+    """
+    adjacency = g.adjacency
+    r = g.vertex_count
+    labels = list(zip(g.genus, g.euler))
+    degree = [len(neighbours) for neighbours in adjacency]
+    order = [v for v, d in enumerate(degree) if d <= 1]
+    layer = [0] * r
+    done = [False] * r
+    parent = [-1] * r
+    children: dict[int, list[int]] = {}  # the codes of each parent's children
+    codes: dict = {}
+    code = [0] * r
+    for v in order:  # appends while it reads: FIFO
+        done[v] = True
+        below = children.get(v)
+        c = code[v] = codes.setdefault(
+            labels[v] if below is None else (*labels[v], *sorted(below)), len(codes)
+        )
+        for w in adjacency[v]:
+            if done[w]:
+                continue
+            d = degree[w] = degree[w] - 1
+            if d == 1:
+                layer[w] = layer[v] + 1
+                order.append(w)
+            elif d == 0 and layer[w] == layer[v]:
+                break  # v and w are the two ends of the central edge
+            parent[v] = w
+            if w in children:
+                children[w].append(c)
+            else:
+                children[w] = [c]
+            break
+    keys: dict = {}
+    key = [-1] * r
+    for v in reversed(order):
+        p = parent[v]
+        key[v] = keys.setdefault((key[p] if p >= 0 else -1, code[v]), len(keys))
+    least: dict[int, int] = {}
+    return tuple(least.setdefault(k, v) for v, k in enumerate(key))
+
+
 def vertex_orbits(g: PlumbingGraph) -> tuple[int, ...]:
     """Orbit of every vertex under the weighted automorphism group, named
     by the orbit's least vertex.
 
-    On a tree (r - 1 edges, counted with multiplicity) the orbits are the
-    equitable cells (Tinhofer, Discrete Appl. Math. 30, 1991; Arvind et
-    al., Comput. Complexity 26, 2017).  Otherwise, for each pair (i, j) of
-    one cell not yet known to share an orbit, the shared backtracking
-    search looks for one automorphism taking i to j; every automorphism
-    found merges v with its image for all v in a union-find.  Pairs in one
-    cell but different orbits cost a failed search.
+    On a tree (r - 1 edges, counted with multiplicity) every automorphism
+    fixes the centre, the vertex or edge left after peeling leaves layer by
+    layer, as it maps leaves to leaves.  So two vertices share an orbit
+    exactly when their parents do and their rooted subtrees are
+    isomorphic, which the AHU canonical labelling (Aho, Hopcroft and
+    Ullman, The Design and Analysis of Computer Algorithms, 1974, 3.2)
+    decides in one rooted pass, with no refinement and no search
+    (``_tree_orbits``).  Otherwise, for each pair (i, j) of one equitable
+    cell not yet known to share an orbit, the shared backtracking search
+    looks for one automorphism taking i to j; every automorphism found
+    merges v with its image for all v in a union-find.  Pairs in one cell
+    but different orbits cost a failed search.
     """
+    if len(g.edges) == g.vertex_count - 1:
+        return _tree_orbits(g)
     adjacency = g.adjacency
     candidates = _cell_members(g)
-    if len(g.edges) == g.vertex_count - 1:
-        return tuple(members[0] for members in candidates)
     root = list(range(g.vertex_count))
 
     def find(v: int) -> int:

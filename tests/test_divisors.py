@@ -404,10 +404,10 @@ class TestOracle:
 
     @pytest.mark.parametrize("k", [2, 10, 30])
     def test_slow_contraction_pair_matches_the_descent(self, k):
-        """Two vertices joined by k edges, weights -1 and -(k^2 + 1): each
-        round raises x by about one, so the least divisor
-        (k^3 + k^2 + k, k^2 + k) takes about k^2 rounds at bound 10^6;
-        one below its larger entry the box holds no feasible point."""
+        """Two vertices joined by k edges, weights -1 and -(k^2 + 1): from
+        zero each round would raise x by about one, k^2 + k rounds to the
+        least divisor (k^3 + k^2 + k, k^2 + k); one below its larger entry
+        the box holds no feasible point."""
         g = PlumbingGraph((0, 0), (-1, -(k * k + 1)), ((0, 1),) * k)
         d = minimal_divisor(g)
         assert d.multiplicities == (k**3 + k * k + k, k * k + k)
@@ -415,9 +415,37 @@ class TestOracle:
         with pytest.raises(BoundTooSmall):
             oracle_minimal_divisor(g, max(d.multiplicities) - 1)
 
+    def test_slow_contraction_pair_starts_at_its_rational_solution(self, monkeypatch):
+        """The k = 400 pair at bound 10^8: from zero its rounds would number
+        k^2 + k = 160,400, two own-row divisions each.  Started at the
+        ceiling of the own rows' rational solution, which is integral here,
+        one round confirms it: two divisions for the start, two for the
+        round."""
+        k = 400
+        g = PlumbingGraph((0, 0), (-1, -(k * k + 1)), ((0, 1),) * k)
+        d = minimal_divisor(g)
+        assert d.multiplicities == (64160400, 160400)
+        divisions = []
+        floor_divide = np.floor_divide
+
+        def counted(*args, **kwargs):
+            divisions.append(1)
+            return floor_divide(*args, **kwargs)
+
+        monkeypatch.setattr(np, "floor_divide", counted)
+        assert oracle_minimal_divisor(g, 10**8) == d
+        assert len(divisions) == 4
+
+    def test_pair_start_is_skipped_beyond_int64(self):
+        """Weights -2^33 at both ends of one edge: the own rows'
+        determinant 2^66 - 1 fits no 64-bit integer, so the rounds start
+        from zero, and still reach the least divisor."""
+        g = chain_graph([-(2**33)] * 2)
+        assert oracle_minimal_divisor(g, 3) == minimal_divisor(g) == Divisor((1, 1))
+
     def test_rounds_stop_at_the_bound(self, monkeypatch):
-        """Values are capped at the bound, so the k = 30 pair, whose least
-        divisor takes about 900 rounds, takes at most 2 (bound + 1) at
+        """Values are capped at the bound, so the k = 30 pair, whose rounds
+        from zero would number about 900, takes at most 2 (bound + 1) at
         bound 10: two own-row divisions per round."""
         g = PlumbingGraph((0, 0), (-1, -901), ((0, 1),) * 30)
         divisions = []

@@ -78,6 +78,39 @@ def permutations_of(r):
 
 
 @st.composite
+def symmetric_trees(draw):
+    """Trees with deep symmetry, which ``plumbing_graphs`` seldom draws: k
+    copies of a random weighted rooted tree joined to a new centre, or two
+    copies whose roots are joined by one edge (a central edge), sometimes
+    with the weight of one deepest vertex of one copy changed; the vertex
+    ids are then shuffled."""
+    n = draw(st.integers(1, 4))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    genus = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    euler = draw(st.lists(st.integers(-3, -1), min_size=n, max_size=n))
+    bicentral = draw(st.booleans())
+    copies = 2 if bicentral else draw(st.integers(2, 3))
+    genera, eulers, edges, roots = [], [], [], []
+    if not bicentral:
+        genera.append(0)
+        eulers.append(-copies - 1)
+    for _ in range(copies):
+        roots.append(len(eulers))
+        edges += [(roots[-1] + p, roots[-1] + i) for i, p in enumerate(parents, 1)]
+        genera += genus
+        eulers += euler
+    edges += [(roots[0], roots[1])] if bicentral else [(0, root) for root in roots]
+    if draw(st.booleans()):
+        depth = [0]
+        for p in parents:
+            depth.append(depth[p] + 1)
+        deepest = max(range(n), key=depth.__getitem__)
+        eulers[draw(st.sampled_from(roots)) + deepest] -= 1
+    g = PlumbingGraph(tuple(genera), tuple(eulers), tuple(edges))
+    return g.relabel(draw(permutations_of(g.vertex_count)))
+
+
+@st.composite
 def symmetric_systems(draw, max_size=6):
     """Symmetric integer rows and a right-hand side: zero diagonals,
     singular forms (two equal rows) and dominant negative diagonals, which
@@ -718,8 +751,9 @@ class TestAutomorphisms:
                 )
 
     def test_tree_orbits_need_no_search(self):
-        """On every tree of the suite the orbits are the equitable cells, and
-        the backtracking search is never entered."""
+        """On every tree of the suite the orbits come from the canonical
+        labelling: neither the refinement nor the backtracking search is
+        entered."""
         trees = [g for g in full_suite() if len(g.edges) == g.vertex_count - 1]
         assert trees
         expected = []
@@ -728,8 +762,36 @@ class TestAutomorphisms:
             expected.append(
                 tuple(min(sigma(i) for sigma in group) for i in range(g.vertex_count))
             )
-        with patch.object(graphs, "_isomorphisms", side_effect=AssertionError):
+        with patch.object(graphs, "_isomorphisms", side_effect=AssertionError), \
+                patch.object(graphs, "_equitable_cells", side_effect=AssertionError):
             assert [vertex_orbits(g) for g in trees] == expected
+
+    @given(symmetric_trees())
+    def test_orbits_of_symmetric_trees_match_the_group(self, g):
+        group = automorphism_group(g)
+        assert vertex_orbits(g) == tuple(
+            min(sigma(i) for sigma in group) for i in range(g.vertex_count)
+        )
+
+    @given(symmetric_trees(), st.data())
+    def test_orbits_of_symmetric_trees_are_relabeling_equivariant(self, g, data):
+        sigma = data.draw(permutations_of(g.vertex_count))
+        orbits = vertex_orbits(g)
+        relabeled = vertex_orbits(g.relabel(sigma))
+        for i in range(g.vertex_count):
+            for j in range(g.vertex_count):
+                assert (orbits[i] == orbits[j]) == (
+                    relabeled[sigma[i]] == relabeled[sigma[j]]
+                )
+
+    @pytest.mark.parametrize("r", [3000, 3001, 5001])
+    def test_orbits_of_long_chains(self, r):
+        """The reversal pairs vertex i with r - 1 - i.  A_3000's centre is
+        its middle edge and A_3001's its middle vertex; A_5001 is 2,500
+        levels deep, beyond the recursion limit of a recursive pass."""
+        assert vertex_orbits(chain_graph([-2] * r)) == tuple(
+            min(i, r - 1 - i) for i in range(r)
+        )
 
     def test_orbits_finer_than_the_cells_of_a_graph_with_cycles(self):
         """The Frucht graph is 3-regular with no automorphism but the
