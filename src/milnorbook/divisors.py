@@ -173,12 +173,16 @@ def _grid_bytes(r: int, grid_rows: int) -> int:
     return grid_rows * (16 * r + 36)
 
 
+# The oracle's integer types, narrowest first, with their maxima.
+_VALUE_TYPES = (("int16", 2**15 - 1), ("int32", 2**31 - 1), ("int64", 2**63 - 1))
+
+
 def _value_type(reach: int):
     """The first of int16, int32 and int64 whose maximum is at least
     ``reach``, or None when no 64-bit integer holds it."""
-    for dtype in (np.int16, np.int32, np.int64):
-        if np.iinfo(dtype).max >= reach:
-            return dtype
+    for name, largest in _VALUE_TYPES:
+        if largest >= reach:
+            return getattr(np, name)
     return None
 
 

@@ -383,20 +383,16 @@ def is_negative_definite(m) -> bool:
     return _eliminate(*_as_rows(m), None) is not None
 
 
-def solve_exact(
-    m, rhs: Sequence[int], *, require_negative_definite: bool = False
-) -> tuple[Fraction, ...] | None:
+def solve_exact(m, rhs: Sequence[int]) -> tuple[Fraction, ...]:
     """Exact rational solution of ``m . x = rhs``, for a graph's form or raw
     rows as in :func:`is_negative_definite`.
 
     Uses the same elimination as :func:`is_negative_definite`, sparse and
-    leaves first.  With ``require_negative_definite`` the answer is None
-    unless ``m`` is negative definite, so one elimination decides
-    definiteness and solves.  Otherwise, when that elimination meets a pivot
-    refuting definiteness, it runs again on the normal equations
-    ``-m^2 . x = -m . rhs``, whose form is negative definite exactly when
-    ``m`` is nonsingular, and a singular ``m`` raises :class:`InputError`,
-    as does any entry of ``m`` or ``rhs`` that is not an ``int``.
+    leaves first.  When that elimination meets a pivot refuting
+    definiteness, it runs again on the normal equations ``-m^2 . x = -m .
+    rhs``, whose form is negative definite exactly when ``m`` is
+    nonsingular, and a singular ``m`` raises :class:`InputError`, as does any
+    entry of ``m`` or ``rhs`` that is not an ``int``.
     """
     rows, diagonal = _as_rows(m)
     rhs = [_integer(b, "right-hand side entry") for b in rhs]
@@ -406,8 +402,6 @@ def solve_exact(
         )
     solved = _eliminate(rows, diagonal, rhs)
     if solved is None:
-        if require_negative_definite:
-            return None
         full = [{i: d, **row} for i, (d, row) in enumerate(zip(diagonal, rows))]
         square = [{} for _ in full]
         for entries, row in zip(square, full):

@@ -29,14 +29,16 @@ doubles or halves the top from ``t = 1``, then one safeguarded Newton loop
 that falls back to the midpoint and stops each row once its step is below
 4 ulp, as array Horner loops); for hypersurfaces it runs a damped
 Gauss–Newton iteration on ``(Re h, Im h, rho - epsilon)`` for all draws of
-the block together, each draw one packed float row, with one line-search
-factor per round, and the minimum-norm steps of all live draws in closed
-form, a few array operations per iteration; rows too close to rank
-deficiency take it again, rescaled, with its ``z_perp`` term dropped
-where the margin still fails; each accepted point's tangent basis is the
-Householder basis of the kernel of ``dh`` (:func:`_kernel_bases`, which
-the contact checks also take for their level bases).  Polynomials are
-evaluated on the whole block by :class:`~milnorbook.polynomials.PolynomialBlock`.
+the block together, each draw one packed float row, with one measure of the
+distance from the level set (:func:`_scaled_residuals`) for its line
+search, its stop and its acceptance, one line-search factor per round, and
+the minimum-norm steps of all live draws in closed form, a few array
+operations per iteration; rows too close to rank deficiency take it again,
+rescaled, with its ``z_perp`` term dropped where the margin still fails;
+each accepted point's tangent basis is the Householder basis of the kernel
+of ``dh`` (:func:`_kernel_bases`, which the contact checks also take for
+their level bases).  Polynomials are evaluated on the whole block by
+:class:`~milnorbook.polynomials.PolynomialBlock`.
 Sampling is bitwise deterministic for a fixed seed, and independent of the
 block size: every block operation is one a loop over single draws repeats
 in the same order, ``|h|`` included (``np.hypot`` is libm's ``hypot``, as
@@ -77,10 +79,10 @@ _ATTEMPTS_PER_SAMPLE = 10
 
 # The contract the rest of the package assumes: accepted samples satisfy
 # |rho - epsilon| <= _LEVEL_TOLERANCE * epsilon and, for hypersurfaces,
-# |h| <= _RESIDUAL_TOLERANCE * scale, where scale bounds |h| on the sphere
-# of radius sqrt(epsilon).
+# |h| <= _LEVEL_TOLERANCE * scale, where scale bounds |h| on the sphere of
+# radius sqrt(epsilon) (the hypersurface sampler tests both at once, on
+# their hypot, _scaled_residuals).
 _LEVEL_TOLERANCE = 1e-10
-_RESIDUAL_TOLERANCE = 1e-10
 
 # Rounds of the safeguarded Newton loop per radial root.
 _ROOT_ROUNDS = 80
@@ -508,17 +510,36 @@ def _chart_step(chart: SmoothChart, epsilon: float):
     return step
 
 
+def _scaled_residuals(residual: np.ndarray, h_scale: float, epsilon: float) -> np.ndarray:
+    """Each draw's distance from the level set, ``hypot(|h| / h_scale, |rho -
+    epsilon| / epsilon)`` for rows ``(Re h, Im h, rho - epsilon)``: each part
+    is scaled by its size on the sphere, so neither swamps the other
+    whatever the degree of ``h`` and the level.  A measure that overflows is
+    infinite and warns of nothing; a NaN row has a NaN measure, which passes
+    no test."""
+    with np.errstate(over="ignore"):
+        h_part = np.hypot(residual[:, 0], residual[:, 1]) / h_scale
+        return np.hypot(h_part, np.abs(residual[:, 2]) / epsilon)
+
+
 def _hypersurface_step(surface: Hypersurface, epsilon: float):
     """Block step for hypersurfaces: damped Gauss–Newton on
     ``(Re h, Im h, rho - epsilon)`` from every draw of the block at once.
 
-    A draw is one packed float row ``(z | dh | Re h, Im h, rho - epsilon)``:
-    its iterate, best row (not evaluated again) and accepted trial each move
-    by one fancy index.  Live draws are evaluated together, and a round's
-    pending trials too, with one line-search factor: each has been halved as
-    often.  The steps come from :func:`_gauss_newton_steps`, a closed form on
-    the block; a draw whose step is NaN is never moved.  Norms that overflow
-    are infinite and warn of nothing.
+    A draw is one packed float row ``(z | dh | Re h, Im h, rho - epsilon)``,
+    kept in place and overwritten by each trial it accepts.  One measure,
+    :func:`_scaled_residuals`, drives the loop: a trial is taken when its
+    measure is below the draw's, a draw stops when its measure is at most
+    ``_NEWTON_TOLERANCE`` and is accepted when it is at most
+    ``_LEVEL_TOLERANCE`` on a gradient above the floor.  Every step taken
+    lowers the measure, so a draw's current row is its best.  A draw leaves
+    the loop when it converges, when its line search rejects every factor,
+    or after ``_MAX_ITERATIONS`` rounds.  Live draws are evaluated together,
+    and a round's pending trials too, with one line-search factor: each has
+    been halved as often.  The steps come from :func:`_gauss_newton_steps`, a
+    closed form on the block (scaling the rows of ``J`` and the residual
+    together leaves its minimum-norm step as it is); a draw whose step is NaN
+    is never moved.
     """
     n = surface.ambient_dim
     h_scale = surface.defining_scale(epsilon)
@@ -537,50 +558,33 @@ def _hypersurface_step(surface: Hypersurface, epsilon: float):
         z, gradient = rows[:, : 2 * n].view(complex), rows[:, 2 * n : 4 * n].view(complex)
         return z, gradient, rows[:, 4 * n :]
 
-    def scaled_residuals(residual: np.ndarray) -> np.ndarray:
-        h_part = np.hypot(residual[:, 0], residual[:, 1]) / h_scale
-        level_part = np.abs(residual[:, 2]) / epsilon
-        return np.where(level_part > h_part, level_part, h_part)
-
     def step(raw: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, ...]:
         rows = system(math.sqrt(epsilon) * raw / norms[:, None])
-        best = np.empty_like(rows)
-        best_scaled = np.full(len(rows), math.inf)
         live = np.arange(len(rows))
         for _ in range(_MAX_ITERATIONS):
-            scaled = scaled_residuals(rows[:, 4 * n :])
-            better = scaled < best_scaled[live]
-            improved = live[better]
-            best_scaled[improved] = scaled[better]
-            best[improved] = rows[better]
+            scaled = _scaled_residuals(rows[live, 4 * n :], h_scale, epsilon)
             going = ~(scaled <= _NEWTON_TOLERANCE)
-            live, rows = live[going], rows[going]
+            live, scaled = live[going], scaled[going]
             if not live.size:
                 break
-            z, gradient, residual = parts(rows)
+            z, gradient, residual = parts(rows[live])
             delta = _gauss_newton_steps(z, residual, gradient)
-            with np.errstate(over="ignore"):  # an infinite norm never decreases
-                size = _row_norms(residual)
             pending = np.arange(live.size)
             factor = 1.0
             while pending.size and factor > 1e-6:
                 trial = system(z[pending] + factor * delta[pending])
-                with np.errstate(over="ignore"):
-                    down = _row_norms(trial[:, 4 * n :]) < size[pending]
-                rows[pending[down]] = trial[down]
+                measure = _scaled_residuals(trial[:, 4 * n :], h_scale, epsilon)
+                down = measure < scaled[pending]
+                rows[live[pending[down]]] = trial[down]
                 pending = pending[~down]
                 factor *= _DAMPING
             moved = np.ones(live.size, dtype=bool)
             moved[pending] = False
-            live, rows = live[moved], rows[moved]
-        z, gradient, residual = parts(best[best_scaled < math.inf])
+            live = live[moved]
+        z, gradient, residual = parts(rows)
         with np.errstate(over="ignore"):  # an infinite gradient norm passes
             steep = ~(_row_norms(gradient) < gradient_floor)
-        kept = (
-            ~(np.hypot(residual[:, 0], residual[:, 1]) > _RESIDUAL_TOLERANCE * h_scale)
-            & ~(np.abs(residual[:, 2]) > _LEVEL_TOLERANCE * epsilon)
-            & steep
-        )
+        kept = (_scaled_residuals(residual, h_scale, epsilon) <= _LEVEL_TOLERANCE) & steep
         points = z[kept]
         return points, np.sum(np.abs(points) ** 2, axis=1), gradient[kept]
 

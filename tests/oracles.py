@@ -362,8 +362,8 @@ def scan_minimal_divisor(g: PlumbingGraph) -> tuple[tuple[int, ...], int]:
     I x = c, and each repair scans all r vertices for the lowest-index
     violated one, over the dense rows of the form."""
     c = constraint_vector(g)
-    lower = solve_exact(g, c, require_negative_definite=True)
-    assert lower is not None, "the descent needs a negative definite graph"
+    assert is_negative_definite(g), "the descent needs a negative definite graph"
+    lower = solve_exact(g, c)
     rows = intersection_matrix(g)
     m = [max(1, math.ceil(x)) for x in lower]
     products = list(dense_form_product(g, m))
@@ -729,8 +729,10 @@ def gauss_newton_step(
 
 
 def _scaled_residual(residual: np.ndarray, epsilon: float, h_scale: float) -> float:
+    """``varieties._scaled_residuals`` of one row: ``abs(complex)`` rounds as
+    ``np.hypot`` does, where ``math.hypot`` has an algorithm of its own."""
     h_size = abs(complex(residual[0], residual[1]))
-    return max(h_size / h_scale, abs(residual[2]) / epsilon)
+    return abs(complex(h_size / h_scale, abs(residual[2]) / epsilon))
 
 
 def per_draw_hypersurface_samples(
@@ -742,7 +744,9 @@ def per_draw_hypersurface_samples(
     Each draw is two ``standard_normal(n)`` calls, real part first, solved
     by damped Gauss–Newton on ``(Re h, Im h, rho - epsilon)`` with scalar
     polynomial evaluation and one :func:`gauss_newton_step` per iteration;
-    the budget, the tolerances and the acceptance tests are the package's.
+    one scaled residual decides the line search, the stop and the
+    acceptance, and the budget, the tolerances and the gradient floor are
+    the package's.
     """
     n = surface.ambient_dim
     h_scale = surface.defining_scale(epsilon)
@@ -750,38 +754,26 @@ def per_draw_hypersurface_samples(
 
     def solve(raw: np.ndarray, norm: float):
         z = math.sqrt(epsilon) * raw / norm
-        best_z = None
-        best_scaled = math.inf
         for _ in range(varieties._MAX_ITERATIONS):
             residual, h_grad = _real_system(surface, epsilon, z)
             scaled = _scaled_residual(residual, epsilon, h_scale)
-            if scaled < best_scaled:
-                best_scaled = scaled
-                best_z = z
             if scaled <= varieties._NEWTON_TOLERANCE:
                 break
             delta = gauss_newton_step(z, residual, h_grad)
-            size = float(np.linalg.norm(residual))
             factor = 1.0
             moved = False
             while factor > 1e-6:
                 candidate = z + factor * delta
                 trial, _ = _real_system(surface, epsilon, candidate)
-                if np.linalg.norm(trial) < size:
+                if _scaled_residual(trial, epsilon, h_scale) < scaled:
                     z = candidate
                     moved = True
                     break
                 factor *= varieties._DAMPING
             if not moved:
                 break
-        if best_z is None:
-            return None
-        z = best_z
         residual, gradient = _real_system(surface, epsilon, z)
-        h_size = abs(complex(residual[0], residual[1]))
-        if h_size > varieties._RESIDUAL_TOLERANCE * h_scale:
-            return None
-        if abs(residual[2]) > varieties._LEVEL_TOLERANCE * epsilon:
+        if not _scaled_residual(residual, epsilon, h_scale) <= varieties._LEVEL_TOLERANCE:
             return None
         if np.linalg.norm(gradient) < gradient_floor:
             return None

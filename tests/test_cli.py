@@ -149,24 +149,33 @@ class TestExitCodes:
 
     def test_an_infinite_chart_level_warns_of_nothing(self):
         # The level |1e200 z0|^2 + |z1|^2 overflows and the sampler rejects
-        # it; so do the hypersurface sampler's residual and gradient norms on
-        # the other germs.  The only line on stderr is the finding.  Warnings
-        # are not captured by capsys, so the CLI runs in a child process.
-        invocations = [
-            (["--ambient", "2", "--map", "1e200 z0, z1"], 200),
-            (["--hypersurface", "1e200 z0^2 + z1^2 + z2^2", "--epsilon", "1"], 200),
-            (["--hypersurface", "1e308 z0^2 + z1^3", "--samples", "5"], 5),
-        ]
-        for argv, count in invocations:
-            result = subprocess.run(
+        # it; the hypersurface sampler's gradient norms overflow on
+        # 1e308 z0^2 + z1^3.  The only line on stderr is the finding.
+        # Warnings are not captured by capsys, so the CLI runs in a child
+        # process.
+        def spsh(argv):
+            return subprocess.run(
                 [sys.executable, "-m", "milnorbook.cli", "contact", "spsh", *argv],
                 capture_output=True, text=True, timeout=120,
             )
+
+        invocations = [
+            (["--ambient", "2", "--map", "1e200 z0, z1"], 200),
+            (["--hypersurface", "1e308 z0^2 + z1^3", "--samples", "5"], 5),
+        ]
+        for argv, count in invocations:
+            result = spsh(argv)
             assert (result.returncode, result.stdout) == (4, ""), argv
             assert result.stderr == (
                 f"numerical finding: only 0 of {count} requested samples converged "
                 f"after {10 * count} draws (rate below 10%)\n"
             ), argv
+        # |h| reaches 1e200 on the unit sphere, and the residual measure,
+        # scaled by that bound, stays finite: the draws converge, and no
+        # warning escapes on the way.
+        result = spsh(["--hypersurface", "1e200 z0^2 + z1^2 + z2^2", "--epsilon", "1"])
+        assert (result.returncode, result.stderr) == (0, "")
+        assert "min Levi quotient over 200 samples x 20 directions: 4.0\n" in result.stdout
 
     def test_an_infinite_gradient_reaches_no_lapack_call(self):
         # |dh| overflows on the sphere: the Gauss–Newton steps are NaN and the

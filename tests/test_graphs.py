@@ -134,6 +134,12 @@ def symmetric_systems(draw, max_size=6):
     return rows, rhs
 
 
+def definite_solution(m, rhs):
+    """The solution of ``m . x = rhs`` where ``m`` is negative definite, else
+    None: one definiteness test, then the solve."""
+    return solve_exact(m, rhs) if is_negative_definite(m) else None
+
+
 # A value that is not an integer, or is a bool: validation must reject it.
 ODD_VALUES = (True, False, -2.0, -1.7, "0", "-2", None)
 # True once in 25 or in 6 draws, and False as the simplest example.
@@ -502,7 +508,7 @@ class TestIntersectionForm:
                 solve_exact(m, c)
             return
         assert solve_exact(m, c) == expected
-        definite = solve_exact(m, c, require_negative_definite=True)
+        definite = definite_solution(m, c)
         assert definite == (expected if is_negative_definite(m) else None)
 
     @given(symmetric_systems())
@@ -511,7 +517,7 @@ class TestIntersectionForm:
         expected = rational_solution(rows, rhs)
         definite = principal_minor_signs_definite(rows)
         assert is_negative_definite(rows) is definite
-        assert solve_exact(rows, rhs, require_negative_definite=True) == (
+        assert definite_solution(rows, rhs) == (
             expected if definite else None
         )
         if expected is None:
@@ -528,14 +534,14 @@ class TestIntersectionForm:
         for i, x in enumerate(c):
             moved[sigma[i]] = x
         h = g.relabel(sigma)
-        for definite in (True, False):
+        for solve in (definite_solution, solve_exact):
             try:
-                x = solve_exact(g, c, require_negative_definite=definite)
+                x = solve(g, c)
             except InputError:
                 with pytest.raises(InputError, match="degenerate"):
-                    solve_exact(h, moved, require_negative_definite=definite)
+                    solve(h, moved)
                 continue
-            y = solve_exact(h, moved, require_negative_definite=definite)
+            y = solve(h, moved)
             assert (y is None) == (x is None)
             if x is not None:
                 assert all(y[sigma[i]] == x[i] for i in range(g.vertex_count))
@@ -544,27 +550,28 @@ class TestIntersectionForm:
         g = star_graph(-5, [-2, -3, -2, -4])
         last = g.relabel([4, 0, 1, 2, 3])
         c = [-(valency(g, i) + 2 * g.genus[i]) for i in range(5)]
-        x = solve_exact(g, c, require_negative_definite=True)
+        x = definite_solution(g, c)
         assert x is not None
-        assert solve_exact(last, c[1:] + c[:1], require_negative_definite=True) == (
+        assert definite_solution(last, c[1:] + c[:1]) == (
             x[1:] + x[:1]
         )
 
     def test_solve_exact_solves_a_definite_star_sparse(self):
-        """Without ``require_negative_definite`` a definite form is solved
-        sparse, leaves first: squared, the centre's row would couple every
-        pair of the 600 legs."""
+        """A definite form is solved sparse, leaves first: squared, the
+        centre's row would couple every pair of the 600 legs.  Each leg
+        gives ``x_leg = (x_0 + 1) / 2``, and the centre's row
+        ``-301 x_0 + 300 (x_0 + 1) = -600`` gives ``x_0 = 900``."""
         star = star_graph(-301, [-2] * 600)
         c = [-(valency(star, i) + 2 * star.genus[i]) for i in range(601)]
+        assert is_negative_definite(star)
         start = time.perf_counter()
         x = solve_exact(star, c)
         assert time.perf_counter() - start < 1.0
-        assert x == solve_exact(star, c, require_negative_definite=True)
+        assert x == (900,) + (Fraction(901, 2),) * 600
 
     def test_solve_exact_pivots_past_a_zero_leading_minor(self):
         assert solve_exact([[0, 1], [1, 0]], [2, 3]) == (3, 2)
-        assert solve_exact([[0, 1], [1, 0]], [2, 3],
-                           require_negative_definite=True) is None
+        assert definite_solution([[0, 1], [1, 0]], [2, 3]) is None
         with pytest.raises(InputError, match="degenerate"):
             solve_exact([[-1, 1], [1, -1]], [1, 1])
 
@@ -632,7 +639,7 @@ class TestEliminationReference:
             numerators, found = solved
             assert found == det
             assert tuple(Fraction(y, det) for y in numerators) == solution
-        assert solve_exact(form, rhs, require_negative_definite=True) == solution
+        assert definite_solution(form, rhs) == solution
         expected = solution if definite else rational_solution(rows, rhs)
         if expected is None:
             with pytest.raises(InputError, match="^intersection form is degenerate$"):
@@ -667,7 +674,7 @@ class TestEliminationReference:
         assert definite and det == -(2**200)  # (-2)^200 (e + 100), e = -101
         assert graphs._eliminate(star.adjacency, star.euler, None) == (None, det)
         solution = tuple(x[images[i]] for i in range(201))
-        assert solve_exact(star, c, require_negative_definite=True) == solution
+        assert definite_solution(star, c) == solution
         assert solve_exact(star, c) == solution
         assert not is_negative_definite(star_graph(-100, [-2] * 200))
 

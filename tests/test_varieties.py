@@ -433,34 +433,42 @@ class TestLineSearchStop:
     @staticmethod
     def exhausted_draws(surface, epsilon, seed):
         """Samples of the block sampler, and how many of its draws rejected
-        every factor of a line search.  The acceptance test is replayed from
-        the norms the step takes: per round, the residual norms of the live
-        draws, then those of each batch of pending trials."""
-        rounds = []
-        steps, norms = varieties._gauss_newton_steps, varieties._row_norms
+        every factor of a line search.  The line search is replayed from the
+        measures the step takes: each round's measure of the live draws,
+        whose draws above ``_NEWTON_TOLERANCE`` take a step, then one
+        measure per batch of pending trials, until no draw is pending or 20
+        factors are spent; the call after that is the next round's measure,
+        or the acceptance test."""
+        measures, rounds = [], []
+        steps, measure = varieties._gauss_newton_steps, varieties._scaled_residuals
 
-        def mark_round(*args):
-            rounds.append([])
-            return steps(*args)
+        def mark_round(z, *args):
+            # The round's measure is the last call; its trials come next.
+            rounds.append((len(measures), len(z)))
+            return steps(z, *args)
 
-        def record(rows):
-            out = norms(rows)
-            if rounds and not np.iscomplexobj(rows):
-                rounds[-1].append(out)
-            return out
+        def record(*args):
+            measures.append(measure(*args))
+            return measures[-1]
 
         with patch.object(varieties, "_gauss_newton_steps", mark_round), \
-                patch.object(varieties, "_row_norms", record):
+                patch.object(varieties, "_scaled_residuals", record):
             samples = sample_points(surface, epsilon, 40, seed)
         exhausted = 0
-        for size, *trials in rounds:
-            assert len(trials) <= 20
-            pending = np.arange(len(size))
-            for trial in trials:
+        for start, live in rounds:
+            size = measures[start - 1]
+            size = size[~(size <= varieties._NEWTON_TOLERANCE)]
+            assert len(size) == live
+            pending = np.arange(live)
+            trials = measures[start : start + 20]
+            for spent, trial in enumerate(trials, 1):
+                assert len(trial) == pending.size
                 pending = pending[~(trial < size[pending])]
+                if not pending.size:
+                    break
             if pending.size:
                 # Every factor from 1 down to 2^-19 was tried and rejected.
-                assert len(trials) == 20
+                assert spent == 20
                 exhausted += pending.size
         return samples, exhausted
 
@@ -692,6 +700,21 @@ class TestHypersurfaceSampling:
         a = sample_points(BRIESKORN, 0.01, 25, seed=11)
         b = sample_points(BRIESKORN, 0.01, 25, seed=11)
         assert np.array_equal(a.points, b.points)
+
+    @pytest.mark.parametrize("epsilon", [1e-4, 1e-6])
+    @pytest.mark.parametrize("text", ["z0^3 + z1^5 + z2^5", "z0^5 + z1^5 + z2^5"])
+    def test_brieskorn_pham_germs_below_the_milnor_radius(self, text, epsilon):
+        """At these levels ``|h| ~ epsilon^(d/2)`` is far below ``rho -
+        epsilon ~ epsilon``, so a line search on the plain residual norm
+        sees only the level; on the scaled measure every case gets its 200
+        samples within the draw budget."""
+        surface = Hypersurface(parse_polynomial(text, 3))
+        scale = surface.defining_scale(epsilon)
+        samples = sample_points(surface, epsilon, 200, seed=0)
+        assert len(samples) == 200
+        for point in samples.points:
+            assert abs(defining_row(surface, point)[0]) <= 1e-10 * scale
+            assert abs(rho(surface, point) - epsilon) <= 1e-10 * epsilon
 
     def test_nodal_curve_samples(self):
         surface = Hypersurface(parse_polynomial("z0 z1", 2))
