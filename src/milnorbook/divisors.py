@@ -14,6 +14,7 @@ arithmetic; no floating point.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -150,25 +151,22 @@ def minimal_divisor(g: PlumbingGraph) -> Divisor:
 # the grid budget below does not bound it; this cap bounds its rounds,
 # 2 (bound + 1) at most.
 _ABSURD_ROWS = 2**28
-# Byte budget for the arrays of one call, checked against _grid_bytes
-# before anything is allocated.  It admits r = 6 at bound 40 (41^4 grid
-# rows, about 373 MB) and refuses r = 7 at bound 24 (25^5 rows, 1.45 GB).
+# Byte budget for the work of one call, checked against _grid_bytes before
+# anything is allocated.  It admits r = 6 at bound 40 (41^4 grid rows,
+# 373 MB) and refuses r = 7 at bound 24 (25^5 rows, 1.45 GB).
 _GRID_BYTES = 2**29
+# Grid rows per slab of the oracle's scan, at least one value of the first
+# grid coordinate.  A box whose grid fits one slab is scanned in one pass.
+_SLAB_ROWS = 2**15
 
 
 def _grid_bytes(r: int, grid_rows: int) -> int:
-    """Bytes the oracle holds for a grid of ``grid_rows`` rows on r vertices,
-    counted at 8 bytes per value.
+    """Bytes the oracle's arrays would take over a whole grid of
+    ``grid_rows`` rows on r vertices, counted at 8 bytes per value: the
+    work one call scans, slab by slab.
 
-    The grid itself is never stored: each constraint row's slack is built
-    on it from broadcast coordinate ranges.  The two intervals, the mask,
-    the row being built and the coupled rows' slacks take at most
-    16 r + 36 bytes per grid row in int64.  The int64 ``tracemalloc`` peaks
-    per grid row are 49 bytes on -2 chains, 57 on stars with -2 legs and
-    49 to 57 on -3 cycles for r = 4..8, and 8 r + 43 (75 to 107) on
-    complete graphs, whose every row is coupled.  The oracle holds its
-    values in the narrowest type that fits them, often 2 or 4 bytes, so
-    this count bounds its peak from above.
+    The two intervals, the mask, the row being built and the coupled rows'
+    slacks take at most 16 r + 36 bytes per grid row in int64.
     """
     return grid_rows * (16 * r + 36)
 
@@ -217,108 +215,13 @@ def _coupling_pair(g: PlumbingGraph) -> tuple[int, int]:
     return min(combinations(range(g.vertex_count), 2), key=coupling)
 
 
-def oracle_minimal_divisor(g: PlumbingGraph, bound: int) -> Divisor:
-    """Exhaustive search over 0 <= m_i <= bound, independent of the descent.
-
-    Covers every lattice point of the box.  Two vertices u and x are read
-    as intervals, the other r - 2 coordinates form the grid.  A row sees
-    vertex j when I_ij != 0, and a row that sees both u and x is
-    *coupled*; the pair is the one with the fewest coupled rows, a pair
-    of non-adjacent vertices before an adjacent one (``_coupling_pair``).
-    Each row's slack c_i - sum_j I_ij m_j over the grid is built once per
-    call, one multiply-add per grid coordinate that the row sees.  On the
-    grid, a row that sees neither u nor x narrows the mask, and a row that
-    sees only one of them narrows that coordinate's interval (a vertex's
-    own row bounds it from below, a row through an edge to it from
-    above).
-
-    Every grid row is then read at its least point, by one rule that rests
-    on the signs of the definite form.  Only u's own row (diagonal
-    e_u < 0) bounds u from below, by a non-decreasing function of x, and
-    likewise for x; every other coupled row bounds both u and x from
-    above.  Starting at (lo_u, lo_x), each of u and x is raised, in
-    rounds, to its own row's bound at the other's value until nothing
-    moves.  Every point that meets both own rows lies above each iterate,
-    so where the result is still at most (hi_u, hi_x) it is the grid row's
-    least such point, and the grid row is feasible exactly when the
-    coupled rows hold there.  When u and x are not adjacent no own row is
-    coupled and no round runs; when they are (of the small suite's
-    classes, only the complete graphs), the rounds run on the surviving
-    grid rows.  Each round raises some value or is the last, and values
-    are capped at the bound, so there are at most 2 (bound + 1) rounds.
-    They start higher, at the ceiling of the rational solution of the two
-    own rows taken as equalities, capped at the bound: their 2 x 2 block
-    is negative definite with off-diagonal entries >= 0, so its negative
-    is inverse-positive and every point that meets both own rows lies
-    above that solution.  A pair that contracts slowly, such as weights
-    -1 and -(k^2 + 1) joined by k edges, then takes a round or two, not
-    k^2 + k.  Its numerators are held exactly in the narrowest type that
-    fits their size, bounded through each own row's constant and grid
-    terms, and the start is skipped when no 64-bit integer does.
-    The minima of u, x and the grid come straight off the least points of
-    the feasible grid rows.  The zero divisor satisfies a row only on a
-    single genus-0 vertex: for r >= 2 every c_i <= -1.  Returns the
-    componentwise minimum of the feasible set and verifies that this
-    minimum is itself feasible, which is the lattice min-closure property
-    the descent's canonicity rests on.
-
-    Memory is bounded by the grid, whatever the bound.  The grid itself is
-    never stored; the arrays held are the two intervals, the mask and the
-    coupled rows' slacks over it.  Boxes whose arrays would take more than
-    ``_GRID_BYTES`` bytes at 8 bytes per value (``_grid_bytes``) are
-    refused before anything is allocated.
-
-    No value the oracle holds exceeds reach = max(bound + 1, max_i(|c_i| +
-    bound * sum_j |I_ij|)) in size: not the grid, the partial sums of a
-    row's slack, the interval bounds, nor a coupled row's slack less
-    at_u * u + at_x * x, which a round reads as slack - k x, because u and
-    x are capped at the bound first.  Every array is held in the narrowest
-    of int16, int32 and int64 that fits reach, so the answer is exact in
-    any of them; a box whose reach exceeds int64 is refused before
-    anything is allocated.
-    """
-    if bound < 1:
-        raise InputError("search bound must be at least 1")
-    if not is_milnor_fillable(g):
-        raise NotNegativeDefinite("oracle requires a negative definite graph")
+def _slab_least_point(g, c, bound, dtype, u, x, ranges, shape):
+    """The componentwise minimum of the feasible points of one slab of the
+    oracle's grid, as a list over the vertices, or None when the slab has
+    none.  ``ranges`` maps each grid coordinate to the values it takes in
+    the slab, broadcast along its own axis of ``shape``."""
     r = g.vertex_count
-    last = r - 1
-    if (bound + 1) ** last > _ABSURD_ROWS:
-        raise InputError(f"box [0, {bound}]^{r} is too large to enumerate")
-    dims = max(last - 1, 0)
-    grid_rows = (bound + 1) ** dims
-    need = _grid_bytes(r, grid_rows)
-    if need > _GRID_BYTES:
-        raise InputError(
-            f"box [0, {bound}]^{r} is too large to enumerate: its grid of "
-            f"{grid_rows} rows needs about {need} bytes, above the budget of "
-            f"{_GRID_BYTES}"
-        )
-    c = constraint_vector(g)
-    reach = max(
-        bound + 1,
-        max(
-            abs(k) + bound * (abs(e) + sum(neighbours.values()))
-            for k, e, neighbours in zip(c, g.euler, g.adjacency)
-        ),
-    )
-    dtype = _value_type(reach)
-    if dtype is None:
-        raise InputError(
-            f"box [0, {bound}]^{r} holds values up to {reach}, beyond the "
-            "64-bit integers of the scan"
-        )
-    # A single vertex is read as x alone, with no u.
-    u, x = _coupling_pair(g) if r > 1 else (None, 0)
-    inner = [j for j in range(r) if j not in (u, x)]
-    shape = (bound + 1,) * dims
-    # Grid coordinate j as a range that broadcasts along its own axis.
-    ranges = {
-        j: np.arange(bound + 1, dtype=dtype).reshape(
-            tuple(-1 if b == a else 1 for b in range(dims))
-        )
-        for a, j in enumerate(inner)
-    }
+    grid_rows = math.prod(shape)
     lo_u, lo_x = (np.zeros(grid_rows, dtype=dtype) for _ in range(2))
     hi_u, hi_x = (np.full(grid_rows, bound, dtype=dtype) for _ in range(2))
     ok = np.ones(grid_rows, dtype=bool)
@@ -327,7 +230,7 @@ def oracle_minimal_divisor(g: PlumbingGraph, bound: int) -> Divisor:
         row = {i: g.euler[i], **neighbours}
         slack = np.full(grid_rows, c[i], dtype=dtype)
         view = slack.reshape(shape)
-        for j in inner:
+        for j in ranges:
             if j in row:
                 np.subtract(view, row[j] * ranges[j], out=view)
         at_u, at_x = row.get(u, 0), row.get(x, 0)
@@ -350,7 +253,7 @@ def oracle_minimal_divisor(g: PlumbingGraph, bound: int) -> Divisor:
     if coupled and x in g.adjacency[u]:
         # u's own row and x's are coupled: the rounds run on the surviving
         # grid rows only, compressed one array at a time so that no two
-        # full-grid copies of one array are held at once.
+        # full-slab copies of one array are held at once.
         live = ok
         lo_u = lo_u[live]
         hi_u = hi_u[live]
@@ -414,20 +317,146 @@ def oracle_minimal_divisor(g: PlumbingGraph, bound: int) -> Divisor:
         slack -= at_x * lo_x
         ok &= slack >= 0
     if not ok.any():
-        raise BoundTooSmall(f"no feasible divisor with all m_i <= {bound}")
-    u_min, x_min = int(lo_u[ok].min()), int(lo_x[ok].min())
+        return None
+    m = [0] * r
+    m[x] = int(lo_x[ok].min())
+    if u is not None:
+        m[u] = int(lo_u[ok].min())
     if live is not None:
         live[live] = ok  # back onto the grid
         ok = live
-    m = [0] * r
-    m[x] = x_min
-    if u is not None:
-        m[u] = u_min
     seen = ok.reshape(shape)
-    for a, j in enumerate(inner):
-        others = tuple(b for b in range(dims) if b != a)
-        m[j] = int(np.argmax(seen.any(axis=others)))
-    result = Divisor(tuple(m))
+    for a, (j, values) in enumerate(ranges.items()):
+        others = tuple(b for b in range(len(shape)) if b != a)
+        m[j] = values.item(np.argmax(seen.any(axis=others)))
+    return m
+
+
+def oracle_minimal_divisor(g: PlumbingGraph, bound: int) -> Divisor:
+    """Exhaustive search over 0 <= m_i <= bound, independent of the descent.
+
+    Covers every lattice point of the box.  Two vertices u and x are read
+    as intervals, the other r - 2 coordinates form the grid.  A row sees
+    vertex j when I_ij != 0, and a row that sees both u and x is
+    *coupled*; the pair is the one with the fewest coupled rows, a pair
+    of non-adjacent vertices before an adjacent one (``_coupling_pair``).
+    Each row's slack c_i - sum_j I_ij m_j over the grid is built once, one
+    multiply-add per grid coordinate that the row sees.  On the
+    grid, a row that sees neither u nor x narrows the mask, and a row that
+    sees only one of them narrows that coordinate's interval (a vertex's
+    own row bounds it from below, a row through an edge to it from
+    above).
+
+    Every grid row is then read at its least point, by one rule that rests
+    on the signs of the definite form.  Only u's own row (diagonal
+    e_u < 0) bounds u from below, by a non-decreasing function of x, and
+    likewise for x; every other coupled row bounds both u and x from
+    above.  Starting at (lo_u, lo_x), each of u and x is raised, in
+    rounds, to its own row's bound at the other's value until nothing
+    moves.  Every point that meets both own rows lies above each iterate,
+    so where the result is still at most (hi_u, hi_x) it is the grid row's
+    least such point, and the grid row is feasible exactly when the
+    coupled rows hold there.  When u and x are not adjacent no own row is
+    coupled and no round runs; when they are (of the small suite's
+    classes, only the complete graphs), the rounds run on the surviving
+    grid rows.  Each round raises some value or is the last, and values
+    are capped at the bound, so there are at most 2 (bound + 1) rounds.
+    They start higher, at the ceiling of the rational solution of the two
+    own rows taken as equalities, capped at the bound: their 2 x 2 block
+    is negative definite with off-diagonal entries >= 0, so its negative
+    is inverse-positive and every point that meets both own rows lies
+    above that solution.  A pair that contracts slowly, such as weights
+    -1 and -(k^2 + 1) joined by k edges, then takes a round or two, not
+    k^2 + k.  Its numerators are held exactly in the narrowest type that
+    fits their size, bounded through each own row's constant and grid
+    terms, and the start is skipped when no 64-bit integer does.
+    The minima of u, x and the grid come straight off the least points of
+    the feasible grid rows.  The zero divisor satisfies a row only on a
+    single genus-0 vertex: for r >= 2 every c_i <= -1.  Returns the
+    componentwise minimum of the feasible set and verifies that this
+    minimum is itself feasible, which is the lattice min-closure property
+    the descent's canonicity rests on.
+
+    A grid of more than _SLAB_ROWS rows is scanned in slabs along its
+    first axis, each of max(1, _SLAB_ROWS // tail) values of the first grid
+    coordinate, where tail = (bound + 1)^(r - 3) rows share a value; a
+    smaller grid is one slab.  The answer is the componentwise minimum over
+    every slab's feasible points.  No slab is skipped: stopping at the first
+    feasible one would assume the min-closure checked here.  Memory is
+    bounded by one slab, max(_SLAB_ROWS, tail) rows, whatever the box.
+    Boxes whose arrays would take more than ``_GRID_BYTES`` bytes over the
+    whole grid at 8 bytes per value (``_grid_bytes``) are refused before
+    anything is allocated, which bounds a call's work.
+
+    No value the oracle holds exceeds reach = max(bound + 1, max_i(|c_i| +
+    bound * sum_j |I_ij|)) in size: not the grid, the partial sums of a
+    row's slack, the interval bounds, nor a coupled row's slack less
+    at_u * u + at_x * x, which a round reads as slack - k x, because u and
+    x are capped at the bound first.  Every array is held in the narrowest
+    of int16, int32 and int64 that fits reach, so the answer is exact in
+    any of them; a box whose reach exceeds int64 is refused before
+    anything is allocated.
+    """
+    if bound < 1:
+        raise InputError("search bound must be at least 1")
+    if not is_milnor_fillable(g):
+        raise NotNegativeDefinite("oracle requires a negative definite graph")
+    r = g.vertex_count
+    last = r - 1
+    if (bound + 1) ** last > _ABSURD_ROWS:
+        raise InputError(f"box [0, {bound}]^{r} is too large to enumerate")
+    dims = max(last - 1, 0)
+    grid_rows = (bound + 1) ** dims
+    need = _grid_bytes(r, grid_rows)
+    if need > _GRID_BYTES:
+        raise InputError(
+            f"box [0, {bound}]^{r} is too large to enumerate: its grid of "
+            f"{grid_rows} rows needs about {need} bytes, above the budget of "
+            f"{_GRID_BYTES}"
+        )
+    c = constraint_vector(g)
+    reach = max(
+        bound + 1,
+        max(
+            abs(k) + bound * (abs(e) + sum(neighbours.values()))
+            for k, e, neighbours in zip(c, g.euler, g.adjacency)
+        ),
+    )
+    dtype = _value_type(reach)
+    if dtype is None:
+        raise InputError(
+            f"box [0, {bound}]^{r} holds values up to {reach}, beyond the "
+            "64-bit integers of the scan"
+        )
+    # A single vertex is read as x alone, with no u.
+    u, x = _coupling_pair(g) if r > 1 else (None, 0)
+    inner = [j for j in range(r) if j not in (u, x)]
+    # Grid coordinate j as a range that broadcasts along its own axis.
+    ranges = {
+        j: np.arange(bound + 1, dtype=dtype).reshape(
+            tuple(-1 if b == a else 1 for b in range(dims))
+        )
+        for a, j in enumerate(inner)
+    }
+    # One slab, or slabs of `step` values of the first grid coordinate.
+    shape = (bound + 1,) * dims
+    least = None
+    if grid_rows <= _SLAB_ROWS:
+        least = _slab_least_point(g, c, bound, dtype, u, x, ranges, shape)
+    else:
+        tail = grid_rows // (bound + 1)
+        step = max(1, _SLAB_ROWS // tail)
+        for start in range(0, bound + 1, step):
+            first = ranges[inner[0]][start : start + step]
+            slab = {**ranges, inner[0]: first}
+            found = _slab_least_point(
+                g, c, bound, dtype, u, x, slab, (len(first), *shape[1:])
+            )
+            if found is not None:
+                least = found if least is None else list(map(min, least, found))
+    if least is None:
+        raise BoundTooSmall(f"no feasible divisor with all m_i <= {bound}")
+    result = Divisor(tuple(least))
 
     products = _form_product(g, result.multiplicities)
     feasible = not result.is_zero and all(

@@ -66,6 +66,16 @@ SIX_VERTEX_TREE = PlumbingGraph(
 # Least divisor (15, 8, 8, 8, 8, 8).
 SIX_VERTEX_STAR = star_graph(-3, [-2] * 5)
 
+# K_{3,3} with -4 weights: its least coupled pair is adjacent, so its least
+# points are raised in rounds.  Least divisor (3, 3, 3, 3, 3, 3).
+SIX_VERTEX_K33 = PlumbingGraph(
+    (0,) * 6, (-4,) * 6, tuple((a, b) for a in range(3) for b in range(3, 6))
+)
+
+# The oracle's slab sizes under test: the default, one value of the first
+# grid coordinate per slab, and seven rows, which leave a ragged last slab.
+SLAB_ROWS = (divisors._SLAB_ROWS, 1, 7)
+
 # One graph per path through the oracle, with its least divisor and bounds
 # below and above that divisor's largest entry (a least entry 1 has no
 # bound below it).
@@ -356,15 +366,17 @@ class TestOracle:
         nested-loop scan of the same box, including infeasibility.  The
         default id draws the bound; the others pin it at 7, above the drawn
         range, and at 1, the smallest box, where most graphs have no
-        feasible point."""
+        feasible point.  Each box is scanned at every size of SLAB_ROWS."""
         if pinned is not None:
             bound = pinned
         naive = brute_force_minimal_divisor(g, bound)
-        if naive is None:
-            with pytest.raises(BoundTooSmall):
-                oracle_minimal_divisor(g, bound)
-        else:
-            assert oracle_minimal_divisor(g, bound).multiplicities == naive
+        for slab_rows in SLAB_ROWS:
+            with patch.object(divisors, "_SLAB_ROWS", slab_rows):
+                if naive is None:
+                    with pytest.raises(BoundTooSmall):
+                        oracle_minimal_divisor(g, bound)
+                else:
+                    assert oracle_minimal_divisor(g, bound).multiplicities == naive
 
     @pytest.mark.parametrize(
         "g, least, bounds",
@@ -373,9 +385,9 @@ class TestOracle:
     )
     def test_every_scan_shape_matches_the_brute_force(self, g, least, bounds):
         """Each path through the oracle answers as the brute force does,
-        BoundTooSmall included.  Five and six vertices are checked by the
-        vectorised box scan, which agrees with the nested-loop scan on the
-        smaller shapes."""
+        BoundTooSmall included, at every size of SLAB_ROWS.  Five and six
+        vertices are checked by the vectorised box scan, which agrees with
+        the nested-loop scan on the smaller shapes."""
         for bound in bounds:
             expected = least if bound >= max(least) else None
             if g.vertex_count > 4:
@@ -383,11 +395,32 @@ class TestOracle:
             else:
                 assert brute_force_minimal_divisor(g, bound) == expected
                 assert box_scan_minimal_divisor(g, bound) == expected
-            if expected is None:
-                with pytest.raises(BoundTooSmall):
-                    oracle_minimal_divisor(g, bound)
-            else:
-                assert oracle_minimal_divisor(g, bound).multiplicities == expected
+            for slab_rows in SLAB_ROWS:
+                with patch.object(divisors, "_SLAB_ROWS", slab_rows):
+                    if expected is None:
+                        with pytest.raises(BoundTooSmall):
+                            oracle_minimal_divisor(g, bound)
+                    else:
+                        found = oracle_minimal_divisor(g, bound).multiplicities
+                        assert found == expected, slab_rows
+
+    def test_every_slab_is_scanned(self, monkeypatch):
+        """The tree at bound 30 has 31^3 grid rows per value of the first
+        grid coordinate, so each of its 31 values is one slab.  All are
+        scanned, also those past the first with a feasible row: stopping
+        there would assume the min-closure that the oracle verifies."""
+        slabs = []
+        scan = divisors._slab_least_point
+
+        def counted(*args):
+            slabs.append(scan(*args))
+            return slabs[-1]
+
+        monkeypatch.setattr(divisors, "_slab_least_point", counted)
+        d = oracle_minimal_divisor(SIX_VERTEX_TREE, 30)
+        assert d.multiplicities == (25, 22, 9, 15, 6, 14)
+        assert len(slabs) == 31
+        assert sum(found is not None for found in slabs) > 1
 
     def test_adjacent_shapes_take_an_adjacent_pair(self):
         """The shapes the rounds serve: their least coupled pair is
@@ -461,9 +494,9 @@ class TestOracle:
         assert 0 < len(divisions) <= 2 * 2 * (10 + 1)
 
     def test_streamed_block_size_is_capped(self, monkeypatch):
-        """A grid of (bound + 1)^(r - 2) rows whose arrays would exceed the
-        byte budget is refused before it is allocated; at the budget it
-        runs."""
+        """A grid of (bound + 1)^(r - 2) rows whose arrays, counted over the
+        whole grid, would exceed the byte budget is refused before anything
+        is allocated; at the budget it runs."""
         need = divisors._grid_bytes(4, 13**2)
         monkeypatch.setattr(divisors, "_GRID_BYTES", need - 1)
         with pytest.raises(InputError, match=r"box \[0, 12\]\^4"):
@@ -472,8 +505,9 @@ class TestOracle:
         assert oracle_minimal_divisor(D4, 12).multiplicities == (9, 5, 5, 5)
 
     def test_seven_vertices_at_bound_24_refused_before_allocating(self):
-        """E7 at bound 24 has a grid of 25^5 rows, about 1.4 GB of arrays:
-        the budget refuses it before anything is allocated."""
+        """E7 at bound 24 has a grid of 25^5 rows, about 1.4 GB of arrays
+        counted over the whole grid: the budget refuses it before anything
+        is allocated."""
         e7 = PlumbingGraph(
             (0,) * 7, (-2,) * 7, tuple((i, i + 1) for i in range(5)) + ((2, 6),)
         )
@@ -566,8 +600,9 @@ class TestOracle:
         )
 
     def test_six_vertices_at_bound_30_hold_narrow_values(self):
-        """The benchmark's largest box: in int16 its peak is under half the
-        8-bytes-per-value budget, which int64 arrays would exceed."""
+        """The benchmark's largest box: in int16 its peak is under half of
+        _grid_bytes, the whole grid's arrays at 8 bytes per value.  Scanned
+        slab by slab it is far lower; the test below pins that."""
         tracemalloc.start()
         try:
             d = oracle_minimal_divisor(SIX_VERTEX_TREE, 30)
@@ -589,6 +624,28 @@ class TestOracle:
             tracemalloc.stop()
         assert d.multiplicities == (15, 8, 8, 8, 8, 8)
         assert peak < divisors._grid_bytes(6, 31**4) / 2
+
+    @pytest.mark.parametrize(
+        "g, least",
+        [
+            (SIX_VERTEX_TREE, (25, 22, 9, 15, 6, 14)),
+            (SIX_VERTEX_STAR, (15, 8, 8, 8, 8, 8)),
+            (SIX_VERTEX_K33, (3, 3, 3, 3, 3, 3)),
+        ],
+        ids=["tree", "star", "k33"],
+    )
+    def test_r6_boxes_at_the_default_bound_hold_one_slab(self, g, least):
+        """At the CLI's default bound of 40 the grid has 41^4 rows, 35 to
+        46 MB of narrow arrays held whole.  Scanned slab by slab, the peak
+        is one slab's arrays: about 1 MB on the tree, the star and K_{3,3}."""
+        tracemalloc.start()
+        try:
+            d = oracle_minimal_divisor(g, 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d.multiplicities == least
+        assert peak < 4 * 2**20
 
     @given(small_nd_graphs())
     @settings(max_examples=40)
