@@ -25,9 +25,11 @@ loop copies into arrays preallocated for the requested count and the model
 turns into one :class:`Samples` record.  For charts the step builds the
 radial profiles of the whole block, one stacked product per lag of the
 autocorrelation, and finds their roots together (a bracket search that
-doubles or halves the top from ``t = 1``, then one safeguarded Newton loop
-that falls back to the midpoint and stops each row once its step is below
-4 ulp, as array Horner loops); for hypersurfaces it runs a damped
+doubles or halves the top from the root of each profile's lowest-order
+term, then one safeguarded Newton loop from that root, or from the
+bracket's midpoint where the root is outside it, that falls back to the
+midpoint and stops each row once its step is below 4 ulp, as array Horner
+loops); for hypersurfaces it runs a damped
 Gauss–Newton iteration on ``(Re h, Im h, rho - epsilon)`` for all draws of
 the block together, each draw one packed float row, with one measure of the
 distance from the level set (:func:`_scaled_residuals`) for its line
@@ -143,13 +145,15 @@ class SmoothChart:
         self.dim = dim
         self.components = components
         self._components_block = PolynomialBlock(components)
-        self._jacobian_block = PolynomialBlock(
-            [partial for poly in components for partial in poly.gradient()]
-        )
         self._identity = _read_only_identity(dim)
         self._orthonormal_frames = components == tuple(
             Polynomial.variable(dim, i) for i in range(dim)
         )
+        # Read only by phi_block, and only where the Jacobian is not the identity.
+        if not self._orthonormal_frames:
+            self._jacobian_block = PolynomialBlock(
+                [partial for poly in components for partial in poly.gradient()]
+            )
 
     @property
     def orthonormal_frames(self) -> bool:
@@ -301,29 +305,42 @@ def _radial_profiles(chart: SmoothChart, directions: np.ndarray) -> np.ndarray:
 def _radial_roots(profiles: np.ndarray, epsilon: float) -> np.ndarray:
     """Smallest ``t > 0`` with ``profile(t) = epsilon`` per row, NaN if none.
 
-    A bracket search from ``t = 1``, doubling the top while the profile is
-    below the level and halving it while it is not, at most
-    ``_MAX_DOUBLINGS`` times, gives each row a bracket ``[2^k, 2^(k+1)]``
-    (``[0, 2^k]`` if the halvings run out).  Then one safeguarded Newton
-    loop (``rtsafe``, Numerical Recipes 9.4) starts from its midpoint: each
-    round evaluates the profile and its derivative at the live rows,
-    narrows the bracket by the side of the level the value lies on (a NaN
-    value counts as past it), and takes the Newton step where the slope is
-    finite and non-zero and the step stays inside the bracket, else the
-    midpoint.  A row stops when its step moves less than 4 ulp, when its
-    bracket has stalled (its midpoint is one of its ends), or after
-    ``_ROOT_ROUNDS`` rounds.  Values come from ``polyval`` on columns of
-    coefficients, the same Horner steps as for one profile, and every other
-    operation is elementwise, so a row's root does not depend on the block.
+    Each row starts at ``t0 = (epsilon / a_m)^(1/m)``, the root of its
+    lowest-order term ``a_m t^m``: near 0 the profile is ``a_m t^m (1 +
+    O(t))``, so for small levels the smallest root, on the Milnor sphere,
+    lies near ``t0``.  A row whose ``t0`` is not positive and finite (a
+    zero, NaN or infinite profile, or a subnormal leading coefficient)
+    starts at ``t = 1``.  A bracket search from the start, doubling the top
+    while the profile is below the level and halving it while it is not, at
+    most ``_MAX_DOUBLINGS`` times, gives each row a bracket ``[2^k t0,
+    2^(k+1) t0]`` (``[0, 2^k t0]`` if the halvings run out).  Then one
+    safeguarded Newton loop (``rtsafe``, Numerical Recipes 9.4) starts from
+    ``t0`` where it lies in the bracket, else from its midpoint: each round
+    evaluates the profile and its derivative at the live rows, narrows the
+    bracket by the side of the level the value lies on (a NaN value counts
+    as past it), and takes the Newton step where the slope is finite and
+    non-zero and the step stays inside the bracket, else the midpoint.  A
+    row stops when its step moves less than 4 ulp, when its bracket has
+    stalled (its midpoint is one of its ends), or after
+    ``_ROOT_ROUNDS`` rounds; on a coordinate chart, where ``t0`` is the
+    root, that is two probes and one round.  Values come from ``polyval`` on
+    columns of coefficients, the same Horner steps as for one profile, and
+    every other operation is elementwise (``np.float_power`` is libm's
+    ``pow``, as Python's ``**``), so a row's root does not depend on the
+    block.
     """
     # Looked up here: NumPy imports its polynomial package on first use.
     polyval = np.polynomial.polynomial.polyval
     polyder = np.polynomial.polynomial.polyder
     coefficients = profiles.T
-    probe = np.ones(len(profiles))
     low, high = np.zeros(len(profiles)), np.full(len(profiles), np.inf)
     live = np.arange(len(profiles))
     with np.errstate(all="ignore"):  # inf and NaN values fall back to the midpoint
+        order = np.argmax(profiles != 0.0, axis=1)
+        ratio = epsilon / profiles[live, order]
+        start = np.float_power(ratio, 1.0 / order)
+        leading = (order > 0) & (ratio > 0.0) & (ratio < np.inf)
+        probe = np.where(leading, start, 1.0)
         for _ in range(_MAX_DOUBLINGS):
             t = probe[live]
             below = polyval(t, coefficients[:, live], tensor=False) < epsilon
@@ -340,8 +357,9 @@ def _radial_roots(profiles: np.ndarray, epsilon: float) -> np.ndarray:
             return roots
         coefficients = coefficients[:, rows]
         derivative = polyder(coefficients)
-        low, high = low[rows], high[rows]
-        t = 0.5 * (low + high)
+        low, high, start = low[rows], high[rows], start[rows]
+        from_start = leading[rows] & (low <= start) & (start <= high)
+        t = np.where(from_start, start, 0.5 * (low + high))
         live = np.arange(rows.size)
         for _ in range(_ROOT_ROUNDS):
             x = t[live]

@@ -524,12 +524,21 @@ def _radial_profile(chart: SmoothChart, direction: np.ndarray) -> np.ndarray:
 def _solve_radial(profile: np.ndarray, epsilon: float):
     """Smallest ``t > 0`` with ``profile(t) = epsilon``, or None: the
     package's bracket search and safeguarded Newton loop, one draw at a
-    time in scalar arithmetic."""
+    time in scalar arithmetic.  Both start at the root ``(epsilon /
+    a_m)^(1/m)`` of the lowest-order term ``a_m t^m``, taken with Python's
+    ``**`` (libm's ``pow``, as ``np.float_power``), where it is positive and
+    finite; the search starts at 1 otherwise, and the loop at the bracket's
+    midpoint when the start is not in the bracket."""
 
     def value(t: float) -> float:
         return float(np.polynomial.polynomial.polyval(t, profile))
 
-    probe, low, high = 1.0, 0.0, math.inf
+    start = None
+    order = next((m for m, c in enumerate(profile) if c != 0.0), 0)
+    ratio = epsilon / float(profile[order]) if order else math.nan
+    if 0.0 < ratio < math.inf:
+        start = ratio ** (1.0 / order)
+    probe, low, high = start or 1.0, 0.0, math.inf
     for _ in range(_MAX_DOUBLINGS):
         below = value(probe) < epsilon  # NaN from overflow is past the level
         if below:
@@ -542,7 +551,7 @@ def _solve_radial(profile: np.ndarray, epsilon: float):
     if high == math.inf:
         return None
     derivative = np.polynomial.polynomial.polyder(profile)
-    t = 0.5 * (low + high)
+    t = start if start is not None and low <= start <= high else 0.5 * (low + high)
     for _ in range(varieties._ROOT_ROUNDS):
         x = t
         v = value(x)

@@ -151,6 +151,11 @@ class TestIdentityBases:
         with pytest.raises(ValueError, match="read-only"):
             bases[0, 0, 0] = 2.0
 
+    def test_coordinate_charts_build_no_jacobian_block(self):
+        # phi_block broadcasts the identity there and never reads one.
+        assert not hasattr(SmoothChart.identity(3), "_jacobian_block")
+        assert hasattr(REFERENCE_CHARTS["z0,z1,z0*z1"], "_jacobian_block")
+
     def test_hypersurface_jacobian_is_shared(self):
         samples = sample_points(BRIESKORN, 0.01, 2, seed=0)
         points, jacobians = BRIESKORN.phi_block(samples.points)
@@ -246,6 +251,35 @@ class TestChartSampling:
         for point, rho_value in zip(samples.points, samples.rho_values):
             assert abs(rho(chart, point) - epsilon) <= 1e-10 * epsilon
             assert abs(rho_value - epsilon) <= 1e-10 * epsilon
+
+
+def late_samples(chart, points, epsilon) -> int:
+    """Samples ``t d`` whose ray meets the level before them: ``rho`` on a
+    grid of 1000 points of ``(0, 0.999 t]`` along ``d`` is not all below
+    ``epsilon``."""
+    grid = np.linspace(0.0, 0.999, 1001)[1:]
+    rays = (grid[None, :, None] * points[:, None, :]).reshape(-1, chart.dim)
+    rho_values = np.sum(np.abs(chart.phi_block(rays)[0]) ** 2, axis=1)
+    return int(np.sum(~(rho_values.reshape(len(points), -1) < epsilon).all(axis=1)))
+
+
+class TestFirstCrossing:
+    """On a profile that is not monotone the sampler returns the smallest
+    crossing of the level, on the Milnor sphere, not a far crossing near
+    ``|z| = 1``, which a bracket search from ``t = 1`` finds on these
+    charts."""
+
+    @pytest.mark.parametrize("text", ["z0 - z0^2", "z0 - z0^3", "z0^2 - z0^3"])
+    def test_samples_are_the_first_crossing_on_their_ray(self, text):
+        chart = SmoothChart(1, (parse_polynomial(text, 1),))
+        samples = sample_points(chart, 0.01, 200, seed=0)
+        assert late_samples(chart, samples.points, 0.01) == 0
+
+    def test_samples_stay_near_the_milnor_sphere(self):
+        # The smallest root reaches 0.1127, where t (1 - t) = 0.1 at Re u = 1.
+        chart = SmoothChart(1, (parse_polynomial("z0 - z0^2", 1),))
+        samples = sample_points(chart, 0.01, 200, seed=0)
+        assert np.abs(samples.points).max() <= 0.1128
 
 
 class TestBlockSolve:
@@ -366,7 +400,10 @@ class TestRadialSolve:
     @pytest.mark.parametrize("epsilon", [1e-6, 0.01, 30.0])
     def test_roots_agree_with_the_fixed_step_bisection(self, epsilon):
         """The safeguarded Newton loop accepts the rows the former
-        bisection accepted, at roots within 4 ulp of its roots."""
+        bisection accepted, at roots within 4 ulp of its roots, and no other
+        row but ``1e308 (t + t^2 + t^3)``: it overflows at ``t = 1``, where
+        the bisection starts, so only the start at its leading term's root
+        ``epsilon / 1e308`` solves it."""
         profiles = self.profiles()
         roots = varieties._radial_roots(profiles, epsilon)
         bisected = self.per_draw_roots(bisect_radial, profiles, epsilon)
@@ -376,28 +413,51 @@ class TestRadialSolve:
                 values = np.array([polyval(t, p) for t, p in zip(ts, profiles)])
             return np.abs(values - epsilon) <= varieties._LEVEL_TOLERANCE * epsilon
 
-        rows = accepted(roots)
-        assert rows.sum() > 200
-        assert np.array_equal(rows, accepted(bisected))
+        rows, solved = accepted(roots), accepted(bisected)
+        assert solved.sum() > 200
+        overflowing = len(profiles) - 2
+        assert not solved[overflowing]
+        # At 1e-6 its root, 1e-314, is subnormal: too coarse for the level test.
+        assert rows[overflowing] == (epsilon > 1e-6)
+        rows[overflowing] = False
+        assert np.array_equal(rows, solved)
         assert np.all(np.abs(roots - bisected)[rows] <= 4 * np.spacing(bisected[rows]))
 
-    def test_root_find_makes_at_most_20_block_evaluations(self):
-        # Each profile reaches 0.01 between t = 1/16 and t = 1: the bracket
-        # search halves the top at most four times, and every round of the
-        # Newton loop evaluates the profile and its derivative.
+    @staticmethod
+    def count_block_evaluations(profiles, epsilon) -> tuple[np.ndarray, int]:
         calls = []
 
         def counting_polyval(*args, **kwargs):
             calls.append(None)
             return polyval(*args, **kwargs)
 
+        with patch.object(np.polynomial.polynomial, "polyval", counting_polyval):
+            roots = varieties._radial_roots(profiles, epsilon)
+        return roots, len(calls)
+
+    def test_root_find_makes_at_most_10_block_evaluations(self):
+        # Each profile starts at the root of its lowest-order term t^2; the
+        # bracket search takes two or three probes, and every round of the
+        # Newton loop evaluates the profile and its derivative.
         profiles = varieties._radial_profiles(
             REFERENCE_CHARTS["z0,z1,z0^2 + z1^3"], unit_directions(300, 6)
         )
-        with patch.object(np.polynomial.polynomial, "polyval", counting_polyval):
-            roots = varieties._radial_roots(profiles, 0.01)
-        assert len(calls) <= 20
+        roots, calls = self.count_block_evaluations(profiles, 0.01)
+        assert calls <= 10
         assert roots.tolist() == [_solve_radial(profile, 0.01) for profile in profiles]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("epsilon", [1e-6, 0.01, 1.0])
+    def test_identity_charts_take_4_block_evaluations(self, dim, epsilon):
+        # The profile |d|^2 t^2 has the root of its leading term as its root:
+        # two probes bracket it, and one Newton round stops there.
+        rng = np.random.default_rng(dim)
+        raw = rng.standard_normal((300, dim)) + 1j * rng.standard_normal((300, dim))
+        directions = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        profiles = varieties._radial_profiles(SmoothChart.identity(dim), directions)
+        roots, calls = self.count_block_evaluations(profiles, epsilon)
+        assert calls == 4
+        assert roots.tolist() == [_solve_radial(profile, epsilon) for profile in profiles]
 
 
 class TestHypersurfaceBlockSolve:
